@@ -21,15 +21,14 @@
  *    number, recorded in BENCH_pr4.json); on the 14-active-qubit
  *    routing the 2^14-amplitude sweeps dominate both paths and the
  *    gap narrows — that regime is what the SIMD kernels attack;
- *  - grouped (shot-batched SoA) vs per-shot compiled replay: the
+ *  - grouped (shot-batched) vs per-shot compiled replay: the
  *    headline rows time all three dense strategies and record the
  *    signature-grouping occupancy (mean group size, no-error-group
- *    fraction) that explains each speedup; registered *PerShot
- *    variants pin ADAPT_DENSE_SHOT_BATCH=0 for the same comparison
- *    under google-benchmark rigor;
- *  - the batch frame engine's plane width and tiling: 50q/100q
- *    characterization sweeps at ADAPT_FRAME_LANES=64/256/512 with
- *    the L1-tiled executor forced off and on;
+ *    fraction) that explains each speedup; the per-shot rows and the
+ *    registered *PerShot variants run a directly built ShotReplayer,
+ *    so they stay per-shot whatever the engine would pick;
+ *  - the batch frame engine at 32/50/100-qubit characterization
+ *    widths (256 lanes per pass);
  *  - one-time job preparation (plan lowering + compilation), to show
  *    amortization across shots;
  *  - the apply1Q / applyPhase / populationOne kernels, which switch
@@ -45,13 +44,14 @@
 #include "bench_common.hh"
 
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
 
+#include "common/flat_accumulator.hh"
 #include "common/parallel.hh"
 #include "dd/sequences.hh"
+#include "noise/compiled.hh"
 #include "noise/machine.hh"
 #include "transpile/decompose.hh"
 #include "transpile/schedule.hh"
@@ -175,17 +175,54 @@ runThroughput(benchmark::State &state, const NoisyMachine &m,
     state.counters["simd"] = simdFlag();
 }
 
-/** Same sweep with the grouped SoA replay disabled, so the
- *  registered pairs expose the grouping win directly. */
+/**
+ * The per-shot compiled replay of a dense schedule, built directly
+ * (buildPlan + compileShotProgram + ShotReplayer) rather than through
+ * NoisyMachine's strategy choice, so per-shot rows stay per-shot on
+ * programs the engine would group.  Serial, like the rows it backs.
+ */
+struct PerShotReplay
+{
+    PerShotReplay(const NoisyMachine &m, const ScheduledCircuit &sched)
+        : plan(buildPlan(sched, m.calibration(), m.flags())),
+          prog(compileShotProgram(plan, m.calibration(), m.flags())),
+          replayer(plan, prog)
+    {
+    }
+
+    /** replayer refers to plan and prog: pinned in place. */
+    PerShotReplay(const PerShotReplay &) = delete;
+    PerShotReplay &operator=(const PerShotReplay &) = delete;
+
+    /** Run @p shots shots; returns the outcome support size. */
+    size_t
+    run(int shots, uint64_t seed)
+    {
+        FlatAccumulator hist;
+        replayer.runBlock(Rng(seed), 0, shots, hist);
+        return hist.size();
+    }
+
+    ExecutionPlan plan;
+    ShotProgram prog;
+    ShotReplayer replayer;
+};
+
+/** Same sweep on the directly built per-shot replay: the baseline the
+ *  registered compiled rows are read against. */
 void
 runThroughputPerShot(benchmark::State &state, const NoisyMachine &m,
-                     const ScheduledCircuit &sched, int threads,
-                     int shots)
+                     const ScheduledCircuit &sched, int shots)
 {
-    setenv("ADAPT_DENSE_SHOT_BATCH", "0", 1);
-    runThroughput(state, m, sched, ExecMode::Compiled, threads,
-                  shots);
-    unsetenv("ADAPT_DENSE_SHOT_BATCH");
+    PerShotReplay pershot(m, sched);
+    uint64_t seed = 1;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(pershot.run(shots, ++seed));
+    state.SetItemsProcessed(state.iterations() * shots);
+    state.counters["shots_per_sec"] = benchmark::Counter(
+        static_cast<double>(state.iterations()) * shots,
+        benchmark::Counter::kIsRate);
+    state.counters["simd"] = simdFlag();
 }
 
 void
@@ -260,15 +297,14 @@ void
 BM_DecoyShotThroughputPerShot(benchmark::State &state)
 {
     runThroughputPerShot(state, decoyMachine(), decoySchedule(),
-                         static_cast<int>(state.range(0)), kShots);
+                         kShots);
 }
 
 void
 BM_DecoyShotThroughputDDPerShot(benchmark::State &state)
 {
-    runThroughputPerShot(state, decoyMachine(),
-                         decoyPaddedSchedule(),
-                         static_cast<int>(state.range(0)), kShots);
+    runThroughputPerShot(state, decoyMachine(), decoyPaddedSchedule(),
+                         kShots);
 }
 
 /** One-time job preparation (plan lowering + shot-program
@@ -408,9 +444,15 @@ recordHeadline(const char *name, const NoisyMachine &m,
                shots;
     };
     const double interpreted = seconds(ExecMode::Interpreted);
-    setenv("ADAPT_DENSE_SHOT_BATCH", "0", 1);
-    const double pershot = seconds(ExecMode::Compiled);
-    unsetenv("ADAPT_DENSE_SHOT_BATCH");
+    double pershot = 0.0;
+    {
+        PerShotReplay replay(m, sched);
+        const auto t0 = std::chrono::steady_clock::now();
+        benchmark::DoNotOptimize(replay.run(shots, 7));
+        const auto t1 = std::chrono::steady_clock::now();
+        pershot =
+            std::chrono::duration<double>(t1 - t0).count() / shots;
+    }
 
     DenseBatchStats stats;
     const auto t0 = std::chrono::steady_clock::now();
@@ -437,8 +479,9 @@ recordHeadline(const char *name, const NoisyMachine &m,
                     interpreted / pershot)
             .metric("speedup_grouped_vs_pershot", pershot / grouped);
     // Occupancy: zero grouped shots means the job was ineligible
-    // (register wider than kMaxBatchQubits) and fell back to the
-    // per-shot replay — mean_group_size then records null.
+    // (per-shot OU phases, or a register wider than kMaxBatchQubits)
+    // and ran the per-shot replay — mean_group_size then records
+    // null.
     row.metric("grouped_shots", static_cast<double>(stats.shots))
         .metric("mean_group_size",
                 static_cast<double>(stats.shots) /
@@ -477,65 +520,33 @@ buildT1Characterization(const Device &device, int n)
 
 /**
  * Frame-plane characterization sweep: seconds per shot of the batch
- * frame engine at 50 and 100 qubits, for each supported lane width
- * (ADAPT_FRAME_LANES=64/256/512, bound at prepare time) and with the
- * qubit-tiled executor forced off and on (ADAPT_FRAME_TILE) — the
- * recorded grid behind the lane-width default and the tiling engage
- * heuristic.
+ * frame engine at 32, 50, and 100 qubits (kFrameLanes lanes per
+ * pass), one row per register width.
  */
 void
 recordFrameSweep()
 {
-    // 32q rides along to document the tiling engage boundary: there
-    // the auto heuristic keeps the flat walk (planes already
-    // L1-resident), and the forced-on row records what it avoids.
     for (const int n : {32, 50, 100}) {
         const Device device =
             Device::synthetic(Topology::linear(n), 200 + n);
         const NoisyMachine machine(device, 0,
                                    NoiseFlags::pauliOnly());
-        const ScheduledCircuit sched =
-            buildT1Characterization(device, n);
+        const PreparedCircuit prepared = machine.prepare(
+            buildT1Characterization(device, n), BackendKind::Stabilizer);
         const int shots = n <= 50 ? 1 << 13 : 1 << 12;
-        for (const int lanes : {64, 256, 512}) {
-            setenv("ADAPT_FRAME_LANES",
-                   std::to_string(lanes).c_str(), 1);
-            const PreparedCircuit prepared =
-                machine.prepare(sched, BackendKind::Stabilizer);
-            const auto seconds = [&](const char *tile) {
-                if (tile != nullptr)
-                    setenv("ADAPT_FRAME_TILE", tile, 1);
-                const auto t0 = std::chrono::steady_clock::now();
-                benchmark::DoNotOptimize(
-                    machine.run(prepared, shots, 7, 1));
-                const auto t1 = std::chrono::steady_clock::now();
-                unsetenv("ADAPT_FRAME_TILE");
-                return std::chrono::duration<double>(t1 - t0)
-                           .count() /
-                       shots;
-            };
-            const double flat = seconds("0");
-            const double tiled = seconds("1");
-            // The auto row is what a default run gets — it must
-            // track min(flat, tiled) on both sides of the engage
-            // boundary (flat at 32q, tiled at 100q).
-            const double autoTile = seconds(nullptr);
-            benchio::record("frame_t1_characterization_" +
-                            std::to_string(n) + "q")
-                .label("lanes", std::to_string(lanes))
-                .metric("shots", shots)
-                .metric("flat_ns_per_shot", flat * 1e9)
-                .metric("tiled_ns_per_shot", tiled * 1e9)
-                .metric("auto_ns_per_shot", autoTile * 1e9)
-                .metric("flat_shots_per_sec", 1.0 / flat)
-                .metric("tiled_shots_per_sec", 1.0 / tiled)
-                .metric("tiled_speedup_vs_flat", flat / tiled);
-            std::printf("frame %3dq lanes=%3d: %7.0f ns/shot flat, "
-                        "%7.0f tiled (%.2fx), %7.0f auto\n",
-                        n, lanes, flat * 1e9, tiled * 1e9,
-                        flat / tiled, autoTile * 1e9);
-            unsetenv("ADAPT_FRAME_LANES");
-        }
+        const auto t0 = std::chrono::steady_clock::now();
+        benchmark::DoNotOptimize(machine.run(prepared, shots, 7, 1));
+        const auto t1 = std::chrono::steady_clock::now();
+        const double seconds =
+            std::chrono::duration<double>(t1 - t0).count() / shots;
+        benchio::record("frame_t1_characterization_" +
+                        std::to_string(n) + "q")
+            .label("lanes", std::to_string(kFrameLanes))
+            .metric("shots", shots)
+            .metric("ns_per_shot", seconds * 1e9)
+            .metric("shots_per_sec", 1.0 / seconds);
+        std::printf("frame %3dq lanes=%3d: %7.0f ns/shot\n", n,
+                    kFrameLanes, seconds * 1e9);
     }
 }
 
@@ -544,10 +555,10 @@ runExperiment()
 {
     benchio::open("shot_throughput",
                   "dense shot replay — interpreted vs per-shot "
-                  "compiled vs grouped SoA (ns per shot and "
-                  "shots/sec, 1 thread) at decoy and device scale, "
-                  "plus frame-plane lane-width/tiling sweeps at "
-                  "32, 50, and 100 qubits");
+                  "compiled vs grouped (ns per shot and shots/sec, "
+                  "1 thread) at decoy and device scale, plus "
+                  "frame-plane characterization at 32, 50, and 100 "
+                  "qubits");
     banner("Shot throughput",
            "parallel Monte-Carlo engine, QAOA-10 on ibmq_toronto");
     std::printf("shots per run: %d, hardware threads: %u, "

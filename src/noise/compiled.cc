@@ -2,11 +2,9 @@
 
 #include <cmath>
 #include <cstring>
-#include <type_traits>
 #include <utility>
 
 #include "circuit/clifford1q.hh"
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "sim/backend.hh"
 #include "sim/stabilizer.hh"
@@ -767,7 +765,8 @@ applyPauliToRef(StabilizerState &ref, int code, int q)
 } // namespace
 
 FrameSkeleton
-buildFrameSkeleton(const ExecutionPlan &plan, const NoiseFlags &flags)
+buildFrameSkeleton(const ExecutionPlan &plan, const NoiseFlags &flags,
+                   int branch_depth)
 {
     require(plan.clifford,
             "frame program requires an all-Clifford executable");
@@ -781,8 +780,7 @@ buildFrameSkeleton(const ExecutionPlan &plan, const NoiseFlags &flags)
             "Paulis");
 
     FrameSkeleton skel;
-    skel.branchDepth = static_cast<int>(
-        envInt("ADAPT_FRAME_BRANCH_DEPTH", 8, 0, 64));
+    skel.branchDepth = branch_depth;
 
     // The noiseless reference simulation: advanced through the plan
     // in step order.  Everything it answers — measurement outcomes,
@@ -1001,11 +999,6 @@ bindFrameProgram(const ExecutionPlan &plan, const FrameSkeleton &skel,
     prog.numQubits = static_cast<int>(plan.active.size());
     prog.numClbits = plan.maxClbit + 1;
     prog.branchDepth = skel.branchDepth;
-    // Lane width is a bind-time property: the skeleton (and so the
-    // program cache) stays lane-independent, while every Sparse
-    // anyThresh below is resolved for this width.
-    prog.laneWords = frameLaneWordsFromEnv();
-    const int frame_lanes = prog.laneCount();
 
     // Cursors into the recorded reference-walk traces, consumed in
     // lock-step with the structure-only guards the skeleton used.
@@ -1041,8 +1034,7 @@ bindFrameProgram(const ExecutionPlan &plan, const FrameSkeleton &skel,
                 "twirlCoherent");
         FrameTwirlOp t;
         t.q = dq;
-        t.prob = makeFrameBernoulli(twirlZProbability(phase),
-                                     frame_lanes);
+        t.prob = makeFrameBernoulli(twirlZProbability(phase));
         if (t.prob.mode == FrameBernoulli::Mode::Never)
             return;
         prog.twirl.push_back(t);
@@ -1075,7 +1067,7 @@ bindFrameProgram(const ExecutionPlan &plan, const FrameSkeleton &skel,
                 // defers it to an exact per-shot rerun forced at
                 // this ordinal.
                 m.randT1Ordinal = prog.randomT1Count++;
-                m.t1 = makeFrameBernoulli(gamma * 0.5, frame_lanes);
+                m.t1 = makeFrameBernoulli(gamma * 0.5);
                 if (prog.branchDepth > 0) {
                     recordFlipSupport(prog, m, trace.flipX,
                                       trace.flipZ);
@@ -1089,13 +1081,12 @@ bindFrameProgram(const ExecutionPlan &plan, const FrameSkeleton &skel,
                     prog.t1Sites.push_back(std::move(site));
                 }
             } else {
-                m.t1 = makeFrameBernoulli(gamma, frame_lanes);
+                m.t1 = makeFrameBernoulli(gamma);
             }
         }
         if (flags.whiteDephasing) {
             m.deph = makeFrameBernoulli(
-                whiteDephasingFlipProbability(dt_us, qc.t2WhiteUs),
-                frame_lanes);
+                whiteDephasingFlipProbability(dt_us, qc.t2WhiteUs));
         }
         if (m.t1.mode == FrameBernoulli::Mode::Never &&
             m.deph.mode == FrameBernoulli::Mode::Never)
@@ -1135,8 +1126,8 @@ bindFrameProgram(const ExecutionPlan &plan, const FrameSkeleton &skel,
                 recordFlipSupport(prog, m, trace.flipX, trace.flipZ);
             refCl[static_cast<size_t>(step.clbit)] = m.refBit;
             if (flags.measurementErrors) {
-                m.err01 = makeFrameBernoulli(step.err01, frame_lanes);
-                m.err10 = makeFrameBernoulli(step.err10, frame_lanes);
+                m.err01 = makeFrameBernoulli(step.err01);
+                m.err10 = makeFrameBernoulli(step.err10);
             }
             prog.meas.push_back(m);
             prog.ops.push_back(
@@ -1159,7 +1150,7 @@ bindFrameProgram(const ExecutionPlan &plan, const FrameSkeleton &skel,
                 FrameErr2QOp e;
                 e.a = step.q;
                 e.b = step.q2;
-                e.prob = makeFrameBernoulli(step.cxError, frame_lanes);
+                e.prob = makeFrameBernoulli(step.cxError);
                 prog.err2q.push_back(e);
                 prog.ops.push_back(
                     {FrameOpRef::Kind::Err2Q,
@@ -1192,8 +1183,7 @@ bindFrameProgram(const ExecutionPlan &plan, const FrameSkeleton &skel,
                         continue;
                     FrameErr1QOp e;
                     e.q = step.q;
-                    e.prob =
-                        makeFrameBernoulli(step.pulses[i].errorProb, frame_lanes);
+                    e.prob = makeFrameBernoulli(step.pulses[i].errorProb);
                     for (size_t p = 0; p < 3; p++)
                         e.mapped[p] = trace.mapped[i][p];
                     prog.err1q.push_back(e);
@@ -1254,14 +1244,6 @@ bindFrameProgram(const ExecutionPlan &plan, const FrameSkeleton &skel,
 }
 
 FrameProgram
-compileFrameProgram(const ExecutionPlan &plan, const Calibration &cal,
-                    const NoiseFlags &flags)
-{
-    return bindFrameProgram(plan, buildFrameSkeleton(plan, flags),
-                            cal, flags);
-}
-
-FrameProgram
 compileFrameTail(const FrameProgram &parent, uint32_t ordinal)
 {
     require(ordinal < parent.t1Sites.size(),
@@ -1274,7 +1256,6 @@ compileFrameTail(const FrameProgram &parent, uint32_t ordinal)
     prog.numQubits = parent.numQubits;
     prog.numClbits = parent.numClbits;
     prog.branchDepth = parent.branchDepth - 1;
-    prog.laneWords = parent.laneWords;
 
     // The post-jump reference and its recorded bits, advanced through
     // the parent's suffix to re-resolve everything
@@ -1354,7 +1335,7 @@ compileFrameTail(const FrameProgram &parent, uint32_t ordinal)
                 if (p1 == 0.5) {
                     m.t1Ref = 2;
                     m.randT1Ordinal = prog.randomT1Count++;
-                    m.t1 = makeFrameBernoulli(pm.gamma * 0.5, parent.laneCount());
+                    m.t1 = makeFrameBernoulli(pm.gamma * 0.5);
                     const bool sup =
                         ref.measureFlipSupport(m.q, flip_x, flip_z);
                     require(sup,
@@ -1372,7 +1353,7 @@ compileFrameTail(const FrameProgram &parent, uint32_t ordinal)
                     prog.t1Sites.push_back(std::move(s));
                 } else {
                     m.t1Ref = p1 == 1.0 ? 1 : 0;
-                    m.t1 = makeFrameBernoulli(pm.gamma, parent.laneCount());
+                    m.t1 = makeFrameBernoulli(pm.gamma);
                 }
             }
             if (m.t1.mode == FrameBernoulli::Mode::Never &&
@@ -1465,6 +1446,18 @@ FrameTailCache::tail(const FrameProgram &parent, uint32_t ordinal)
 // ------------------------------------------------------------------
 // Per-shot execution.
 // ------------------------------------------------------------------
+
+namespace
+{
+
+/** End index of a whole op stream (replayRange's end_op). */
+uint32_t
+fullRange(const std::vector<OpRef> &stream)
+{
+    return static_cast<uint32_t>(stream.size());
+}
+
+} // namespace
 
 ShotReplayer::ShotReplayer(const ExecutionPlan &plan,
                            const ShotProgram &prog)
@@ -1603,14 +1596,14 @@ ShotReplayer::drawTape(const Rng &shot_rng, ShotTape &tape)
 
 void
 ShotReplayer::replayRange(const std::vector<OpRef> &stream,
-                          uint32_t first_op, const ShotTape &tape,
-                          size_t cursor)
+                          uint32_t first_op, uint32_t end_op,
+                          const ShotTape &tape, size_t cursor)
 {
     const NoiseFlags &flags = prog_.flags;
     const std::vector<ShotEvent> &events = tape.events;
     const size_t n_events = events.size();
 
-    for (uint32_t i = first_op; i < stream.size(); i++) {
+    for (uint32_t i = first_op; i < end_op; i++) {
         const OpRef ref = stream[i];
         switch (ref.kind) {
           case OpRef::Kind::Coherent: {
@@ -1748,9 +1741,9 @@ ShotReplayer::replayShot(const ShotTape &tape)
         // No stochastic event fired: maximally fused deterministic
         // replay (no Markov ops, one matrix per pulse train).
         fastShots_++;
-        replayRange(prog_.fastOps, 0, tape, 0);
+        replayRange(prog_.fastOps, 0, fullRange(prog_.fastOps), tape, 0);
     } else {
-        replayRange(prog_.ops, 0, tape, 0);
+        replayRange(prog_.ops, 0, fullRange(prog_.ops), tape, 0);
     }
     return packer_.key();
 }
@@ -1791,9 +1784,9 @@ namespace
 {
 
 /** True when two tapes resolved the same event pattern.  The per-shot
- *  measurement / T1 words are deliberately excluded: grouped lanes
- *  may differ in them because they are only consumed after the peel
- *  point. */
+ *  measurement / T1 words are deliberately excluded: group members
+ *  may differ in them because they are only consumed after the
+ *  divergence point. */
 bool
 sameSignature(const ShotTape &x, const ShotTape &y)
 {
@@ -1846,59 +1839,52 @@ laneUniformInt(uint64_t *words, size_t stride, int l, uint64_t n)
 
 BatchShotReplayer::BatchShotReplayer(const ExecutionPlan &plan,
                                      const ShotProgram &prog)
-    : scalar_(plan, prog), bsv_(prog.numQubits, kBatchLanes),
-      tapes_(kBatchLanes),
-      laneAmps_(uint64_t{1} << prog.numQubits),
-      laneFactors_(kBatchLanes),
+    : scalar_(plan, prog), tapes_(kBatchLanes),
+      groupAmps_(uint64_t{1} << prog.numQubits),
       drawBatched_(!prog.flags.ouDephasing),
       gateWords_(drawBatched_ ? size_t{4} * kBatchLanes : 0),
       qubitWords_(drawBatched_
                       ? size_t{4} * kBatchLanes *
                             static_cast<size_t>(prog.numQubits)
-                      : 0),
-      refMode_(prog.phaseSlots == 0)
+                      : 0)
 {
     require(eligible(prog),
             "BatchShotReplayer requires an eligible program");
-    if (refMode_) {
-        // The event-free evolution of the general stream is
-        // shot-invariant when no per-shot dynamic phases exist:
-        // checkpoint it once, up to the first state-dependent op.
-        refDivOp_ = static_cast<uint32_t>(prog.ops.size());
-        for (uint32_t i = 0; i < prog.ops.size(); i++) {
-            const OpRef::Kind k = prog.ops[i].kind;
-            if (k == OpRef::Kind::Meas || k == OpRef::Kind::Reset) {
-                refDivOp_ = i;
-                break;
-            }
+    // With no per-shot dynamic phases the event-free evolution of the
+    // general stream is shot-invariant: checkpoint it once, up to the
+    // first state-dependent op.
+    refDivOp_ = static_cast<uint32_t>(prog.ops.size());
+    for (uint32_t i = 0; i < prog.ops.size(); i++) {
+        const OpRef::Kind k = prog.ops[i].kind;
+        if (k == OpRef::Kind::Meas || k == OpRef::Kind::Reset) {
+            refDivOp_ = i;
+            break;
         }
-        const uint64_t dim = uint64_t{1} << prog.numQubits;
-        const auto max_cp = static_cast<uint32_t>(std::max<size_t>(
-            2, kRefBudgetBytes / (dim * sizeof(Complex))));
-        refStride_ = std::max<uint32_t>(
-            1, (refDivOp_ + max_cp - 1) / max_cp);
-        const uint32_t num_cp = refDivOp_ / refStride_ + 1;
-        refAmps_.resize(size_t{num_cp} * dim);
-        scalar_.sv_.reset();
-        for (uint32_t c = 0; c < num_cp; c++) {
-            std::memcpy(refAmps_.data() + size_t{c} * dim,
-                        scalar_.sv_.data(), dim * sizeof(Complex));
-            replayPrefix(scalar_.sv_, prog.ops, c * refStride_,
-                         std::min((c + 1) * refStride_, refDivOp_),
-                         emptyTape_, nullptr, 0);
-        }
-        // The no-error prefix on the fast stream, likewise
-        // tape-invariant, shared by every no-error shot of a run.
-        size_t fast_cursor = 0;
-        refFastDivOp_ =
-            divergenceOp(prog.fastOps, emptyTape_, fast_cursor);
-        refFastAmps_.resize(dim);
-        scalar_.sv_.reset();
-        replayPrefix(scalar_.sv_, prog.fastOps, 0, refFastDivOp_,
-                     emptyTape_, nullptr, 0);
-        std::memcpy(refFastAmps_.data(), scalar_.sv_.data(),
-                    dim * sizeof(Complex));
     }
+    const uint64_t dim = uint64_t{1} << prog.numQubits;
+    const auto max_cp = static_cast<uint32_t>(std::max<size_t>(
+        2, kRefBudgetBytes / (dim * sizeof(Complex))));
+    refStride_ =
+        std::max<uint32_t>(1, (refDivOp_ + max_cp - 1) / max_cp);
+    const uint32_t num_cp = refDivOp_ / refStride_ + 1;
+    refAmps_.resize(size_t{num_cp} * dim);
+    scalar_.sv_.reset();
+    for (uint32_t c = 0; c < num_cp; c++) {
+        std::memcpy(refAmps_.data() + size_t{c} * dim,
+                    scalar_.sv_.data(), dim * sizeof(Complex));
+        replayPrefix(prog.ops, c * refStride_,
+                     std::min((c + 1) * refStride_, refDivOp_),
+                     emptyTape_);
+    }
+    // The no-error prefix on the fast stream, likewise tape-invariant,
+    // shared by every no-error shot of a run.
+    size_t fast_cursor = 0;
+    refFastDivOp_ = divergenceOp(prog.fastOps, emptyTape_, fast_cursor);
+    refFastAmps_.resize(dim);
+    scalar_.sv_.reset();
+    replayPrefix(prog.fastOps, 0, refFastDivOp_, emptyTape_);
+    std::memcpy(refFastAmps_.data(), scalar_.sv_.data(),
+                dim * sizeof(Complex));
 }
 
 uint64_t
@@ -1915,13 +1901,15 @@ BatchShotReplayer::replayShotFromRef(const ShotTape &tape)
     if (tape.events.empty()) {
         scalar_.fastShots_++;
         scalar_.sv_.setAmplitudes(refFastAmps_.data(), dim);
-        scalar_.replayRange(prog.fastOps, refFastDivOp_, tape, 0);
+        scalar_.replayRange(prog.fastOps, refFastDivOp_,
+                            fullRange(prog.fastOps), tape, 0);
     } else {
         const uint32_t j = std::min(tape.events[0].op, refDivOp_);
         const uint32_t cp = j / refStride_;
         scalar_.sv_.setAmplitudes(refAmps_.data() + size_t{cp} * dim,
                                   dim);
-        scalar_.replayRange(prog.ops, cp * refStride_, tape, 0);
+        scalar_.replayRange(prog.ops, cp * refStride_,
+                            fullRange(prog.ops), tape, 0);
     }
     return scalar_.packer_.key();
 }
@@ -2110,23 +2098,6 @@ BatchShotReplayer::drawBlockTapes(const Rng &base, int64_t first_shot,
     }
 }
 
-bool
-BatchShotReplayer::phasesUniform(const ShotTape &rep,
-                                 const int *lanes,
-                                 int group_size) const
-{
-    if (rep.phases.empty())
-        return true;
-    const size_t bytes = rep.phases.size() * sizeof(double);
-    for (int g = 1; g < group_size; g++) {
-        const ShotTape &t = tapes_[static_cast<size_t>(lanes[g])];
-        if (std::memcmp(t.phases.data(), rep.phases.data(), bytes) !=
-            0)
-            return false;
-    }
-    return true;
-}
-
 uint32_t
 BatchShotReplayer::divergenceOp(const std::vector<OpRef> &stream,
                                 const ShotTape &rep,
@@ -2157,136 +2128,17 @@ BatchShotReplayer::divergenceOp(const std::vector<OpRef> &stream,
     return static_cast<uint32_t>(stream.size());
 }
 
-template <class SV>
 void
-BatchShotReplayer::replayPrefix(SV &sv,
-                                const std::vector<OpRef> &stream,
+BatchShotReplayer::replayPrefix(const std::vector<OpRef> &stream,
                                 uint32_t from, uint32_t to,
-                                const ShotTape &rep,
-                                const int *lanes, int group_size)
+                                const ShotTape &rep)
 {
-    constexpr bool kBatch = std::is_same_v<SV, BatchStateVector>;
-    const ShotProgram &prog = scalar_.prog_;
-    const NoiseFlags &flags = prog.flags;
-    const std::vector<ShotEvent> &events = rep.events;
-    const size_t n_events = events.size();
-    size_t cursor = 0;
-
-    for (uint32_t i = from; i < to; i++) {
-        const OpRef ref = stream[i];
-        switch (ref.kind) {
-          case OpRef::Kind::Coherent: {
-            const CoherentOp &c = prog.coherent[ref.idx];
-            if (flags.twirlCoherent) {
-                if (cursor < n_events && events[cursor].op == i) {
-                    sv.apply1Q(pauliMatrix(3), c.q);
-                    cursor++;
-                }
-                break;
-            }
-            if (c.ouKind != 0) {
-                if constexpr (kBatch) {
-                    // Per-lane dynamic phases.  A lane whose phase
-                    // is 0.0 (the scalar path skips its sweep)
-                    // receives the exact factor (1, +0); only the
-                    // sign of zero amplitudes can differ, which no
-                    // population sum or outcome key observes.
-                    for (int g = 0; g < group_size; g++) {
-                        const double phi =
-                            tapes_[static_cast<size_t>(lanes[g])]
-                                .phases[c.phaseSlot];
-                        laneFactors_[static_cast<size_t>(g)] =
-                            std::exp(kImag * phi);
-                    }
-                    sv.applyPhaseFactors(c.q, laneFactors_.data());
-                } else {
-                    // Uniform group: every member's phase equals the
-                    // representative's, so the scalar replay's exact
-                    // skip-on-zero semantics apply.
-                    const double phi = rep.phases[c.phaseSlot];
-                    if (phi != 0.0)
-                        sv.applyPhase(c.q, phi);
-                }
-            } else if (c.staticPhi != 0.0) {
-                sv.applyPhase(c.q, c.staticPhi);
-            }
-            break;
-          }
-          case OpRef::Kind::Markov: {
-            const MarkovOp &m = prog.markov[ref.idx];
-            while (cursor < n_events && events[cursor].op == i) {
-                // Only DephZ can appear here: a T1Jump would have
-                // bounded the prefix at this op.
-                sv.apply1Q(pauliMatrix(3), m.q);
-                cursor++;
-            }
-            break;
-          }
-          case OpRef::Kind::Fused1Q: {
-            const Fused1QOp &f = prog.fused[ref.idx];
-            if (cursor >= n_events || events[cursor].op != i) {
-                sv.apply1Q(prog.matrices[f.fullMat], f.q);
-                break;
-            }
-            const std::vector<Pulse> &pulses =
-                scalar_.plan_.steps[f.step].pulses;
-            int64_t prev = -1;
-            while (cursor < n_events && events[cursor].op == i) {
-                const ShotEvent &e = events[cursor++];
-                if (prev < 0) {
-                    sv.apply1Q(
-                        prog.matrices[f.prefixOff + e.pulse], f.q);
-                } else {
-                    Matrix2 seg = Matrix2::identity();
-                    for (auto j = static_cast<uint32_t>(prev + 1);
-                         j <= e.pulse; j++)
-                        seg = pulses[j].matrix * seg;
-                    sv.apply1Q(seg, f.q);
-                }
-                sv.apply1Q(pauliMatrix(e.a), f.q);
-                prev = e.pulse;
-            }
-            if (f.suffixOff != kNoTable) {
-                sv.apply1Q(
-                    prog.matrices[f.suffixOff +
-                                  static_cast<uint32_t>(prev)],
-                    f.q);
-            } else {
-                Matrix2 tail = Matrix2::identity();
-                for (auto j = static_cast<uint32_t>(prev + 1);
-                     j < f.pulseCnt; j++)
-                    tail = pulses[j].matrix * tail;
-                sv.apply1Q(tail, f.q);
-            }
-            break;
-          }
-          case OpRef::Kind::TwoQ: {
-            const TwoQOp &t = prog.twoQ[ref.idx];
-            switch (t.type) {
-              case GateType::CX: sv.applyCX(t.q, t.q2); break;
-              case GateType::CZ: sv.applyCZ(t.q, t.q2); break;
-              case GateType::SWAP: sv.applySwap(t.q, t.q2); break;
-              default:
-                panic("grouped replay: unexpected two-qubit gate");
-            }
-            if (cursor < n_events && events[cursor].op == i) {
-                const ShotEvent &e = events[cursor++];
-                if (e.a != 0)
-                    sv.apply1Q(pauliMatrix(e.a), t.q);
-                if (e.b != 0)
-                    sv.apply1Q(pauliMatrix(e.b), t.q2);
-            }
-            break;
-          }
-          case OpRef::Kind::Meas:
-          case OpRef::Kind::Reset:
-            panic("grouped dense prefix crossed a divergent op");
-          case OpRef::Kind::Cond1Q:
-            // No measurement has run before the divergence point, so
-            // the condition bit is 0 in every lane: uniform no-op.
-            break;
-        }
-    }
+    // Ops before the divergence point read no per-shot state or
+    // words, and no measurement has written the classical record yet
+    // (conditional pulses there are uniform no-ops), so the scalar
+    // replay of that range is the group's shared evolution.
+    scalar_.packer_.clear();
+    scalar_.replayRange(stream, from, to, rep, 0);
 }
 
 void
@@ -2351,82 +2203,51 @@ BatchShotReplayer::runSubBlock(const Rng &base, int64_t first_shot,
                 ? divergenceOp(stream, rep, cursor_at_d)
                 : 0;
         if (group_size < 2 || d == 0) {
-            // Nothing to share across lanes: per-shot replay, from
-            // the precomputed reference below the shot's first
-            // divergence when the event-free prefix is
-            // shot-invariant.
+            // Nothing to share across lanes: per-shot replay from the
+            // precomputed reference below the shot's first
+            // divergence.
             for (int g = 0; g < group_size; g++) {
-                const ShotTape &tape =
-                    tapes_[static_cast<size_t>(lanes[g])];
-                if (refMode_)
-                    hist.add(replayShotFromRef(tape), 1.0);
-                else
-                    hist.add(scalar_.replayShot(tape), 1.0);
+                hist.add(replayShotFromRef(
+                             tapes_[static_cast<size_t>(lanes[g])]),
+                         1.0);
             }
             continue;
         }
 
+        // Every member's prefix is the identical operator sequence
+        // (equal events, no per-shot phases): run it once on the
+        // scalar state, snapshot, and give each member the shared
+        // state for its divergent tail.
         stats_.batchedShots += group_size;
-        if (phasesUniform(rep, lanes, group_size)) {
-            // Every member's prefix is the identical operator
-            // sequence (equal events AND equal dynamic phases): run
-            // it once on the scalar state, snapshot, and give each
-            // member the shared state for its divergent tail.  An
-            // event-carrying group additionally starts from the
-            // reference checkpoint below its first event (refMode_).
-            if (refMode_ && rep.events.empty()) {
-                // No-error group: its fast-stream prefix state is
-                // block-invariant, and d here always equals
-                // refFastDivOp_ (both are the first Meas/Reset of
-                // fastOps), so the precomputed reference IS the
-                // shared snapshot.
-                std::memcpy(laneAmps_.data(), refFastAmps_.data(),
-                            dim * sizeof(Complex));
-            } else {
-                if (refMode_) {
-                    const uint32_t j =
-                        std::min(rep.events[0].op, refDivOp_);
-                    const uint32_t cp = j / refStride_;
-                    scalar_.sv_.setAmplitudes(
-                        refAmps_.data() + size_t{cp} * dim, dim);
-                    replayPrefix(scalar_.sv_, stream,
-                                 cp * refStride_, d, rep, lanes, 1);
-                } else {
-                    scalar_.sv_.reset();
-                    replayPrefix(scalar_.sv_, stream, 0, d, rep,
-                                 lanes, 1);
-                }
-                std::memcpy(laneAmps_.data(), scalar_.sv_.data(),
-                            dim * sizeof(Complex));
-            }
-            for (int g = 0; g < group_size; g++) {
-                const ShotTape &tape =
-                    tapes_[static_cast<size_t>(lanes[g])];
-                scalar_.sv_.setAmplitudes(laneAmps_.data(), dim);
-                scalar_.packer_.clear();
-                scalar_.totalShots_++;
-                if (tape.events.empty())
-                    scalar_.fastShots_++;
-                scalar_.replayRange(stream, d, tape, cursor_at_d);
-                hist.add(scalar_.packer_.key(), 1.0);
-            }
-            continue;
+        if (rep.events.empty()) {
+            // No-error group: its fast-stream prefix state is
+            // block-invariant, and d here always equals refFastDivOp_
+            // (both are the first Meas/Reset of fastOps), so the
+            // precomputed reference IS the shared snapshot.
+            std::memcpy(groupAmps_.data(), refFastAmps_.data(),
+                        dim * sizeof(Complex));
+        } else {
+            // Start from the reference checkpoint below the group's
+            // first event.
+            const uint32_t j = std::min(rep.events[0].op, refDivOp_);
+            const uint32_t cp = j / refStride_;
+            scalar_.sv_.setAmplitudes(refAmps_.data() + size_t{cp} * dim,
+                                      dim);
+            replayPrefix(stream, cp * refStride_, d, rep);
+            std::memcpy(groupAmps_.data(), scalar_.sv_.data(),
+                        dim * sizeof(Complex));
         }
-
-        bsv_.reset(group_size);
-        replayPrefix(bsv_, stream, 0, d, rep, lanes, group_size);
         for (int g = 0; g < group_size; g++) {
-            const ShotTape &tape =
-                tapes_[static_cast<size_t>(lanes[g])];
-            bsv_.extractLane(g, laneAmps_.data());
-            scalar_.sv_.setAmplitudes(laneAmps_.data(), dim);
-            // No measurement ran before the peel point, so the
-            // packer is clear at the divergence op in every lane.
+            const ShotTape &tape = tapes_[static_cast<size_t>(lanes[g])];
+            scalar_.sv_.setAmplitudes(groupAmps_.data(), dim);
+            // No measurement ran before the divergence op, so the
+            // packer is clear there in every member.
             scalar_.packer_.clear();
             scalar_.totalShots_++;
             if (tape.events.empty())
                 scalar_.fastShots_++;
-            scalar_.replayRange(stream, d, tape, cursor_at_d);
+            scalar_.replayRange(stream, d, fullRange(stream), tape,
+                                cursor_at_d);
             hist.add(scalar_.packer_.key(), 1.0);
         }
     }

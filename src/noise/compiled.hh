@@ -65,7 +65,6 @@
 #include "sim/backend.hh"
 #include "sim/frame_batch.hh"
 #include "sim/statevector.hh"
-#include "sim/statevector_batch.hh"
 #include "transpile/schedule.hh"
 
 namespace adapt
@@ -354,33 +353,6 @@ ShotProgram compileShotProgram(const ExecutionPlan &plan,
                                const Calibration &cal,
                                const NoiseFlags &flags);
 
-/**
- * Lower @p plan into a FrameProgram — the stabilizer-path analogue of
- * compileShotProgram, for the bit-packed batch Pauli-frame engine
- * (sim/frame_batch.hh).  Runs the noiseless reference tableau
- * simulation once, baking into the op stream:
- *  - every measurement's reference outcome, plus the branch-flip
- *    Pauli for random-outcome measurements,
- *  - each T1 checkpoint's reference population (deterministic
- *    checkpoints take the exact jump path, random ones the documented
- *    X-injection approximation),
- *  - every pulse train fused into one GL(2, F2) frame transform, with
- *    mid-train gate errors conjugated through the train suffix,
- *  - every noise probability resolved into a FrameBernoulli mask
- *    mode, with the exact closed forms of the interpreted path.
- *
- * Noise-op emission mirrors the interpreted runShot order (coherent
- * catch-up, then Markovian, then the step), so the two engines sample
- * the same law.
- *
- * @pre plan.clifford and flags Pauli-expressible without per-shot OU
- *      (flags.ouDephasing off); the dispatcher keeps OU-twirl jobs on
- *      the per-shot backend.
- */
-FrameProgram compileFrameProgram(const ExecutionPlan &plan,
-                                 const Calibration &cal,
-                                 const NoiseFlags &flags);
-
 // ------------------------------------------------------------------
 // Structure / constants split.
 //
@@ -406,9 +378,9 @@ FrameProgram compileFrameProgram(const ExecutionPlan &plan,
 //
 // Determinism: a bound program is field-for-field identical to a
 // cold compile of the same (schedule, calibration, flags) — the
-// legacy entry points buildPlan / compileShotProgram /
-// compileFrameProgram are now thin build+bind compositions, so cold
-// and cached paths run literally the same code.
+// legacy entry points buildPlan / compileShotProgram are thin
+// build+bind compositions, so cold and cached paths run literally the
+// same code.
 // ------------------------------------------------------------------
 
 /** Per-link CX activity windows recorded by the structure phase so
@@ -445,7 +417,7 @@ struct ShotTables
 
 /**
  * Frame-path structure trace: the complete record of the noiseless
- * reference-tableau walk compileFrameProgram performs.  Every
+ * reference-tableau walk buildFrameSkeleton performs.  Every
  * reference query (measurement randomness, flip supports, T1
  * population classes) and every fused-train Clifford resolution is
  * device-independent, so it is recorded once here and consumed in
@@ -454,8 +426,8 @@ struct ShotTables
  */
 struct FrameSkeleton
 {
-    /** ADAPT_FRAME_BRANCH_DEPTH at structure time (part of the
-     *  program-cache key). */
+    /** Branch-tail recursion cap the skeleton was built for (part of
+     *  the program-cache key). */
     int branchDepth = 0;
 
     /** One per Fused1Q step: the train's frame transform, its
@@ -556,21 +528,40 @@ ShotProgram bindShotProgram(const ExecutionPlan &plan,
                             const NoiseFlags &flags);
 
 /**
- * Structure phase of the frame compiler: run the noiseless reference
- * tableau once over @p plan, recording every reference query and
- * fused-train resolution.  Reads ADAPT_FRAME_BRANCH_DEPTH.
+ * Structure phase of the frame compiler — the stabilizer-path
+ * analogue of buildShotTables, for the bit-packed batch Pauli-frame
+ * engine (sim/frame_batch.hh): run the noiseless reference tableau
+ * once over @p plan, recording every reference query and fused-train
+ * resolution.  Together with bindFrameProgram this bakes into the op
+ * stream:
+ *  - every measurement's reference outcome, plus the branch-flip
+ *    Pauli for random-outcome measurements,
+ *  - each T1 checkpoint's reference population (deterministic
+ *    checkpoints take the exact jump path, superposed ones a branch
+ *    tail or a deferred per-shot rerun),
+ *  - every pulse train fused into one GL(2, F2) frame transform, with
+ *    mid-train gate errors conjugated through the train suffix,
+ *  - every noise probability resolved into a FrameBernoulli mask
+ *    mode, with the exact closed forms of the interpreted path.
  *
- * @pre As compileFrameProgram (all-Clifford, Pauli-expressible
- *      flags, no OU, no non-Pauli conditionals).
+ * Noise-op emission mirrors the interpreted runShot order (coherent
+ * catch-up, then Markovian, then the step), so the two engines sample
+ * the same law.
+ *
+ * @param branch_depth Branch-tail recursion cap (the parsed
+ *        ADAPT_FRAME_BRANCH_DEPTH; 0 disables tails).
+ * @pre plan.clifford and flags Pauli-expressible without per-shot OU
+ *      (flags.ouDephasing off) and no non-Pauli conditionals; the
+ *      dispatcher keeps other stabilizer jobs on the per-shot backend.
  */
 FrameSkeleton buildFrameSkeleton(const ExecutionPlan &plan,
-                                 const NoiseFlags &flags);
+                                 const NoiseFlags &flags,
+                                 int branch_depth);
 
 /**
  * Bind phase of the frame compiler: replay the recorded reference
  * trace against a *bound* plan, evaluating FrameBernoullis from the
- * calibration.  Identical output to compileFrameProgram under the
- * skeleton's branch depth.
+ * calibration.
  */
 FrameProgram bindFrameProgram(const ExecutionPlan &plan,
                               const FrameSkeleton &skel,
@@ -651,8 +642,7 @@ struct DenseBatchStats
     int64_t shots = 0;   //!< shots routed through the grouped path
     int64_t blocks = 0;  //!< <= 64-shot draw blocks formed
     int64_t groups = 0;  //!< signature groups (singletons included)
-    int64_t batchedShots = 0;  //!< shots whose prefix was amortized
-                               //!< (SoA planes or shared scalar)
+    int64_t batchedShots = 0;  //!< shots whose group prefix ran once
     int64_t noErrorShots = 0;  //!< shots whose draw pass fired nothing
 
     void merge(const DenseBatchStats &other)
@@ -719,12 +709,12 @@ class ShotReplayer
   private:
     friend class BatchShotReplayer;
 
-    /** Replay stream ops [first_op, end) against the current state,
-     *  with @p cursor positioned at the first tape event whose op
-     *  index is >= first_op. */
+    /** Replay stream ops [first_op, end_op) against the current
+     *  state, with @p cursor positioned at the first tape event whose
+     *  op index is >= first_op. */
     void replayRange(const std::vector<OpRef> &stream,
-                     uint32_t first_op, const ShotTape &tape,
-                     size_t cursor);
+                     uint32_t first_op, uint32_t end_op,
+                     const ShotTape &tape, size_t cursor);
 
     const ExecutionPlan &plan_;
     const ShotProgram &prog_;
@@ -742,25 +732,26 @@ class ShotReplayer
 };
 
 /**
- * Shot-batched dense replay: the grouped execution strategy behind
- * `ADAPT_DENSE_SHOT_BATCH` (docs/README).
+ * Shot-batched dense replay: the grouped execution strategy for
+ * programs without per-shot OU phases (eligible()).
  *
  * Each <= 64-shot block first runs the state-independent draw pass
  * for every shot, then groups shots whose tapes resolved to the same
  * *event signature* — the sequence of (op, pulse, kind, Pauli codes),
  * ignoring the per-shot measurement words.  At realistic error rates
  * the empty signature (no event fired) dominates, so one group
- * usually holds most of the block.  Each group's gate stream is then
- * executed once over a structure-of-arrays BatchStateVector that
- * advances all member shots per amplitude sweep, up to the group's
- * first *divergent* op — a measurement, reset, or population-
- * conditional T1 jump, whose effect depends on per-shot state or
- * per-shot words — at which point every lane is peeled back into the
- * scalar ShotReplayer to finish alone.
+ * usually holds most of the block.  With no per-shot dynamic phase,
+ * every member of a group applies the identical operator sequence up
+ * to the group's first *divergent* op — a measurement, reset, or
+ * population-conditional T1 jump, whose effect depends on per-shot
+ * state or per-shot words — so that prefix runs once on the scalar
+ * state, starting from a precomputed event-free reference
+ * checkpoint, and every member finishes alone from the shared
+ * snapshot.
  *
  * Bit-identity: tapes are drawn from the same per-shot forks in the
- * same order as ShotReplayer::runBlock, the SoA kernels reproduce the
- * scalar kernels' roundings exactly, and divergence peels *before*
+ * same order as ShotReplayer::runBlock, the shared prefix applies
+ * the scalar replay's exact operands, and divergence splits *before*
  * any state-dependent resolution, so every outcome key equals the
  * per-shot path's for any seed, thread count, and block split.
  */
@@ -770,19 +761,21 @@ class BatchShotReplayer
     BatchShotReplayer(const ExecutionPlan &plan,
                       const ShotProgram &prog);
 
-    /** Widest register the SoA planes will allocate (dim x 64 lanes
-     *  of split re/im doubles: 4 MiB at the cap). */
+    /** Widest register the grouped replay serves. */
     static constexpr int kMaxBatchQubits = 12;
 
     /** Lanes per draw block (matches the engine's kShotBlock). */
     static constexpr int kBatchLanes = 64;
 
-    /** True when @p prog is small enough for the SoA planes; larger
-     *  registers stay on the per-shot path (their per-op sweeps are
-     *  wide enough to amortize dispatch already). */
+    /** True when grouping can share work for @p prog: no per-shot OU
+     *  phase slots (OU-dephased programs give every shot a distinct
+     *  operator sequence, so they stay on ShotReplayer) and at most
+     *  kMaxBatchQubits qubits (wider registers' amplitude sweeps
+     *  amortize per-op dispatch already). */
     static bool eligible(const ShotProgram &prog)
     {
-        return prog.numQubits <= kMaxBatchQubits;
+        return prog.numQubits <= kMaxBatchQubits &&
+               prog.phaseSlots == 0;
     }
 
     /**
@@ -823,23 +816,13 @@ class BatchShotReplayer
                           size_t &cursor_out) const;
 
     /**
-     * Execute stream ops [from, to) of the group whose members are
-     * tape indices @p lanes on @p sv — the SoA planes
-     * (BatchStateVector, one lane per member) or, when every
-     * member's dynamic phases are bitwise identical, a single scalar
-     * StateVector whose final state is shared by all members.
+     * Execute stream ops [from, to) of @p rep's event pattern on the
+     * scalar state — the prefix every member of @p rep's group
+     * shares.
      * @pre Every event of @p rep sits at an op >= from.
      */
-    template <class SV>
-    void replayPrefix(SV &sv, const std::vector<OpRef> &stream,
-                      uint32_t from, uint32_t to, const ShotTape &rep,
-                      const int *lanes, int group_size);
-
-    /** True when every group member's tape carries bitwise-identical
-     *  dynamic phases (always, when the program has no phase slots):
-     *  the group prefix is lane-invariant and can run once. */
-    bool phasesUniform(const ShotTape &rep, const int *lanes,
-                       int group_size) const;
+    void replayPrefix(const std::vector<OpRef> &stream, uint32_t from,
+                      uint32_t to, const ShotTape &rep);
 
     /** Memory budget for the reference checkpoints; refStride_ (ops
      *  between checkpoints) is the smallest stride fitting it, so
@@ -848,40 +831,35 @@ class BatchShotReplayer
     static constexpr size_t kRefBudgetBytes = size_t{4} << 20;
 
     /**
-     * Replay a shot whose tape fired at least one event, starting
-     * from the reference checkpoint at or below its first event
-     * instead of |0...0> (refMode_ only: the event-free prefix is
-     * shot-invariant, so ops [0, cp) are skipped outright).
+     * Replay a shot from the reference checkpoint at or below its
+     * first divergence instead of |0...0>: the event-free prefix is
+     * shot-invariant, so ops [0, cp) are skipped outright.
      */
     uint64_t replayShotFromRef(const ShotTape &tape);
 
     ShotReplayer scalar_;
-    BatchStateVector bsv_;
     std::vector<ShotTape> tapes_;  //!< kBatchLanes reusable tapes
-    std::vector<Complex> laneAmps_;     //!< extractLane scratch
-    std::vector<Complex> laneFactors_;  //!< per-lane phase scratch
+    std::vector<Complex> groupAmps_;    //!< shared group-prefix state
     bool drawBatched_;  //!< SoA draw pass valid (no OU Gaussians)
     std::vector<uint64_t> gateWords_;   //!< [word][lane] gate stream
     std::vector<uint64_t> qubitWords_;  //!< [qubit][word][lane]
 
     /**
-     * Event-free reference evolution (refMode_, i.e. no per-shot
-     * dynamic phases): the state of the general op stream before op
-     * c * refStride_, for every checkpoint c up to the stream's
-     * first Meas / Reset op (refDivOp_).  Shot-invariant — any
-     * shot's state before its first event is the reference state —
-     * so it is built once at construction and each error shot's
-     * replay starts at the checkpoint below its first event.
+     * Event-free reference evolution: the state of the general op
+     * stream before op c * refStride_, for every checkpoint c up to
+     * the stream's first Meas / Reset op (refDivOp_).  Shot-invariant
+     * — any shot's state before its first event is the reference
+     * state — so it is built once at construction and each error
+     * shot's replay starts at the checkpoint below its first event.
      */
-    bool refMode_;
     uint32_t refDivOp_ = 0;
     uint32_t refStride_ = 1;        //!< ops between checkpoints
     std::vector<Complex> refAmps_;  //!< [checkpoint][basis]
     ShotTape emptyTape_;            //!< reference (no events)
 
     /** The no-error group's prefix on the fast stream is the same
-     *  tape-independent evolution (refMode_): its state at the fast
-     *  stream's first Meas / Reset op, computed once. */
+     *  tape-independent evolution: its state at the fast stream's
+     *  first Meas / Reset op, computed once. */
     uint32_t refFastDivOp_ = 0;
     std::vector<Complex> refFastAmps_;
 

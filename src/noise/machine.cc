@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -300,20 +298,6 @@ resolveBackend(BackendKind requested, const ExecutionPlan &plan,
 }
 
 /**
- * Process-wide kill switch for the batched Pauli-frame engine:
- * ADAPT_FRAME_BATCH=0 (or "off") pins stabilizer jobs to the
- * per-shot tableau even under ExecMode::Compiled.  Read once, like
- * ADAPT_NUM_THREADS.
- */
-bool
-frameBatchEnabled()
-{
-    static const bool enabled =
-        envFlag("ADAPT_FRAME_BATCH", /*fallback=*/true);
-    return enabled;
-}
-
-/**
  * True when a stabilizer job can be lowered onto the batch frame
  * engine: everything the resolved-stabilizer precondition already
  * guarantees, minus per-shot OU twirl draws (whose phase — and hence
@@ -324,22 +308,21 @@ frameBatchEnabled()
 bool
 frameEligible(const ExecutionPlan &plan, const NoiseFlags &flags)
 {
-    return !flags.ouDephasing && !plan.condNonPauli &&
-           frameBatchEnabled();
+    return !flags.ouDephasing && !plan.condNonPauli;
 }
 
 /**
  * The structure phase of prepare(): everything device-independent —
  * plan lowering, backend resolution, dense splice tables or the frame
  * engine's reference-tableau walk.  A skeleton is a pure function of
- * (schedule, flags, requested backend, frame-engine env knobs), which
- * is exactly what skeletonFingerprint folds, so instances are safely
+ * (schedule, flags, requested backend, frame branch depth), which is
+ * exactly what skeletonFingerprint folds, so instances are safely
  * shared across machines, calibration cycles, and threads.
  */
 ProgramSkeleton
 buildProgramSkeleton(const ScheduledCircuit &sched,
                      const NoiseFlags &flags, BackendKind backend,
-                     bool compile)
+                     bool compile, int frame_branch_depth)
 {
     ProgramSkeleton skel = buildPlanSkeleton(sched, flags);
     skel.kind = resolveBackend(backend, skel.plan, flags);
@@ -348,43 +331,390 @@ buildProgramSkeleton(const ScheduledCircuit &sched,
             skel.tables = buildShotTables(skel.plan);
             skel.compiled = true;
         } else if (frameEligible(skel.plan, flags)) {
-            skel.frame = buildFrameSkeleton(skel.plan, flags);
+            skel.frame = buildFrameSkeleton(skel.plan, flags,
+                                            frame_branch_depth);
             skel.compiled = true;
         }
     }
     return skel;
 }
 
-/**
- * Merge per-chunk histograms into the output distribution: gather
- * every chunk's raw items, sort the combined list once, and fold
- * duplicate keys before they reach the Distribution map — instead of
- * sorting each chunk's items separately and re-looking-up shared
- * keys.  Integer counts add exactly, so the result is identical for
- * any chunk count.
- */
-Distribution
-mergeChunkHistograms(const std::vector<FlatAccumulator> &histograms)
-{
-    size_t total = 0;
-    for (const FlatAccumulator &hist : histograms)
-        total += hist.size();
-    std::vector<std::pair<uint64_t, double>> items;
-    items.reserve(total);
-    for (const FlatAccumulator &hist : histograms)
-        hist.appendItemsTo(items);
-    std::sort(items.begin(), items.end());
+/** Histogram items: (outcome key, shot count). */
+using OutcomeItems = std::vector<std::pair<uint64_t, uint64_t>>;
 
-    Distribution dist;
-    for (size_t i = 0; i < items.size();) {
-        const uint64_t key = items[i].first;
-        double count = 0.0;
-        for (; i < items.size() && items[i].first == key; i++)
-            count += items[i].second;
-        dist.addSamples(key,
-                        static_cast<uint64_t>(std::llround(count)));
+/**
+ * Sort @p items by key and fold duplicate keys by exact integer
+ * addition.  Every histogram merge — chunks of a run, shard ranges of
+ * a job — reduces to this, so the result is identical for any
+ * partition of the shots and any arrival order of the parts.
+ */
+OutcomeItems
+foldItems(OutcomeItems items)
+{
+    std::sort(items.begin(), items.end());
+    OutcomeItems folded;
+    for (const auto &[key, count] : items) {
+        if (!folded.empty() && folded.back().first == key)
+            folded.back().second += count;
+        else
+            folded.emplace_back(key, count);
     }
-    return dist;
+    return folded;
+}
+
+// ------------------------------------------------------------------
+// Block runners: one executor per chunk of a run, of the one kind the
+// RunnerFactory picks for the job.
+// ------------------------------------------------------------------
+
+/**
+ * Executes absolute shot ranges of one prepared job into a chunk's
+ * histogram.  Every shot's randomness is forked from (run base,
+ * absolute shot or block index) alone, so a runner's output never
+ * depends on how driveWaves split the job or on which thread runs
+ * it.
+ */
+class BlockRunner
+{
+  public:
+    BlockRunner() = default;
+    BlockRunner(const BlockRunner &) = delete;
+    BlockRunner &operator=(const BlockRunner &) = delete;
+    virtual ~BlockRunner() = default;
+
+    /**
+     * Execute shots [lo, hi), counting outcomes into @p hist.  @p lo
+     * is a multiple of the factory's grain(); @p hi is too, or the
+     * job's end.  A non-null @p token is polled per shot (per draw
+     * block on the grouped path) and the runner stops early on a stop
+     * request.
+     *
+     * @return Shots committed: a prefix of the range.
+     */
+    virtual int64_t run(const Rng &base, int64_t lo, int64_t hi,
+                        FlatAccumulator &hist,
+                        const CancellationToken *token) = 0;
+
+    /** Fold this runner's engine counters into @p out. */
+    virtual void addStats(RunOutcome &) const {}
+};
+
+/**
+ * Batch Pauli-frame engine: kFrameLanes shots per plane pass, each
+ * block's randomness forked from (base, absolute block).  Lanes whose
+ * T1 jump fired on a reference-superposed qubit leave the pass and
+ * are drained after every block — via compiled branch tails when
+ * enabled, else via exact per-shot tableau reruns.  Either way each
+ * consumes a dedicated stream keyed by its absolute shot index, so the
+ * drain cadence never changes an outcome.  Whole blocks only: the
+ * token is ignored (driveWaves polls between blocks).
+ */
+class FrameRunner final : public BlockRunner
+{
+  public:
+    explicit FrameRunner(const PreparedJob &job)
+        : job_(job), prog_(*job.frame), engine_(prog_)
+    {
+    }
+
+    int64_t
+    run(const Rng &base, int64_t lo, int64_t hi, FlatAccumulator &hist,
+        const CancellationToken *) override
+    {
+        for (int64_t first = lo; first < hi; first += kFrameLanes) {
+            const auto lanes = static_cast<int>(
+                std::min<int64_t>(kFrameLanes, hi - first));
+            engine_.runBlock(base, first / kFrameLanes, lanes, hist,
+                             deferred_, tails_);
+            if (deferred_.empty() && tails_.empty())
+                continue;
+            if (!scratch_) {
+                scratch_ =
+                    std::make_unique<StabilizerState>(prog_.numQubits);
+                packer_ = std::make_unique<OutcomePacker>(prog_.numClbits);
+            }
+            if (!deferred_.empty()) {
+                stats_.deferredShots +=
+                    static_cast<int64_t>(deferred_.size());
+                drainDeferredShots(prog_, base, deferred_, *scratch_,
+                                   *packer_, hist);
+            }
+            if (!tails_.empty()) {
+                drainTailShots(prog_, base, tails_, *job_.tails,
+                               *scratch_, *packer_, hist, stats_);
+            }
+        }
+        return hi - lo;
+    }
+
+    void
+    addStats(RunOutcome &out) const override
+    {
+        out.frameStats.merge(stats_);
+    }
+
+  private:
+    const PreparedJob &job_;
+    const FrameProgram &prog_;
+    FrameBatchBackend engine_;
+    std::unique_ptr<StabilizerState> scratch_;
+    std::unique_ptr<OutcomePacker> packer_;
+    std::vector<DeferredShot> deferred_;
+    std::vector<FrameTailShot> tails_;
+    FrameBatchStats stats_;
+};
+
+/** Grouped dense replay (BatchShotReplayer): draw tapes per 64-shot
+ *  block, share each error signature's event-free prefix. */
+class GroupedDenseRunner final : public BlockRunner
+{
+  public:
+    explicit GroupedDenseRunner(const PreparedJob &job)
+        : replayer_(job.plan, *job.program)
+    {
+    }
+
+    int64_t
+    run(const Rng &base, int64_t lo, int64_t hi, FlatAccumulator &hist,
+        const CancellationToken *token) override
+    {
+        return replayer_.runBlock(base, lo, hi - lo, hist, token);
+    }
+
+    void
+    addStats(RunOutcome &out) const override
+    {
+        out.denseStats.merge(replayer_.stats());
+    }
+
+  private:
+    BatchShotReplayer replayer_;
+};
+
+/** Per-shot compiled replay (ShotReplayer). */
+class CompiledShotRunner final : public BlockRunner
+{
+  public:
+    explicit CompiledShotRunner(const PreparedJob &job)
+        : replayer_(job.plan, *job.program)
+    {
+    }
+
+    int64_t
+    run(const Rng &base, int64_t lo, int64_t hi, FlatAccumulator &hist,
+        const CancellationToken *token) override
+    {
+        return replayer_.runBlock(base, lo, hi - lo, hist, token);
+    }
+
+  private:
+    ShotReplayer replayer_;
+};
+
+/** The interpreted reference: one runShot plan walk per shot on the
+ *  job's per-shot backend (state vector or full tableau). */
+class InterpretedRunner final : public BlockRunner
+{
+  public:
+    InterpretedRunner(const PreparedJob &job, const Calibration &cal,
+                      const NoiseFlags &flags)
+        : job_(job), cal_(cal), flags_(flags),
+          state_(makeBackend(job.kind,
+                             static_cast<int>(job.plan.active.size()))),
+          packer_(job.plan.maxClbit + 1)
+    {
+    }
+
+    int64_t
+    run(const Rng &base, int64_t lo, int64_t hi, FlatAccumulator &hist,
+        const CancellationToken *token) override
+    {
+        for (int64_t shot = lo; shot < hi; shot++) {
+            if (token != nullptr && token->stopRequested())
+                return shot - lo;
+            const Rng shot_rng =
+                base.fork(static_cast<uint64_t>(shot) + 1);
+            hist.add(runShot(job_.plan, cal_, flags_, *state_, packer_,
+                             shot_rng),
+                     1.0);
+        }
+        return hi - lo;
+    }
+
+  private:
+    const PreparedJob &job_;
+    const Calibration &cal_;
+    const NoiseFlags &flags_;
+    std::unique_ptr<SimBackend> state_;
+    OutcomePacker packer_;
+};
+
+/**
+ * The one place a run's execution strategy is decided: picks the
+ * runner kind for (prepared job, ExecMode) once, reports its block
+ * geometry to driveWaves, and builds one runner per chunk slot.
+ */
+class RunnerFactory
+{
+  public:
+    RunnerFactory(const PreparedJob &job, ExecMode mode,
+                  const Calibration &cal, const NoiseFlags &flags)
+        : job_(job), cal_(cal), flags_(flags), kind_(chooseKind(job, mode))
+    {
+    }
+
+    /** Shots per block: what one chunk commits per wave of a
+     *  cancellable run, and the shard-range unit. */
+    int64_t
+    blockShots() const
+    {
+        return kind_ == Kind::Frame ? kFrameLanes : kShotBlock;
+    }
+
+    /** Smallest unit a chunk may start on: a whole block on the frame
+     *  path (its randomness is keyed per block), one shot elsewhere —
+     *  so dense chunking stays shot-granular and balanced. */
+    int64_t
+    grain() const
+    {
+        return kind_ == Kind::Frame ? kFrameLanes : 1;
+    }
+
+    std::unique_ptr<BlockRunner>
+    make() const
+    {
+        switch (kind_) {
+          case Kind::Frame:
+            return std::make_unique<FrameRunner>(job_);
+          case Kind::GroupedDense:
+            return std::make_unique<GroupedDenseRunner>(job_);
+          case Kind::CompiledShot:
+            return std::make_unique<CompiledShotRunner>(job_);
+          case Kind::Interpreted:
+            break;
+        }
+        return std::make_unique<InterpretedRunner>(job_, cal_, flags_);
+    }
+
+  private:
+    enum class Kind { Frame, GroupedDense, CompiledShot, Interpreted };
+
+    /** Compiled runs take the job's compiled program — the frame
+     *  engine for stabilizer jobs, grouped replay for eligible dense
+     *  programs, per-shot replay for the rest; Interpreted runs, and
+     *  stabilizer jobs the frame engine cannot model, walk the plan. */
+    static Kind
+    chooseKind(const PreparedJob &job, ExecMode mode)
+    {
+        if (mode == ExecMode::Compiled && job.frame.has_value())
+            return Kind::Frame;
+        if (mode == ExecMode::Compiled && job.program.has_value()) {
+            return BatchShotReplayer::eligible(*job.program)
+                       ? Kind::GroupedDense
+                       : Kind::CompiledShot;
+        }
+        return Kind::Interpreted;
+    }
+
+    const PreparedJob &job_;
+    const Calibration &cal_;
+    const NoiseFlags &flags_;
+    Kind kind_;
+};
+
+/**
+ * The wave loop behind every shot-execution entry point (runPartial,
+ * and so run / runBatch; runShardRange, and so the shard worker).
+ * Executes shots [first, last) of a job and returns the committed
+ * shots' histogram as folded items.
+ *
+ * The range splits into min(threads, grains) contiguous chunks — a
+ * pure function of the range and the thread count — with one runner
+ * per chunk slot, persisting across waves (the pool may hand a slot
+ * to a different thread each wave; parallelFor's batch completion
+ * orders those accesses).  With a quiet control (no armed token, no
+ * progress callback) one wave covers the whole range.  An armed
+ * control switches to waves of one block per chunk: the token is
+ * polled between waves and progress fires after each with the shots
+ * committed since @p first, so the committed work is always a
+ * contiguous, deterministic prefix of the range.  Single-chunk waves
+ * also hand the token to the runner, which polls it per shot: with
+ * one chunk the committed shots are a prefix at *any* shot boundary,
+ * so the finest granularity is free.
+ *
+ * @p out receives shotsDone (relative to @p first), partial, cause,
+ * and the runners' engine counters.
+ *
+ * @pre first < last, and first is a multiple of factory.grain().
+ */
+OutcomeItems
+driveWaves(const RunnerFactory &factory, const Rng &base, int64_t first,
+           int64_t last, int threads, const RunControl &control,
+           RunOutcome &out)
+{
+    const int64_t grain = factory.grain();
+    const int64_t unit_hi = (last + grain - 1) / grain;
+    int64_t unit = first / grain;
+    const int chunks = static_cast<int>(
+        std::min<int64_t>(resolveThreads(threads), unit_hi - unit));
+    const bool limited =
+        control.token.armed() || control.progress != nullptr;
+    const int64_t wave =
+        limited ? chunks * (factory.blockShots() / grain) : unit_hi - unit;
+    const CancellationToken *shot_token =
+        limited && chunks == 1 && control.token.armed() ? &control.token
+                                                        : nullptr;
+    const auto shotAt = [&](int64_t u) {
+        return std::min(u * grain, last);
+    };
+
+    std::vector<std::unique_ptr<BlockRunner>> runners(
+        static_cast<size_t>(chunks));
+    std::vector<FlatAccumulator> hists(static_cast<size_t>(chunks));
+    int64_t done = first;
+    while (unit < unit_hi) {
+        if ((out.cause = control.token.cause()) != StopCause::None)
+            break;
+        const int64_t hi = std::min(unit + wave, unit_hi);
+        int64_t wave_done = shotAt(hi) - shotAt(unit);
+        parallelFor(unit, hi, chunks,
+                    [&](int64_t lo2, int64_t hi2, int chunk) {
+            std::unique_ptr<BlockRunner> &runner =
+                runners[static_cast<size_t>(chunk)];
+            if (!runner)
+                runner = factory.make();
+            const int64_t ran = runner->run(
+                base, shotAt(lo2), shotAt(hi2),
+                hists[static_cast<size_t>(chunk)], shot_token);
+            if (shot_token != nullptr)
+                wave_done = ran; // chunks == 1: sole writer
+        });
+        done += wave_done;
+        if (control.progress)
+            control.progress(done - first);
+        // A per-shot poll may stop inside the wave; the cause is
+        // re-read from the token below.
+        if (done < shotAt(hi))
+            break;
+        unit = hi;
+    }
+    out.shotsDone = done - first;
+    out.partial = done < last;
+    if (out.partial && out.cause == StopCause::None)
+        out.cause = control.token.cause();
+
+    std::vector<std::pair<uint64_t, double>> raw;
+    for (const FlatAccumulator &hist : hists)
+        hist.appendItemsTo(raw);
+    OutcomeItems items;
+    items.reserve(raw.size());
+    for (const auto &[key, count] : raw)
+        items.emplace_back(key, static_cast<uint64_t>(std::llround(count)));
+    for (const std::unique_ptr<BlockRunner> &runner : runners) {
+        if (runner)
+            runner->addStats(out);
+    }
+    return foldItems(std::move(items));
 }
 
 } // namespace
@@ -400,6 +730,12 @@ PreparedCircuit
 NoisyMachine::prepareImpl(const ScheduledCircuit &sched,
                           BackendKind backend, bool compile) const
 {
+    // The one engine knob left, resolved here at the edge and carried
+    // by value into the structure phase and its cache key: how many
+    // nested superposed-T1 jumps a frame lane may take in-frame.
+    const auto branch_depth = static_cast<int>(
+        envInt("ADAPT_FRAME_BRANCH_DEPTH", 8, 0, 64));
+
     // Structure phase: cached when a cache is installed and the job
     // is compiled (interpreted prepares skip compilation and are too
     // cheap to be worth a cache slot).  Cold and cached prepares run
@@ -408,14 +744,15 @@ NoisyMachine::prepareImpl(const ScheduledCircuit &sched,
     std::shared_ptr<const ProgramSkeleton> skel;
     if (cache_ != nullptr && compile) {
         const ProgramFingerprint fp =
-            skeletonFingerprint(sched, flags_, backend);
+            skeletonFingerprint(sched, flags_, backend, branch_depth);
         skel = cache_->findOrBuild(fp, [&] {
             return buildProgramSkeleton(sched, flags_, backend,
-                                        compile);
+                                        compile, branch_depth);
         });
     } else {
         skel = std::make_shared<const ProgramSkeleton>(
-            buildProgramSkeleton(sched, flags_, backend, compile));
+            buildProgramSkeleton(sched, flags_, backend, compile,
+                                 branch_depth));
     }
 
     // Bind phase: stamp this machine's calibration constants.
@@ -460,263 +797,14 @@ NoisyMachine::runPartial(const PreparedCircuit &prepared, int shots,
     require(shots > 0, "NoisyMachine::run requires at least one shot");
     require(prepared.valid(),
             "NoisyMachine::run on an empty PreparedCircuit");
-    const PreparedJob &job = *prepared.impl_;
-    const bool compiled =
-        mode == ExecMode::Compiled && job.program.has_value();
-    const Rng base(run_seed ^ 0xadab7dd);
-
-    // With a quiet control (no armed token, no progress callback) a
-    // single wave covers the whole job and the code below is exactly
-    // the historical run() — same chunking, same RNG streams, same
-    // key-ordered merge, bit-identical output.  An armed control
-    // switches to wave-structured execution: one block per chunk per
-    // wave, token polled between waves, so the committed work is
-    // always a contiguous, deterministic prefix of the shot range.
-    const bool limited =
-        control.token.armed() || control.progress != nullptr;
-
+    const RunnerFactory factory(*prepared.impl_, mode, cal_, flags_);
     RunOutcome out;
-
-    if (mode == ExecMode::Compiled && job.frame.has_value()) {
-        // Batched Pauli-frame engine: shots propagate laneCount() at
-        // a time through the compiled frame op stream (the width is a
-        // bind-time property of the program — ADAPT_FRAME_LANES).
-        // Blocks are a pure function of the shot count, each block's
-        // randomness is forked from (base, absolute lane group), and
-        // the per-chunk histograms merge in key order — so the output
-        // is bit-identical for any thread count, batch-vs-serial, and
-        // any point a stop request lands.
-        const FrameProgram &prog = *job.frame;
-        const auto lane_count = static_cast<int64_t>(prog.laneCount());
-        const auto blocks = static_cast<int64_t>(
-            (static_cast<int64_t>(shots) + lane_count - 1) /
-            lane_count);
-        const int chunks = static_cast<int>(std::min<int64_t>(
-            resolveThreads(threads), blocks));
-        std::vector<FlatAccumulator> histograms(
-            static_cast<size_t>(chunks));
-
-        // Per-chunk-slot workers persist across waves (the pool may
-        // hand a slot to a different thread each wave; parallelFor's
-        // batch completion orders those accesses).
-        struct ChunkWorker
-        {
-            std::unique_ptr<FrameBatchBackend> runner;
-            std::unique_ptr<StabilizerState> scratch;
-            std::unique_ptr<OutcomePacker> packer;
-            std::vector<DeferredShot> deferred;
-            std::vector<FrameTailShot> tails;
-            FrameBatchStats stats;
-        };
-        std::vector<ChunkWorker> workers(static_cast<size_t>(chunks));
-
-        int64_t done = 0;
-        while (done < blocks) {
-            if ((out.cause = control.token.cause()) != StopCause::None)
-                break;
-            const int64_t hi =
-                limited ? std::min<int64_t>(done + chunks, blocks)
-                        : blocks;
-            parallelFor(done, hi, chunks,
-                        [&](int64_t lo2, int64_t hi2, int chunk) {
-                ChunkWorker &w = workers[static_cast<size_t>(chunk)];
-                FlatAccumulator &hist =
-                    histograms[static_cast<size_t>(chunk)];
-                if (!w.runner) {
-                    w.runner = std::make_unique<FrameBatchBackend>(prog);
-                }
-                for (int64_t block = lo2; block < hi2; block++) {
-                    const auto lanes =
-                        static_cast<int>(std::min<int64_t>(
-                            lane_count,
-                            static_cast<int64_t>(shots) -
-                                block * lane_count));
-                    w.runner->runBlock(base, block, lanes, hist,
-                                       w.deferred, w.tails);
-                }
-                if (w.deferred.empty() && w.tails.empty())
-                    return;
-                // Lanes whose T1 jump fired on a reference-superposed
-                // qubit finish off the plane pass: via compiled
-                // branch tails when enabled, else via exact per-shot
-                // tableau reruns of the same op stream.  Either way
-                // each consumes a dedicated stream keyed by its
-                // absolute shot index, so the merged output stays
-                // chunking- and wave-invariant.
-                if (!w.scratch) {
-                    w.scratch = std::make_unique<StabilizerState>(
-                        prog.numQubits);
-                    w.packer = std::make_unique<OutcomePacker>(
-                        prog.numClbits);
-                }
-                if (!w.deferred.empty()) {
-                    w.stats.deferredShots +=
-                        static_cast<int64_t>(w.deferred.size());
-                    drainDeferredShots(prog, base, w.deferred,
-                                       *w.scratch, *w.packer, hist);
-                }
-                if (!w.tails.empty()) {
-                    drainTailShots(prog, base, w.tails, *job.tails,
-                                   *w.scratch, *w.packer, hist,
-                                   w.stats);
-                }
-            });
-            done = hi;
-            if (control.progress) {
-                control.progress(std::min<int64_t>(
-                    done * lane_count, static_cast<int64_t>(shots)));
-            }
-        }
-        out.shotsDone = std::min<int64_t>(done * lane_count,
-                                          static_cast<int64_t>(shots));
-        out.partial = done < blocks;
-        out.dist = mergeChunkHistograms(histograms);
-        for (const ChunkWorker &w : workers)
-            out.frameStats.merge(w.stats);
-        return out;
-    }
-
-    // Dense / per-shot paths.  Shots are embarrassingly parallel:
-    // every shot's RNG streams are forked from (base, shot index)
-    // alone, so any partition of the shot range yields the same
-    // per-shot outcomes.  Each chunk counts outcomes into its own
-    // flat histogram; merging the histograms in key order (integer
-    // counts — exact addition) reproduces the serial result bit for
-    // bit at any thread count.
-    const int chunks = std::min(resolveThreads(threads), shots);
-    std::vector<FlatAccumulator> histograms(
-        static_cast<size_t>(chunks));
-
-    // Small compiled jobs take the grouped SoA replay: tapes for a
-    // whole kShotBlock block are drawn up front, equal error
-    // signatures share one multi-shot gate-stream execution, and
-    // divergent shots peel back to the scalar replayer — identical
-    // outcomes, so the knob is a pure execution-strategy choice.
-    // Read live (not once) so tests can flip it per run.
-    const bool grouped = compiled &&
-                         BatchShotReplayer::eligible(*job.program) &&
-                         envFlag("ADAPT_DENSE_SHOT_BATCH",
-                                 /*fallback=*/true);
-
-    struct ChunkWorker
-    {
-        std::unique_ptr<ShotReplayer> replayer;
-        std::unique_ptr<BatchShotReplayer> batch;
-        std::unique_ptr<SimBackend> state;
-        std::unique_ptr<OutcomePacker> packer;
-    };
-    std::vector<ChunkWorker> workers(static_cast<size_t>(chunks));
-
-    // Single-chunk cancellable runs poll the token per shot instead
-    // of per wave: with one chunk the committed shots are a prefix at
-    // *any* shot boundary, so the finest granularity is free.
-    const CancellationToken *shot_token =
-        limited && chunks == 1 && control.token.armed()
-            ? &control.token
-            : nullptr;
-    const int64_t wave = limited
-                             ? static_cast<int64_t>(chunks) * kShotBlock
-                             : static_cast<int64_t>(shots);
-    int64_t done = 0;
-    bool stopped_in_block = false;
-    while (done < shots && !stopped_in_block) {
-        if ((out.cause = control.token.cause()) != StopCause::None)
-            break;
-        const int64_t hi =
-            std::min<int64_t>(done + wave, static_cast<int64_t>(shots));
-        int64_t wave_done = hi - done;
-        parallelFor(done, hi, chunks,
-                    [&](int64_t lo2, int64_t hi2, int chunk) {
-            ChunkWorker &w = workers[static_cast<size_t>(chunk)];
-            FlatAccumulator &hist =
-                histograms[static_cast<size_t>(chunk)];
-            if (grouped) {
-                if (!w.batch) {
-                    w.batch = std::make_unique<BatchShotReplayer>(
-                        job.plan, *job.program);
-                }
-                const int64_t ran = w.batch->runBlock(
-                    base, lo2, hi2 - lo2, hist, shot_token);
-                if (shot_token != nullptr)
-                    wave_done = ran; // chunks == 1: sole writer
-                return;
-            }
-            if (compiled) {
-                if (!w.replayer) {
-                    w.replayer = std::make_unique<ShotReplayer>(
-                        job.plan, *job.program);
-                }
-                const int64_t ran = w.replayer->runBlock(
-                    base, lo2, hi2 - lo2, hist, shot_token);
-                if (shot_token != nullptr)
-                    wave_done = ran; // chunks == 1: sole writer
-                return;
-            }
-            if (!w.state) {
-                w.state = makeBackend(
-                    job.kind,
-                    static_cast<int>(job.plan.active.size()));
-                w.packer = std::make_unique<OutcomePacker>(
-                    job.plan.maxClbit + 1);
-            }
-            for (int64_t shot = lo2; shot < hi2; shot++) {
-                if (shot_token != nullptr &&
-                    shot_token->stopRequested()) {
-                    wave_done = shot - lo2; // chunks == 1
-                    return;
-                }
-                const Rng shot_rng =
-                    base.fork(static_cast<uint64_t>(shot) + 1);
-                hist.add(runShot(job.plan, cal_, flags_, *w.state,
-                                 *w.packer, shot_rng),
-                         1.0);
-            }
-        });
-        done += wave_done;
-        // A per-shot poll (chunks == 1) may stop inside the wave; the
-        // cause is re-read from the token after the loop.
-        stopped_in_block = done < hi;
-        if (control.progress)
-            control.progress(done);
-    }
-    out.shotsDone = done;
-    out.partial = done < shots;
-    if (out.partial && out.cause == StopCause::None)
-        out.cause = control.token.cause();
-    out.dist = mergeChunkHistograms(histograms);
-    for (const ChunkWorker &w : workers) {
-        if (w.batch)
-            out.denseStats.merge(w.batch->stats());
-    }
+    OutcomeItems items =
+        driveWaves(factory, Rng(run_seed ^ 0xadab7dd), 0, shots,
+                   threads, control, out);
+    out.dist = mergeShardItems(std::move(items));
     return out;
 }
-
-namespace
-{
-
-/** Fold one FlatAccumulator into key-sorted, key-unique integer
- *  items — the wire form of a shard range's histogram. */
-std::vector<std::pair<uint64_t, uint64_t>>
-foldShardItems(const FlatAccumulator &hist)
-{
-    std::vector<std::pair<uint64_t, double>> raw;
-    raw.reserve(hist.size());
-    hist.appendItemsTo(raw);
-    std::sort(raw.begin(), raw.end());
-    std::vector<std::pair<uint64_t, uint64_t>> items;
-    items.reserve(raw.size());
-    for (size_t i = 0; i < raw.size();) {
-        const uint64_t key = raw[i].first;
-        double count = 0.0;
-        for (; i < raw.size() && raw[i].first == key; i++)
-            count += raw[i].second;
-        items.emplace_back(
-            key, static_cast<uint64_t>(std::llround(count)));
-    }
-    return items;
-}
-
-} // namespace
 
 int64_t
 NoisyMachine::shardBlockShots(const PreparedCircuit &prepared,
@@ -724,10 +812,8 @@ NoisyMachine::shardBlockShots(const PreparedCircuit &prepared,
 {
     require(prepared.valid(),
             "shardBlockShots on an empty PreparedCircuit");
-    const PreparedJob &job = *prepared.impl_;
-    return mode == ExecMode::Compiled && job.frame.has_value()
-               ? static_cast<int64_t>(job.frame->laneCount())
-               : static_cast<int64_t>(kShotBlock);
+    return RunnerFactory(*prepared.impl_, mode, cal_, flags_)
+        .blockShots();
 }
 
 int64_t
@@ -751,110 +837,28 @@ NoisyMachine::runShardRange(
     const int64_t blocks = shardBlockCount(prepared, shots, mode);
     require(block_lo >= 0 && block_lo <= block_hi && block_hi <= blocks,
             "runShardRange block range out of bounds");
-    const PreparedJob &job = *prepared.impl_;
-    const Rng base(run_seed ^ 0xadab7dd);
-    FlatAccumulator hist;
-    int64_t range_shots = 0;
-
-    if (mode == ExecMode::Compiled && job.frame.has_value()) {
-        // Batch frame path: identical per-block randomness to
-        // runPartial — runBlock forks off (base, absolute block), the
-        // drains consume streams keyed by absolute shot index and are
-        // wave/chunking-invariant, so draining after every block
-        // matches any other drain cadence bit for bit.
-        const FrameProgram &prog = *job.frame;
-        const auto lane_count = static_cast<int64_t>(prog.laneCount());
-        FrameBatchBackend runner(prog);
-        StabilizerState scratch(prog.numQubits);
-        OutcomePacker packer(prog.numClbits);
-        std::vector<DeferredShot> deferred;
-        std::vector<FrameTailShot> tails;
-        FrameBatchStats stats;
-        for (int64_t block = block_lo; block < block_hi; block++) {
-            const auto lanes = static_cast<int>(std::min<int64_t>(
-                lane_count,
-                static_cast<int64_t>(shots) - block * lane_count));
-            runner.runBlock(base, block, lanes, hist, deferred, tails);
-            if (!deferred.empty()) {
-                drainDeferredShots(prog, base, deferred, scratch,
-                                   packer, hist);
-            }
-            if (!tails.empty()) {
-                drainTailShots(prog, base, tails, *job.tails, scratch,
-                               packer, hist, stats);
-            }
-            range_shots += lanes;
-            if (progress)
-                progress(range_shots);
-        }
-        return foldShardItems(hist);
-    }
-
-    // Dense / per-shot paths: per-shot streams forked from
-    // (base, absolute shot index), exactly as in runPartial —
-    // including the grouped-replay strategy choice, which never
-    // changes outcomes.
-    const bool compiled =
-        mode == ExecMode::Compiled && job.program.has_value();
-    const bool grouped = compiled &&
-                         BatchShotReplayer::eligible(*job.program) &&
-                         envFlag("ADAPT_DENSE_SHOT_BATCH",
-                                 /*fallback=*/true);
-    std::unique_ptr<ShotReplayer> replayer;
-    std::unique_ptr<BatchShotReplayer> batch;
-    std::unique_ptr<SimBackend> state;
-    std::unique_ptr<OutcomePacker> packer;
-    for (int64_t block = block_lo; block < block_hi; block++) {
-        const int64_t lo = block * kShotBlock;
-        const int64_t hi = std::min<int64_t>(
-            lo + kShotBlock, static_cast<int64_t>(shots));
-        if (grouped) {
-            if (!batch) {
-                batch = std::make_unique<BatchShotReplayer>(
-                    job.plan, *job.program);
-            }
-            batch->runBlock(base, lo, hi - lo, hist, nullptr);
-        } else if (compiled) {
-            if (!replayer) {
-                replayer = std::make_unique<ShotReplayer>(
-                    job.plan, *job.program);
-            }
-            replayer->runBlock(base, lo, hi - lo, hist, nullptr);
-        } else {
-            if (!state) {
-                state = makeBackend(
-                    job.kind,
-                    static_cast<int>(job.plan.active.size()));
-                packer = std::make_unique<OutcomePacker>(
-                    job.plan.maxClbit + 1);
-            }
-            for (int64_t shot = lo; shot < hi; shot++) {
-                const Rng shot_rng =
-                    base.fork(static_cast<uint64_t>(shot) + 1);
-                hist.add(runShot(job.plan, cal_, flags_, *state,
-                                 *packer, shot_rng),
-                         1.0);
-            }
-        }
-        range_shots += hi - lo;
-        if (progress)
-            progress(range_shots);
-    }
-    return foldShardItems(hist);
+    if (block_lo == block_hi)
+        return {};
+    // Serial by design — the parallelism is the process fan-out — and
+    // the same runners and per-block randomness as runPartial, so any
+    // partition of the blocks reproduces run() bit for bit.
+    const RunnerFactory factory(*prepared.impl_, mode, cal_, flags_);
+    const int64_t block = factory.blockShots();
+    RunControl control;
+    control.progress = progress;
+    RunOutcome out;
+    return driveWaves(
+        factory, Rng(run_seed ^ 0xadab7dd), block_lo * block,
+        std::min<int64_t>(block_hi * block, shots), /*threads=*/1,
+        control, out);
 }
 
 Distribution
 mergeShardItems(std::vector<std::pair<uint64_t, uint64_t>> items)
 {
-    std::sort(items.begin(), items.end());
     Distribution dist;
-    for (size_t i = 0; i < items.size();) {
-        const uint64_t key = items[i].first;
-        uint64_t count = 0;
-        for (; i < items.size() && items[i].first == key; i++)
-            count += items[i].second;
+    for (const auto &[key, count] : foldItems(std::move(items)))
         dist.addSamples(key, count);
-    }
     return dist;
 }
 
@@ -905,20 +909,12 @@ NoisyMachine::runBatch(std::span<const PreparedCircuit> jobs, int shots,
                        std::span<const uint64_t> seeds, int threads,
                        ExecMode mode) const
 {
-    require(jobs.size() == seeds.size(),
-            "runBatch requires one seed per job");
-    require(jobs.empty() || shots > 0,
-            "runBatch requires at least one shot");
-    std::vector<Distribution> outputs(jobs.size());
-    parallelFor(0, static_cast<int64_t>(jobs.size()), threads,
-                [&](int64_t lo, int64_t hi, int) {
-        for (int64_t i = lo; i < hi; i++) {
-            outputs[static_cast<size_t>(i)] =
-                run(jobs[static_cast<size_t>(i)], shots,
-                    seeds[static_cast<size_t>(i)], /*threads=*/0,
-                    mode);
-        }
-    });
+    std::vector<RunOutcome> outcomes = runBatchPartial(
+        jobs, shots, seeds, threads, RunControl{}, mode);
+    std::vector<Distribution> outputs;
+    outputs.reserve(outcomes.size());
+    for (RunOutcome &out : outcomes)
+        outputs.push_back(std::move(out.dist));
     return outputs;
 }
 

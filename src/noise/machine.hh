@@ -53,12 +53,11 @@ class ProgramCache;
  *    ShotProgram (noise/compiled.hh) and every shot replays it — a
  *    cheap draw pass resolving all stochastic outcomes against
  *    fixed-point thresholds, then a no-error fast replay when nothing
- *    fired.  Small jobs additionally batch the shot dimension: the
- *    draw pass runs for a whole kShotBlock block up front, shots with
- *    identical resolved error patterns execute the gate stream once
- *    on a multi-shot SoA statevector, and per-shot divergence peels
- *    lanes back to the scalar replayer (ADAPT_DENSE_SHOT_BATCH=0
- *    restores the per-shot replay).  Bit-identical to Interpreted for
+ *    fired.  Small programs without per-shot OU phases additionally
+ *    batch the shot dimension (BatchShotReplayer): the draw pass runs
+ *    for a whole kShotBlock block up front, and shots with identical
+ *    resolved error patterns share one execution of their event-free
+ *    prefix before finishing alone.  Bit-identical to Interpreted for
  *    any seed/thread count either way.
  *  - Interpreted: the historical per-shot plan walk (the reference
  *    semantics the compiled path is tested against).
@@ -66,13 +65,11 @@ class ProgramCache;
  * Stabilizer jobs:
  *  - Compiled (default): the batched Pauli-frame engine
  *    (sim/frame_batch.hh) — one reference tableau simulation at
- *    compile time, then bit-packed frames propagating laneCount()
- *    shots per pass (ADAPT_FRAME_LANES-selectable, default
- *    kFrameLanes).  Bit-identical to itself for any thread count
+ *    compile time, then bit-packed frames propagating kFrameLanes
+ *    shots per pass.  Bit-identical to itself for any thread count
  *    and batch-vs-serial, and statistically equivalent (not
  *    draw-identical) to Interpreted; jobs with per-shot OU twirl
- *    draws, or with ADAPT_FRAME_BATCH=0 in the environment, fall
- *    back to Interpreted.
+ *    draws or conditional non-Pauli gates fall back to Interpreted.
  *  - Interpreted: one full Aaronson-Gottesman tableau per shot (the
  *    reference semantics the frame engine is tested against).
  */
@@ -112,10 +109,10 @@ class PreparedCircuit
 /**
  * Shots per cancellation block on the dense / per-shot paths: the
  * granularity at which wave-structured cancellable runs commit work
- * (the batch frame engine's natural block is its program's
- * laneCount() instead).  This is also the grouped dense replay's
- * batching window: a block's shots draw their tapes together and
- * shots with identical error patterns share one SoA execution.
+ * (the batch frame engine's natural block is kFrameLanes instead).
+ * This is also the grouped dense replay's batching window: a block's
+ * shots draw their tapes together and shots with identical error
+ * patterns share one prefix execution.
  * Per-shot RNG streams make any block size prefix-exact; this one
  * just bounds how much work a multi-chunk run can lose to a stop
  * request.
@@ -269,8 +266,8 @@ class NoisyMachine
      * Identical to run() while control stays quiet — same chunking,
      * same RNG streams, bit-identical output.  When control.token is
      * armed, shots execute in waves of fixed blocks (kShotBlock shots
-     * on the dense / per-shot paths, the program's laneCount() on the
-     * batch frame path) and the token is polled between waves — single-chunk
+     * on the dense / per-shot paths, kFrameLanes on the batch frame
+     * path) and the token is polled between waves — single-chunk
      * dense runs poll per shot — so a cancel or deadline takes
      * effect within one shot-chunk and the returned prefix is
      * bit-identical to an uninterrupted run's first shotsDone shots.
@@ -302,9 +299,8 @@ class NoisyMachine
     /**
      * @name Shard-range execution (serve/shard_executor.hh)
      *
-     * A job's shot range factors into fixed blocks — the program's
-     * laneCount() on the batch frame path, kShotBlock otherwise — and
-     * every block's
+     * A job's shot range factors into fixed blocks — kFrameLanes on
+     * the batch frame path, kShotBlock otherwise — and every block's
      * randomness is forked from (run_seed, absolute block / shot
      * index) alone.  runShardRange executes one contiguous block
      * subrange and returns its histogram as sorted (key, count)

@@ -48,25 +48,14 @@ struct Folder
         std::memcpy(&bits, &d, sizeof(bits));
         word(bits);
     }
-
-    void text(const char *s)
-    {
-        if (s == nullptr) {
-            word(0xdeadull);
-            return;
-        }
-        word(1);
-        for (; *s != '\0'; s++)
-            word(static_cast<uint64_t>(
-                static_cast<unsigned char>(*s)));
-    }
 };
 
 } // namespace
 
 ProgramFingerprint
 skeletonFingerprint(const ScheduledCircuit &sched,
-                    const NoiseFlags &flags, BackendKind requested)
+                    const NoiseFlags &flags, BackendKind requested,
+                    int frame_branch_depth)
 {
     Folder f;
 
@@ -101,11 +90,7 @@ skeletonFingerprint(const ScheduledCircuit &sched,
            (flags.crosstalk ? 32u : 0u) |
            (flags.twirlCoherent ? 64u : 0u));
     f.word(static_cast<uint64_t>(requested));
-
-    // Frame-engine knobs the structure phase reads: folded as live
-    // raw strings so env toggles between prepares re-key the cache.
-    f.text(envText("ADAPT_FRAME_BATCH"));
-    f.text(envText("ADAPT_FRAME_BRANCH_DEPTH"));
+    f.word(static_cast<uint64_t>(frame_branch_depth));
 
     return {f.a.state, f.b.state};
 }

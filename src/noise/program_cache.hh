@@ -6,7 +6,7 @@
  * a bind phase (calibration constants) makes the expensive half —
  * plan lowering, splice-table matrix products, the frame engine's
  * reference-tableau walk — a pure function of (scheduled circuit,
- * noise flags, backend request, frame-engine knobs).  Drift sweeps,
+ * noise flags, backend request, frame branch depth).  Drift sweeps,
  * adaptSearch mask neighbourhoods, and repeated JobServer submissions
  * re-run the same structures against fresh calibration snapshots, so
  * the skeletons are cached under a fingerprint of those inputs and
@@ -58,15 +58,15 @@ struct ProgramFingerprint
 /**
  * Fingerprint of everything the structure phase reads: the scheduled
  * op stream (types, operands, parameter/time bit patterns, link
- * indices), the noise-flag set, the requested backend, and the
- * frame-engine environment knobs (ADAPT_FRAME_BATCH,
- * ADAPT_FRAME_BRANCH_DEPTH — folded as raw strings, read live per
- * call, so tests that toggle them between prepares never see a stale
- * skeleton).
+ * indices), the noise-flag set, the requested backend, and the frame
+ * engine's branch-tail depth — folded by value, so equal depths share
+ * a key however they were spelled and a changed depth never serves a
+ * stale skeleton.
  */
 ProgramFingerprint skeletonFingerprint(const ScheduledCircuit &sched,
                                        const NoiseFlags &flags,
-                                       BackendKind requested);
+                                       BackendKind requested,
+                                       int frame_branch_depth);
 
 /**
  * Thread-safe LRU map from fingerprint to immutable skeleton.

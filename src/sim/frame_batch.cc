@@ -4,11 +4,10 @@
 #include <bit>
 #include <cmath>
 
-#if defined(__AVX2__) || defined(__AVX512F__)
+#if defined(__AVX2__)
 #include <immintrin.h>
 #endif
 
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "noise/compiled.hh" // bernoulliThreshold
 
@@ -20,72 +19,56 @@ namespace
 
 // ------------------------------------------------------------------
 // Block-wide plane kernels: every frame transform is a handful of
-// XOR / swap passes over `words` contiguous words (the program's
-// laneWords: 1, 4, or 8).  Under ADAPT_NATIVE the 4-word block is
-// one 256-bit register and the 8-word block one 512-bit register
-// (AVX-512 hosts) or two 256-bit passes; the portable fallback
-// sweeps 64 bits at a time.  Pure bit operations — unlike the dense
-// kernels there is no floating-point rounding to preserve, so every
-// variant is bit-identical by construction.
+// XOR / swap passes over the kFrameLaneWords words of a block — one
+// 256-bit register under ADAPT_NATIVE, four 64-bit words in the
+// portable fallback.  Pure bit operations — unlike the dense kernels
+// there is no floating-point rounding to preserve, so both variants
+// are bit-identical by construction.
 // ------------------------------------------------------------------
 
+static_assert(kFrameLaneWords == 4,
+              "the AVX2 plane kernels cover one 4-word block");
+
 inline void
-xorWords(uint64_t *dst, const uint64_t *src, int words)
+xorWords(uint64_t *dst, const uint64_t *src)
 {
-#if defined(__AVX512F__)
-    for (; words >= 8; words -= 8, dst += 8, src += 8) {
-        const __m512i d = _mm512_loadu_si512(dst);
-        const __m512i s = _mm512_loadu_si512(src);
-        _mm512_storeu_si512(dst, _mm512_xor_si512(d, s));
-    }
-#endif
 #if defined(__AVX2__)
-    for (; words >= 4; words -= 4, dst += 4, src += 4) {
-        const __m256i d = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(dst));
-        const __m256i s = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst),
-                            _mm256_xor_si256(d, s));
-    }
-#endif
-    for (int w = 0; w < words; w++)
+    const __m256i d =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(dst));
+    const __m256i s =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(src));
+    _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst),
+                        _mm256_xor_si256(d, s));
+#else
+    for (int w = 0; w < kFrameLaneWords; w++)
         dst[w] ^= src[w];
+#endif
 }
 
 inline void
-swapWords(uint64_t *a, uint64_t *b, int words)
+swapWords(uint64_t *a, uint64_t *b)
 {
-#if defined(__AVX512F__)
-    for (; words >= 8; words -= 8, a += 8, b += 8) {
-        const __m512i va = _mm512_loadu_si512(a);
-        const __m512i vb = _mm512_loadu_si512(b);
-        _mm512_storeu_si512(a, vb);
-        _mm512_storeu_si512(b, va);
-    }
-#endif
 #if defined(__AVX2__)
-    for (; words >= 4; words -= 4, a += 4, b += 4) {
-        const __m256i va = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(a));
-        const __m256i vb = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(b));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(a), vb);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(b), va);
-    }
-#endif
-    for (int w = 0; w < words; w++) {
+    const __m256i va =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(a));
+    const __m256i vb =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(b));
+    _mm256_storeu_si256(reinterpret_cast<__m256i *>(a), vb);
+    _mm256_storeu_si256(reinterpret_cast<__m256i *>(b), va);
+#else
+    for (int w = 0; w < kFrameLaneWords; w++) {
         const uint64_t t = a[w];
         a[w] = b[w];
         b[w] = t;
     }
+#endif
 }
 
 /** (x, z) -> (z, x ^ z). */
 inline void
-cycleA(uint64_t *x, uint64_t *z, int words)
+cycleA(uint64_t *x, uint64_t *z)
 {
-    for (int w = 0; w < words; w++) {
+    for (int w = 0; w < kFrameLaneWords; w++) {
         const uint64_t nx = z[w];
         z[w] ^= x[w];
         x[w] = nx;
@@ -94,9 +77,9 @@ cycleA(uint64_t *x, uint64_t *z, int words)
 
 /** (x, z) -> (x ^ z, x). */
 inline void
-cycleB(uint64_t *x, uint64_t *z, int words)
+cycleB(uint64_t *x, uint64_t *z)
 {
-    for (int w = 0; w < words; w++) {
+    for (int w = 0; w < kFrameLaneWords; w++) {
         const uint64_t nz = x[w];
         x[w] ^= z[w];
         z[w] = nz;
@@ -147,36 +130,15 @@ transpose64(uint64_t a[64])
 const char *
 frameKernelIsa()
 {
-#if defined(__AVX512F__)
-    return "avx512";
-#elif defined(__AVX2__)
+#if defined(__AVX2__)
     return "avx2";
 #else
     return "scalar";
 #endif
 }
 
-int
-frameLaneWordsFromEnv()
-{
-    const char *text = envText("ADAPT_FRAME_LANES");
-    if (text == nullptr)
-        return kFrameLaneWords;
-    const std::optional<long long> parsed = parseInt(text);
-    if (parsed == 64)
-        return 1;
-    if (parsed == 256)
-        return 4;
-    if (parsed == 512)
-        return 8;
-    warnOnce(std::string("ADAPT_FRAME_LANES=") + text,
-             std::string("ADAPT_FRAME_LANES=\"") + text +
-                 "\" is not one of 64 / 256 / 512; using 256");
-    return kFrameLaneWords;
-}
-
 FrameBernoulli
-makeFrameBernoulli(double p, int lanes)
+makeFrameBernoulli(double p)
 {
     FrameBernoulli b;
     if (p <= 0.0) {
@@ -191,7 +153,7 @@ makeFrameBernoulli(double p, int lanes)
     b.thresh = bernoulliThreshold(p);
     // Gap sampling costs one draw when the whole block is quiet and
     // ~(1 + lanes * p) (draw + log1p + floor) otherwise; the dense
-    // compare costs a flat `lanes` raw draws.  A log1p walk step is
+    // compare costs a flat kFrameLanes raw draws.  A log1p walk step is
     // roughly five times a raw draw, so the crossover sits near
     // lanes/5 expected firings — 1/32 keeps genuinely rare events
     // (gate errors, readout flips at typical rates) on the sparse
@@ -208,86 +170,31 @@ makeFrameBernoulli(double p, int lanes)
     // same fixed-point threshold the gap walk's first position test
     // realizes (any ulp-level disagreement at the boundary only costs
     // an empty walk or a ~2^-53 event, both harmless).
-    b.anyThresh = bernoulliThreshold(-std::expm1(lanes * log1mp));
+    b.anyThresh = bernoulliThreshold(-std::expm1(kFrameLanes * log1mp));
     return b;
 }
 
-namespace
-{
-
-/** ADAPT_FRAME_TILE: 0 = never, 1 = always, 2 = auto (unset,
- *  "auto", or — after a one-shot warning — garbage). */
-int
-frameTileMode()
-{
-    const char *text = envText("ADAPT_FRAME_TILE");
-    if (text == nullptr || std::strcmp(text, "auto") == 0)
-        return 2;
-    const std::optional<bool> parsed =
-        parseFlagKnob("ADAPT_FRAME_TILE", text);
-    if (!parsed.has_value())
-        return 2;
-    return *parsed ? 1 : 0;
-}
-
-/** Live-lane bits of word @p w when @p lanes lanes are live. */
-inline uint64_t
-liveLaneMask(int w, int lanes)
-{
-    const int live = lanes - w * 64;
-    if (live >= 64)
-        return ~uint64_t{0};
-    if (live <= 0)
-        return 0;
-    return (uint64_t{1} << live) - 1;
-}
-
-} // namespace
-
 FrameBatchBackend::FrameBatchBackend(const FrameProgram &prog)
-    : prog_(prog), laneWords_(prog.laneWords),
-      x_(static_cast<size_t>(prog.numQubits) *
-             static_cast<size_t>(prog.laneWords),
-         0),
-      z_(static_cast<size_t>(prog.numQubits) *
-             static_cast<size_t>(prog.laneWords),
-         0),
-      bits_(static_cast<size_t>(prog.numClbits) *
-                static_cast<size_t>(prog.laneWords),
-            0),
+    : prog_(prog),
+      x_(static_cast<size_t>(prog.numQubits) * kFrameLaneWords, 0),
+      z_(static_cast<size_t>(prog.numQubits) * kFrameLaneWords, 0),
+      bits_(static_cast<size_t>(prog.numClbits) * kFrameLaneWords, 0),
       packer_(prog.numClbits)
 {
-    require(prog.laneWords >= 1 && prog.laneWords <= kMaxFrameLaneWords,
-            "frame program lane width out of range");
-    const int mode = frameTileMode();
-    if (mode == 2) {
-        // Auto: tile only when the per-op plane traffic stops being
-        // L1-friendly — wide planes across many qubits.  Small
-        // devices (<= 32 qubits) never tile, so the default path is
-        // untouched where the direct sweep already wins.
-        const size_t plane_bytes =
-            (2 * static_cast<size_t>(prog.numQubits) +
-             static_cast<size_t>(prog.numClbits)) *
-            static_cast<size_t>(laneWords_) * 8;
-        tiled_ = prog.numQubits > 32 && plane_bytes > 12288;
-    } else {
-        tiled_ = mode == 1;
-    }
 }
 
 bool
 FrameBatchBackend::drawMask(const FrameBernoulli &b, uint64_t *out)
 {
-    const int lane_count = laneWords_ * 64;
     switch (b.mode) {
       case FrameBernoulli::Mode::Never:
         return false;
       case FrameBernoulli::Mode::Always:
-        for (int w = 0; w < laneWords_; w++)
+        for (int w = 0; w < kFrameLaneWords; w++)
             out[w] = ~uint64_t{0};
         return true;
       case FrameBernoulli::Mode::Dense:
-        for (int w = 0; w < laneWords_; w++) {
+        for (int w = 0; w < kFrameLaneWords; w++) {
             uint64_t mask = 0;
             for (int bit = 0; bit < 64; bit++) {
                 if ((blockRng_.next() >> 11) < b.thresh)
@@ -309,19 +216,19 @@ FrameBatchBackend::drawMask(const FrameBernoulli &b, uint64_t *out)
     const uint64_t w0 = blockRng_.next() >> 11;
     if (w0 >= b.anyThresh)
         return false;
-    for (int w = 0; w < laneWords_; w++)
+    for (int w = 0; w < kFrameLaneWords; w++)
         out[w] = 0;
     const double u0 = static_cast<double>(w0) * 0x1.0p-53;
     double gap = std::floor(std::log1p(-u0) * b.invLog1mP);
     int64_t pos = static_cast<int64_t>(
-        gap < static_cast<double>(lane_count)
+        gap < static_cast<double>(kFrameLanes)
             ? gap
-            : static_cast<double>(lane_count));
-    while (pos < lane_count) {
+            : static_cast<double>(kFrameLanes));
+    while (pos < kFrameLanes) {
         out[pos >> 6] |= uint64_t{1} << (pos & 63);
         gap = std::floor(std::log1p(-blockRng_.uniform()) *
                          b.invLog1mP);
-        if (gap >= static_cast<double>(lane_count))
+        if (gap >= static_cast<double>(kFrameLanes))
             break;
         pos += 1 + static_cast<int64_t>(gap);
     }
@@ -338,9 +245,8 @@ FrameBatchBackend::snapshotLane(int w, int bit, int64_t shot,
     ts.xf.resize(static_cast<size_t>(prog_.numQubits));
     ts.zf.resize(static_cast<size_t>(prog_.numQubits));
     for (int q = 0; q < prog_.numQubits; q++) {
-        const size_t p =
-            static_cast<size_t>(q) * static_cast<size_t>(laneWords_) +
-            static_cast<size_t>(w);
+        const size_t p = static_cast<size_t>(q) * kFrameLaneWords +
+                         static_cast<size_t>(w);
         ts.xf[static_cast<size_t>(q)] =
             static_cast<uint8_t>(x_[p] >> bit & 1);
         ts.zf[static_cast<size_t>(q)] =
@@ -349,9 +255,8 @@ FrameBatchBackend::snapshotLane(int w, int bit, int64_t shot,
     ts.clWords.assign(static_cast<size_t>(prog_.numClbits + 63) / 64,
                       0);
     for (int c = 0; c < prog_.numClbits; c++) {
-        const size_t p =
-            static_cast<size_t>(c) * static_cast<size_t>(laneWords_) +
-            static_cast<size_t>(w);
+        const size_t p = static_cast<size_t>(c) * kFrameLaneWords +
+                         static_cast<size_t>(w);
         if (bits_[p] >> bit & 1)
             ts.clWords[static_cast<size_t>(c) / 64] |=
                 uint64_t{1} << (c % 64);
@@ -365,22 +270,17 @@ FrameBatchBackend::runBlock(const Rng &base, int64_t block, int lanes,
                             std::vector<DeferredShot> &deferred,
                             std::vector<FrameTailShot> &tails)
 {
-    require(lanes >= 1 && lanes <= laneWords_ * 64,
+    require(lanes >= 1 && lanes <= kFrameLanes,
             "runBlock lane count out of range");
     blockRng_ =
         base.fork(kFrameBlockSalt + static_cast<uint64_t>(block));
-    for (int w = 0; w < laneWords_; w++)
+    for (int w = 0; w < kFrameLaneWords; w++)
         deferredMask_[w] = 0;
     std::fill(x_.begin(), x_.end(), 0);
     std::fill(z_.begin(), z_.end(), 0);
     std::fill(bits_.begin(), bits_.end(), 0);
 
-    if (tiled_) {
-        buildTape(lanes);
-        execTape(block, deferred, tails);
-    } else {
-        runOps(block, lanes, deferred, tails);
-    }
+    runOps(block, lanes, deferred, tails);
     foldOutcomes(lanes, hist);
 }
 
@@ -389,9 +289,8 @@ FrameBatchBackend::runOps(int64_t block, int lanes,
                           std::vector<DeferredShot> &deferred,
                           std::vector<FrameTailShot> &tails)
 {
-    const int words = laneWords_;
-    const int64_t lane_count = static_cast<int64_t>(words) * 64;
-    uint64_t m[kMaxFrameLaneWords];
+    constexpr int words = kFrameLaneWords;
+    uint64_t m[words];
     for (const FrameOpRef ref : prog_.ops) {
         switch (ref.kind) {
           case FrameOpRef::Kind::F1Q: {
@@ -399,11 +298,11 @@ FrameBatchBackend::runOps(int64_t block, int lanes,
             uint64_t *x = xPlane(op.q);
             uint64_t *z = zPlane(op.q);
             switch (op.kind) {
-              case Frame1QKind::Hadamard: swapWords(x, z, words); break;
-              case Frame1QKind::Phase: xorWords(z, x, words); break;
-              case Frame1QKind::HalfX: xorWords(x, z, words); break;
-              case Frame1QKind::CycleA: cycleA(x, z, words); break;
-              case Frame1QKind::CycleB: cycleB(x, z, words); break;
+              case Frame1QKind::Hadamard: swapWords(x, z); break;
+              case Frame1QKind::Phase: xorWords(z, x); break;
+              case Frame1QKind::HalfX: xorWords(x, z); break;
+              case Frame1QKind::CycleA: cycleA(x, z); break;
+              case Frame1QKind::CycleB: cycleB(x, z); break;
               case Frame1QKind::Identity: break;
             }
             break;
@@ -413,16 +312,16 @@ FrameBatchBackend::runOps(int64_t block, int lanes,
             switch (op.type) {
               case GateType::CX:
                 // X_c -> X_c X_t, Z_t -> Z_c Z_t.
-                xorWords(xPlane(op.b), xPlane(op.a), words);
-                xorWords(zPlane(op.a), zPlane(op.b), words);
+                xorWords(xPlane(op.b), xPlane(op.a));
+                xorWords(zPlane(op.a), zPlane(op.b));
                 break;
               case GateType::CZ:
-                xorWords(zPlane(op.a), xPlane(op.b), words);
-                xorWords(zPlane(op.b), xPlane(op.a), words);
+                xorWords(zPlane(op.a), xPlane(op.b));
+                xorWords(zPlane(op.b), xPlane(op.a));
                 break;
               case GateType::SWAP:
-                swapWords(xPlane(op.a), xPlane(op.b), words);
-                swapWords(zPlane(op.a), zPlane(op.b), words);
+                swapWords(xPlane(op.a), xPlane(op.b));
+                swapWords(zPlane(op.a), zPlane(op.b));
                 break;
               default:
                 panic("frame replay: unexpected two-qubit gate");
@@ -495,7 +394,7 @@ FrameBatchBackend::runOps(int64_t block, int lanes,
                             if (w * 64 + lane >= lanes)
                                 continue;
                             const int64_t shot =
-                                block * lane_count + w * 64 + lane;
+                                block * kFrameLanes + w * 64 + lane;
                             if (prog_.branchTails) {
                                 tails.push_back(snapshotLane(
                                     w, lane, shot, op.randT1Ordinal));
@@ -538,7 +437,7 @@ FrameBatchBackend::runOps(int64_t block, int lanes,
                 // coin = 1 absorb the branch-flip Pauli, hopping the
                 // frame onto the opposite reference branch (this also
                 // flips x(q), which the outcome read below sees).
-                uint64_t coin[kMaxFrameLaneWords];
+                uint64_t coin[words];
                 for (int w = 0; w < words; w++)
                     coin[w] = blockRng_.next();
                 for (uint32_t i = 0; i < op.flipXCnt; i++) {
@@ -554,8 +453,8 @@ FrameBatchBackend::runOps(int64_t block, int lanes,
                         zq[w] ^= coin[w];
                 }
             }
-            uint64_t m01[kMaxFrameLaneWords] = {};
-            uint64_t m10[kMaxFrameLaneWords] = {};
+            uint64_t m01[words] = {};
+            uint64_t m10[words] = {};
             drawMask(op.err01, m01);
             drawMask(op.err10, m10);
             const uint64_t *x = xPlane(op.q);
@@ -575,7 +474,7 @@ FrameBatchBackend::runOps(int64_t block, int lanes,
                 // branch-flip Pauli exactly like a random measure:
                 // correlations with other qubits land in their
                 // planes before q's own planes clear.
-                uint64_t coin[kMaxFrameLaneWords];
+                uint64_t coin[words];
                 for (int w = 0; w < words; w++)
                     coin[w] = blockRng_.next();
                 for (uint32_t i = 0; i < op.flipXCnt; i++) {
@@ -619,361 +518,11 @@ FrameBatchBackend::runOps(int64_t block, int lanes,
             for (int w = 0; w < words; w++)
                 m[w] = op.refCond ? ~cb[w] : cb[w];
             if (kPauliHasX[op.pauli] != 0)
-                xorWords(xPlane(op.q), m, words);
+                xorWords(xPlane(op.q), m);
             if (kPauliHasZ[op.pauli] != 0)
-                xorWords(zPlane(op.q), m, words);
+                xorWords(zPlane(op.q), m);
             break;
           }
-        }
-    }
-}
-
-uint32_t
-FrameBatchBackend::pushMaskGroup(const uint64_t *m)
-{
-    const auto base = static_cast<uint32_t>(maskPool_.size());
-    maskPool_.insert(maskPool_.end(), m, m + laneWords_);
-    return base;
-}
-
-void
-FrameBatchBackend::buildTape(int lanes)
-{
-    tape_.clear();
-    // Group 0 is the shared all-zero mask (skipped err01/err10 draws
-    // point at it instead of materializing zeros).
-    maskPool_.assign(static_cast<size_t>(laneWords_), 0);
-
-    uint64_t m[kMaxFrameLaneWords];
-    for (const FrameOpRef ref : prog_.ops) {
-        switch (ref.kind) {
-          case FrameOpRef::Kind::F1Q: {
-            const Frame1QOp &op = prog_.f1q[ref.idx];
-            if (op.kind == Frame1QKind::Identity)
-                break;
-            TileOp t;
-            t.code = kTileGate1;
-            t.aux = static_cast<uint8_t>(op.kind);
-            t.a = op.q;
-            tape_.push_back(t);
-            break;
-          }
-          case FrameOpRef::Kind::F2Q: {
-            const Frame2QOp &op = prog_.f2q[ref.idx];
-            TileOp t;
-            t.code = kTileGate2;
-            switch (op.type) {
-              case GateType::CX: t.aux = 0; break;
-              case GateType::CZ: t.aux = 1; break;
-              case GateType::SWAP: t.aux = 2; break;
-              default:
-                panic("frame replay: unexpected two-qubit gate");
-            }
-            t.a = op.a;
-            t.b = op.b;
-            tape_.push_back(t);
-            break;
-          }
-          case FrameOpRef::Kind::Err1Q: {
-            const FrameErr1QOp &op = prog_.err1q[ref.idx];
-            if (!drawMask(op.prob, m))
-                break;
-            // Resolve the per-fired-lane Pauli picks (same draw
-            // order as runOps, dead lanes included) into two plane
-            // masks.
-            uint64_t xm[kMaxFrameLaneWords] = {};
-            uint64_t zm[kMaxFrameLaneWords] = {};
-            for (int w = 0; w < laneWords_; w++) {
-                uint64_t mask = m[w];
-                while (mask != 0) {
-                    const int lane = std::countr_zero(mask);
-                    mask &= mask - 1;
-                    const auto pauli = static_cast<int>(
-                        op.mapped[blockRng_.uniformInt(3)]);
-                    const uint64_t bit = uint64_t{1} << lane;
-                    xm[w] ^= bit * kPauliHasX[pauli];
-                    zm[w] ^= bit * kPauliHasZ[pauli];
-                }
-            }
-            TileOp t;
-            t.code = kTileXorXZ;
-            t.a = op.q;
-            t.mask = pushMaskGroup(xm);
-            t.mask2 = pushMaskGroup(zm);
-            tape_.push_back(t);
-            break;
-          }
-          case FrameOpRef::Kind::Err2Q: {
-            const FrameErr2QOp &op = prog_.err2q[ref.idx];
-            if (!drawMask(op.prob, m))
-                break;
-            uint64_t xam[kMaxFrameLaneWords] = {};
-            uint64_t zam[kMaxFrameLaneWords] = {};
-            uint64_t xbm[kMaxFrameLaneWords] = {};
-            uint64_t zbm[kMaxFrameLaneWords] = {};
-            for (int w = 0; w < laneWords_; w++) {
-                uint64_t mask = m[w];
-                while (mask != 0) {
-                    const int lane = std::countr_zero(mask);
-                    mask &= mask - 1;
-                    const auto code = static_cast<int>(
-                        blockRng_.uniformInt(15)) + 1;
-                    const uint64_t bit = uint64_t{1} << lane;
-                    xam[w] ^= bit * kPauliHasX[code & 3];
-                    zam[w] ^= bit * kPauliHasZ[code & 3];
-                    xbm[w] ^= bit * kPauliHasX[code >> 2];
-                    zbm[w] ^= bit * kPauliHasZ[code >> 2];
-                }
-            }
-            TileOp ta;
-            ta.code = kTileXorXZ;
-            ta.a = op.a;
-            ta.mask = pushMaskGroup(xam);
-            ta.mask2 = pushMaskGroup(zam);
-            tape_.push_back(ta);
-            TileOp tb;
-            tb.code = kTileXorXZ;
-            tb.a = op.b;
-            tb.mask = pushMaskGroup(xbm);
-            tb.mask2 = pushMaskGroup(zbm);
-            tape_.push_back(tb);
-            break;
-          }
-          case FrameOpRef::Kind::Markov: {
-            const FrameMarkovOp &op = prog_.markov[ref.idx];
-            if (drawMask(op.t1, m)) {
-                if (op.t1Ref == 2) {
-                    // Same deferral algebra as runOps: deferredMask_
-                    // absorbs every fresh fire (dead lanes included),
-                    // the emitted push mask carries only live lanes.
-                    uint64_t push[kMaxFrameLaneWords];
-                    bool any = false;
-                    for (int w = 0; w < laneWords_; w++) {
-                        const uint64_t fresh =
-                            m[w] & ~deferredMask_[w];
-                        deferredMask_[w] |= fresh;
-                        push[w] = fresh & liveLaneMask(w, lanes);
-                        any = any || push[w] != 0;
-                    }
-                    if (any) {
-                        TileOp t;
-                        t.code = kTileT1Rand;
-                        t.a = op.q;
-                        t.b = static_cast<int32_t>(op.randT1Ordinal);
-                        t.mask = pushMaskGroup(push);
-                        tape_.push_back(t);
-                    }
-                } else {
-                    TileOp t;
-                    t.code = kTileT1Det;
-                    t.aux = op.t1Ref;
-                    t.a = op.q;
-                    t.mask = pushMaskGroup(m);
-                    tape_.push_back(t);
-                }
-            }
-            if (drawMask(op.deph, m)) {
-                TileOp t;
-                t.code = kTileXorZ;
-                t.a = op.q;
-                t.mask = pushMaskGroup(m);
-                tape_.push_back(t);
-            }
-            break;
-          }
-          case FrameOpRef::Kind::Twirl: {
-            const FrameTwirlOp &op = prog_.twirl[ref.idx];
-            if (!drawMask(op.prob, m))
-                break;
-            TileOp t;
-            t.code = kTileXorZ;
-            t.a = op.q;
-            t.mask = pushMaskGroup(m);
-            tape_.push_back(t);
-            break;
-          }
-          case FrameOpRef::Kind::Meas: {
-            const FrameMeasOp &op = prog_.meas[ref.idx];
-            if (op.random) {
-                uint64_t coin[kMaxFrameLaneWords];
-                for (int w = 0; w < laneWords_; w++)
-                    coin[w] = blockRng_.next();
-                const uint32_t cg = pushMaskGroup(coin);
-                for (uint32_t i = 0; i < op.flipXCnt; i++) {
-                    TileOp t;
-                    t.code = kTileXorX;
-                    t.a = prog_.flipQubits[op.flipXOff + i];
-                    t.mask = cg;
-                    tape_.push_back(t);
-                }
-                for (uint32_t i = 0; i < op.flipZCnt; i++) {
-                    TileOp t;
-                    t.code = kTileXorZ;
-                    t.a = prog_.flipQubits[op.flipZOff + i];
-                    t.mask = cg;
-                    tape_.push_back(t);
-                }
-            }
-            TileOp t;
-            t.code = kTileMeas;
-            t.a = op.q;
-            t.b = op.clbit;
-            t.aux = op.refBit;
-            t.mask = drawMask(op.err01, m) ? pushMaskGroup(m) : 0;
-            t.mask2 = drawMask(op.err10, m) ? pushMaskGroup(m) : 0;
-            tape_.push_back(t);
-            break;
-          }
-          case FrameOpRef::Kind::Reset: {
-            const FrameResetOp &op = prog_.resets[ref.idx];
-            if (op.random) {
-                uint64_t coin[kMaxFrameLaneWords];
-                for (int w = 0; w < laneWords_; w++)
-                    coin[w] = blockRng_.next();
-                const uint32_t cg = pushMaskGroup(coin);
-                for (uint32_t i = 0; i < op.flipXCnt; i++) {
-                    TileOp t;
-                    t.code = kTileXorX;
-                    t.a = prog_.flipQubits[op.flipXOff + i];
-                    t.mask = cg;
-                    tape_.push_back(t);
-                }
-                for (uint32_t i = 0; i < op.flipZCnt; i++) {
-                    TileOp t;
-                    t.code = kTileXorZ;
-                    t.a = prog_.flipQubits[op.flipZOff + i];
-                    t.mask = cg;
-                    tape_.push_back(t);
-                }
-            }
-            TileOp t;
-            t.code = kTileClear;
-            t.a = op.q;
-            tape_.push_back(t);
-            break;
-          }
-          case FrameOpRef::Kind::Cond: {
-            const FrameCondOp &op = prog_.cond[ref.idx];
-            TileOp t;
-            t.code = kTileCond;
-            t.a = op.q;
-            t.b = op.condBit;
-            t.aux = static_cast<uint8_t>(
-                op.pauli | (op.refCond ? 0x10 : 0));
-            tape_.push_back(t);
-            break;
-          }
-        }
-    }
-}
-
-void
-FrameBatchBackend::execTape(int64_t block,
-                            std::vector<DeferredShot> &deferred,
-                            std::vector<FrameTailShot> &tails)
-{
-    const int64_t lane_count = static_cast<int64_t>(laneWords_) * 64;
-    for (int w = 0; w < laneWords_; w++) {
-        for (const TileOp &t : tape_) {
-            switch (t.code) {
-              case kTileGate1: {
-                uint64_t &x = xPlane(t.a)[w];
-                uint64_t &z = zPlane(t.a)[w];
-                const uint64_t tx = x;
-                switch (static_cast<Frame1QKind>(t.aux)) {
-                  case Frame1QKind::Hadamard: x = z; z = tx; break;
-                  case Frame1QKind::Phase: z ^= x; break;
-                  case Frame1QKind::HalfX: x ^= z; break;
-                  case Frame1QKind::CycleA: x = z; z ^= tx; break;
-                  case Frame1QKind::CycleB: x ^= z; z = tx; break;
-                  case Frame1QKind::Identity: break;
-                }
-                break;
-              }
-              case kTileGate2: {
-                uint64_t &xa = xPlane(t.a)[w];
-                uint64_t &za = zPlane(t.a)[w];
-                uint64_t &xb = xPlane(t.b)[w];
-                uint64_t &zb = zPlane(t.b)[w];
-                if (t.aux == 0) { // CX
-                    xb ^= xa;
-                    za ^= zb;
-                } else if (t.aux == 1) { // CZ
-                    za ^= xb;
-                    zb ^= xa;
-                } else { // SWAP
-                    std::swap(xa, xb);
-                    std::swap(za, zb);
-                }
-                break;
-              }
-              case kTileXorX:
-                xPlane(t.a)[w] ^= maskPool_[t.mask + w];
-                break;
-              case kTileXorZ:
-                zPlane(t.a)[w] ^= maskPool_[t.mask + w];
-                break;
-              case kTileXorXZ:
-                xPlane(t.a)[w] ^= maskPool_[t.mask + w];
-                zPlane(t.a)[w] ^= maskPool_[t.mask2 + w];
-                break;
-              case kTileT1Det: {
-                uint64_t &x = xPlane(t.a)[w];
-                const uint64_t ones = t.aux ? ~x : x;
-                x ^= maskPool_[t.mask + w] & ones;
-                break;
-              }
-              case kTileT1Rand: {
-                // The lane's columns are exactly as of this op in
-                // stream order, so the snapshot matches runOps'
-                // (entries land tile-major in the output lists, which
-                // the drains tolerate: each shot's rerun stream is
-                // keyed by its absolute index alone).
-                uint64_t fresh = maskPool_[t.mask + w];
-                const auto ordinal = static_cast<uint32_t>(t.b);
-                while (fresh != 0) {
-                    const int lane = std::countr_zero(fresh);
-                    fresh &= fresh - 1;
-                    const int64_t shot =
-                        block * lane_count + w * 64 + lane;
-                    if (prog_.branchTails) {
-                        tails.push_back(
-                            snapshotLane(w, lane, shot, ordinal));
-                    } else {
-                        deferred.push_back({shot, ordinal});
-                    }
-                }
-                break;
-              }
-              case kTileMeas: {
-                const uint64_t x = xPlane(t.a)[w];
-                uint64_t bits = t.aux ? ~x : x;
-                const uint64_t m01 = maskPool_[t.mask + w];
-                const uint64_t m10 = maskPool_[t.mask2 + w];
-                bits ^= (~bits & m01) | (bits & m10);
-                bits_[static_cast<size_t>(t.b) *
-                          static_cast<size_t>(laneWords_) +
-                      static_cast<size_t>(w)] = bits;
-                break;
-              }
-              case kTileClear:
-                xPlane(t.a)[w] = 0;
-                zPlane(t.a)[w] = 0;
-                break;
-              case kTileCond: {
-                const uint64_t cb =
-                    bits_[static_cast<size_t>(t.b) *
-                              static_cast<size_t>(laneWords_) +
-                          static_cast<size_t>(w)];
-                const uint64_t mm = (t.aux & 0x10) ? ~cb : cb;
-                const int pauli = t.aux & 0xF;
-                if (kPauliHasX[pauli] != 0)
-                    xPlane(t.a)[w] ^= mm;
-                if (kPauliHasZ[pauli] != 0)
-                    zPlane(t.a)[w] ^= mm;
-                break;
-              }
-            }
         }
     }
 }
@@ -992,8 +541,7 @@ FrameBatchBackend::foldOutcomes(int lanes, FlatAccumulator &hist)
         uint64_t keys[64];
         for (int w = 0; w * 64 < lanes; w++) {
             for (int c = 0; c < prog_.numClbits; c++)
-                keys[c] = bits_[static_cast<size_t>(c) *
-                                    static_cast<size_t>(laneWords_) +
+                keys[c] = bits_[static_cast<size_t>(c) * kFrameLaneWords +
                                 static_cast<size_t>(w)];
             for (int c = prog_.numClbits; c < 64; c++)
                 keys[c] = 0;
@@ -1014,11 +562,10 @@ FrameBatchBackend::foldOutcomes(int lanes, FlatAccumulator &hist)
             continue;
         packer_.clear();
         for (int c = 0; c < prog_.numClbits; c++) {
-            packer_.set(c,
-                        (bits_[static_cast<size_t>(c) *
-                                   static_cast<size_t>(laneWords_) +
-                               static_cast<size_t>(w)] &
-                         bit) != 0);
+            packer_.set(c, (bits_[static_cast<size_t>(c) *
+                                          kFrameLaneWords +
+                                      static_cast<size_t>(w)] &
+                                bit) != 0);
         }
         hist.add(packer_.key(), 1.0);
     }

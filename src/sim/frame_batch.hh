@@ -9,18 +9,18 @@
  * events fired.  This engine applies the standard Stim-style fix:
  *
  *  - The noiseless *reference* simulation runs ONCE per job (at
- *    compile time, in compileFrameProgram), fixing every
+ *    compile time, in buildFrameSkeleton), fixing every
  *    measurement's reference outcome and, for random-outcome
  *    measurements, the "branch-flip" Pauli that maps one outcome
  *    branch onto the other.
  *  - Each shot is then represented only by its *Pauli frame* — the
  *    Pauli deviation P_s of the shot state P_s |psi_ref> from the
  *    reference — stored column-major in bit planes: one x bit and
- *    one z bit per (qubit, shot).  laneCount() shots (256 by
- *    default, 64-512 via ADAPT_FRAME_LANES) propagate per pass;
- *    every Clifford gate becomes a handful of word-wide XOR / swap
- *    operations on the planes, and every stochastic Pauli event
- *    becomes a Bernoulli-thresholded random bit mask.
+ *    one z bit per (qubit, shot).  kFrameLanes shots (256)
+ *    propagate per pass; every Clifford gate becomes a handful of
+ *    word-wide XOR / swap operations on the planes, and every
+ *    stochastic Pauli event becomes a Bernoulli-thresholded random
+ *    bit mask.
  *
  * Exactness.  For Clifford circuits with stochastic Pauli noise and
  * measurement flips, frame propagation samples exactly the same law
@@ -58,13 +58,13 @@
  * equivalence between the two.
  *
  * Determinism contract.  All randomness for the lanes of block b
- * (shots [laneCount * b, laneCount * (b + 1))) comes from a stream
+ * (shots [kFrameLanes * b, kFrameLanes * (b + 1))) comes from a stream
  * forked from (run seed, b) alone and is consumed in op-stream
  * order, so results are bit-identical for any thread count,
  * batch-vs-serial, and independent of how many other shots the job
  * runs.  Rare events (gate errors, T1, readout flips) are drawn
- * sparsely via geometric gap sampling — O(laneCount * p) draws per
- * op instead of laneCount — which is statistically an
+ * sparsely via geometric gap sampling — O(kFrameLanes * p) draws per
+ * op instead of kFrameLanes — which is statistically an
  * exact per-lane Bernoulli; the empty mask (the overwhelmingly
  * common case) resolves with a single raw draw compared against a
  * precomputed P(any lane fires) threshold, and that same draw seeds
@@ -87,32 +87,18 @@
 namespace adapt
 {
 
-/** Default 64-lane words per frame block (4 x 64 = 256 shots per
- *  pass, one AVX2 register wide under ADAPT_NATIVE; portable builds
- *  sweep the same block 64 bits at a time).  ADAPT_FRAME_LANES can
- *  rebind a program to 1 word (64 lanes) or 8 words (512 lanes, one
- *  AVX-512 register) — see FrameProgram::laneWords. */
+/** 64-lane words per frame block: 4 x 64 = 256 shots per pass, one
+ *  AVX2 register wide under ADAPT_NATIVE (portable builds sweep the
+ *  same block 64 bits at a time).  The width partitions shots into
+ *  RNG blocks, so it is part of the output contract. */
 constexpr int kFrameLaneWords = 4;
 
-/** Widest supported block: 8 words = 512 lanes. */
-constexpr int kMaxFrameLaneWords = 8;
-
-/** Default shots propagated per block. */
+/** Shots propagated per block. */
 constexpr int kFrameLanes = 64 * kFrameLaneWords;
 
-/**
- * Lane words selected by ADAPT_FRAME_LANES: 64 -> 1 word, 256 -> 4
- * (the default), 512 -> 8.  Unset falls back to the default quietly;
- * any other value warns once (env.hh) and falls back.  Read at *bind*
- * time — bindFrameProgram stamps FrameProgram::laneWords — so cached
- * program skeletons stay lane-width independent and a changed knob
- * takes effect on the next bind without invalidating the cache.
- */
-int frameLaneWordsFromEnv();
-
-/** "avx512" when the frame-plane kernels can use 512-bit ops, "avx2"
- *  for 256-bit ops, "scalar" for the portable 64-bit sweeps.  Every
- *  variant is bit-identical (pure XOR/swap word ops). */
+/** "avx2" for the 256-bit frame-plane kernels, "scalar" for the
+ *  portable 64-bit sweeps.  Both are bit-identical (pure XOR/swap
+ *  word ops). */
 const char *frameKernelIsa();
 
 /**
@@ -144,9 +130,9 @@ enum class Frame1QKind : uint8_t
  * Dense per-lane compare, and the deferred-lane tableau replay's
  * per-shot Bernoulli test (one raw draw, `(w >> 11) < thresh`,
  * across every mode).  `anyThresh` is the Sparse fast path: the
- * threshold of P(any of the program's laneCount() lanes fires); a
- * draw at or above it proves the whole block mask empty without
- * touching libm.
+ * threshold of P(any of a block's kFrameLanes lanes fires); a draw
+ * at or above it proves the whole block mask empty without touching
+ * libm.
  */
 struct FrameBernoulli
 {
@@ -157,10 +143,8 @@ struct FrameBernoulli
     uint64_t anyThresh = 0;  //!< Sparse: threshold of 1-(1-p)^lanes
 };
 
-/** Resolve a probability into its mask-generation mode.  @p lanes is
- *  the block width the anyThresh fast path covers — the owning
- *  program's laneCount(). */
-FrameBernoulli makeFrameBernoulli(double p, int lanes = kFrameLanes);
+/** Resolve a probability into its mask-generation mode. */
+FrameBernoulli makeFrameBernoulli(double p);
 
 /** A fused single-qubit frame transform: the GL(2, F2) class for the
  *  plane pass, plus a named-gate realization of the train's Clifford
@@ -340,22 +324,13 @@ struct FrameT1Site
  * A stabilizer job lowered into a frame op stream: the reference
  * simulation's outcomes baked in, every probability resolved into a
  * mask-generation mode, every pulse train fused into one of the six
- * GL(2, F2) transforms.  Built once per job by compileFrameProgram
+ * GL(2, F2) transforms.  Built once per job by bindFrameProgram
  * (noise/compiled.hh) and shared read-only by all shot workers.
  */
 struct FrameProgram
 {
     int numQubits = 0;
     int numClbits = 1;
-
-    /** 64-lane words per block for this program, stamped at bind
-     *  time from ADAPT_FRAME_LANES (frameLaneWordsFromEnv); every
-     *  Sparse anyThresh in the program is resolved for this width.
-     *  Branch tails inherit their parent's width. */
-    int laneWords = kFrameLaneWords;
-
-    /** Shots propagated per block at this program's lane width. */
-    int laneCount() const { return 64 * laneWords; }
 
     /** Random-reference T1 checkpoints in the stream (deferral
      *  sites); 0 means no shot can ever defer. */
@@ -474,25 +449,16 @@ class FrameTailSource
 };
 
 /**
- * Per-chunk worker that executes a FrameProgram in laneCount()-shot
- * blocks.  Owns the frame bit planes, the outcome planes, and the
- * packer; one instance serves all the blocks of a chunk.
+ * Per-chunk worker that executes a FrameProgram in kFrameLanes-shot
+ * blocks: one walk of the op stream per block, touching all
+ * kFrameLaneWords words of each plane per op.  Owns the frame bit
+ * planes, the outcome planes, and the packer; one instance serves all
+ * the blocks of a chunk.
  *
  * Named "backend" for symmetry with PauliFrameBackend, but the
  * execution surface is deliberately per-block rather than per-shot —
  * it does not implement SimBackend, whose one-state-one-shot API is
  * exactly the overhead this engine removes.
- *
- * Execution modes.  The direct mode walks the op stream once,
- * touching all laneWords words of each plane per op.  The *tiled*
- * mode (ADAPT_FRAME_TILE; "auto"/unset engages it on wide-plane
- * programs, see frame_batch.cc) splits each block into a build pass —
- * which consumes the block's entire RNG stream in exactly the direct
- * mode's order, resolving every stochastic op into mask words on a
- * compact tape — and an execute pass that re-streams that tape once
- * per lane word, so all plane traffic for a word-tile stays
- * L1-resident however many qubits the program has.  The two modes
- * are bit-identical by construction.
  */
 class FrameBatchBackend
 {
@@ -500,7 +466,7 @@ class FrameBatchBackend
     explicit FrameBatchBackend(const FrameProgram &prog);
 
     /**
-     * Execute lanes [block * laneCount, block * laneCount + lanes):
+     * Execute lanes [block * kFrameLanes, block * kFrameLanes + lanes):
      * count the lanes that finish the plane pass into @p hist; lanes
      * whose T1 jump fires at a superposed checkpoint leave the pass —
      * as FrameTailShot snapshots in @p tails when the program
@@ -513,68 +479,27 @@ class FrameBatchBackend
      *             job's total shot count.
      * @param lanes Live lanes in this block (the final block of a
      *              job may be partial).
-     *              @pre 1 <= lanes <= prog.laneCount()
+     *              @pre 1 <= lanes <= kFrameLanes
      */
     void runBlock(const Rng &base, int64_t block, int lanes,
                   FlatAccumulator &hist,
                   std::vector<DeferredShot> &deferred,
                   std::vector<FrameTailShot> &tails);
 
-    /** True when blocks run through the tiled build/execute split. */
-    bool tiled() const { return tiled_; }
-
   private:
-    /**
-     * One op of the per-block tape (tiled mode): every draw already
-     * resolved by the build pass, so the execute pass touches only
-     * plane columns and the mask pool.  `mask` / `mask2` index
-     * laneWords-word groups in maskPool_; group 0 is a shared
-     * all-zero mask.
-     */
-    struct TileOp
-    {
-        uint8_t code = 0;  //!< TileCode
-        uint8_t aux = 0;   //!< kind / subtype / refBit / pauli+refCond
-        int32_t a = -1;    //!< primary qubit / clbit operand
-        int32_t b = 0;     //!< second qubit / clbit / T1 ordinal
-        uint32_t mask = 0;
-        uint32_t mask2 = 0;
-    };
-
-    enum TileCode : uint8_t
-    {
-        kTileGate1,  //!< aux = Frame1QKind, a = q
-        kTileGate2,  //!< aux = 0 CX / 1 CZ / 2 SWAP
-        kTileXorX,   //!< x[a] ^= mask
-        kTileXorZ,   //!< z[a] ^= mask
-        kTileXorXZ,  //!< x[a] ^= mask, z[a] ^= mask2
-        kTileT1Det,  //!< aux = t1Ref: x[a] ^= mask & (ref ? ~x : x)
-        kTileT1Rand, //!< b = ordinal, mask = snapshot/defer lanes
-        kTileMeas,   //!< a = q, b = clbit, aux = refBit, mask/mask2 = err
-        kTileClear,  //!< x[a] = z[a] = 0
-        kTileCond,   //!< b = condBit, aux = pauli | (refCond << 4)
-    };
-
     const FrameProgram &prog_;
-    int laneWords_;
-    bool tiled_ = false;
-    std::vector<uint64_t> x_;    //!< [qubit * laneWords_ + w]
+    std::vector<uint64_t> x_;    //!< [qubit * kFrameLaneWords + w]
     std::vector<uint64_t> z_;
-    std::vector<uint64_t> bits_; //!< [clbit * laneWords_ + w]
+    std::vector<uint64_t> bits_; //!< [clbit * kFrameLaneWords + w]
     OutcomePacker packer_;
     Rng blockRng_;
-    uint64_t deferredMask_[kMaxFrameLaneWords] = {};
+    uint64_t deferredMask_[kFrameLaneWords] = {};
 
-    /** Tiled-mode scratch, rebuilt per block (capacity reused). */
-    std::vector<TileOp> tape_;
-    std::vector<uint64_t> maskPool_;
-
-    uint64_t *xPlane(int q) { return &x_[static_cast<size_t>(q) * static_cast<size_t>(laneWords_)]; }
-    uint64_t *zPlane(int q) { return &z_[static_cast<size_t>(q) * static_cast<size_t>(laneWords_)]; }
+    uint64_t *xPlane(int q) { return &x_[static_cast<size_t>(q) * kFrameLaneWords]; }
+    uint64_t *zPlane(int q) { return &z_[static_cast<size_t>(q) * kFrameLaneWords]; }
 
     /**
-     * Draw one laneCount()-wide Bernoulli mask into @p out (first
-     * laneWords_ words written).
+     * Draw one kFrameLanes-wide Bernoulli mask into @p out.
      *
      * Returns false — with @p out untouched — when the mask is
      * provably all-zero (Never, or the Sparse single-draw fast path);
@@ -582,23 +507,10 @@ class FrameBatchBackend
      */
     bool drawMask(const FrameBernoulli &b, uint64_t *out);
 
-    /** Direct mode: walk the op stream once over all lane words. */
+    /** Walk the op stream once over all lane words. */
     void runOps(int64_t block, int lanes,
                 std::vector<DeferredShot> &deferred,
                 std::vector<FrameTailShot> &tails);
-
-    /** Tiled build pass: resolve the block's entire RNG stream (in
-     *  runOps order) into tape_ / maskPool_.  Touches no planes. */
-    void buildTape(int lanes);
-
-    /** Tiled execute pass: re-stream tape_ once per lane word.
-     *  Consumes no RNG. */
-    void execTape(int64_t block,
-                  std::vector<DeferredShot> &deferred,
-                  std::vector<FrameTailShot> &tails);
-
-    /** Append a laneWords_-word mask group; returns its base. */
-    uint32_t pushMaskGroup(const uint64_t *m);
 
     /** Count the surviving lanes' outcome planes into @p hist. */
     void foldOutcomes(int lanes, FlatAccumulator &hist);
@@ -637,8 +549,8 @@ uint64_t runFrameDeferredShot(const FrameProgram &prog,
  * counting the outcomes into @p hist, and clear the list.  Each rerun
  * consumes the dedicated stream base.fork(kFrameDeferSalt + shot), so
  * the fold is chunking-invariant — a chunk may drain after any group
- * of blocks (the wave-structured cancellable path drains once per
- * wave) without perturbing a single outcome.
+ * of blocks (the engine drains after every block) without perturbing
+ * a single outcome.
  *
  * @param state Scratch tableau of prog.numQubits qubits.
  * @param packer Scratch packer of prog.numClbits bits.

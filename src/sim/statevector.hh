@@ -37,8 +37,9 @@ class StateVector
     void reset();
 
     /**
-     * Overwrite the first @p count amplitudes from @p src (the batch
-     * replayer peeling a lane out of a BatchStateVector).
+     * Overwrite the first @p count amplitudes from @p src (the grouped
+     * replayer restoring a reference checkpoint or a shared
+     * group-prefix state).
      *
      * @pre count == dim().
      */

@@ -1,17 +1,19 @@
 /**
  * @file
- * Grouped (shot-batched) dense replay vs. the per-shot paths.
+ * Grouped (shot-batched) dense replay vs. the per-shot reference.
  *
  * The contract under test (noise/compiled.hh BatchShotReplayer):
- * grouping a block's shots by resolved error pattern and sweeping
- * each group's gate stream once over the SoA BatchStateVector changes
- * *nothing observable* — for any noise-flag combination, seed, thread
- * count, and batch-vs-serial split, the grouped path is bit-identical
- * to the per-shot compiled replay (ADAPT_DENSE_SHOT_BATCH=0) and to
- * the interpreted reference.  On top of the identity locks the suite
- * pins the dispatch rules (eligibility cap, live kill switch, strict
- * knob parsing) and the occupancy counters surfaced through
- * RunOutcome::denseStats.
+ * grouping a block's shots by resolved error pattern and running each
+ * group's shared event-free prefix once changes *nothing observable*
+ * — for any noise-flag combination, seed, thread count, and
+ * batch-vs-serial split, a compiled run is bit-identical to the
+ * interpreted reference (ExecMode::Interpreted).  Grouping only
+ * engages on programs without per-shot OU phases, so the identity,
+ * cancellation, and occupancy locks run on machines with OU
+ * dephasing off; full-noise inputs stay in the corpus as identity
+ * checks of the per-shot path they take.  The suite also pins the
+ * dispatch rules (OU programs and wide registers stay per-shot) and
+ * the occupancy counters surfaced through RunOutcome::denseStats.
  *
  * Run under ADAPT_NUM_THREADS=1/4/8 in CI: the thread-identity
  * assertions then cover every pool size.
@@ -19,7 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
 #include "common/cancellation.hh"
@@ -39,22 +40,6 @@ using namespace adapt::testutil;
 namespace
 {
 
-/** Scoped environment override, restored (to unset) on destruction.
- *  The grouped-dense knob is read live per run, so flipping it
- *  between runs of one prepared handle is well-defined. */
-class EnvGuard
-{
-  public:
-    EnvGuard(const char *name, const char *value) : name_(name)
-    {
-        setenv(name, value, /*overwrite=*/1);
-    }
-    ~EnvGuard() { unsetenv(name_); }
-
-  private:
-    const char *name_;
-};
-
 std::vector<int>
 threadCounts()
 {
@@ -71,36 +56,53 @@ compileWorkload(const Circuit &logical, const Device &device)
     return transpile(logical, device, device.calibration(0)).schedule;
 }
 
+/** Every channel except OU dephasing: crosstalk keeps its static
+ *  coherent phases, and no program has per-shot phase slots, so the
+ *  grouped replay serves every small dense job. */
+NoiseFlags
+withoutOu()
+{
+    NoiseFlags flags = NoiseFlags::all();
+    flags.ouDephasing = false;
+    return flags;
+}
+
+/** The per-shot oracle: the interpreted plan walk. */
+Distribution
+interpreted(const NoisyMachine &machine, const ScheduledCircuit &sched,
+            int shots, uint64_t seed)
+{
+    return machine.run(sched, shots, seed, 1, BackendKind::Dense,
+                       ExecMode::Interpreted);
+}
+
 /**
- * Assert the grouped replay (the default) reproduces both per-shot
- * paths bit for bit at several thread counts, and actually engaged
- * (denseStats.shots covers the run).
+ * Assert the default compiled run reproduces the interpreted
+ * reference bit for bit at several thread counts; returns the shots
+ * the grouped path served (denseStats.shots, equal at every count).
  */
-void
-expectGroupedMatchesPerShot(const NoisyMachine &machine,
-                            const ScheduledCircuit &sched, int shots,
-                            uint64_t seed)
+int64_t
+expectCompiledMatchesInterpreted(const NoisyMachine &machine,
+                                 const ScheduledCircuit &sched,
+                                 int shots, uint64_t seed)
 {
     const PreparedCircuit prepared =
         machine.prepare(sched, BackendKind::Dense);
-    Distribution pershot;
-    {
-        EnvGuard off("ADAPT_DENSE_SHOT_BATCH", "0");
-        pershot = machine.run(prepared, shots, seed, 1);
-    }
-    const Distribution interpreted =
-        machine.run(sched, shots, seed, 1, BackendKind::Dense,
-                    ExecMode::Interpreted);
-    EXPECT_TRUE(distributionsIdentical(pershot, interpreted));
-
+    const Distribution reference =
+        interpreted(machine, sched, shots, seed);
+    int64_t grouped_shots = -1;
     for (int threads : threadCounts()) {
-        const RunOutcome grouped = machine.runPartial(
+        const RunOutcome out = machine.runPartial(
             prepared, shots, seed, threads, RunControl{});
-        EXPECT_TRUE(distributionsIdentical(pershot, grouped.dist))
+        EXPECT_TRUE(distributionsIdentical(reference, out.dist))
             << "threads=" << threads;
-        EXPECT_EQ(grouped.denseStats.shots, shots)
-            << "threads=" << threads;
+        if (grouped_shots >= 0) {
+            EXPECT_EQ(out.denseStats.shots, grouped_shots)
+                << "threads=" << threads;
+        }
+        grouped_shots = out.denseStats.shots;
     }
+    return grouped_shots;
 }
 
 } // namespace
@@ -110,18 +112,26 @@ expectGroupedMatchesPerShot(const NoisyMachine &machine,
 TEST(DenseBatch, GroupedMatchesPerShotOnNonCliffordWorkload)
 {
     const Device device = Device::ibmqRome();
-    const NoisyMachine machine(device); // NoiseFlags::all(), incl. OU
     const ScheduledCircuit sched =
         compileWorkload(makeQaoa(5, QaoaGraph::A), device);
-    for (uint64_t seed : {3ULL, 11ULL, 31337ULL})
-        expectGroupedMatchesPerShot(machine, sched, 1200, seed);
+    const NoisyMachine grouped(device, 0, withoutOu());
+    for (uint64_t seed : {3ULL, 11ULL, 31337ULL}) {
+        EXPECT_EQ(
+            expectCompiledMatchesInterpreted(grouped, sched, 1200, seed),
+            1200);
+    }
+    // Full noise (OU included) takes the per-shot replay: same lock.
+    const NoisyMachine full(device);
+    expectCompiledMatchesInterpreted(full, sched, 1200, 3);
 }
 
 TEST(DenseBatch, GroupedMatchesPerShotPerNoiseChannel)
 {
     // One flag at a time (plus all-off, all-on, twirl): every event
-    // kind crosses the grouped path — gate-error splices, measurement
-    // word flips, T1 divergence peels, OU per-lane phase factors.
+    // kind crosses the compiled path — gate-error splices,
+    // measurement word flips, T1 divergence splits, static crosstalk
+    // phases, OU phases on the per-shot replay, OU twirls on the
+    // grouped one.
     std::vector<NoiseFlags> configs;
     configs.push_back(NoiseFlags::none());
     configs.push_back(NoiseFlags::all());
@@ -146,20 +156,16 @@ TEST(DenseBatch, GroupedMatchesPerShotPerNoiseChannel)
         const NoisyMachine machine(device, 0, configs[i]);
         const PreparedCircuit prepared =
             machine.prepare(sched, BackendKind::Dense);
-        Distribution pershot;
-        {
-            EnvGuard off("ADAPT_DENSE_SHOT_BATCH", "0");
-            pershot = machine.run(prepared, 500, 29 + i, 1);
-        }
         EXPECT_TRUE(distributionsIdentical(
-            pershot, machine.run(prepared, 500, 29 + i, 4)))
+            interpreted(machine, sched, 500, 29 + i),
+            machine.run(prepared, 500, 29 + i, 4)))
             << "config " << i;
     }
 }
 
 TEST(DenseBatch, GroupedMatchesPerShotOnDDPaddedWorkload)
 {
-    // The decoy-scale shape the PR optimizes for: DD-padded pulse
+    // The decoy-scale shape grouping optimizes for: DD-padded pulse
     // trains where most shots resolve to the no-error signature and
     // the rest splice mid-train.  Identity must survive both.
     NoiseFlags flags = NoiseFlags::none();
@@ -170,13 +176,14 @@ TEST(DenseBatch, GroupedMatchesPerShotOnDDPaddedWorkload)
         insertDDAll(compileWorkload(makeQaoa(4, QaoaGraph::B), device),
                     machine.calibration(), DDOptions{});
     ASSERT_GT(ddPulseCount(padded), 0);
-    expectGroupedMatchesPerShot(machine, padded, 1500, 17);
+    EXPECT_EQ(expectCompiledMatchesInterpreted(machine, padded, 1500, 17),
+              1500);
 }
 
 TEST(DenseBatch, BatchVsSerialBitIdentical)
 {
     const Device device = Device::ibmqRome();
-    const NoisyMachine machine(device);
+    const NoisyMachine machine(device, 0, withoutOu());
     std::vector<PreparedCircuit> prepared;
     std::vector<uint64_t> seeds;
     for (int v = 0; v < 5; v++) {
@@ -202,9 +209,10 @@ TEST(DenseBatch, BatchVsSerialBitIdentical)
 TEST(DenseBatch, CancellationReturnsExactBlockPrefix)
 {
     const Device device = Device::ibmqRome();
-    const NoisyMachine machine(device);
-    const PreparedCircuit prepared = machine.prepare(
-        compileWorkload(makeQaoa(5, QaoaGraph::A), device));
+    const NoisyMachine machine(device, 0, withoutOu());
+    const ScheduledCircuit sched =
+        compileWorkload(makeQaoa(5, QaoaGraph::A), device);
+    const PreparedCircuit prepared = machine.prepare(sched);
     constexpr int kShots = 4000;
 
     for (int threads : {1, 3}) {
@@ -221,55 +229,25 @@ TEST(DenseBatch, CancellationReturnsExactBlockPrefix)
         EXPECT_EQ(out.cause, StopCause::Cancelled);
         EXPECT_GT(out.shotsDone, 0);
         EXPECT_LT(out.shotsDone, kShots);
+        EXPECT_GT(out.denseStats.shots, 0);
         // The committed prefix replays exactly as a shorter grouped
-        // run — and as a shorter per-shot run (the block split moves,
-        // the outcomes may not).
-        const Distribution prefix = machine.run(
-            prepared, static_cast<int>(out.shotsDone), 9);
-        EXPECT_TRUE(distributionsIdentical(out.dist, prefix))
-            << "threads=" << threads;
-        EnvGuard off("ADAPT_DENSE_SHOT_BATCH", "0");
+        // run — and as a shorter interpreted run (the block split
+        // moves, the outcomes may not).
+        const auto done = static_cast<int>(out.shotsDone);
         EXPECT_TRUE(distributionsIdentical(
-            out.dist, machine.run(prepared,
-                                  static_cast<int>(out.shotsDone), 9)))
+            out.dist, machine.run(prepared, done, 9)))
+            << "threads=" << threads;
+        EXPECT_TRUE(distributionsIdentical(
+            out.dist, interpreted(machine, sched, done, 9)))
             << "threads=" << threads;
     }
 }
 
 // ------------------------------------------- dispatch and occupancy
 
-TEST(DenseBatch, KillSwitchRestoresPerShotPath)
-{
-    const Device device = Device::ibmqRome();
-    const NoisyMachine machine(device);
-    const PreparedCircuit prepared = machine.prepare(
-        compileWorkload(makeQaoa(4, QaoaGraph::A), device));
-    EnvGuard off("ADAPT_DENSE_SHOT_BATCH", "0");
-    const RunOutcome out =
-        machine.runPartial(prepared, 300, 5, 1, RunControl{});
-    EXPECT_EQ(out.denseStats.shots, 0);
-    EXPECT_EQ(out.denseStats.blocks, 0);
-}
-
-TEST(DenseBatch, GarbageKnobFallsBackToGroupedDefault)
-{
-    // Strict parsing: an unparseable value warns once and behaves as
-    // the documented default (grouped on) — outcomes unchanged.
-    const Device device = Device::ibmqRome();
-    const NoisyMachine machine(device);
-    const PreparedCircuit prepared = machine.prepare(
-        compileWorkload(makeQaoa(4, QaoaGraph::A), device));
-    const Distribution reference = machine.run(prepared, 300, 5, 1);
-    EnvGuard garbage("ADAPT_DENSE_SHOT_BATCH", "banana");
-    const RunOutcome out =
-        machine.runPartial(prepared, 300, 5, 1, RunControl{});
-    EXPECT_TRUE(distributionsIdentical(reference, out.dist));
-    EXPECT_EQ(out.denseStats.shots, 300);
-}
-
 TEST(DenseBatch, WideRegistersStayOnPerShotPath)
 {
-    // Above kMaxBatchQubits the SoA planes are never allocated; the
+    // Above kMaxBatchQubits no reference checkpoints are kept; the
     // per-shot replay serves the job and the stats stay zero.
     const int n = BatchShotReplayer::kMaxBatchQubits + 1;
     const Device device =
@@ -290,14 +268,32 @@ TEST(DenseBatch, WideRegistersStayOnPerShotPath)
         machine.runPartial(prepared, 130, 3, 1, RunControl{});
     EXPECT_EQ(out.denseStats.shots, 0);
     EXPECT_TRUE(distributionsIdentical(
-        out.dist, machine.run(sched, 130, 3, 1, BackendKind::Dense,
-                              ExecMode::Interpreted)));
+        out.dist, interpreted(machine, sched, 130, 3)));
+}
+
+TEST(DenseBatch, OuPhaseProgramsStayOnPerShotPath)
+{
+    // OU dephasing gives every shot its own coherent phases, so no
+    // two shots share an operator sequence: the per-shot replay
+    // serves the job and the stats stay zero.
+    const Device device = Device::ibmqRome();
+    const NoisyMachine machine(device); // NoiseFlags::all(), incl. OU
+    const ScheduledCircuit sched =
+        compileWorkload(makeQaoa(4, QaoaGraph::A), device);
+    const PreparedCircuit prepared =
+        machine.prepare(sched, BackendKind::Dense);
+    const RunOutcome out =
+        machine.runPartial(prepared, 300, 5, 1, RunControl{});
+    EXPECT_EQ(out.denseStats.shots, 0);
+    EXPECT_EQ(out.denseStats.blocks, 0);
+    EXPECT_TRUE(distributionsIdentical(
+        out.dist, interpreted(machine, sched, 300, 5)));
 }
 
 TEST(DenseBatch, OccupancyCountersAreConsistent)
 {
     const Device device = Device::ibmqRome();
-    const NoisyMachine machine(device);
+    const NoisyMachine machine(device, 0, withoutOu());
     const PreparedCircuit prepared = machine.prepare(
         compileWorkload(makeQaoa(5, QaoaGraph::A), device));
     const int shots = 5 * kShotBlock + 7;
@@ -311,9 +307,9 @@ TEST(DenseBatch, OccupancyCountersAreConsistent)
     EXPECT_LE(s.groups, s.shots);
     EXPECT_LE(s.batchedShots, s.shots);
     EXPECT_LE(s.noErrorShots, s.shots);
-    // With every channel enabled the per-shot event rate is high,
-    // but a healthy fraction must still group and sweep on the SoA
-    // planes (the lightly-noised regimes the path optimizes for group
+    // With every other channel enabled the per-shot event rate is
+    // high, but a healthy fraction must still group and share its
+    // prefix (the lightly-noised regimes the path optimizes for group
     // far more — see bench_shot_throughput's occupancy metrics).
     EXPECT_GT(s.batchedShots, s.shots / 4);
     EXPECT_GT(s.noErrorShots, 0);
@@ -322,7 +318,7 @@ TEST(DenseBatch, OccupancyCountersAreConsistent)
 TEST(DenseBatch, StatsMergeAcrossThreadChunks)
 {
     const Device device = Device::ibmqRome();
-    const NoisyMachine machine(device);
+    const NoisyMachine machine(device, 0, withoutOu());
     const PreparedCircuit prepared = machine.prepare(
         compileWorkload(makeQaoa(5, QaoaGraph::A), device));
     const int shots = 8 * kShotBlock;
@@ -332,6 +328,7 @@ TEST(DenseBatch, StatsMergeAcrossThreadChunks)
         machine.runPartial(prepared, shots, 5, 4, RunControl{});
     // Chunk boundaries may split draw blocks, but every shot is
     // accounted for exactly once and the outcome is identical.
+    EXPECT_EQ(serial.denseStats.shots, shots);
     EXPECT_EQ(threaded.denseStats.shots, shots);
     EXPECT_GE(threaded.denseStats.blocks, serial.denseStats.blocks);
     EXPECT_TRUE(

@@ -84,6 +84,20 @@ randomCliffordExecutable(const CorpusSpec &spec)
     return c;
 }
 
+/** x on qubit 0, H on the last qubit, a CX ladder back down, and
+ *  every qubit measured: noise-free, two equiprobable bitstrings. */
+Circuit
+ladderCircuit(int n)
+{
+    Circuit c(n);
+    c.x(0);
+    c.h(n - 1);
+    for (int q = n - 1; q > 0; q--)
+        c.cx(q, q - 1);
+    c.measureAll();
+    return c;
+}
+
 ScheduledCircuit
 scheduleLinear(const Device &device, const Circuit &c, bool with_dd)
 {
@@ -449,20 +463,13 @@ TEST(FrameBatchWide, WordBoundaryWidthsAgreeWithPerShot)
     // 63 / 64 / 65 measured clbits: the direct-key / fingerprint
     // switch and the frame planes' qubit indexing around the word
     // boundary.  Noise-free, the law is two equiprobable bitstrings;
-    // both engines must emit the same two keys, and the frame engine
-    // must be bit-identical to itself across thread counts under
-    // noise.
+    // both engines must emit the same two keys.
     for (const int n : {63, 64, 65}) {
         const Device device =
             Device::synthetic(Topology::linear(n), 62);
         const NoisyMachine ideal(device, 0, NoiseFlags::none());
-        Circuit c(n);
-        c.x(0);
-        c.h(n - 1);
-        for (int q = n - 1; q > 0; q--)
-            c.cx(q, q - 1);
-        c.measureAll();
-        const ScheduledCircuit sched = scheduleLinear(device, c, false);
+        const ScheduledCircuit sched =
+            scheduleLinear(device, ladderCircuit(n), false);
         const PreparedCircuit prepared =
             ideal.prepare(sched, BackendKind::Stabilizer);
         ASSERT_TRUE(prepared.frameBatched());
@@ -476,13 +483,30 @@ TEST(FrameBatchWide, WordBoundaryWidthsAgreeWithPerShot)
             EXPECT_GT(pershot.probability(key), 0.4)
                 << "key mismatch across engines at width " << n;
         }
+    }
+}
 
+TEST(FrameBatchWide, WideRegistersBitIdenticalAcrossThreadCounts)
+{
+    // Under noise the frame engine must be bit-identical to itself
+    // across thread counts at the word-boundary widths and at the
+    // 100-qubit characterization width.
+    for (const int n : {63, 64, 65, 100}) {
+        const Device device =
+            Device::synthetic(Topology::linear(n), 62);
         const NoisyMachine noisy(device, 0, NoiseFlags::pauliOnly());
-        const PreparedCircuit noisy_prep =
-            noisy.prepare(sched, BackendKind::Stabilizer);
-        EXPECT_TRUE(distributionsIdentical(
-            noisy.run(noisy_prep, 20000, 4, 1, ExecMode::Compiled),
-            noisy.run(noisy_prep, 20000, 4, 5, ExecMode::Compiled)))
-            << "width " << n;
+        const PreparedCircuit prepared = noisy.prepare(
+            scheduleLinear(device, ladderCircuit(n), false),
+            BackendKind::Stabilizer);
+        ASSERT_TRUE(prepared.frameBatched());
+        const Distribution serial =
+            noisy.run(prepared, 20000, 4, 1, ExecMode::Compiled);
+        for (const int threads : {5, 0}) {
+            EXPECT_TRUE(distributionsIdentical(
+                serial,
+                noisy.run(prepared, 20000, 4, threads,
+                          ExecMode::Compiled)))
+                << "width " << n << " threads " << threads;
+        }
     }
 }

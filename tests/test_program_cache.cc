@@ -7,7 +7,7 @@
  * cold compile — same distributions, any thread count, dense and
  * frame paths alike.  Plus the cache mechanics themselves: hit/miss/
  * eviction counters, capacity clamping, and fingerprint sensitivity
- * to the frame-engine environment knobs.
+ * to the frame engine's branch-tail depth (by value, not spelling).
  */
 
 #include <gtest/gtest.h>
@@ -172,36 +172,66 @@ TEST(ProgramCache, CapacityClampsToOne)
 
 TEST(ProgramCache, FingerprintTracksFrameKnobs)
 {
-    // The structure phase reads the frame-engine env knobs, so the
-    // fingerprint must fold their *live* values: toggling the branch
-    // depth between prepares may not serve a stale skeleton.
+    // prepare() resolves ADAPT_FRAME_BRANCH_DEPTH at the edge and the
+    // fingerprint folds the parsed depth, so toggling the knob between
+    // prepares may not serve a stale skeleton.
     const Device device = Device::ibmqRome();
-    const NoisyMachine machine(device, 0, NoiseFlags::pauliOnly());
+    NoisyMachine machine(device, 0, NoiseFlags::pauliOnly());
     const ScheduledCircuit sched = cliffordSchedule(device);
+    ProgramCache cache(8);
+    machine.setProgramCache(&cache);
 
     // Own the knob for the duration of the test (the ambient
     // environment could carry any value).
     ASSERT_EQ(unsetenv("ADAPT_FRAME_BRANCH_DEPTH"), 0);
-    const ProgramFingerprint base = skeletonFingerprint(
-        sched, machine.flags(), BackendKind::Auto);
-    EXPECT_TRUE(base == skeletonFingerprint(sched, machine.flags(),
-                                            BackendKind::Auto));
+    machine.prepare(sched);
+    machine.prepare(sched);
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(cache.stats().hits, 1u);
 
     ASSERT_EQ(setenv("ADAPT_FRAME_BRANCH_DEPTH", "0", 1), 0);
-    const ProgramFingerprint toggled = skeletonFingerprint(
-        sched, machine.flags(), BackendKind::Auto);
+    machine.prepare(sched);
     ASSERT_EQ(unsetenv("ADAPT_FRAME_BRANCH_DEPTH"), 0);
-    EXPECT_FALSE(base == toggled);
+    EXPECT_EQ(cache.stats().misses, 2u) << "depth 0 must re-key";
 
-    // Restored environment -> restored fingerprint.
+    // Restored environment -> restored key.
+    machine.prepare(sched);
+    EXPECT_EQ(cache.stats().misses, 2u);
+    EXPECT_EQ(cache.stats().hits, 2u);
+
+    // The depth and the other structural inputs separate keys.
+    const ProgramFingerprint base = skeletonFingerprint(
+        sched, machine.flags(), BackendKind::Auto, 8);
     EXPECT_TRUE(base == skeletonFingerprint(sched, machine.flags(),
-                                            BackendKind::Auto));
-
-    // And the other structural inputs separate keys too.
+                                            BackendKind::Auto, 8));
     EXPECT_FALSE(base == skeletonFingerprint(sched, machine.flags(),
-                                             BackendKind::Dense));
+                                             BackendKind::Auto, 0));
+    EXPECT_FALSE(base == skeletonFingerprint(sched, machine.flags(),
+                                             BackendKind::Dense, 8));
     EXPECT_FALSE(base == skeletonFingerprint(sched, NoiseFlags::all(),
-                                             BackendKind::Auto));
+                                             BackendKind::Auto, 8));
+}
+
+TEST(ProgramCache, ExplicitDefaultBranchDepthHitsCache)
+{
+    // Unset and an explicit ADAPT_FRAME_BRANCH_DEPTH=8 (the default)
+    // build the same skeleton, so they must share one cache key.
+    const Device device = Device::ibmqRome();
+    NoisyMachine machine(device, 0, NoiseFlags::pauliOnly());
+    const ScheduledCircuit sched = cliffordSchedule(device);
+    ProgramCache cache(8);
+    machine.setProgramCache(&cache);
+
+    ASSERT_EQ(unsetenv("ADAPT_FRAME_BRANCH_DEPTH"), 0);
+    const PreparedCircuit unset = machine.prepare(sched);
+    ASSERT_EQ(setenv("ADAPT_FRAME_BRANCH_DEPTH", "8", 1), 0);
+    const PreparedCircuit spelled = machine.prepare(sched);
+    ASSERT_EQ(unsetenv("ADAPT_FRAME_BRANCH_DEPTH"), 0);
+
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_TRUE(distributionsIdentical(machine.run(unset, 512, 5),
+                                       machine.run(spelled, 512, 5)));
 }
 
 TEST(ProgramCache, InterpretedRunsBypassTheCache)
