@@ -3,25 +3,15 @@
 #include "common/env.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace adapt
 {
-
-namespace
-{
-
-/** True while this thread is executing a pool task batch (worker or
- *  caller); nested run() calls then execute inline. */
-thread_local bool tl_executing = false;
-
-} // namespace
 
 int
 defaultThreads()
@@ -44,140 +34,191 @@ resolveThreads(int requested)
     return requested >= 1 ? requested : defaultThreads();
 }
 
-struct ThreadPool::Impl
+namespace
 {
-    std::vector<std::thread> workers;
 
-    std::mutex mutex;
-    std::condition_variable workReady;
-    std::condition_variable batchDone;
-
-    // Current batch; guarded by mutex except for the atomic cursor.
-    const std::function<void(int)> *task = nullptr;
-    int numTasks = 0;
-    std::atomic<int> nextTask{0};
-    int busyWorkers = 0;
-    uint64_t generation = 0;
-    bool stopping = false;
-    std::exception_ptr firstError;
-
-    /** Claim and run tasks until the batch cursor runs out. */
-    void
-    drain(const std::function<void(int)> &fn, int n)
+/**
+ * The tasks of one Pool::run() call.  It lives on the submitting
+ * thread's stack until every task has finished; everything but the
+ * constant members is guarded by the pool mutex.
+ */
+struct Batch
+{
+    Batch(const std::function<void(int)> &fn, int n, Batch *outer)
+        : task(fn), size(n), parent(outer), pending(n)
     {
-        tl_executing = true;
+    }
+
+    const std::function<void(int)> &task;
+    const int size;
+    /** Batch whose task the submitting thread was running (null for a
+     *  call from outside any task).  Every ancestor of an unfinished
+     *  batch is itself unfinished, so the chain stays valid. */
+    Batch *const parent;
+    int next = 0;    //!< first unclaimed task
+    int pending;     //!< tasks not yet finished
+    std::exception_ptr error; //!< first exception a task threw
+    /** The owner sleeps here; signalled when the batch finishes or a
+     *  batch nested under it opens. */
+    std::condition_variable wake;
+
+    bool
+    nestedUnder(const Batch &ancestor) const
+    {
+        for (const Batch *b = parent; b != nullptr; b = b->parent) {
+            if (b == &ancestor)
+                return true;
+        }
+        return false;
+    }
+};
+
+/** Innermost batch whose task this thread is running. */
+thread_local Batch *tl_current = nullptr;
+
+/**
+ * Fixed set of worker threads that, together with the threads calling
+ * run(), execute indexed task batches.
+ *
+ * Every batch with unclaimed tasks sits in one list under one mutex.
+ * Idle workers claim from the newest such batch.  A caller first
+ * claims its own tasks, then helps only with batches nested under its
+ * own: those must finish before its batch can, so helping never
+ * delays its return, whereas an unrelated batch could.
+ */
+class Pool
+{
+  public:
+    /** @param threads Executors including the caller: threads - 1
+     *  workers are spawned. */
+    explicit Pool(int threads)
+    {
+        const int workers = std::max(threads, 1) - 1;
+        workers_.reserve(static_cast<size_t>(workers));
+        for (int i = 0; i < workers; i++)
+            workers_.emplace_back([this] { workerLoop(); });
+    }
+
+    ~Pool()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            stopping_ = true;
+        }
+        workReady_.notify_all();
+        for (std::thread &worker : workers_)
+            worker.join();
+    }
+
+    Pool(const Pool &) = delete;
+    Pool &operator=(const Pool &) = delete;
+
+    /** Run task(0..n-1), n >= 1, and return once all have finished,
+     *  rethrowing the first exception a task threw. */
+    void
+    run(int n, const std::function<void(int)> &task)
+    {
+        if (n == 1 || workers_.empty()) {
+            // Nothing to share: run inline and pay no wake.
+            for (int i = 0; i < n; i++)
+                task(i);
+            return;
+        }
+
+        Batch batch(task, n, tl_current);
+        std::unique_lock<std::mutex> lock(mutex_);
+        open_.push_back(&batch);
+        lock.unlock();
+        // This thread runs one task itself; waiting owners of the
+        // enclosing batches may help with the rest.
+        const int helpers =
+            std::min(n - 1, static_cast<int>(workers_.size()));
+        for (int i = 0; i < helpers; i++)
+            workReady_.notify_one();
+        for (Batch *b = batch.parent; b != nullptr; b = b->parent)
+            b->wake.notify_one();
+
+        lock.lock();
         for (;;) {
-            const int i = nextTask.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n)
+            if (batch.next < batch.size) {
+                claimAndRun(batch, lock);
+            } else if (batch.pending == 0) {
                 break;
-            try {
-                fn(i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(mutex);
-                if (!firstError)
-                    firstError = std::current_exception();
+            } else if (Batch *nested = newestNestedUnder(batch)) {
+                claimAndRun(*nested, lock);
+            } else {
+                batch.wake.wait(lock);
             }
         }
-        tl_executing = false;
+        if (batch.error)
+            std::rethrow_exception(batch.error);
+    }
+
+  private:
+    /** Claim @p b's next task and run it with the lock released.
+     *  Called, and returns, with @p lock held. */
+    void
+    claimAndRun(Batch &b, std::unique_lock<std::mutex> &lock)
+    {
+        const int i = b.next++;
+        if (b.next == b.size)
+            open_.erase(std::find(open_.begin(), open_.end(), &b));
+        Batch *const outer = std::exchange(tl_current, &b);
+        lock.unlock();
+        std::exception_ptr error;
+        try {
+            b.task(i);
+        } catch (...) {
+            error = std::current_exception();
+        }
+        tl_current = outer;
+        lock.lock();
+        if (error && !b.error)
+            b.error = error;
+        // Signal under the lock: the owner may destroy b once it
+        // can take the lock and see pending == 0.
+        if (--b.pending == 0)
+            b.wake.notify_one();
+    }
+
+    Batch *
+    newestNestedUnder(const Batch &b) const
+    {
+        for (auto it = open_.rbegin(); it != open_.rend(); ++it) {
+            if ((*it)->nestedUnder(b))
+                return *it;
+        }
+        return nullptr;
     }
 
     void
     workerLoop()
     {
-        uint64_t seen = 0;
-        std::unique_lock<std::mutex> lock(mutex);
+        std::unique_lock<std::mutex> lock(mutex_);
         for (;;) {
-            workReady.wait(lock, [&] {
-                return stopping || generation != seen;
-            });
-            if (stopping)
+            workReady_.wait(lock,
+                            [&] { return stopping_ || !open_.empty(); });
+            if (stopping_)
                 return;
-            seen = generation;
-            const std::function<void(int)> *fn = task;
-            const int n = numTasks;
-            lock.unlock();
-            drain(*fn, n);
-            lock.lock();
-            if (--busyWorkers == 0)
-                batchDone.notify_all();
+            claimAndRun(*open_.back(), lock);
         }
     }
+
+    std::mutex mutex_;
+    std::condition_variable workReady_;
+    std::vector<Batch *> open_; //!< batches with unclaimed tasks, oldest first
+    bool stopping_ = false;
+    std::vector<std::thread> workers_;
 };
 
-ThreadPool::ThreadPool(int num_threads) : impl_(std::make_unique<Impl>())
+Pool &
+globalPool()
 {
-    const int workers = std::max(num_threads, 1) - 1;
-    impl_->workers.reserve(static_cast<size_t>(workers));
-    for (int i = 0; i < workers; i++)
-        impl_->workers.emplace_back([this] { impl_->workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(impl_->mutex);
-        impl_->stopping = true;
-    }
-    impl_->workReady.notify_all();
-    for (std::thread &worker : impl_->workers)
-        worker.join();
-}
-
-ThreadPool &
-ThreadPool::global()
-{
-    static ThreadPool pool(defaultThreads());
+    static Pool pool(defaultThreads());
     return pool;
 }
 
-int
-ThreadPool::size() const
-{
-    return static_cast<int>(impl_->workers.size()) + 1;
-}
-
-void
-ThreadPool::run(int num_tasks, const std::function<void(int)> &task)
-{
-    if (num_tasks <= 0)
-        return;
-    if (num_tasks == 1 || tl_executing || impl_->workers.empty()) {
-        // A single task, a nested call (already inside a batch), or
-        // a serial pool: run inline — never pay a pool wake for zero
-        // parallel work.  Exceptions propagate directly.
-        for (int i = 0; i < num_tasks; i++)
-            task(i);
-        return;
-    }
-
-    {
-        std::unique_lock<std::mutex> lock(impl_->mutex);
-        if (impl_->task != nullptr) {
-            // Another thread owns the pool for its own batch; don't
-            // queue behind it, just execute inline.
-            lock.unlock();
-            for (int i = 0; i < num_tasks; i++)
-                task(i);
-            return;
-        }
-        impl_->task = &task;
-        impl_->numTasks = num_tasks;
-        impl_->nextTask.store(0, std::memory_order_relaxed);
-        impl_->busyWorkers = static_cast<int>(impl_->workers.size());
-        impl_->firstError = nullptr;
-        impl_->generation++;
-    }
-    impl_->workReady.notify_all();
-
-    // The caller is an executor too.
-    impl_->drain(task, num_tasks);
-
-    std::unique_lock<std::mutex> lock(impl_->mutex);
-    impl_->batchDone.wait(lock, [&] { return impl_->busyWorkers == 0; });
-    impl_->task = nullptr;
-    if (impl_->firstError)
-        std::rethrow_exception(impl_->firstError);
-}
+} // namespace
 
 void
 parallelFor(int64_t begin, int64_t end, int max_chunks,
@@ -190,7 +231,7 @@ parallelFor(int64_t begin, int64_t end, int max_chunks,
         std::min<int64_t>(resolveThreads(max_chunks), n));
     const int64_t base = n / chunks;
     const int64_t extra = n % chunks;
-    ThreadPool::global().run(chunks, [&](int c) {
+    globalPool().run(chunks, [&](int c) {
         const int64_t lo =
             begin + c * base + std::min<int64_t>(c, extra);
         const int64_t hi = lo + base + (c < extra ? 1 : 0);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Shot-level parallelism utilities: a process-wide thread pool and a
+ * Shot-level parallelism utilities: a process-wide thread pool behind a
  * deterministically chunked parallel-for.
  *
  * The Monte-Carlo engine forks an independent RNG stream per shot, so
@@ -11,10 +11,13 @@
  * one accumulator per chunk and merge them in chunk order produce
  * bit-identical results for any pool size, including serial runs.
  *
- * The pool is re-entrancy safe: a parallelFor() issued from inside a
- * pool task runs inline on the calling thread, so nested parallel
- * regions (evaluateSuite over workloads, each running parallel shots)
- * degrade gracefully instead of deadlocking.
+ * Parallel regions nest.  A parallelFor() issued from inside a chunk
+ * (evaluateSuite over workloads, each running candidate batches, each
+ * running parallel shots) publishes its chunks to the same pool, where
+ * idle threads pick them up; so does a call from a second thread
+ * outside the pool.  A caller whose chunks are all taken helps with
+ * work nested under its own call until they finish, so nesting never
+ * deadlocks and never oversubscribes the pool.
  */
 
 #ifndef ADAPT_COMMON_PARALLEL_HH
@@ -22,7 +25,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 
 namespace adapt
 {
@@ -39,53 +41,18 @@ int defaultThreads();
 int resolveThreads(int requested);
 
 /**
- * Fixed-size pool of worker threads executing indexed task batches.
- *
- * run() is the only entry point: it executes tasks 0..n-1 across the
- * workers plus the calling thread and blocks until all complete.
- */
-class ThreadPool
-{
-  public:
-    /** @param num_threads Total executors including the caller, so
-     *  num_threads - 1 workers are spawned; clamped to >= 1. */
-    explicit ThreadPool(int num_threads);
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Lazily constructed process-wide pool of defaultThreads()
-     *  executors. */
-    static ThreadPool &global();
-
-    /** Total executors (workers + the calling thread). */
-    int size() const;
-
-    /**
-     * Execute task(0..num_tasks-1), blocking until every task has
-     * finished.  Tasks are claimed dynamically, so the mapping of
-     * task index to thread is unspecified — determinism must come
-     * from the tasks themselves.  The first exception thrown by any
-     * task is rethrown here after the batch drains.  Calls issued
-     * from inside a running task execute inline on this thread.
-     */
-    void run(int num_tasks, const std::function<void(int)> &task);
-
-  private:
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
-};
-
-/**
  * Chunked parallel loop over [begin, end).
  *
  * The range is split into min(max_chunks, end - begin) contiguous
  * chunks of near-equal size and body(chunk_begin, chunk_end,
- * chunk_index) runs for each on the global pool.  Chunk boundaries
- * are a pure function of (begin, end, max_chunks): per-chunk
- * accumulators merged in chunk-index order therefore yield identical
- * results for every pool size.
+ * chunk_index) runs for each on the process pool of defaultThreads()
+ * executors (the calling thread is one of them), returning once every
+ * chunk has finished.  Chunk boundaries are a pure function of
+ * (begin, end, max_chunks): per-chunk accumulators merged in
+ * chunk-index order therefore yield identical results for every pool
+ * size.  Which thread runs a chunk is unspecified.  The first
+ * exception thrown by a chunk propagates to the caller.  May be
+ * called from inside a chunk and from any thread.
  *
  * @param max_chunks Desired parallelism; <= 0 means defaultThreads().
  */

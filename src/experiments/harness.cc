@@ -46,14 +46,12 @@ evaluateSuite(const std::vector<Workload> &suite, const Device &device,
     // Workloads are independent (each compiles and runs its own
     // circuit), so the suite fans out across the pool; rows land at
     // their workload's index, keeping the output order and content
-    // identical to a serial evaluation.  The layers below degrade
-    // gracefully inside these workers instead of oversubscribing:
-    // the per-policy candidate batches (adaptSearch neighbourhoods,
-    // Runtime-Best sweeps via NoisyMachine::runBatch) run serially,
-    // as does the shot-level parallelism inside NoisyMachine::run.
-    // Conversely, a serial suite (threads == 1) lets each policy's
-    // batch fan out across the pool itself, so the hardware stays
-    // busy either way.
+    // identical to a serial evaluation.  The layers below fan out on
+    // the same pool: the per-policy candidate batches (adaptSearch
+    // neighbourhoods, Runtime-Best sweeps via NoisyMachine::runBatch)
+    // and the shot chunks inside each run.  Threads whose workloads
+    // finish early pick those up, so a long workload (QAOA-10A) does
+    // not leave the rest of the pool idle.
     std::vector<SuiteRow> rows(suite.size());
     parallelFor(0, static_cast<int64_t>(suite.size()), options.threads,
                 [&](int64_t lo, int64_t hi, int) {

@@ -55,9 +55,11 @@ struct SuiteOptions
     int cycle = 0;
 
     /**
-     * Concurrent workloads in evaluateSuite(); <= 0 (default) uses
-     * ADAPT_NUM_THREADS or the hardware concurrency.  Results are
-     * identical at any setting.
+     * Workload chunks in evaluateSuite(); <= 0 (default) uses
+     * ADAPT_NUM_THREADS or the hardware concurrency.  Each workload's
+     * own candidate batches and shots fan out across the process pool
+     * whatever this is, so 1 evaluates the workloads one at a time on
+     * the whole pool.  Results are identical at any setting.
      */
     int threads = 0;
 };

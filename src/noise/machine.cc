@@ -885,13 +885,11 @@ NoisyMachine::runBatch(std::span<const ScheduledCircuit> jobs, int shots,
 
     // Jobs are independent, so they fan out across the pool; each
     // output lands at its job's index.  Preparation (plan lowering +
-    // shot-program compilation) happens inside the workers, so a
-    // batch also parallelizes the per-variant compile.  run() itself
-    // is bit-identical across thread counts (its shot parallelism
-    // degrades to serial inside pool workers), so the batch
-    // reproduces jobs.size() serial run() calls exactly for any
-    // thread count.  A single-job batch dispatches inline, keeping
-    // run()'s own shot parallelism.
+    // shot-program compilation) happens inside the pool tasks, so a
+    // batch also parallelizes the per-variant compile.  Each run()
+    // fans its shot chunks out on the same pool and is bit-identical
+    // across thread counts, so the batch reproduces jobs.size()
+    // serial run() calls exactly for any thread count.
     parallelFor(0, static_cast<int64_t>(jobs.size()), threads,
                 [&](int64_t lo, int64_t hi, int) {
         for (int64_t i = lo; i < hi; i++) {
@@ -931,7 +929,8 @@ NoisyMachine::runBatchPartial(std::span<const PreparedCircuit> jobs,
             "runBatch requires at least one shot");
     std::vector<RunOutcome> outputs(jobs.size());
 
-    // Same fan-out as runBatch, with the stop token threaded through:
+    // Same fan-out as runBatch (jobs across the pool, each job's shot
+    // chunks on it too), with the stop token threaded through:
     // each job polls it once before starting (a stopped token skips
     // the job — shotsDone 0, partial, cause recorded) and then runs
     // cancellably under it.  Jobs draw only from their own seeds, so

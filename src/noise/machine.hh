@@ -222,12 +222,11 @@ class NoisyMachine
      * Execute a batch of independent jobs, one distribution per job.
      *
      * Jobs fan out across the process thread pool (outer loop), and
-     * the shot parallelism inside run() degrades to serial within the
-     * pool workers, mirroring evaluateSuite — so a batch never
-     * oversubscribes, and a single-job batch transparently keeps full
-     * shot parallelism.  Every job draws from RNG streams forked from
-     * its own seed alone, so the output is bit-identical to
-     * jobs.size() serial run() calls (with the same seeds) at any
+     * each job's run() splits its shots into chunks on the same pool,
+     * which threads left idle by short jobs pick up, without ever
+     * oversubscribing it.  Every job draws from RNG streams
+     * forked from its own seed alone, so the output is bit-identical
+     * to jobs.size() serial run() calls (with the same seeds) at any
      * thread count.
      *
      * This is the execution layer under the ADAPT mask search: all

@@ -1,5 +1,6 @@
 #include "serve/wire.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <unistd.h>
@@ -141,8 +142,10 @@ encodeFrame(FrameType type, const std::vector<uint8_t> &payload)
     frame[7] = 0;
     putU32(frame.data() + 8, static_cast<uint32_t>(payload.size()));
     putU32(frame.data() + 12, crc32(payload.data(), payload.size()));
-    std::memcpy(frame.data() + kHeaderBytes, payload.data(),
-                payload.size());
+    // Not memcpy: an empty payload's data() may be null, and memcpy
+    // from null is undefined even for zero bytes.
+    std::copy(payload.begin(), payload.end(),
+              frame.begin() + kHeaderBytes);
     return frame;
 }
 

@@ -82,6 +82,46 @@ TEST(Integration, SuiteHarnessOrdersPolicies)
     EXPECT_NEAR(s.min, s.max, 1e-12); // single row
 }
 
+TEST(Integration, ReducedPaperSuiteIsThreadInvariantAndAdaptBeatsNoDd)
+{
+    // The Fig. 13 / Table 5 suite on ibmq_toronto at reduced shot
+    // counts, without its costliest program (QAOA-10A).  Every
+    // nesting level fans out across the pool (workloads, candidate
+    // batches, shots), so the rows must not depend on the suite's
+    // thread count; and the paper's headline result must hold.
+    const Device device = Device::ibmqToronto();
+    std::vector<Workload> suite;
+    for (Workload &w : paperBenchmarks()) {
+        if (w.name != "QAOA-10A")
+            suite.push_back(std::move(w));
+    }
+    ASSERT_EQ(suite.size(), 10u);
+    SuiteOptions options;
+    options.policy.shots = 200;
+    options.policy.adapt.decoyShots = 100;
+    options.policy.runtimeBestBudget = 4;
+    const auto rowsAt = [&](int threads) {
+        SuiteOptions o = options;
+        o.threads = threads;
+        return evaluateSuite(suite, device, DDProtocol::XY4, o);
+    };
+
+    const std::vector<SuiteRow> serial = rowsAt(1);
+    ASSERT_EQ(serial.size(), suite.size());
+    for (int threads : {4, 0}) {
+        const std::vector<SuiteRow> rows = rowsAt(threads);
+        ASSERT_EQ(rows.size(), serial.size());
+        for (size_t i = 0; i < rows.size(); i++) {
+            EXPECT_EQ(rows[i].workload, serial[i].workload);
+            EXPECT_EQ(rows[i].baselineFidelity, serial[i].baselineFidelity)
+                << rows[i].workload << " at threads " << threads;
+            EXPECT_EQ(rows[i].fidelity, serial[i].fidelity)
+                << rows[i].workload << " at threads " << threads;
+        }
+    }
+    EXPECT_GT(summarize(serial, Policy::Adapt).gmean, 1.0);
+}
+
 TEST(Integration, DecoySearchTransfersAcrossProtocols)
 {
     // The ADAPT pipeline runs unchanged under CPMG — the paper's

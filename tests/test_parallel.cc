@@ -1,16 +1,23 @@
 /**
  * @file
  * Tests for the parallel shot-execution engine and its supporting
- * utilities: deterministic chunking in parallelFor, the flat
- * open-addressing accumulator, thread-count-invariant NoisyMachine
- * output, fused single-qubit gate application, and the sampling
- * fast path.
+ * utilities: deterministic chunking and nested scheduling in
+ * parallelFor, the flat open-addressing accumulator,
+ * thread-count-invariant NoisyMachine output, fused single-qubit gate
+ * application, and the sampling fast path.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <functional>
+#include <mutex>
+#include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/flat_accumulator.hh"
@@ -65,17 +72,84 @@ TEST(ParallelFor, MoreChunksThanElements)
     EXPECT_EQ(count.load(), 3);
 }
 
-TEST(ParallelFor, NestedCallsRunInline)
+TEST(ParallelFor, NestedChunksReachIdleThreads)
 {
-    std::atomic<int> inner_total{0};
-    parallelFor(0, 4, 4, [&](int64_t lo, int64_t hi, int) {
-        for (int64_t i = lo; i < hi; i++) {
-            parallelFor(0, 10, 4, [&](int64_t ilo, int64_t ihi, int) {
-                inner_total += static_cast<int>(ihi - ilo);
+    if (defaultThreads() < 2)
+        GTEST_SKIP() << "needs a pool of at least 2 threads";
+    // Outer chunk 0 returns at once, so its thread goes idle while
+    // outer chunk 1 opens an inner loop whose chunks each wait until
+    // two distinct threads have entered one.  A pool that runs nested
+    // loops inline on one thread times out here.
+    std::mutex mu;
+    std::condition_variable seen_changed;
+    std::set<std::thread::id> seen;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    parallelFor(0, 2, 2, [&](int64_t, int64_t, int outer) {
+        if (outer != 1)
+            return;
+        parallelFor(0, 4, 4, [&](int64_t, int64_t, int) {
+            std::unique_lock<std::mutex> lock(mu);
+            seen.insert(std::this_thread::get_id());
+            seen_changed.notify_all();
+            seen_changed.wait_until(lock, deadline,
+                                    [&] { return seen.size() >= 2; });
+        });
+    });
+    EXPECT_GE(seen.size(), 2u);
+}
+
+TEST(ParallelFor, NestedExceptionReachesOutermostCaller)
+{
+    EXPECT_THROW(
+        parallelFor(0, 4, 4,
+                    [&](int64_t lo, int64_t, int) {
+                        parallelFor(0, 8, 4, [&](int64_t ilo, int64_t,
+                                                 int) {
+                            if (lo == 2 && ilo == 4)
+                                throw std::runtime_error("nested boom");
+                        });
+                    }),
+        std::runtime_error);
+    // The pool is still whole afterwards.
+    std::atomic<int> total{0};
+    parallelFor(0, 4, 4, [&](int64_t, int64_t, int) {
+        parallelFor(0, 10, 4, [&](int64_t lo, int64_t hi, int) {
+            total += static_cast<int>(hi - lo);
+        });
+    });
+    EXPECT_EQ(total.load(), 40);
+}
+
+TEST(ParallelFor, ConcurrentOutsideCallersNestCorrectly)
+{
+    // Two threads outside the pool each drive nested loops at once,
+    // so their batches interleave in the pool.
+    const auto drive = [](int64_t &result) {
+        std::atomic<int64_t> total{0};
+        for (int round = 0; round < 20; round++) {
+            parallelFor(0, 8, 4, [&](int64_t lo, int64_t hi, int) {
+                for (int64_t i = lo; i < hi; i++) {
+                    parallelFor(0, 100, 4,
+                                [&](int64_t ilo, int64_t ihi, int) {
+                        int64_t s = 0;
+                        for (int64_t j = ilo; j < ihi; j++)
+                            s += i * j;
+                        total += s;
+                    });
+                }
             });
         }
-    });
-    EXPECT_EQ(inner_total.load(), 40);
+        result = total.load();
+    };
+    int64_t a = -1, b = -1;
+    std::thread ta(drive, std::ref(a));
+    std::thread tb(drive, std::ref(b));
+    ta.join();
+    tb.join();
+    // 20 rounds x sum_i i x sum_j j = 20 x 28 x 4950.
+    EXPECT_EQ(a, 20 * 28 * 4950);
+    EXPECT_EQ(b, 20 * 28 * 4950);
 }
 
 TEST(ParallelFor, PropagatesExceptions)
