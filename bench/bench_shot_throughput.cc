@@ -31,11 +31,11 @@
  *    widths (256 lanes per pass);
  *  - one-time job preparation (plan lowering + compilation), to show
  *    amortization across shots;
- *  - the apply1Q / applyPhase / populationOne kernels, which switch
- *    between the portable scalar and the explicit AVX2
- *    implementations per build (compare a default build against
- *    -DADAPT_NATIVE=ON for the scalar-vs-SIMD delta; the banner and
- *    the "simd" counter record which one this binary contains).
+ *  - the apply1Q / applyPhase / populationOne kernels, each timed
+ *    with both of its bodies in this one binary (second argument:
+ *    0 = portable scalar, 1 = AVX2, skipped on CPUs without it).
+ *    The engine rows run whichever body the process picked from the
+ *    CPU at start-up; the banner prints which.
  *
  * Thread count is the benchmark argument; 0 means auto
  * (ADAPT_NUM_THREADS or hardware concurrency).
@@ -44,15 +44,17 @@
 #include "bench_common.hh"
 
 #include <chrono>
-#include <cstring>
+#include <cmath>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/flat_accumulator.hh"
 #include "common/parallel.hh"
 #include "dd/sequences.hh"
 #include "noise/compiled.hh"
 #include "noise/machine.hh"
+#include "sim/dense_kernels.hh"
 #include "transpile/decompose.hh"
 #include "transpile/schedule.hh"
 #include "transpile/transpiler.hh"
@@ -149,13 +151,6 @@ decoyPauliMachine()
     return m;
 }
 
-/** 1.0 when this binary carries the AVX2 kernels, 0.0 for scalar. */
-double
-simdFlag()
-{
-    return std::strcmp(denseKernelIsa(), "avx2") == 0 ? 1.0 : 0.0;
-}
-
 void
 runThroughput(benchmark::State &state, const NoisyMachine &m,
               const ScheduledCircuit &sched, ExecMode mode,
@@ -172,7 +167,6 @@ runThroughput(benchmark::State &state, const NoisyMachine &m,
     state.counters["shots_per_sec"] = benchmark::Counter(
         static_cast<double>(state.iterations()) * shots,
         benchmark::Counter::kIsRate);
-    state.counters["simd"] = simdFlag();
 }
 
 /**
@@ -222,7 +216,6 @@ runThroughputPerShot(benchmark::State &state, const NoisyMachine &m,
     state.counters["shots_per_sec"] = benchmark::Counter(
         static_cast<double>(state.iterations()) * shots,
         benchmark::Counter::kIsRate);
-    state.counters["simd"] = simdFlag();
 }
 
 void
@@ -327,45 +320,84 @@ BM_IdealDistribution(benchmark::State &state)
         benchmark::DoNotOptimize(idealDistribution(physical));
 }
 
+/** Amplitudes per kernel row: a 16-qubit register. */
+constexpr uint64_t kKernelDim = uint64_t{1} << 16;
+
+/**
+ * The kernel bodies a kernel row times: range(1) == 0 picks the
+ * portable scalar bodies, 1 the AVX2 ones.  Returns nullptr (and
+ * skips the row) on a CPU without AVX2.
+ */
+const detail::DenseKernels *
+kernelBodies(benchmark::State &state)
+{
+    if (state.range(1) == 0)
+        return &detail::scalarKernels();
+    if (!detail::cpuHasAvx2()) {
+        state.SkipWithError("this CPU lacks AVX2");
+        return nullptr;
+    }
+    return detail::avx2Kernels();
+}
+
+/** A 16-qubit uniform superposition. */
+std::vector<Complex>
+uniformAmplitudes()
+{
+    const double a = 1.0 / std::sqrt(static_cast<double>(kKernelDim));
+    return std::vector<Complex>(kKernelDim, a);
+}
+
 /** Single-qubit kernel, stride-1 (q = 0) vs. strided (high qubit). */
 void
 BM_Apply1Q(benchmark::State &state)
 {
+    const detail::DenseKernels *k = kernelBodies(state);
+    if (k == nullptr)
+        return;
     const auto q = static_cast<QubitId>(state.range(0));
-    StateVector sv(16);
+    std::vector<Complex> amps = uniformAmplitudes();
     const Matrix2 h = gateMatrix(GateType::H);
     for (auto _ : state) {
-        sv.apply1Q(h, q);
-        benchmark::DoNotOptimize(sv.amplitude(0));
+        k->apply1Q(amps.data(), kKernelDim, h, q);
+        benchmark::DoNotOptimize(amps.data());
+        benchmark::ClobberMemory();
     }
-    state.counters["simd"] = simdFlag();
+    state.SetLabel(k->isa);
 }
 
 /** Diagonal idle-phase kernel. */
 void
 BM_ApplyPhase(benchmark::State &state)
 {
+    const detail::DenseKernels *k = kernelBodies(state);
+    if (k == nullptr)
+        return;
     const auto q = static_cast<QubitId>(state.range(0));
-    StateVector sv(16);
-    sv.apply1Q(gateMatrix(GateType::H), q);
+    std::vector<Complex> amps = uniformAmplitudes();
+    const Complex factor = std::exp(kImag * 1e-3);
     for (auto _ : state) {
-        sv.applyPhase(q, 1e-3);
-        benchmark::DoNotOptimize(sv.amplitude(0));
+        k->applyPhase(amps.data(), kKernelDim, q, factor);
+        benchmark::DoNotOptimize(amps.data());
+        benchmark::ClobberMemory();
     }
-    state.counters["simd"] = simdFlag();
+    state.SetLabel(k->isa);
 }
 
 /** Marginal-population reduction (measure + T1 jump hot path). */
 void
 BM_PopulationOne(benchmark::State &state)
 {
+    const detail::DenseKernels *k = kernelBodies(state);
+    if (k == nullptr)
+        return;
     const auto q = static_cast<QubitId>(state.range(0));
-    StateVector sv(16);
-    for (QubitId h = 0; h < 16; h++)
-        sv.apply1Q(gateMatrix(GateType::H), h);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(sv.populationOne(q));
-    state.counters["simd"] = simdFlag();
+    const std::vector<Complex> amps = uniformAmplitudes();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            k->populationOne(amps.data(), kKernelDim, q));
+    }
+    state.SetLabel(k->isa);
 }
 
 void
@@ -419,7 +451,9 @@ registerBenchmarks()
                                        BM_ApplyPhase),
           benchmark::RegisterBenchmark("BM_PopulationOne",
                                        BM_PopulationOne)}) {
-        kernel->Arg(0)->Arg(15)->Unit(benchmark::kMicrosecond);
+        kernel->ArgNames({"q", "avx2"})
+            ->ArgsProduct({{0, 15}, {0, 1}})
+            ->Unit(benchmark::kMicrosecond);
     }
 }
 

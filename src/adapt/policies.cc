@@ -134,14 +134,15 @@ evaluatePolicy(Policy policy, const CompiledProgram &program,
         // run as one batch; seeds follow the historical serial
         // derivation (one per candidate, in candidate order), and the
         // first strictly-best fidelity wins, matching the serial
-        // loop's tie-breaking.  DD insertion and job preparation fan
-        // out across the pool as well, and each candidate's one
-        // compilation is shared by all of its shots.
+        // loop's tie-breaking.  DD insertion fans out across the pool
+        // as well, and each candidate is prepared inside its own run
+        // task, so only the candidates in flight hold a compiled job.
         const size_t n_cand = candidates.size();
         const ProgramCache *cache = machine.programCache();
         const ProgramCache::Stats cache_before =
             cache != nullptr ? cache->stats() : ProgramCache::Stats{};
-        std::vector<PreparedCircuit> prepared(n_cand);
+        std::vector<ScheduledCircuit> scheds(n_cand,
+                                             ScheduledCircuit(0, 0));
         std::vector<int> dd_pulses(n_cand, 0);
         std::vector<uint64_t> seeds(n_cand);
         for (size_t i = 0; i < n_cand; i++)
@@ -151,16 +152,14 @@ evaluatePolicy(Policy policy, const CompiledProgram &program,
                     [&](int64_t lo, int64_t hi, int) {
             for (int64_t i = lo; i < hi; i++) {
                 const auto ci = static_cast<size_t>(i);
-                const ScheduledCircuit sched =
-                    applyMask(program, machine, options.adapt.dd,
-                              candidates[ci]);
-                dd_pulses[ci] = ddPulseCount(sched);
-                prepared[ci] =
-                    machine.prepare(sched, options.adapt.backend);
+                scheds[ci] = applyMask(program, machine, options.adapt.dd,
+                                       candidates[ci]);
+                dd_pulses[ci] = ddPulseCount(scheds[ci]);
             }
         });
         const std::vector<Distribution> outputs = machine.runBatch(
-            prepared, options.shots, seeds, options.adapt.threads);
+            scheds, options.shots, seeds, options.adapt.threads,
+            options.adapt.backend);
 
         size_t win = 0;
         double best_fid = -1.0;

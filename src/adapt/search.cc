@@ -108,45 +108,35 @@ adaptSearch(const CompiledProgram &program, const NoisyMachine &machine,
             eval_index++;
         }
 
-        // DD insertion and job preparation (plan lowering + shot-
-        // program compilation) are themselves shot-invariant work, so
-        // they fan out across the pool too; each variant is compiled
-        // exactly once and that compilation is shared by all of its
-        // decoy shots.  Outputs land by combo index, so the parallel
+        // DD insertion fans out across the pool; each variant is
+        // then prepared (plan lowering + shot-program compilation)
+        // inside its own run task — locally by runBatch, or in a
+        // worker process when a shard executor takes the variants as
+        // candidate leases — so only the variants in flight hold a
+        // compiled job.  Outputs land by combo index, so the parallel
         // build changes nothing observable.
-        // With a shard executor the variants ship to worker processes
-        // as candidate leases (which prepare them there), so keep the
-        // schedules; otherwise prepare locally as before.
-        const bool sharded = options.sharder != nullptr &&
-                             options.sharder->available();
-        std::vector<PreparedCircuit> prepared(
-            sharded ? 0 : num_combos);
-        std::vector<ScheduledCircuit> variants(
-            sharded ? num_combos : 0, ScheduledCircuit(0, 0));
+        std::vector<ScheduledCircuit> variants(num_combos,
+                                               ScheduledCircuit(0, 0));
         parallelFor(0, static_cast<int64_t>(num_combos),
                     options.threads,
                     [&](int64_t lo, int64_t hi, int) {
             for (int64_t i = lo; i < hi; i++) {
-                ScheduledCircuit variant = insertDD(
+                variants[static_cast<size_t>(i)] = insertDD(
                     decoy_sched, machine.calibration(), options.dd,
                     liftMask(program,
                              candidates[static_cast<size_t>(i)]));
-                if (sharded) {
-                    variants[static_cast<size_t>(i)] =
-                        std::move(variant);
-                } else {
-                    prepared[static_cast<size_t>(i)] =
-                        machine.prepare(variant, options.backend);
-                }
             }
         });
 
+        const bool sharded = options.sharder != nullptr &&
+                             options.sharder->available();
         const std::vector<Distribution> outputs =
             sharded ? options.sharder->runShardedBatch(
                           variants, options.decoyShots, seeds,
                           options.backend)
-                    : machine.runBatch(prepared, options.decoyShots,
-                                       seeds, options.threads);
+                    : machine.runBatch(variants, options.decoyShots,
+                                       seeds, options.threads,
+                                       options.backend);
 
         std::vector<double> fids(num_combos);
         for (uint32_t combo = 0; combo < num_combos; combo++) {

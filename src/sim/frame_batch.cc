@@ -4,10 +4,6 @@
 #include <bit>
 #include <cmath>
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 #include "common/logging.hh"
 #include "noise/compiled.hh" // bernoulliThreshold
 
@@ -19,49 +15,26 @@ namespace
 
 // ------------------------------------------------------------------
 // Block-wide plane kernels: every frame transform is a handful of
-// XOR / swap passes over the kFrameLaneWords words of a block — one
-// 256-bit register under ADAPT_NATIVE, four 64-bit words in the
-// portable fallback.  Pure bit operations — unlike the dense kernels
-// there is no floating-point rounding to preserve, so both variants
-// are bit-identical by construction.
+// XOR / swap passes over the kFrameLaneWords 64-bit words of a
+// block.  Pure bit operations: there is no floating-point rounding to
+// preserve, so any instruction set gives the same bits.
 // ------------------------------------------------------------------
-
-static_assert(kFrameLaneWords == 4,
-              "the AVX2 plane kernels cover one 4-word block");
 
 inline void
 xorWords(uint64_t *dst, const uint64_t *src)
 {
-#if defined(__AVX2__)
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(dst));
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(src));
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst),
-                        _mm256_xor_si256(d, s));
-#else
     for (int w = 0; w < kFrameLaneWords; w++)
         dst[w] ^= src[w];
-#endif
 }
 
 inline void
 swapWords(uint64_t *a, uint64_t *b)
 {
-#if defined(__AVX2__)
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(a));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(b));
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(a), vb);
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(b), va);
-#else
     for (int w = 0; w < kFrameLaneWords; w++) {
         const uint64_t t = a[w];
         a[w] = b[w];
         b[w] = t;
     }
-#endif
 }
 
 /** (x, z) -> (z, x ^ z). */
@@ -130,11 +103,7 @@ transpose64(uint64_t a[64])
 const char *
 frameKernelIsa()
 {
-#if defined(__AVX2__)
-    return "avx2";
-#else
     return "scalar";
-#endif
 }
 
 FrameBernoulli

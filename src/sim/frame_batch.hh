@@ -87,18 +87,17 @@
 namespace adapt
 {
 
-/** 64-lane words per frame block: 4 x 64 = 256 shots per pass, one
- *  AVX2 register wide under ADAPT_NATIVE (portable builds sweep the
- *  same block 64 bits at a time).  The width partitions shots into
- *  RNG blocks, so it is part of the output contract. */
+/** 64-lane words per frame block: 4 x 64 = 256 shots per pass,
+ *  swept as four 64-bit words.  The width partitions shots into RNG
+ *  blocks, so it is part of the output contract. */
 constexpr int kFrameLaneWords = 4;
 
 /** Shots propagated per block. */
 constexpr int kFrameLanes = 64 * kFrameLaneWords;
 
-/** "avx2" for the 256-bit frame-plane kernels, "scalar" for the
- *  portable 64-bit sweeps.  Both are bit-identical (pure XOR/swap
- *  word ops). */
+/** Instruction set of the frame-plane kernels: always "scalar" (the
+ *  portable 64-bit word sweeps).  Kept so run records name both
+ *  engines' kernels. */
 const char *frameKernelIsa();
 
 /**

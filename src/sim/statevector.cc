@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
-#if defined(__AVX2__)
+#if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
 #endif
 
 #include "common/flat_accumulator.hh"
 #include "common/logging.hh"
+#include "sim/dense_kernels.hh"
 
 namespace adapt
 {
@@ -18,28 +19,6 @@ namespace
 
 /** Largest register the dense simulator will allocate (16 GiB). */
 constexpr int kMaxDenseQubits = 26;
-
-#if defined(__AVX2__)
-
-/**
- * Complex product of per-128-bit-lane scalars (re / im pre-splatted)
- * with a vector of two packed complex doubles [re0 im0 re1 im1].
- *
- * Performs exactly the operations of the scalar std::complex formula
- * — two products per component, one subtract for the real part, one
- * add for the imaginary part (via vaddsubpd) — with the same
- * roundings, and deliberately no FMA: results stay bit-identical to
- * the portable scalar kernels.
- */
-inline __m256d
-cmulLanes(__m256d s_re, __m256d s_im, __m256d v)
-{
-    const __m256d swapped = _mm256_permute_pd(v, 0b0101);
-    return _mm256_addsub_pd(_mm256_mul_pd(s_re, v),
-                            _mm256_mul_pd(s_im, swapped));
-}
-
-#endif // __AVX2__
 
 /**
  * Visit every basis index with @p bit set, in ascending order.
@@ -103,46 +82,172 @@ forEachSetClear(uint64_t dim, uint64_t set_bit, uint64_t clear_bit,
     }
 }
 
-} // namespace
+// ------------------------------------------------------------------
+// Scalar kernel bodies: the only ones off x86, and the reference the
+// AVX2 bodies are tested against.
+// ------------------------------------------------------------------
 
-StateVector::StateVector(int num_qubits) : numQubits_(num_qubits)
+/**
+ * Squared-magnitude sums in the lane order of one AVX2 register
+ * holding two amplitudes: the real and imaginary squares of
+ * even-index amplitudes, then of odd-index ones.  Every reduction
+ * body, scalar or AVX2, accumulates in this order and folds it the
+ * same way, so all of them round identically.
+ */
+struct SquareSums
 {
-    require(num_qubits > 0, "StateVector requires at least one qubit");
-    require(num_qubits <= kMaxDenseQubits,
-            "dense simulation beyond " +
-            std::to_string(kMaxDenseQubits) +
-            " qubits; use the stabilizer simulator");
-    amps_.assign(size_t{1} << num_qubits, Complex{});
-    amps_[0] = 1.0;
-}
+    double evenRe = 0.0, evenIm = 0.0, oddRe = 0.0, oddIm = 0.0;
+
+    void
+    addEven(Complex a)
+    {
+        evenRe += a.real() * a.real();
+        evenIm += a.imag() * a.imag();
+    }
+
+    void
+    addOdd(Complex a)
+    {
+        oddRe += a.real() * a.real();
+        oddIm += a.imag() * a.imag();
+    }
+
+    /** An even-index amplitude and its odd neighbour. */
+    void
+    addPair(const Complex *a)
+    {
+        addEven(a[0]);
+        addOdd(a[1]);
+    }
+
+    double fold() const { return ((evenRe + evenIm) + oddRe) + oddIm; }
+};
 
 void
-StateVector::reset()
+apply1QScalar(Complex *amps, uint64_t dim, const Matrix2 &u, QubitId q)
 {
-    touch();
-    std::fill(amps_.begin(), amps_.end(), Complex{});
-    amps_[0] = 1.0;
-}
-
-void
-StateVector::setAmplitudes(const Complex *src, size_t count)
-{
-    require(count == amps_.size(),
-            "setAmplitudes count must match the register dimension");
-    touch();
-    std::copy(src, src + count, amps_.begin());
-}
-
-void
-StateVector::apply1Q(const Matrix2 &u, QubitId q)
-{
-    touch();
-    const uint64_t dim = amps_.size();
     const Complex u00 = u(0, 0), u01 = u(0, 1);
     const Complex u10 = u(1, 0), u11 = u(1, 1);
+    if (q == 0) {
+        // Stride-1 specialization: amplitude pairs are adjacent, so
+        // the whole state streams through in one sequential pass.
+        for (uint64_t i = 0; i < dim; i += 2) {
+            const Complex a0 = amps[i];
+            const Complex a1 = amps[i + 1];
+            amps[i] = u00 * a0 + u01 * a1;
+            amps[i + 1] = u10 * a0 + u11 * a1;
+        }
+        return;
+    }
 
-#if defined(__AVX2__)
-    auto *d = reinterpret_cast<double *>(amps_.data());
+    const uint64_t stride = uint64_t{1} << q;
+    for (uint64_t base = 0; base < dim; base += 2 * stride) {
+        for (uint64_t offset = 0; offset < stride; offset++) {
+            const uint64_t i0 = base + offset;
+            const uint64_t i1 = i0 + stride;
+            const Complex a0 = amps[i0];
+            const Complex a1 = amps[i1];
+            amps[i0] = u00 * a0 + u01 * a1;
+            amps[i1] = u10 * a0 + u11 * a1;
+        }
+    }
+}
+
+void
+applyPhaseScalar(Complex *amps, uint64_t dim, QubitId q, Complex factor)
+{
+    forEachSet(dim, uint64_t{1} << q,
+               [&](uint64_t i) { amps[i] *= factor; });
+}
+
+double
+populationOneScalar(const Complex *amps, uint64_t dim, QubitId q)
+{
+    const uint64_t bit = uint64_t{1} << q;
+    SquareSums sums;
+    if (bit == 1) {
+        for (uint64_t i = 1; i < dim; i += 2)
+            sums.addOdd(amps[i]);
+    } else {
+        // Set-bit runs start at even indices and have even length.
+        for (uint64_t base = bit; base < dim; base += 2 * bit) {
+            for (uint64_t i = base; i < base + bit; i += 2)
+                sums.addPair(amps + i);
+        }
+    }
+    return sums.fold();
+}
+
+double
+normSquaredScalar(const Complex *amps, uint64_t dim)
+{
+    SquareSums sums;
+    for (uint64_t i = 0; i < dim; i += 2)
+        sums.addPair(amps + i);
+    return sums.fold();
+}
+
+void
+scaleScalar(Complex *amps, uint64_t dim, double s)
+{
+    for (uint64_t i = 0; i < dim; i++)
+        amps[i] *= s;
+}
+
+constexpr detail::DenseKernels kScalarKernels = {
+    .isa = "scalar",
+    .apply1Q = apply1QScalar,
+    .applyPhase = applyPhaseScalar,
+    .populationOne = populationOneScalar,
+    .normSquared = normSquaredScalar,
+    .scale = scaleScalar,
+};
+
+#if defined(__x86_64__) || defined(__i386__)
+
+// ------------------------------------------------------------------
+// AVX2 kernel bodies.  Compiled for AVX2 through the target attribute
+// alone (the translation unit stays baseline), and called only after
+// cpuHasAvx2().  One 256-bit register holds two complex amplitudes
+// [re0 im0 re1 im1]; every 2^n sweep covers whole registers because
+// dim >= 2 and all runs below start at even indices.
+// ------------------------------------------------------------------
+
+#define ADAPT_AVX2 __attribute__((target("avx2")))
+
+/**
+ * Complex product of per-128-bit-lane scalars (re / im pre-splatted)
+ * with a vector of two packed complex doubles [re0 im0 re1 im1].
+ *
+ * Performs exactly the operations of the scalar std::complex formula
+ * — two products per component, one subtract for the real part, one
+ * add for the imaginary part (via vaddsubpd) — with the same
+ * roundings, and deliberately no FMA: results stay bit-identical to
+ * the scalar bodies.
+ */
+ADAPT_AVX2 inline __m256d
+cmulLanes(__m256d s_re, __m256d s_im, __m256d v)
+{
+    const __m256d swapped = _mm256_permute_pd(v, 0b0101);
+    return _mm256_addsub_pd(_mm256_mul_pd(s_re, v),
+                            _mm256_mul_pd(s_im, swapped));
+}
+
+/** SquareSums::fold over the four lanes of @p acc. */
+ADAPT_AVX2 inline double
+foldLanes(__m256d acc)
+{
+    alignas(32) double lanes[4];
+    _mm256_store_pd(lanes, acc);
+    return SquareSums{lanes[0], lanes[1], lanes[2], lanes[3]}.fold();
+}
+
+ADAPT_AVX2 void
+apply1QAvx2(Complex *amps, uint64_t dim, const Matrix2 &u, QubitId q)
+{
+    const Complex u00 = u(0, 0), u01 = u(0, 1);
+    const Complex u10 = u(1, 0), u11 = u(1, 1);
+    auto *d = reinterpret_cast<double *>(amps);
     if (q == 0) {
         // Stride-1: one 256-bit vector holds an adjacent (a0, a1)
         // pair; the low lane produces u00*a0 + u01*a1 and the high
@@ -194,41 +299,12 @@ StateVector::apply1Q(const Matrix2 &u, QubitId q)
             _mm256_storeu_pd(d + 2 * i1, rb);
         }
     }
-#else
-    if (q == 0) {
-        // Stride-1 specialization: amplitude pairs are adjacent, so
-        // the whole state streams through in one sequential pass.
-        for (uint64_t i = 0; i < dim; i += 2) {
-            const Complex a0 = amps_[i];
-            const Complex a1 = amps_[i + 1];
-            amps_[i] = u00 * a0 + u01 * a1;
-            amps_[i + 1] = u10 * a0 + u11 * a1;
-        }
-        return;
-    }
-
-    const uint64_t stride = uint64_t{1} << q;
-    for (uint64_t base = 0; base < dim; base += 2 * stride) {
-        for (uint64_t offset = 0; offset < stride; offset++) {
-            const uint64_t i0 = base + offset;
-            const uint64_t i1 = i0 + stride;
-            const Complex a0 = amps_[i0];
-            const Complex a1 = amps_[i1];
-            amps_[i0] = u00 * a0 + u01 * a1;
-            amps_[i1] = u10 * a0 + u11 * a1;
-        }
-    }
-#endif
 }
 
-void
-StateVector::applyPhase(QubitId q, double phi)
+ADAPT_AVX2 void
+applyPhaseAvx2(Complex *amps, uint64_t dim, QubitId q, Complex factor)
 {
-    touch();
-    const Complex factor = std::exp(kImag * phi);
-#if defined(__AVX2__)
-    auto *d = reinterpret_cast<double *>(amps_.data());
-    const uint64_t dim = amps_.size();
+    auto *d = reinterpret_cast<double *>(amps);
     const uint64_t bit = uint64_t{1} << q;
     const __m256d fre = _mm256_set1_pd(factor.real());
     const __m256d fim = _mm256_set1_pd(factor.imag());
@@ -249,10 +325,157 @@ StateVector::applyPhase(QubitId q, double phi)
             _mm256_storeu_pd(d + 2 * i, cmulLanes(fre, fim, v));
         }
     }
+}
+
+ADAPT_AVX2 double
+populationOneAvx2(const Complex *amps, uint64_t dim, QubitId q)
+{
+    const auto *d = reinterpret_cast<const double *>(amps);
+    const uint64_t bit = uint64_t{1} << q;
+    __m256d acc = _mm256_setzero_pd();
+    if (bit == 1) {
+        // Odd amplitudes only: the even lanes add zeros.
+        const __m256d zero = _mm256_setzero_pd();
+        for (uint64_t i = 0; i < dim; i += 2) {
+            const __m256d v = _mm256_loadu_pd(d + 2 * i);
+            const __m256d sq = _mm256_mul_pd(v, v);
+            acc = _mm256_add_pd(acc,
+                                _mm256_blend_pd(zero, sq, 0b1100));
+        }
+    } else {
+        for (uint64_t base = bit; base < dim; base += 2 * bit) {
+            for (uint64_t i = base; i < base + bit; i += 2) {
+                const __m256d v = _mm256_loadu_pd(d + 2 * i);
+                acc = _mm256_add_pd(acc, _mm256_mul_pd(v, v));
+            }
+        }
+    }
+    return foldLanes(acc);
+}
+
+ADAPT_AVX2 double
+normSquaredAvx2(const Complex *amps, uint64_t dim)
+{
+    const auto *d = reinterpret_cast<const double *>(amps);
+    __m256d acc = _mm256_setzero_pd();
+    for (uint64_t i = 0; i < dim; i += 2) {
+        const __m256d v = _mm256_loadu_pd(d + 2 * i);
+        acc = _mm256_add_pd(acc, _mm256_mul_pd(v, v));
+    }
+    return foldLanes(acc);
+}
+
+ADAPT_AVX2 void
+scaleAvx2(Complex *amps, uint64_t dim, double s)
+{
+    auto *d = reinterpret_cast<double *>(amps);
+    const __m256d vs = _mm256_set1_pd(s);
+    for (uint64_t i = 0; i < dim; i += 2) {
+        _mm256_storeu_pd(d + 2 * i,
+                         _mm256_mul_pd(_mm256_loadu_pd(d + 2 * i), vs));
+    }
+}
+
+#undef ADAPT_AVX2
+
+constexpr detail::DenseKernels kAvx2Kernels = {
+    .isa = "avx2",
+    .apply1Q = apply1QAvx2,
+    .applyPhase = applyPhaseAvx2,
+    .populationOne = populationOneAvx2,
+    .normSquared = normSquaredAvx2,
+    .scale = scaleAvx2,
+};
+
+#endif // x86
+
+/** The bodies this process runs, chosen on first use.  A
+ *  function-local static rather than a namespace-scope one, so the
+ *  CPU probe never runs before libgcc's own CPU initialization. */
+const detail::DenseKernels &
+kernels()
+{
+    static const detail::DenseKernels &chosen =
+        detail::cpuHasAvx2() ? *detail::avx2Kernels()
+                             : detail::scalarKernels();
+    return chosen;
+}
+
+} // namespace
+
+namespace detail
+{
+
+const DenseKernels &
+scalarKernels()
+{
+    return kScalarKernels;
+}
+
+const DenseKernels *
+avx2Kernels()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    return &kAvx2Kernels;
 #else
-    forEachSet(amps_.size(), uint64_t{1} << q,
-               [&](uint64_t i) { amps_[i] *= factor; });
+    return nullptr;
 #endif
+}
+
+bool
+cpuHasAvx2()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2");
+#else
+    return false;
+#endif
+}
+
+} // namespace detail
+
+StateVector::StateVector(int num_qubits) : numQubits_(num_qubits)
+{
+    require(num_qubits > 0, "StateVector requires at least one qubit");
+    require(num_qubits <= kMaxDenseQubits,
+            "dense simulation beyond " +
+            std::to_string(kMaxDenseQubits) +
+            " qubits; use the stabilizer simulator");
+    amps_.assign(size_t{1} << num_qubits, Complex{});
+    amps_[0] = 1.0;
+}
+
+void
+StateVector::reset()
+{
+    touch();
+    std::fill(amps_.begin(), amps_.end(), Complex{});
+    amps_[0] = 1.0;
+}
+
+void
+StateVector::setAmplitudes(const Complex *src, size_t count)
+{
+    require(count == amps_.size(),
+            "setAmplitudes count must match the register dimension");
+    touch();
+    std::copy(src, src + count, amps_.begin());
+}
+
+void
+StateVector::apply1Q(const Matrix2 &u, QubitId q)
+{
+    touch();
+    kernels().apply1Q(amps_.data(), amps_.size(), u, q);
+}
+
+void
+StateVector::applyPhase(QubitId q, double phi)
+{
+    touch();
+    kernels().applyPhase(amps_.data(), amps_.size(), q,
+                         std::exp(kImag * phi));
 }
 
 void
@@ -386,37 +609,7 @@ StateVector::probabilities() const
 double
 StateVector::populationOne(QubitId q) const
 {
-#if defined(__AVX2__)
-    const auto *d = reinterpret_cast<const double *>(amps_.data());
-    const uint64_t dim = amps_.size();
-    const uint64_t bit = uint64_t{1} << q;
-    __m256d acc = _mm256_setzero_pd();
-    if (bit == 1) {
-        const __m256d zero = _mm256_setzero_pd();
-        for (uint64_t i = 0; i < dim; i += 2) {
-            const __m256d v = _mm256_loadu_pd(d + 2 * i);
-            const __m256d sq = _mm256_mul_pd(v, v);
-            acc = _mm256_add_pd(acc,
-                                _mm256_blend_pd(zero, sq, 0b1100));
-        }
-    } else {
-        for (uint64_t base = bit; base < dim; base += 2 * bit) {
-            for (uint64_t i = base; i < base + bit; i += 2) {
-                const __m256d v = _mm256_loadu_pd(d + 2 * i);
-                acc = _mm256_add_pd(acc, _mm256_mul_pd(v, v));
-            }
-        }
-    }
-    alignas(32) double lanes[4];
-    _mm256_store_pd(lanes, acc);
-    // Fixed lane-fold order keeps the reduction deterministic.
-    return ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3];
-#else
-    double p = 0.0;
-    forEachSet(amps_.size(), uint64_t{1} << q,
-               [&](uint64_t i) { p += std::norm(amps_[i]); });
-    return p;
-#endif
+    return kernels().populationOne(amps_.data(), amps_.size(), q);
 }
 
 void
@@ -513,10 +706,7 @@ StateVector::applyAmplitudeDamping(QubitId q, double gamma, Rng &rng)
 double
 StateVector::norm() const
 {
-    double sum = 0.0;
-    for (const Complex &a : amps_)
-        sum += std::norm(a);
-    return std::sqrt(sum);
+    return std::sqrt(kernels().normSquared(amps_.data(), amps_.size()));
 }
 
 void
@@ -525,19 +715,13 @@ StateVector::normalize()
     touch();
     const double n = norm();
     require(n > 1e-300, "cannot normalize a zero state");
-    const double inv = 1.0 / n;
-    for (Complex &a : amps_)
-        a *= inv;
+    kernels().scale(amps_.data(), amps_.size(), 1.0 / n);
 }
 
 const char *
 denseKernelIsa()
 {
-#if defined(__AVX2__)
-    return "avx2";
-#else
-    return "scalar";
-#endif
+    return kernels().isa;
 }
 
 Circuit

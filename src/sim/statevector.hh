@@ -156,12 +156,12 @@ class StateVector
 };
 
 /**
- * Instruction set of the dense hot kernels compiled into this binary:
- * "avx2" when the explicit AVX2 apply1Q / phase / population kernels
- * are active (build with -DADAPT_NATIVE=ON on an AVX2 host), "scalar"
- * for the portable fallback.  Within one binary both the compiled and
- * the interpreted execution paths share the same kernels, so outputs
- * are bit-identical between them either way.
+ * Instruction set of the dense sweep kernels (apply1Q, applyPhase,
+ * populationOne, norm, normalize) this process runs: "avx2" when the
+ * CPU supports AVX2, else "scalar".  Chosen once per process from the
+ * CPU, not from build flags, so a portable binary runs the AVX2
+ * sweeps wherever it can.  Both choices give bit-identical results,
+ * reductions included, so outputs do not depend on the host.
  */
 const char *denseKernelIsa();
 

@@ -1,6 +1,7 @@
 /**
  * @file
  * Tests for the simulators: state-vector gate semantics and sampling,
+ * bit-identity of the dense kernels' scalar and AVX2 bodies,
  * stabilizer tableau correctness, and cross-backend agreement on
  * random Clifford circuits.
  */
@@ -8,11 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <initializer_list>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "common/logging.hh"
+#include "sim/dense_kernels.hh"
 #include "sim/stabilizer.hh"
 #include "sim/statevector.hh"
 #include "test_util.hh"
@@ -170,6 +174,107 @@ TEST(StateVec, DecayJumpResetsQubit)
 TEST(StateVec, RejectsOversizedRegisters)
 {
     EXPECT_THROW(StateVector(40), UsageError);
+}
+
+// ------------------------------------------------ dense kernel bodies
+
+namespace
+{
+
+/** A random normalized state over @p n qubits. */
+std::vector<Complex>
+randomState(int n, Rng &rng)
+{
+    std::vector<Complex> amps(size_t{1} << n);
+    double sum = 0.0;
+    for (Complex &a : amps) {
+        a = Complex(rng.normal(), rng.normal());
+        sum += std::norm(a);
+    }
+    for (Complex &a : amps)
+        a /= std::sqrt(sum);
+    return amps;
+}
+
+/** A random single-qubit unitary, global phase included. */
+Matrix2
+randomUnitary(Rng &rng)
+{
+    double a[4];
+    for (double &x : a)
+        x = rng.uniform(-kPi, kPi);
+    return gateMatrix(GateType::RZ, {a[0]}) *
+           gateMatrix(GateType::RY, {a[1]}) *
+           gateMatrix(GateType::RZ, {a[2]}) * std::exp(kImag * a[3]);
+}
+
+bool
+bitEqual(const std::vector<Complex> &a, const std::vector<Complex> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) ==
+               0;
+}
+
+bool
+bitEqual(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+} // namespace
+
+TEST(StateVec, Avx2BodiesMatchScalarBitForBit)
+{
+    if (!detail::cpuHasAvx2())
+        GTEST_SKIP() << "this CPU lacks AVX2";
+    const detail::DenseKernels &scalar = detail::scalarKernels();
+    const detail::DenseKernels &avx2 = *detail::avx2Kernels();
+    Rng rng(20240917);
+    for (int n = 1; n <= 14; n++) {
+        const uint64_t dim = uint64_t{1} << n;
+        const std::vector<Complex> state = randomState(n, rng);
+        const Complex *psi = state.data();
+
+        EXPECT_TRUE(bitEqual(scalar.normSquared(psi, dim),
+                             avx2.normSquared(psi, dim)))
+            << "normSquared, n=" << n;
+
+        const double s = rng.uniform(0.5, 2.0);
+        std::vector<Complex> a = state, b = state;
+        scalar.scale(a.data(), dim, s);
+        avx2.scale(b.data(), dim, s);
+        EXPECT_TRUE(bitEqual(a, b)) << "scale, n=" << n;
+
+        for (QubitId q = 0; q < n; q++) {
+            EXPECT_TRUE(bitEqual(scalar.populationOne(psi, dim, q),
+                                 avx2.populationOne(psi, dim, q)))
+                << "populationOne, n=" << n << " q=" << q;
+
+            const Matrix2 u = randomUnitary(rng);
+            a = state;
+            b = state;
+            scalar.apply1Q(a.data(), dim, u, q);
+            avx2.apply1Q(b.data(), dim, u, q);
+            EXPECT_TRUE(bitEqual(a, b))
+                << "apply1Q, n=" << n << " q=" << q;
+
+            const Complex factor =
+                std::exp(kImag * rng.uniform(-kPi, kPi));
+            a = state;
+            b = state;
+            scalar.applyPhase(a.data(), dim, q, factor);
+            avx2.applyPhase(b.data(), dim, q, factor);
+            EXPECT_TRUE(bitEqual(a, b))
+                << "applyPhase, n=" << n << " q=" << q;
+        }
+    }
+}
+
+TEST(StateVec, DefaultBuildPicksAvx2WhenCpuHasIt)
+{
+    EXPECT_EQ(std::string(denseKernelIsa()),
+              detail::cpuHasAvx2() ? "avx2" : "scalar");
 }
 
 // ------------------------------------------------------ idealDistribution
