@@ -19,8 +19,9 @@
  *    noise constants, allocations) rivals the small state sweeps and
  *    compile-once replay is >= 2-3x faster (the PR's acceptance
  *    number, recorded in BENCH_pr4.json); on the 14-active-qubit
- *    routing the 2^14-amplitude sweeps dominate both paths and the
- *    gap narrows — that regime is what the SIMD kernels attack;
+ *    routing the amplitude sweeps dominate both paths and the gap
+ *    narrows — that regime is what the SIMD kernels and the
+ *    live-width state vector attack;
  *  - grouped (shot-batched) vs per-shot compiled replay: the
  *    headline rows time all three dense strategies and record the
  *    signature-grouping occupancy (mean group size, no-error-group

@@ -47,10 +47,11 @@ void
 Circuit::add(Gate gate)
 {
     for (QubitId q : gate.qubits) {
-        require(q >= 0 && q < numQubits_,
-                "gate " + gate.toString() + " references qubit out of "
-                "range for a " + std::to_string(numQubits_) +
-                "-qubit circuit");
+        if (q < 0 || q >= numQubits_) {
+            fatal("gate " + gate.toString() + " references qubit out of "
+                  "range for a " + std::to_string(numQubits_) +
+                  "-qubit circuit");
+        }
     }
     if (isTwoQubitGate(gate.type)) {
         require(gate.qubits[0] != gate.qubits[1],

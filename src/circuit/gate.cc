@@ -120,14 +120,14 @@ Gate::Gate(GateType t, std::vector<QubitId> qs, std::vector<double> ps)
     : type(t), qubits(std::move(qs)), params(std::move(ps))
 {
     const int arity = gateArity(type);
-    if (arity >= 0) {
-        require(static_cast<int>(qubits.size()) == arity,
-                "gate " + gateName(type) + " expects " +
-                std::to_string(arity) + " qubit operand(s)");
+    if (arity >= 0 && static_cast<int>(qubits.size()) != arity) {
+        fatal("gate " + gateName(type) + " expects " +
+              std::to_string(arity) + " qubit operand(s)");
     }
-    require(static_cast<int>(params.size()) == gateParamCount(type),
-            "gate " + gateName(type) + " expects " +
-            std::to_string(gateParamCount(type)) + " parameter(s)");
+    if (static_cast<int>(params.size()) != gateParamCount(type)) {
+        fatal("gate " + gateName(type) + " expects " +
+              std::to_string(gateParamCount(type)) + " parameter(s)");
+    }
 }
 
 TimeNs
@@ -151,9 +151,10 @@ cliffordQuarterTurns(double angle)
 {
     require(std::isfinite(angle),
             "rotation angle is not finite");
-    require(isCliffordAngle(angle),
-            "rotation angle " + std::to_string(angle) +
-            " is not Clifford (not a multiple of pi/2)");
+    if (!isCliffordAngle(angle)) {
+        fatal("rotation angle " + std::to_string(angle) +
+              " is not Clifford (not a multiple of pi/2)");
+    }
     const double rounded = std::round(angle / (kPi / 2.0));
     int k = static_cast<int>(std::fmod(rounded, 4.0));
     if (k < 0)

@@ -64,9 +64,15 @@ warn(const std::string &msg)
     std::fprintf(stderr, "adapt: warning: %s\n", msg.c_str());
 }
 
-/** Abort with fatal() unless @p cond holds. */
+/**
+ * Abort with fatal() unless @p cond holds.  Takes a literal, so no
+ * std::string is built unless the check fails and the check is free
+ * on hot paths.  A message composed from values would be built on
+ * every call, success included; write those checks as
+ * `if (!cond) fatal(...)`.
+ */
 inline void
-require(bool cond, const std::string &msg)
+require(bool cond, const char *msg)
 {
     if (!cond)
         fatal(msg);

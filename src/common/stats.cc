@@ -101,8 +101,8 @@ OutcomePacker::OutcomePacker(int num_clbits)
 void
 OutcomePacker::set(int clbit, bool value)
 {
-    require(clbit >= 0 && clbit < numClbits_,
-            "clbit " + std::to_string(clbit) + " out of range");
+    if (clbit < 0 || clbit >= numClbits_)
+        fatal("clbit " + std::to_string(clbit) + " out of range");
     if (words_.empty()) {
         const uint64_t mask = uint64_t{1} << clbit;
         direct_ = value ? (direct_ | mask) : (direct_ & ~mask);
@@ -116,8 +116,8 @@ OutcomePacker::set(int clbit, bool value)
 bool
 OutcomePacker::get(int clbit) const
 {
-    require(clbit >= 0 && clbit < numClbits_,
-            "clbit " + std::to_string(clbit) + " out of range");
+    if (clbit < 0 || clbit >= numClbits_)
+        fatal("clbit " + std::to_string(clbit) + " out of range");
     if (words_.empty())
         return (direct_ >> clbit) & 1;
     return (words_[static_cast<size_t>(clbit) / 64] >>

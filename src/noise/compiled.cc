@@ -204,6 +204,22 @@ buildPlanSkeleton(const ScheduledCircuit &sched,
         open[static_cast<size_t>(dq)] = static_cast<int>(steps.size());
         steps.push_back(std::move(step));
     }
+
+    // State-vector bits in join order (see ExecutionPlan::svBit).
+    plan.svBit.assign(plan.active.size(), -1);
+    int next_bit = 0;
+    auto join = [&](int dq) {
+        int &bit = plan.svBit[static_cast<size_t>(dq)];
+        if (bit < 0)
+            bit = next_bit++;
+    };
+    for (const PlanStep &step : steps) {
+        join(step.q);
+        if (step.kind == PlanStep::Kind::TwoQubit)
+            join(step.q2);
+    }
+    for (size_t dq = 0; dq < plan.svBit.size(); dq++)
+        join(static_cast<int>(dq));
     return skel;
 }
 
@@ -682,8 +698,9 @@ frameMatOfGate(const Gate &gate)
       case GateType::Measure:
         panic("frameMatOfGate cannot map Measure");
       default: {
-        require(gate.isClifford(), "frameMatOfGate on non-Clifford "
-                                   "gate " + gate.toString());
+        if (!gate.isClifford())
+            fatal("frameMatOfGate on non-Clifford gate " +
+                  gate.toString());
         const Clifford1Q &element =
             nearestClifford(gateMatrix(gate));
         require(unitaryDistance(gateMatrix(gate), element.matrix) <
@@ -1602,6 +1619,8 @@ ShotReplayer::replayRange(const std::vector<OpRef> &stream,
     const NoiseFlags &flags = prog_.flags;
     const std::vector<ShotEvent> &events = tape.events;
     const size_t n_events = events.size();
+    // Ops name dense qubits; the state is addressed by join-order bit.
+    const int *bit = plan_.svBit.data();
 
     for (uint32_t i = first_op; i < end_op; i++) {
         const OpRef ref = stream[i];
@@ -1610,7 +1629,7 @@ ShotReplayer::replayRange(const std::vector<OpRef> &stream,
             const CoherentOp &c = prog_.coherent[ref.idx];
             if (flags.twirlCoherent) {
                 if (cursor < n_events && events[cursor].op == i) {
-                    sv_.apply1Q(pauliMatrix(3), c.q);
+                    sv_.apply1Q(pauliMatrix(3), bit[c.q]);
                     cursor++;
                 }
                 break;
@@ -1619,7 +1638,7 @@ ShotReplayer::replayRange(const std::vector<OpRef> &stream,
                                    ? tape.phases[c.phaseSlot]
                                    : c.staticPhi;
             if (phi != 0.0)
-                sv_.applyPhase(c.q, phi);
+                sv_.applyPhase(bit[c.q], phi);
             break;
           }
           case OpRef::Kind::Markov: {
@@ -1627,13 +1646,13 @@ ShotReplayer::replayRange(const std::vector<OpRef> &stream,
             while (cursor < n_events && events[cursor].op == i) {
                 const ShotEvent &e = events[cursor++];
                 if (e.kind == ShotEvent::Kind::T1Jump) {
-                    const double p = sv_.populationOne(m.q);
+                    const double p = sv_.populationOne(bit[m.q]);
                     const double u =
                         static_cast<double>(e.word >> 11) * 0x1.0p-53;
                     if (u < p)
-                        sv_.applyDecayJump(m.q);
+                        sv_.applyDecayJump(bit[m.q]);
                 } else { // DephZ
-                    sv_.apply1Q(pauliMatrix(3), m.q);
+                    sv_.apply1Q(pauliMatrix(3), bit[m.q]);
                 }
             }
             break;
@@ -1641,7 +1660,7 @@ ShotReplayer::replayRange(const std::vector<OpRef> &stream,
           case OpRef::Kind::Fused1Q: {
             const Fused1QOp &f = prog_.fused[ref.idx];
             if (cursor >= n_events || events[cursor].op != i) {
-                sv_.apply1Q(prog_.matrices[f.fullMat], f.q);
+                sv_.apply1Q(prog_.matrices[f.fullMat], bit[f.q]);
                 break;
             }
             // Error splice: prefix · Pauli · (segments) · suffix,
@@ -1654,46 +1673,46 @@ ShotReplayer::replayRange(const std::vector<OpRef> &stream,
                 const ShotEvent &e = events[cursor++];
                 if (prev < 0) {
                     sv_.apply1Q(prog_.matrices[f.prefixOff + e.pulse],
-                                f.q);
+                                bit[f.q]);
                 } else {
                     Matrix2 seg = Matrix2::identity();
                     for (auto j = static_cast<uint32_t>(prev + 1);
                          j <= e.pulse; j++)
                         seg = pulses[j].matrix * seg;
-                    sv_.apply1Q(seg, f.q);
+                    sv_.apply1Q(seg, bit[f.q]);
                 }
-                sv_.apply1Q(pauliMatrix(e.a), f.q);
+                sv_.apply1Q(pauliMatrix(e.a), bit[f.q]);
                 prev = e.pulse;
             }
             if (f.suffixOff != kNoTable) {
                 sv_.apply1Q(
                     prog_.matrices[f.suffixOff +
                                    static_cast<uint32_t>(prev)],
-                    f.q);
+                    bit[f.q]);
             } else {
                 Matrix2 tail = Matrix2::identity();
                 for (auto j = static_cast<uint32_t>(prev + 1);
                      j < f.pulseCnt; j++)
                     tail = pulses[j].matrix * tail;
-                sv_.apply1Q(tail, f.q);
+                sv_.apply1Q(tail, bit[f.q]);
             }
             break;
           }
           case OpRef::Kind::TwoQ: {
             const TwoQOp &t = prog_.twoQ[ref.idx];
             switch (t.type) {
-              case GateType::CX: sv_.applyCX(t.q, t.q2); break;
-              case GateType::CZ: sv_.applyCZ(t.q, t.q2); break;
-              case GateType::SWAP: sv_.applySwap(t.q, t.q2); break;
+              case GateType::CX: sv_.applyCX(bit[t.q], bit[t.q2]); break;
+              case GateType::CZ: sv_.applyCZ(bit[t.q], bit[t.q2]); break;
+              case GateType::SWAP: sv_.applySwap(bit[t.q], bit[t.q2]); break;
               default:
                 panic("compiled replay: unexpected two-qubit gate");
             }
             if (cursor < n_events && events[cursor].op == i) {
                 const ShotEvent &e = events[cursor++];
                 if (e.a != 0)
-                    sv_.apply1Q(pauliMatrix(e.a), t.q);
+                    sv_.apply1Q(pauliMatrix(e.a), bit[t.q]);
                 if (e.b != 0)
-                    sv_.apply1Q(pauliMatrix(e.b), t.q2);
+                    sv_.apply1Q(pauliMatrix(e.b), bit[t.q2]);
             }
             break;
           }
@@ -1702,14 +1721,14 @@ ShotReplayer::replayRange(const std::vector<OpRef> &stream,
             const uint64_t mw = tape.measWord[size_t{2} * m.wordSlot];
             const double u =
                 static_cast<double>(mw >> 11) * 0x1.0p-53;
-            bool bit = sv_.measureCollapse(m.q, u);
+            bool outcome = sv_.measureCollapse(bit[m.q], u);
             if (flags.measurementErrors) {
                 const uint64_t ew =
                     tape.measWord[size_t{2} * m.wordSlot + 1];
-                if ((ew >> 11) < (bit ? m.thresh10 : m.thresh01))
-                    bit = !bit;
+                if ((ew >> 11) < (outcome ? m.thresh10 : m.thresh01))
+                    outcome = !outcome;
             }
-            packer_.set(m.clbit, bit);
+            packer_.set(m.clbit, outcome);
             break;
           }
           case OpRef::Kind::Reset: {
@@ -1717,14 +1736,14 @@ ShotReplayer::replayRange(const std::vector<OpRef> &stream,
             const uint64_t mw = tape.measWord[size_t{2} * r.wordSlot];
             const double u =
                 static_cast<double>(mw >> 11) * 0x1.0p-53;
-            if (sv_.measureCollapse(r.q, u))
-                sv_.apply1Q(pauliMatrix(1), r.q);
+            if (sv_.measureCollapse(bit[r.q], u))
+                sv_.apply1Q(pauliMatrix(1), bit[r.q]);
             break;
           }
           case OpRef::Kind::Cond1Q: {
             const Cond1QOp &c = prog_.cond[ref.idx];
             if (packer_.get(c.condBit))
-                sv_.apply1Q(prog_.matrices[c.mat], c.q);
+                sv_.apply1Q(prog_.matrices[c.mat], bit[c.q]);
             break;
           }
         }

@@ -137,6 +137,20 @@ struct PlanStep
 struct ExecutionPlan
 {
     std::vector<QubitId> active; //!< dense index -> physical qubit
+
+    /**
+     * Dense index -> state-vector bit, in join order: qubits take bits
+     * in the order the step stream first touches them (a step's q,
+     * then a TwoQubit's q2), and qubits with no step (e.g. only a
+     * Delay) take the remaining bits.  The dense engines address the
+     * StateVector through this table, so its live prefix
+     * (sim/statevector.hh) reaches a qubit only at its first step.
+     * Everything else — RNG streams, noise constants, crosstalk, the
+     * stabilizer engines — stays keyed by dense index.  Derived from
+     * the schedule alone, so it is part of the cached skeleton.
+     */
+    std::vector<int> svBit;
+
     std::vector<std::vector<CrosstalkSource>> xtalk; //!< per dense q
     std::vector<PlanStep> steps;
 

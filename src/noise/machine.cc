@@ -519,9 +519,7 @@ class InterpretedRunner final : public BlockRunner
     InterpretedRunner(const PreparedJob &job, const Calibration &cal,
                       const NoiseFlags &flags)
         : job_(job), cal_(cal), flags_(flags),
-          state_(makeBackend(job.kind,
-                             static_cast<int>(job.plan.active.size()))),
-          packer_(job.plan.maxClbit + 1)
+          state_(makeState(job)), packer_(job.plan.maxClbit + 1)
     {
     }
 
@@ -542,6 +540,17 @@ class InterpretedRunner final : public BlockRunner
     }
 
   private:
+    /** The per-shot backend; a dense one lays its state out in the
+     *  plan's join order, exactly as the compiled replay does. */
+    static std::unique_ptr<SimBackend>
+    makeState(const PreparedJob &job)
+    {
+        const auto n = static_cast<int>(job.plan.active.size());
+        if (job.kind == BackendKind::Dense)
+            return std::make_unique<DenseBackend>(n, job.plan.svBit);
+        return makeBackend(job.kind, n);
+    }
+
     const PreparedJob &job_;
     const Calibration &cal_;
     const NoiseFlags &flags_;

@@ -511,8 +511,8 @@ JobServer::state(JobId id) const
 {
     std::lock_guard<std::mutex> lock(impl_->mutex);
     const auto it = impl_->jobs.find(id);
-    require(it != impl_->jobs.end(),
-            "unknown job id " + std::to_string(id));
+    if (it == impl_->jobs.end())
+        fatal("unknown job id " + std::to_string(id));
     return it->second->state.load(std::memory_order_acquire);
 }
 
@@ -521,8 +521,8 @@ JobServer::shotsDone(JobId id) const
 {
     std::lock_guard<std::mutex> lock(impl_->mutex);
     const auto it = impl_->jobs.find(id);
-    require(it != impl_->jobs.end(),
-            "unknown job id " + std::to_string(id));
+    if (it == impl_->jobs.end())
+        fatal("unknown job id " + std::to_string(id));
     return it->second->shotsDone.load(std::memory_order_relaxed);
 }
 
@@ -531,8 +531,8 @@ JobServer::wait(JobId id)
 {
     std::unique_lock<std::mutex> lock(impl_->mutex);
     const auto it = impl_->jobs.find(id);
-    require(it != impl_->jobs.end(),
-            "unknown job id " + std::to_string(id));
+    if (it == impl_->jobs.end())
+        fatal("unknown job id " + std::to_string(id));
     const std::shared_ptr<Job> job = it->second;
     impl_->cvDone.wait(lock, [&] { return job->finalized; });
     return job->result;

@@ -1,6 +1,8 @@
 #include "sim/backend.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -59,10 +61,11 @@ terminalMeasures(const Circuit &circuit)
         if (!isUnitaryGate(gate.type))
             continue;
         for (QubitId q : gate.qubits) {
-            require(!measured[static_cast<size_t>(q)],
-                    "dense backend sample requires terminal "
-                    "measurements (gate after Measure on q" +
-                    std::to_string(q) + ")");
+            if (measured[static_cast<size_t>(q)]) {
+                fatal("dense backend sample requires terminal "
+                      "measurements (gate after Measure on q" +
+                      std::to_string(q) + ")");
+            }
         }
     }
     require(!measures.empty(),
@@ -74,46 +77,76 @@ terminalMeasures(const Circuit &circuit)
 
 // ---------------------------------------------------------- DenseBackend
 
-DenseBackend::DenseBackend(int num_qubits) : state_(num_qubits)
+namespace
 {
+
+std::vector<int>
+identityBits(int num_qubits)
+{
+    std::vector<int> bits(static_cast<size_t>(std::max(num_qubits, 0)));
+    std::iota(bits.begin(), bits.end(), 0);
+    return bits;
+}
+
+} // namespace
+
+DenseBackend::DenseBackend(int num_qubits)
+    : DenseBackend(num_qubits, identityBits(num_qubits))
+{
+}
+
+DenseBackend::DenseBackend(int num_qubits, std::vector<int> sv_bit)
+    : state_(num_qubits), svBit_(std::move(sv_bit))
+{
+    require(svBit_.size() == static_cast<size_t>(num_qubits),
+            "DenseBackend bit table must have one entry per qubit");
+}
+
+void
+DenseBackend::applyGate(const Gate &gate)
+{
+    Gate placed = gate;
+    for (QubitId &q : placed.qubits)
+        q = bit(q);
+    state_.applyGate(placed);
 }
 
 void
 DenseBackend::applyPauli(int pauli, QubitId q)
 {
     if (pauli != 0)
-        state_.apply1Q(pauliMatrix(pauli), q);
+        state_.apply1Q(pauliMatrix(pauli), bit(q));
 }
 
 void
 DenseBackend::applyIdlePhase(QubitId q, double phi, Rng &rng)
 {
     (void)rng; // exact coherent phase needs no randomness
-    state_.applyPhase(q, phi);
+    state_.applyPhase(bit(q), phi);
 }
 
 double
 DenseBackend::populationOne(QubitId q)
 {
-    return state_.populationOne(q);
+    return state_.populationOne(bit(q));
 }
 
 void
 DenseBackend::applyDecayJump(QubitId q)
 {
-    state_.applyDecayJump(q);
+    state_.applyDecayJump(bit(q));
 }
 
 bool
 DenseBackend::measure(QubitId q, Rng &rng)
 {
-    return state_.measureCollapse(q, rng);
+    return state_.measureCollapse(bit(q), rng);
 }
 
 void
 DenseBackend::apply1Q(const Matrix2 &u, QubitId q)
 {
-    state_.apply1Q(u, q);
+    state_.apply1Q(u, bit(q));
 }
 
 Distribution
@@ -128,8 +161,11 @@ DenseBackend::sample(const Circuit &circuit, int shots, Rng &rng)
     std::vector<Gate> unitaries;
     unitaries.reserve(circuit.gates().size());
     for (const Gate &gate : circuit.gates()) {
-        if (isUnitaryGate(gate.type))
-            unitaries.push_back(gate);
+        if (!isUnitaryGate(gate.type))
+            continue;
+        unitaries.push_back(gate);
+        for (QubitId &q : unitaries.back().qubits)
+            q = bit(q);
     }
     state_.applyFused(unitaries);
 
@@ -144,7 +180,7 @@ DenseBackend::sample(const Circuit &circuit, int shots, Rng &rng)
         const uint64_t basis = state_.sample(rng);
         packer.clear();
         for (const auto &[q, c] : measures)
-            packer.set(c, (basis & (uint64_t{1} << q)) != 0);
+            packer.set(c, (basis & (uint64_t{1} << bit(q))) != 0);
         dist.addSample(packer.key());
     }
     return dist;

@@ -30,6 +30,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "circuit/circuit.hh"
 #include "common/matrix2.hh"
@@ -127,16 +128,27 @@ class SimBackend
                                 Rng &rng) = 0;
 };
 
-/** Dense state-vector backend (wraps StateVector). */
+/**
+ * Dense state-vector backend (wraps StateVector).
+ *
+ * Callers name qubits 0..n-1; the backend addresses the state vector
+ * through a qubit -> state-vector-bit table, the identity unless one
+ * is given.  The trajectory engine passes ExecutionPlan::svBit, so the
+ * interpreted reference lays the state out exactly as the compiled
+ * replay does.
+ */
 class DenseBackend final : public SimBackend
 {
   public:
     explicit DenseBackend(int num_qubits);
 
+    /** @pre @p sv_bit is a permutation of 0..num_qubits-1. */
+    DenseBackend(int num_qubits, std::vector<int> sv_bit);
+
     BackendKind kind() const override { return BackendKind::Dense; }
     int numQubits() const override { return state_.numQubits(); }
     void init() override { state_.reset(); }
-    void applyGate(const Gate &gate) override { state_.applyGate(gate); }
+    void applyGate(const Gate &gate) override;
     void applyPauli(int pauli, QubitId q) override;
     void applyIdlePhase(QubitId q, double phi, Rng &rng) override;
     double populationOne(QubitId q) override;
@@ -147,11 +159,15 @@ class DenseBackend final : public SimBackend
     Distribution sample(const Circuit &circuit, int shots,
                         Rng &rng) override;
 
-    /** Underlying state, for tests and exact queries. */
+    /** Underlying state, for tests and exact queries (indexed by
+     *  state-vector bit). */
     const StateVector &state() const { return state_; }
 
   private:
+    QubitId bit(QubitId q) const { return svBit_[static_cast<size_t>(q)]; }
+
     StateVector state_;
+    std::vector<int> svBit_;
 };
 
 /**

@@ -274,8 +274,8 @@ StabilizerState::applyGate(const Gate &gate)
         // Generic Clifford single-qubit gate (U2 / U3 with quarter
         // angles): locate it in the group and replay its generator
         // sequence.
-        require(gate.isClifford(),
-                "applyGate on non-Clifford gate " + gate.toString());
+        if (!gate.isClifford())
+            fatal("applyGate on non-Clifford gate " + gate.toString());
         const Matrix2 u = gateMatrix(gate);
         const Clifford1Q &element = nearestClifford(u);
         require(unitaryDistance(u, element.matrix) < 1e-6,
@@ -424,9 +424,10 @@ StabilizerState::postselect(QubitId q, bool outcome)
         collapse(q, pivot, outcome);
         return;
     }
-    require(deterministicOutcome(q) == outcome,
-            "postselect on a zero-probability outcome of q" +
-            std::to_string(q));
+    if (deterministicOutcome(q) != outcome) {
+        fatal("postselect on a zero-probability outcome of q" +
+              std::to_string(q));
+    }
 }
 
 void

@@ -438,20 +438,31 @@ cpuHasAvx2()
 StateVector::StateVector(int num_qubits) : numQubits_(num_qubits)
 {
     require(num_qubits > 0, "StateVector requires at least one qubit");
-    require(num_qubits <= kMaxDenseQubits,
-            "dense simulation beyond " +
-            std::to_string(kMaxDenseQubits) +
-            " qubits; use the stabilizer simulator");
+    if (num_qubits > kMaxDenseQubits) {
+        fatal("dense simulation beyond " +
+              std::to_string(kMaxDenseQubits) +
+              " qubits; use the stabilizer simulator");
+    }
     amps_.assign(size_t{1} << num_qubits, Complex{});
     amps_[0] = 1.0;
+}
+
+void
+StateVector::grow(QubitId q)
+{
+    require(q < numQubits_, "qubit out of range for the state vector");
+    // Free: every amplitude at or above the old prefix is already
+    // zero (the live-prefix invariant).
+    live_ = q + 1;
 }
 
 void
 StateVector::reset()
 {
     touch();
-    std::fill(amps_.begin(), amps_.end(), Complex{});
+    std::fill_n(amps_.begin(), liveDim(), Complex{});
     amps_[0] = 1.0;
+    live_ = 1;
 }
 
 void
@@ -461,20 +472,22 @@ StateVector::setAmplitudes(const Complex *src, size_t count)
             "setAmplitudes count must match the register dimension");
     touch();
     std::copy(src, src + count, amps_.begin());
+    live_ = numQubits_;
 }
 
 void
 StateVector::apply1Q(const Matrix2 &u, QubitId q)
 {
     touch();
-    kernels().apply1Q(amps_.data(), amps_.size(), u, q);
+    cover(q);
+    kernels().apply1Q(amps_.data(), liveDim(), u, q);
 }
 
 void
 StateVector::applyPhase(QubitId q, double phi)
 {
     touch();
-    kernels().applyPhase(amps_.data(), amps_.size(), q,
+    kernels().applyPhase(amps_.data(), liveDim(), q,
                          std::exp(kImag * phi));
 }
 
@@ -482,8 +495,9 @@ void
 StateVector::applyDecayJump(QubitId q)
 {
     touch();
+    cover(q);
     const uint64_t bit = uint64_t{1} << q;
-    forEachSet(amps_.size(), bit, [&](uint64_t i) {
+    forEachSet(liveDim(), bit, [&](uint64_t i) {
         amps_[i & ~bit] = amps_[i];
         amps_[i] = 0.0;
     });
@@ -494,10 +508,11 @@ void
 StateVector::applyCX(QubitId control, QubitId target)
 {
     touch();
+    cover(std::max(control, target));
     const uint64_t cbit = uint64_t{1} << control;
     const uint64_t tbit = uint64_t{1} << target;
     // Each swapped pair is visited once via its target=0 member.
-    forEachSetClear(amps_.size(), cbit, tbit, [&](uint64_t i) {
+    forEachSetClear(liveDim(), cbit, tbit, [&](uint64_t i) {
         std::swap(amps_[i], amps_[i | tbit]);
     });
 }
@@ -508,7 +523,7 @@ StateVector::applyCZ(QubitId a, QubitId b)
     touch();
     const uint64_t abit = uint64_t{1} << a;
     const uint64_t bbit = uint64_t{1} << b;
-    forEachBothSet(amps_.size(), abit, bbit,
+    forEachBothSet(liveDim(), abit, bbit,
                    [&](uint64_t i) { amps_[i] = -amps_[i]; });
 }
 
@@ -516,9 +531,10 @@ void
 StateVector::applySwap(QubitId a, QubitId b)
 {
     touch();
+    cover(std::max(a, b));
     const uint64_t abit = uint64_t{1} << a;
     const uint64_t bbit = uint64_t{1} << b;
-    forEachSetClear(amps_.size(), abit, bbit, [&](uint64_t i) {
+    forEachSetClear(liveDim(), abit, bbit, [&](uint64_t i) {
         std::swap(amps_[i], amps_[(i & ~abit) | bbit]);
     });
 }
@@ -601,7 +617,7 @@ std::vector<double>
 StateVector::probabilities() const
 {
     std::vector<double> probs(amps_.size());
-    for (size_t i = 0; i < amps_.size(); i++)
+    for (uint64_t i = 0; i < liveDim(); i++)
         probs[i] = std::norm(amps_[i]);
     return probs;
 }
@@ -609,16 +625,18 @@ StateVector::probabilities() const
 double
 StateVector::populationOne(QubitId q) const
 {
-    return kernels().populationOne(amps_.data(), amps_.size(), q);
+    return kernels().populationOne(amps_.data(), liveDim(), q);
 }
 
 void
 StateVector::buildSampleCache() const
 {
-    cumulative_.resize(amps_.size());
+    // Indices past the live prefix have probability zero, so they can
+    // never be drawn and the table stops at the prefix.
+    cumulative_.resize(liveDim());
     double total = 0.0;
     lastNonzero_ = 0;
-    for (uint64_t i = 0; i < amps_.size(); i++) {
+    for (uint64_t i = 0; i < liveDim(); i++) {
         const double p = std::norm(amps_[i]);
         if (p > 0.0)
             lastNonzero_ = i;
@@ -653,12 +671,13 @@ bool
 StateVector::collapseTo(QubitId q, bool outcome)
 {
     touch();
+    cover(q);
     const uint64_t bit = uint64_t{1} << q;
     auto zero = [&](uint64_t i) { amps_[i] = 0.0; };
     if (outcome)
-        forEachClear(amps_.size(), bit, zero);
+        forEachClear(liveDim(), bit, zero);
     else
-        forEachSet(amps_.size(), bit, zero);
+        forEachSet(liveDim(), bit, zero);
     normalize();
     return outcome;
 }
@@ -687,17 +706,18 @@ StateVector::applyAmplitudeDamping(QubitId q, double gamma, Rng &rng)
     const double p1 = populationOne(q);
     const double p_decay = gamma * p1;
     touch();
+    cover(q);
     const uint64_t bit = uint64_t{1} << q;
     if (rng.bernoulli(p_decay)) {
         // K1 branch: |1> component collapses to |0>.
-        forEachSet(amps_.size(), bit, [&](uint64_t i) {
+        forEachSet(liveDim(), bit, [&](uint64_t i) {
             amps_[i & ~bit] = amps_[i];
             amps_[i] = 0.0;
         });
     } else {
         // K0 branch: |1> component shrinks by sqrt(1 - gamma).
         const double scale = std::sqrt(1.0 - gamma);
-        forEachSet(amps_.size(), bit,
+        forEachSet(liveDim(), bit,
                    [&](uint64_t i) { amps_[i] *= scale; });
     }
     normalize();
@@ -706,7 +726,7 @@ StateVector::applyAmplitudeDamping(QubitId q, double gamma, Rng &rng)
 double
 StateVector::norm() const
 {
-    return std::sqrt(kernels().normSquared(amps_.data(), amps_.size()));
+    return std::sqrt(kernels().normSquared(amps_.data(), liveDim()));
 }
 
 void
@@ -715,7 +735,7 @@ StateVector::normalize()
     touch();
     const double n = norm();
     require(n > 1e-300, "cannot normalize a zero state");
-    kernels().scale(amps_.data(), amps_.size(), 1.0 / n);
+    kernels().scale(amps_.data(), liveDim(), 1.0 / n);
 }
 
 const char *

@@ -26,20 +26,42 @@
 namespace adapt
 {
 
-/** A pure quantum state over n qubits (2^n complex amplitudes). */
+/**
+ * A pure quantum state over n qubits (2^n complex amplitudes).
+ *
+ * The vector keeps a *live width*: every amplitude at an index
+ * >= 2^liveQubits() is exactly zero, i.e. qubits liveQubits() and up
+ * are all in |0>.  Every sweep covers only the 2^live prefix, so a
+ * qubit costs nothing until an op first touches it.  Ops that can move
+ * amplitude onto a qubit above the prefix (apply1Q, CX, SWAP, a
+ * collapse, a decay) first widen the prefix to cover their operands;
+ * growing is free, because the tail is already zero.  Reads and diagonal ops on a
+ * qubit above the prefix (populationOne, applyPhase, CZ) give exact
+ * zeros or no-ops without widening, because their loops never reach
+ * those indices.  Sweeping the prefix gives the same amplitudes as
+ * sweeping the full register, and bit-identical reductions: the
+ * skipped amplitudes are zeros, and adding zeros to a sum changes no
+ * bit of it.
+ */
 class StateVector
 {
   public:
-    /** Initialize to |0...0>. */
+    /** Initialize to |0...0> at the minimum live width. */
     explicit StateVector(int num_qubits);
 
-    /** Rewind to |0...0> without reallocating (per-shot reuse). */
+    /**
+     * Rewind to |0...0> without reallocating (per-shot reuse).  Clears
+     * only the live prefix, which holds every non-zero amplitude, and
+     * returns to the minimum live width (one qubit, so a sweep always
+     * covers at least two amplitudes).
+     */
     void reset();
 
     /**
      * Overwrite the first @p count amplitudes from @p src (the grouped
      * replayer restoring a reference checkpoint or a shared
-     * group-prefix state).
+     * group-prefix state).  Restores the full live width, since @p src
+     * may have amplitude anywhere.
      *
      * @pre count == dim().
      */
@@ -48,10 +70,15 @@ class StateVector
     int numQubits() const { return numQubits_; }
     size_t dim() const { return amps_.size(); }
 
+    /** Qubits in the live prefix: one past the highest qubit an op has
+     *  widened it to since the last reset() (at least one). */
+    int liveQubits() const { return live_; }
+
     Complex amplitude(uint64_t basis) const { return amps_.at(basis); }
 
-    /** Raw amplitude array (the batch replayer snapshotting a shared
-     *  group-prefix state before per-lane divergent tails). */
+    /** Raw amplitude array, all dim() of it (the batch replayer
+     *  snapshotting a shared group-prefix state before per-lane
+     *  divergent tails). */
     const Complex *data() const { return amps_.data(); }
 
     /** Apply an arbitrary single-qubit unitary to qubit @p q. */
@@ -139,6 +166,19 @@ class StateVector
     /** Invalidate sampling caches; call before any amplitude write. */
     void touch() { sampleCacheValid_ = false; }
 
+    /** Amplitudes in the live prefix. */
+    uint64_t liveDim() const { return uint64_t{1} << live_; }
+
+    /** Widen the live prefix to include qubit @p q; call before an op
+     *  that can move amplitude onto @p q's |1> half. */
+    void cover(QubitId q)
+    {
+        if (q >= live_)
+            grow(q);
+    }
+
+    void grow(QubitId q);
+
     /** Zero the non-@p outcome branch of qubit @p q and renormalize
      *  (shared tail of the two measureCollapse overloads). */
     bool collapseTo(QubitId q, bool outcome);
@@ -146,6 +186,7 @@ class StateVector
     void buildSampleCache() const;
 
     int numQubits_;
+    int live_ = 1;
     std::vector<Complex> amps_;
 
     /** Lazily built inclusive prefix sums of basis probabilities

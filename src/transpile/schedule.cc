@@ -238,10 +238,11 @@ schedule(const Circuit &physical, const Topology &topology,
         int link = -1;
         if (gate.type == GateType::CX) {
             link = topology.linkIndex(gate.qubits[0], gate.qubits[1]);
-            require(link >= 0,
-                    "unrouted CX between " +
-                    std::to_string(gate.qubits[0]) + " and " +
-                    std::to_string(gate.qubits[1]));
+            if (link < 0) {
+                fatal("unrouted CX between " +
+                      std::to_string(gate.qubits[0]) + " and " +
+                      std::to_string(gate.qubits[1]));
+            }
         }
         pending.push_back({&gate, gateDuration(gate, cal, link), link});
     }

@@ -11,10 +11,11 @@ transpile(const Circuit &logical, const Device &device,
           const Calibration &cal, const TranspileOptions &options)
 {
     const Topology &topology = device.topology();
-    require(logical.numQubits() <= topology.numQubits(),
-            "program needs " + std::to_string(logical.numQubits()) +
-            " qubits but " + device.name() + " has " +
-            std::to_string(topology.numQubits()));
+    if (logical.numQubits() > topology.numQubits()) {
+        fatal("program needs " + std::to_string(logical.numQubits()) +
+              " qubits but " + device.name() + " has " +
+              std::to_string(topology.numQubits()));
+    }
 
     // 1. Lower to the physical basis so routing sees the real CX
     //    structure.

@@ -335,6 +335,33 @@ TEST(BackendObjects, InitRewindsState)
     EXPECT_NEAR(dense.state().probability(0), 1.0, 1e-12);
 }
 
+TEST(BackendObjects, DenseBitTableAddressesTheStateVector)
+{
+    // Qubit q lives at state-vector bit sv_bit[q]: with {2, 0, 1}
+    // qubit 1 joins first at bit 0, and a qubit the ops never touch
+    // widens nothing.
+    DenseBackend dense(3, {2, 0, 1});
+    dense.applyGate({GateType::H, {1}});
+    EXPECT_EQ(dense.state().liveQubits(), 1);
+    dense.applyGate({GateType::CX, {1, 2}});
+    EXPECT_EQ(dense.state().liveQubits(), 2);
+    EXPECT_NEAR(dense.state().probability(0b011), 0.5, 1e-12);
+    EXPECT_NEAR(dense.populationOne(2), 0.5, 1e-12);
+    EXPECT_EQ(dense.populationOne(0), 0.0);
+    dense.applyPauli(1, 0);
+    EXPECT_EQ(dense.state().liveQubits(), 3);
+    EXPECT_NEAR(dense.state().probability(0b111), 0.5, 1e-12);
+
+    Circuit c(3);
+    c.x(0);
+    c.measureAll();
+    Rng rng(7);
+    const Distribution out = dense.sample(c, 100, rng);
+    EXPECT_NEAR(out.probability(0b001), 1.0, 0.0);
+
+    EXPECT_THROW(DenseBackend(3, {0, 1}), UsageError);
+}
+
 TEST(BackendObjects, DecayJumpMatchesDenseSemantics)
 {
     // |+> with a decay jump must land exactly in |0> on both

@@ -8,7 +8,9 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <new>
 #include <set>
+#include <string>
 
 #include "common/env.hh"
 #include "common/logging.hh"
@@ -17,6 +19,40 @@
 #include "common/stats.hh"
 
 using namespace adapt;
+
+// ------------------------------------------------- allocation counting
+
+namespace
+{
+
+/** While set on a thread, every global operator new it calls is
+ *  counted in allocations. */
+thread_local bool countingAllocations = false;
+long allocations = 0;
+
+} // namespace
+
+void *
+operator new(std::size_t size)
+{
+    if (countingAllocations)
+        allocations++;
+    if (void *p = std::malloc(size != 0 ? size : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 // ---------------------------------------------------------------- Rng
 
@@ -453,6 +489,39 @@ TEST(OutcomePacker, RejectsOutOfRangeBits)
     EXPECT_THROW(p.set(10, true), UsageError);
     EXPECT_THROW(p.set(-1, true), UsageError);
     EXPECT_THROW(OutcomePacker(0), UsageError);
+}
+
+TEST(HotPathChecks, PassingChecksAllocateNothing)
+{
+    // Checks on the per-shot path (every measured bit goes through
+    // OutcomePacker::set) must not build their error message unless
+    // they fail: a message longer than the small-string buffer costs
+    // a heap allocation per call.
+    OutcomePacker packer(100);
+    int ones = 0;
+    allocations = 0;
+    countingAllocations = true;
+    for (int i = 0; i < 10000; i++) {
+        packer.set(i % 100, (i & 1) != 0);
+        ones += packer.get(i % 100);
+        require(true, "a literal message well past the small-string "
+                      "buffer of std::string");
+    }
+    countingAllocations = false;
+    EXPECT_EQ(allocations, 0);
+    EXPECT_EQ(ones, 5000);
+
+    // The failing path still names the offending bit.
+    try {
+        packer.set(100, true);
+        FAIL() << "out-of-range clbit accepted";
+    } catch (const UsageError &e) {
+        EXPECT_NE(std::string(e.what()).find("clbit 100"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(packer.get(-1), UsageError);
+    EXPECT_THROW(require(false, "literal check"), UsageError);
 }
 
 // ------------------------------------------------------ env parsing

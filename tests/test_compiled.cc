@@ -18,6 +18,7 @@
 
 #include <vector>
 
+#include "adapt/decoy.hh"
 #include "common/parallel.hh"
 #include "dd/sequences.hh"
 #include "noise/compiled.hh"
@@ -158,6 +159,107 @@ TEST(CompiledProgram, ErrorSpliceMatchesInterpretedMidFusion)
     EXPECT_GT(replayer.fastShots(), 0u);
 
     expectCompiledMatchesInterpreted(machine, padded, 1500, 17);
+}
+
+/**
+ * A hand-built schedule on ibmq_rome's line whose qubits join late:
+ * physical 1 and 2 run SX, CX and their measurements first; physical 0
+ * joins only after those measurements, with one long pulse whose
+ * Markov op (T1 and dephasing draws over 50 us, its only noise before
+ * that pulse) fires in many shots; physical 3 has nothing but a Delay.
+ */
+ScheduledCircuit
+lateJoinSchedule(const Device &device)
+{
+    ScheduledCircuit sched(device.topology().numQubits(), 3);
+    auto add = [&](Gate gate, TimeNs start, TimeNs end, int link = -1) {
+        TimedOp op;
+        op.gate = std::move(gate);
+        op.start = start;
+        op.end = end;
+        op.linkIndex = link;
+        sched.addOp(std::move(op));
+    };
+    auto measure = [](QubitId q, int clbit) {
+        Gate gate(GateType::Measure, {q});
+        gate.clbit = clbit;
+        return gate;
+    };
+    add(Gate(GateType::Delay, {3}, {9000.0}), 0.0, 9000.0);
+    add(Gate(GateType::SX, {1}), 0.0, 35.0);
+    add(Gate(GateType::CX, {1, 2}), 35.0, 400.0,
+        device.topology().linkIndex(1, 2));
+    add(measure(1, 0), 400.0, 4000.0);
+    add(measure(2, 1), 400.0, 4000.0);
+    add(Gate(GateType::SX, {0}), 6000.0, 56000.0);
+    add(measure(0, 2), 56000.0, 59600.0);
+    sched.finalize();
+    return sched;
+}
+
+TEST(CompiledProgram, LateJoiningQubitsMatchInterpreted)
+{
+    const Device device = Device::ibmqRome();
+    const NoisyMachine machine(device); // NoiseFlags::all()
+    const ScheduledCircuit sched = lateJoinSchedule(device);
+
+    // Dense index = physical qubit here (all four are active); bits go
+    // in step order: physical 1 (SX), 2 (CX target), 0 (late SX), then
+    // 3, which has no step.
+    const ExecutionPlan plan =
+        buildPlan(sched, machine.calibration(), machine.flags());
+    ASSERT_EQ(plan.active, (std::vector<QubitId>{0, 1, 2, 3}));
+    EXPECT_EQ(plan.svBit, (std::vector<int>{2, 0, 1, 3}));
+
+    // The late qubit's join-step Markov op really fires, both its T1
+    // draw (resolved against a qubit not yet in the live prefix) and
+    // its dephasing draw.
+    const ShotProgram prog = compileShotProgram(
+        plan, machine.calibration(), machine.flags());
+    uint32_t join_op = 0;
+    while (join_op < prog.ops.size() &&
+           !(prog.ops[join_op].kind == OpRef::Kind::Markov &&
+             prog.markov[prog.ops[join_op].idx].q == 0))
+        join_op++;
+    ASSERT_LT(join_op, prog.ops.size());
+    ShotReplayer replayer(plan, prog);
+    ShotTape tape;
+    int t1_jumps = 0, deph_flips = 0;
+    const Rng base(uint64_t{41} ^ 0xadab7dd);
+    for (int shot = 0; shot < 400; shot++) {
+        replayer.drawTape(base.fork(static_cast<uint64_t>(shot) + 1),
+                          tape);
+        for (const ShotEvent &e : tape.events) {
+            if (e.op != join_op)
+                continue;
+            t1_jumps += e.kind == ShotEvent::Kind::T1Jump;
+            deph_flips += e.kind == ShotEvent::Kind::DephZ;
+        }
+    }
+    EXPECT_GT(t1_jumps, 40);
+    EXPECT_GT(deph_flips, 5);
+
+    expectCompiledMatchesInterpreted(machine, sched, 3000, 41);
+}
+
+TEST(CompiledProgram, RoutedQaoa10DecoyMatchesInterpreted)
+{
+    // QAOA-10A routed onto ibmq_toronto (the Fig. 13 suite's widest
+    // dense program) with its XY4-padded decoy: the qubits routing
+    // borrows join the stream late.
+    const Device device = Device::ibmqToronto();
+    const NoisyMachine machine(device);
+    const CompiledProgram program = transpile(
+        makeQaoa(10, QaoaGraph::A), device, machine.calibration());
+    const Decoy decoy = makeDecoy(program.physical, DecoyOptions{});
+    const ScheduledCircuit padded = insertDDAll(
+        reschedule(decoy.circuit, device, machine.calibration()),
+        machine.calibration(), DDOptions{});
+    ASSERT_GT(ddPulseCount(padded), 0);
+    const ExecutionPlan plan =
+        buildPlan(padded, machine.calibration(), machine.flags());
+    ASSERT_GT(plan.active.size(), 10u);
+    expectCompiledMatchesInterpreted(machine, padded, 200, 43);
 }
 
 TEST(CompiledProgram, PreparedBatchMatchesSerialRuns)

@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <initializer_list>
 #include <limits>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/logging.hh"
 #include "sim/dense_kernels.hh"
@@ -275,6 +277,135 @@ TEST(StateVec, DefaultBuildPicksAvx2WhenCpuHasIt)
 {
     EXPECT_EQ(std::string(denseKernelIsa()),
               detail::cpuHasAvx2() ? "avx2" : "scalar");
+}
+
+TEST(StateVec, LivePrefixMatchesFullWidth)
+{
+    // Seeded random op sequences whose qubits join in a random, late
+    // order, replayed op for op on a second vector forced to full
+    // width up front.  Sweeping only the live prefix must leave every
+    // amplitude equal and every reduction bit-equal, and the live
+    // width must track the highest bit a widening op touched.
+    Rng rng(20261017);
+    for (int n = 1; n <= 14; n++) {
+        const uint64_t dim = uint64_t{1} << n;
+        std::vector<Complex> ground(dim);
+        ground[0] = 1.0;
+        StateVector live(n);
+        StateVector full(n);
+        full.setAmplitudes(ground.data(), dim);
+        ASSERT_EQ(live.liveQubits(), 1);
+        ASSERT_EQ(full.liveQubits(), n);
+
+        std::vector<QubitId> order(static_cast<size_t>(n));
+        for (QubitId q = 0; q < n; q++)
+            order[static_cast<size_t>(q)] = q;
+        for (int i = n - 1; i > 0; i--) {
+            std::swap(order[static_cast<size_t>(i)],
+                      order[rng.uniformInt(static_cast<uint64_t>(i) + 1)]);
+        }
+        // Widening ops draw from the qubits joined so far, now and
+        // then admitting the next one; reads and diagonal ops draw
+        // from all qubits, so they also hit qubits not yet live.
+        int joined = 1;
+        auto joinedQubit = [&] {
+            if (joined < n && rng.bernoulli(0.15))
+                joined++;
+            return order[rng.uniformInt(static_cast<uint64_t>(joined))];
+        };
+        auto anyQubit = [&] {
+            return static_cast<QubitId>(
+                rng.uniformInt(static_cast<uint64_t>(n)));
+        };
+        int expect_live = 1;
+        auto widen = [&](QubitId q) {
+            expect_live = std::max(expect_live, q + 1);
+        };
+
+        for (int op = 0; op < 120; op++) {
+            const QubitId a = joinedQubit();
+            QubitId b = a;
+            while (n > 1 && b == a)
+                b = joinedQubit();
+            const uint64_t kind = rng.uniformInt(n > 1 ? 8 : 5);
+            switch (kind) {
+              case 0: {
+                const Matrix2 u = randomUnitary(rng);
+                live.apply1Q(u, a);
+                full.apply1Q(u, a);
+                widen(a);
+                break;
+              }
+              case 1: {
+                const QubitId q = anyQubit();
+                const double phi = rng.uniform(-kPi, kPi);
+                live.applyPhase(q, phi);
+                full.applyPhase(q, phi);
+                break;
+              }
+              case 2: {
+                const double u = rng.uniform();
+                ASSERT_EQ(live.measureCollapse(a, u),
+                          full.measureCollapse(a, u));
+                widen(a);
+                break;
+              }
+              case 3:
+                if (full.populationOne(a) > 1e-3) {
+                    live.applyDecayJump(a);
+                    full.applyDecayJump(a);
+                    widen(a);
+                }
+                break;
+              case 4: {
+                const QubitId q = anyQubit();
+                ASSERT_TRUE(bitEqual(live.populationOne(q),
+                                     full.populationOne(q)))
+                    << "populationOne, n=" << n << " q=" << q;
+                break;
+              }
+              case 5:
+                live.applyCX(a, b);
+                full.applyCX(a, b);
+                widen(a);
+                widen(b);
+                break;
+              case 6:
+                live.applySwap(a, b);
+                full.applySwap(a, b);
+                widen(a);
+                widen(b);
+                break;
+              default: {
+                QubitId q = anyQubit();
+                while (q == a)
+                    q = anyQubit();
+                live.applyCZ(a, q);
+                full.applyCZ(a, q);
+                break;
+              }
+            }
+            ASSERT_EQ(live.liveQubits(), expect_live)
+                << "n=" << n << " op " << op;
+            for (uint64_t i = 0; i < dim; i++) {
+                ASSERT_EQ(live.amplitude(i), full.amplitude(i))
+                    << "n=" << n << " op " << op << " index " << i;
+            }
+            ASSERT_TRUE(bitEqual(live.norm(), full.norm()))
+                << "norm, n=" << n << " op " << op;
+        }
+        for (QubitId q = 0; q < n; q++) {
+            EXPECT_TRUE(bitEqual(live.populationOne(q),
+                                 full.populationOne(q)))
+                << "populationOne, n=" << n << " q=" << q;
+        }
+
+        live.reset();
+        EXPECT_EQ(live.liveQubits(), 1);
+        EXPECT_EQ(live.amplitude(0), Complex(1.0));
+        for (uint64_t i = 1; i < dim; i++)
+            ASSERT_EQ(live.amplitude(i), Complex{}) << "index " << i;
+    }
 }
 
 // ------------------------------------------------------ idealDistribution
