@@ -12,6 +12,15 @@
  * instance; the stats rows prove the frame engine kept every lane
  * in-frame (branch tails, zero deferred shots).
  *
+ * Each syndrome row also times the same job with branch tails off
+ * (ADAPT_FRAME_BRANCH_DEPTH=0: fired lanes defer to per-shot tableau
+ * reruns), the baseline the tails must beat.  The tail_idle_{20,50,100}q
+ * rows widen frame_char_100q's tail job (|+>, 20 us XY4-padded idle,
+ * X readout, 10x10 synthetic grid) and record seconds per shot with
+ * tails (cold: tails compile on the lanes' first fires; warm: cached)
+ * and at depth 0, the tails compiled, and the process peak RSS.  They
+ * run in ascending width, so each row's peak is its own.
+ *
  * Registered google-benchmark kernels re-measure the same points
  * with more rigor, plus the one-time FrameProgram compilation cost
  * (reference tableau + branch-tail eligibility analysis) that the
@@ -20,10 +29,16 @@
 
 #include "bench_common.hh"
 
+#include <sys/resource.h>
+
 #include <chrono>
+#include <cstdlib>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "common/parallel.hh"
+#include "dd/sequences.hh"
 #include "noise/machine.hh"
 #include "transpile/decompose.hh"
 #include "transpile/schedule.hh"
@@ -152,13 +167,47 @@ registerBenchmarks()
         ->Unit(benchmark::kMicrosecond);
 }
 
+/** Prepare @p sched for the frame engine with branch tails off
+ *  (ADAPT_FRAME_BRANCH_DEPTH=0). */
+PreparedCircuit
+prepareWithoutTails(const NoisyMachine &machine,
+                    const ScheduledCircuit &sched)
+{
+    setenv("ADAPT_FRAME_BRANCH_DEPTH", "0", 1);
+    PreparedCircuit prepared =
+        machine.prepare(sched, BackendKind::Stabilizer);
+    unsetenv("ADAPT_FRAME_BRANCH_DEPTH");
+    return prepared;
+}
+
+/** Wall seconds per shot of one kShots, single-threaded run; the
+ *  run's outcome lands in @p out when given. */
+double
+secondsPerShot(const NoisyMachine &machine,
+               const PreparedCircuit &prepared,
+               ExecMode mode = ExecMode::Compiled,
+               RunOutcome *out = nullptr)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    RunOutcome r =
+        machine.runPartial(prepared, kShots, 7, 1, RunControl{}, mode);
+    const auto t1 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(r);
+    if (out != nullptr)
+        *out = std::move(r);
+    return std::chrono::duration<double>(t1 - t0).count() / kShots;
+}
+
 /** Headline rows: single-threaded seconds/shot both ways, speedup,
- *  and the frame engine's own accounting of where lanes finished. */
+ *  the same job with tails off, and the frame engine's own
+ *  accounting of where lanes finished. */
 void
 recordHeadline(Instance &inst)
 {
     const PreparedCircuit prepared =
         inst.machine.prepare(inst.sched, BackendKind::Stabilizer);
+    const PreparedCircuit depth0 =
+        prepareWithoutTails(inst.machine, inst.sched);
     // Warm-up pass: populates the lazy branch-tail cache (a one-time
     // cost shared by all subsequent runs of the prepared job) so the
     // timed runs measure steady-state throughput.
@@ -166,18 +215,13 @@ recordHeadline(Instance &inst)
          {ExecMode::Interpreted, ExecMode::Compiled})
         benchmark::DoNotOptimize(
             inst.machine.run(prepared, 512, 3, 1, mode));
-    const auto seconds = [&](ExecMode mode) {
-        const auto t0 = std::chrono::steady_clock::now();
-        benchmark::DoNotOptimize(
-            inst.machine.run(prepared, kShots, 7, 1, mode));
-        const auto t1 = std::chrono::steady_clock::now();
-        return std::chrono::duration<double>(t1 - t0).count() /
-               kShots;
-    };
-    const double interpreted = seconds(ExecMode::Interpreted);
-    const double frame = seconds(ExecMode::Compiled);
-    const RunOutcome out = inst.machine.runPartial(
-        prepared, kShots, 7, 1, RunControl{});
+    benchmark::DoNotOptimize(inst.machine.run(depth0, 512, 3, 1));
+    const double interpreted =
+        secondsPerShot(inst.machine, prepared, ExecMode::Interpreted);
+    RunOutcome out;
+    const double frame =
+        secondsPerShot(inst.machine, prepared, ExecMode::Compiled, &out);
+    const double no_tails = secondsPerShot(inst.machine, depth0);
     benchio::record(inst.name)
         .label("workload", "repetition-code syndrome extraction")
         .metric("data_qubits", inst.dataQubits)
@@ -186,6 +230,8 @@ recordHeadline(Instance &inst)
         .metric("interpreted_s_per_shot", interpreted)
         .metric("frame_batch_s_per_shot", frame)
         .metric("speedup", interpreted / frame)
+        .metric("depth0_s_per_shot", no_tails)
+        .metric("tails_over_depth0", no_tails / frame)
         .metric("tail_shots",
                 static_cast<double>(out.frameStats.tailShots))
         .metric("deferred_shots",
@@ -193,11 +239,71 @@ recordHeadline(Instance &inst)
         .metric("max_tail_depth", out.frameStats.maxTailDepth);
     std::printf("%-18s %2d data / %d rounds: interpreted %.1f us, "
                 "frame %.2f us per shot -> %.1fx (tails %lld, "
-                "deferred %lld)\n",
+                "deferred %lld); depth 0 %.2f us -> tails %.1fx\n",
                 inst.name, inst.dataQubits, inst.rounds,
                 interpreted * 1e6, frame * 1e6, interpreted / frame,
                 static_cast<long long>(out.frameStats.tailShots),
-                static_cast<long long>(out.frameStats.deferredShots));
+                static_cast<long long>(out.frameStats.deferredShots),
+                no_tails * 1e6, no_tails / frame);
+}
+
+/** Process peak resident set so far, in MB. */
+double
+peakRssMb()
+{
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return static_cast<double>(usage.ru_maxrss) / 1024.0; // KB on Linux
+}
+
+/** frame_char_100q's tail job at @p n qubits: tails cold and warm,
+ *  depth 0, tails compiled, and the process peak RSS. */
+void
+recordTailIdle(int n)
+{
+    static const Device device = Device::synthetic(Topology::grid(10, 10));
+    const NoisyMachine machine(device, 0, NoiseFlags::pauliOnly());
+    Circuit c(n);
+    for (QubitId q = 0; q < n; q++) {
+        c.h(q);
+        c.delay(20000.0, q);
+        c.h(q);
+    }
+    c.measureAll();
+    const Calibration &cal = machine.calibration();
+    const ScheduledCircuit sched = insertDDAll(
+        schedule(decompose(c), device.topology(), cal, ScheduleMode::Asap),
+        cal, DDOptions{});
+
+    const PreparedCircuit prepared =
+        machine.prepare(sched, BackendKind::Stabilizer);
+    const double cold = secondsPerShot(machine, prepared);
+    RunOutcome out;
+    const double warm =
+        secondsPerShot(machine, prepared, ExecMode::Compiled, &out);
+    const double no_tails =
+        secondsPerShot(machine, prepareWithoutTails(machine, sched));
+    const double peak = peakRssMb();
+    const std::string name = "tail_idle_" + std::to_string(n) + "q";
+    benchio::record(name)
+        .label("workload", "|+> idle, XY4-padded, X readout")
+        .metric("qubits", n)
+        .metric("shots", kShots)
+        .metric("tails_cold_s_per_shot", cold)
+        .metric("tails_warm_s_per_shot", warm)
+        .metric("depth0_s_per_shot", no_tails)
+        .metric("tails_compiled",
+                static_cast<double>(prepared.compiledTails()))
+        .metric("tail_shots",
+                static_cast<double>(out.frameStats.tailShots))
+        .metric("max_tail_depth", out.frameStats.maxTailDepth)
+        .metric("peak_rss_mb", peak);
+    std::printf("%-18s tails %.2f us cold / %.2f us warm, depth 0 "
+                "%.2f us per shot; %zu tails compiled, tail lanes "
+                "%lld, peak RSS %.0f MB\n",
+                name.c_str(), cold * 1e6, warm * 1e6, no_tails * 1e6,
+                prepared.compiledTails(),
+                static_cast<long long>(out.frameStats.tailShots), peak);
 }
 
 void
@@ -216,6 +322,8 @@ runExperiment()
                 std::thread::hardware_concurrency());
     recordHeadline(decoyScale());
     recordHeadline(deviceScale());
+    for (const int n : {20, 50, 100})
+        recordTailIdle(n);
     registerBenchmarks();
 }
 

@@ -749,34 +749,20 @@ mapPauliThrough(FrameMat m, int pauli)
 }
 
 /** Append a branch-flip support (X-qubit list, then Z-qubit list) to
- *  @p prog.flipQubits, writing the op's four offset/count fields. */
-template <typename Op>
-void
-recordFlipSupport(FrameProgram &prog, Op &op,
+ *  @p qubits and return its spans. */
+FrameFlip
+recordFlipSupport(std::vector<int> &qubits,
                   const std::vector<QubitId> &flip_x,
                   const std::vector<QubitId> &flip_z)
 {
-    op.flipXOff = static_cast<uint32_t>(prog.flipQubits.size());
-    op.flipXCnt = static_cast<uint32_t>(flip_x.size());
-    for (QubitId q : flip_x)
-        prog.flipQubits.push_back(static_cast<int>(q));
-    op.flipZOff = static_cast<uint32_t>(prog.flipQubits.size());
-    op.flipZCnt = static_cast<uint32_t>(flip_z.size());
-    for (QubitId q : flip_z)
-        prog.flipQubits.push_back(static_cast<int>(q));
-}
-
-/** Apply Pauli @p code (engine packing 1 = X, 2 = Y, 3 = Z) to the
- *  reference tableau. */
-void
-applyPauliToRef(StabilizerState &ref, int code, int q)
-{
-    switch (code) {
-      case 1: ref.applyX(q); break;
-      case 2: ref.applyY(q); break;
-      case 3: ref.applyZ(q); break;
-      default: panic("applyPauliToRef on a non-Pauli code");
-    }
+    FrameFlip flip;
+    flip.xOff = static_cast<uint32_t>(qubits.size());
+    flip.xCnt = static_cast<uint32_t>(flip_x.size());
+    qubits.insert(qubits.end(), flip_x.begin(), flip_x.end());
+    flip.zOff = static_cast<uint32_t>(qubits.size());
+    flip.zCnt = static_cast<uint32_t>(flip_z.size());
+    qubits.insert(qubits.end(), flip_z.begin(), flip_z.end());
+    return flip;
 }
 
 } // namespace
@@ -839,14 +825,6 @@ buildFrameSkeleton(const ExecutionPlan &plan, const NoiseFlags &flags,
                                  "deterministic Z measurement");
                     trace.flipX = flip_x;
                     trace.flipZ = flip_z;
-                    // The branch-hop reference: postselect the
-                    // excited branch, then the decay jump lands it
-                    // in |0>.  The op index is stamped at bind time.
-                    FrameT1Site site{ref, refCl, 0};
-                    site.refAfterJump.postselect(dq, true);
-                    site.refAfterJump.applyX(dq);
-                    trace.site = static_cast<int>(skel.sites.size());
-                    skel.sites.push_back(std::move(site));
                 }
             } else {
                 trace.t1Ref = p1 == 1.0 ? 1 : 0;
@@ -988,7 +966,7 @@ buildFrameSkeleton(const ExecutionPlan &plan, const NoiseFlags &flags,
             if (refCl[static_cast<size_t>(step.condBit)] != 0) {
                 // The reference takes its own branch: the Pauli's
                 // sign action feeds later outcomes and populations.
-                applyPauliToRef(ref, code, step.q);
+                applyPauliCode(ref, code, step.q);
             }
             break;
           }
@@ -1086,16 +1064,14 @@ bindFrameProgram(const ExecutionPlan &plan, const FrameSkeleton &skel,
                 m.randT1Ordinal = prog.randomT1Count++;
                 m.t1 = makeFrameBernoulli(gamma * 0.5);
                 if (prog.branchDepth > 0) {
-                    recordFlipSupport(prog, m, trace.flipX,
-                                      trace.flipZ);
+                    m.flip = recordFlipSupport(prog.flipQubits,
+                                               trace.flipX, trace.flipZ);
                     // One site per random ordinal, even if the op
                     // below is elided (keeps the ordinal -> site
-                    // indexing dense).
-                    FrameT1Site site =
-                        skel.sites[static_cast<size_t>(trace.site)];
-                    site.opIndex =
-                        static_cast<uint32_t>(prog.ops.size());
-                    prog.t1Sites.push_back(std::move(site));
+                    // indexing dense; an elided op has gamma 0 and
+                    // never fires).
+                    prog.siteOps.push_back(
+                        static_cast<uint32_t>(prog.ops.size()));
                 }
             } else {
                 m.t1 = makeFrameBernoulli(gamma);
@@ -1140,7 +1116,8 @@ bindFrameProgram(const ExecutionPlan &plan, const FrameSkeleton &skel,
             m.random = trace.random;
             m.refBit = trace.refBit;
             if (m.random)
-                recordFlipSupport(prog, m, trace.flipX, trace.flipZ);
+                m.flip = recordFlipSupport(prog.flipQubits, trace.flipX,
+                                           trace.flipZ);
             refCl[static_cast<size_t>(step.clbit)] = m.refBit;
             if (flags.measurementErrors) {
                 m.err01 = makeFrameBernoulli(step.err01);
@@ -1223,7 +1200,8 @@ bindFrameProgram(const ExecutionPlan &plan, const FrameSkeleton &skel,
             r.q = step.q;
             r.random = trace.random;
             if (r.random)
-                recordFlipSupport(prog, r, trace.flipX, trace.flipZ);
+                r.flip = recordFlipSupport(prog.flipQubits, trace.flipX,
+                                           trace.flipZ);
             prog.resets.push_back(r);
             prog.ops.push_back(
                 {FrameOpRef::Kind::Reset,
@@ -1260,190 +1238,155 @@ bindFrameProgram(const ExecutionPlan &plan, const FrameSkeleton &skel,
     return prog;
 }
 
-FrameProgram
-compileFrameTail(const FrameProgram &parent, uint32_t ordinal)
+namespace
 {
-    require(ordinal < parent.t1Sites.size(),
-            "compileFrameTail: checkpoint ordinal out of range");
-    const FrameT1Site &site = parent.t1Sites[ordinal];
-    const FrameMarkovOp &fired =
-        parent.markov[parent.ops[site.opIndex].idx];
 
-    FrameProgram prog;
-    prog.numQubits = parent.numQubits;
-    prog.numClbits = parent.numClbits;
-    prog.branchDepth = parent.branchDepth - 1;
-
-    // The post-jump reference and its recorded bits, advanced through
-    // the parent's suffix to re-resolve everything
-    // reference-dependent.
-    StabilizerState ref = site.refAfterJump;
-    std::vector<uint8_t> refCl = site.refCl;
+/**
+ * Advance reference @p ref, with its recorded clbits @p refCl,
+ * through root.ops[from, to): the tableau actions of gates, the
+ * reference's own collapse at random measures and resets (outcome 0),
+ * and the conditional Paulis its bits select — exactly what the
+ * skeleton walk did to the root reference.  With @p rec set, every
+ * reference-dependent op is also classified into rec's overlays.
+ */
+void
+walkTailReference(const FrameProgram &root, StabilizerState &ref,
+                  std::vector<uint8_t> &refCl, uint32_t from,
+                  uint32_t to, FrameTail *rec)
+{
     std::vector<QubitId> flip_x, flip_z;
-
-    // The firing checkpoint's dephasing half was not yet drawn when
-    // the lane left its walk: re-emit it as the tail's first op.
-    if (fired.deph.mode != FrameBernoulli::Mode::Never) {
-        FrameMarkovOp m;
-        m.q = fired.q;
-        m.deph = fired.deph;
-        prog.markov.push_back(m);
-        prog.ops.push_back(
-            {FrameOpRef::Kind::Markov,
-             static_cast<uint32_t>(prog.markov.size()) - 1});
-    }
-
-    for (uint32_t oi = site.opIndex + 1; oi < parent.ops.size();
-         oi++) {
-        const FrameOpRef op_ref = parent.ops[oi];
-        switch (op_ref.kind) {
-          case FrameOpRef::Kind::F1Q: {
-            const Frame1QOp &op = parent.f1q[op_ref.idx];
-            prog.f1q.push_back(op);
-            prog.ops.push_back(
-                {FrameOpRef::Kind::F1Q,
-                 static_cast<uint32_t>(prog.f1q.size()) - 1});
-            for (uint8_t i = 0; i < op.namedCount; i++)
-                ref.applyGate(Gate(op.named[i], {op.q}));
+    for (uint32_t oi = from; oi < to; oi++) {
+        const FrameOpRef op = root.ops[oi];
+        switch (op.kind) {
+          case FrameOpRef::Kind::F1Q:
+            applyFrameOp(ref, root.f1q[op.idx]);
             break;
-          }
-          case FrameOpRef::Kind::F2Q: {
-            const Frame2QOp &op = parent.f2q[op_ref.idx];
-            prog.f2q.push_back(op);
-            prog.ops.push_back(
-                {FrameOpRef::Kind::F2Q,
-                 static_cast<uint32_t>(prog.f2q.size()) - 1});
-            ref.applyGate(Gate(op.type, {op.a, op.b}));
+          case FrameOpRef::Kind::F2Q:
+            applyFrameOp(ref, root.f2q[op.idx]);
             break;
-          }
           case FrameOpRef::Kind::Err1Q:
-            // Error channels copy verbatim: probabilities and
-            // suffix-conjugated Pauli images are
-            // reference-independent.
-            prog.err1q.push_back(parent.err1q[op_ref.idx]);
-            prog.ops.push_back(
-                {FrameOpRef::Kind::Err1Q,
-                 static_cast<uint32_t>(prog.err1q.size()) - 1});
-            break;
           case FrameOpRef::Kind::Err2Q:
-            prog.err2q.push_back(parent.err2q[op_ref.idx]);
-            prog.ops.push_back(
-                {FrameOpRef::Kind::Err2Q,
-                 static_cast<uint32_t>(prog.err2q.size()) - 1});
-            break;
           case FrameOpRef::Kind::Twirl:
-            prog.twirl.push_back(parent.twirl[op_ref.idx]);
-            prog.ops.push_back(
-                {FrameOpRef::Kind::Twirl,
-                 static_cast<uint32_t>(prog.twirl.size()) - 1});
-            break;
+            break; // reference-independent
           case FrameOpRef::Kind::Markov: {
-            const FrameMarkovOp &pm = parent.markov[op_ref.idx];
-            FrameMarkovOp m;
-            m.q = pm.q;
-            m.deph = pm.deph;
-            m.gammaThresh = pm.gammaThresh;
-            m.gamma = pm.gamma;
-            if (pm.gamma > 0.0) {
-                // Re-classify the T1 checkpoint against the jumped
-                // reference: a deterministic parent checkpoint can
-                // turn superposed here and vice versa.
-                const double p1 = ref.populationOne(m.q);
-                if (p1 == 0.5) {
-                    m.t1Ref = 2;
-                    m.randT1Ordinal = prog.randomT1Count++;
-                    m.t1 = makeFrameBernoulli(pm.gamma * 0.5);
-                    const bool sup =
-                        ref.measureFlipSupport(m.q, flip_x, flip_z);
-                    require(sup,
-                            "superposed T1 checkpoint with a "
-                            "deterministic Z measurement");
-                    recordFlipSupport(prog, m, flip_x, flip_z);
-                    // Tails record sites at every remaining depth:
-                    // the depth-cap fallback needs the jumped
-                    // reference even when no deeper tail compiles.
-                    FrameT1Site s{
-                        ref, refCl,
-                        static_cast<uint32_t>(prog.ops.size())};
-                    s.refAfterJump.postselect(m.q, true);
-                    s.refAfterJump.applyX(m.q);
-                    prog.t1Sites.push_back(std::move(s));
-                } else {
-                    m.t1Ref = p1 == 1.0 ? 1 : 0;
-                    m.t1 = makeFrameBernoulli(pm.gamma);
-                }
-            }
-            if (m.t1.mode == FrameBernoulli::Mode::Never &&
-                m.deph.mode == FrameBernoulli::Mode::Never)
+            if (rec == nullptr)
                 break;
-            prog.markov.push_back(m);
-            prog.ops.push_back(
-                {FrameOpRef::Kind::Markov,
-                 static_cast<uint32_t>(prog.markov.size()) - 1});
-            break;
-          }
-          case FrameOpRef::Kind::Meas: {
-            const FrameMeasOp &pm = parent.meas[op_ref.idx];
-            FrameMeasOp m;
-            m.q = pm.q;
-            m.clbit = pm.clbit;
-            m.err01 = pm.err01;
-            m.err10 = pm.err10;
-            m.random = ref.measureFlipSupport(m.q, flip_x, flip_z);
-            if (m.random) {
-                m.refBit = 0;
-                recordFlipSupport(prog, m, flip_x, flip_z);
-                ref.postselect(m.q, false);
-            } else {
-                m.refBit = ref.populationOne(m.q) == 1.0 ? 1 : 0;
+            const FrameMarkovOp &m = root.markov[op.idx];
+            FrameTail::Markov &ov = rec->markov.emplace_back();
+            if (m.gamma > 0.0) {
+                // Re-classify the T1 checkpoint against the jumped
+                // reference: a deterministic root checkpoint can turn
+                // superposed here and vice versa.
+                const double p1 = ref.populationOne(m.q);
+                ov.t1Ref = p1 == 0.5 ? 2 : p1 == 1.0 ? 1 : 0;
+                ov.t1Thresh = bernoulliThreshold(
+                    ov.t1Ref == 2 ? m.gamma * 0.5 : m.gamma);
             }
-            refCl[static_cast<size_t>(m.clbit)] = m.refBit;
-            prog.meas.push_back(m);
-            prog.ops.push_back(
-                {FrameOpRef::Kind::Meas,
-                 static_cast<uint32_t>(prog.meas.size()) - 1});
+            if (ov.t1Ref == 2) {
+                const bool sup =
+                    ref.measureFlipSupport(m.q, flip_x, flip_z);
+                require(sup, "superposed T1 checkpoint with a "
+                             "deterministic Z measurement");
+                ov.ordinal = static_cast<uint32_t>(rec->siteOps.size());
+                ov.flip = recordFlipSupport(rec->flipQubits, flip_x,
+                                            flip_z);
+                rec->siteOps.push_back(oi);
+            }
             break;
           }
+          case FrameOpRef::Kind::Meas:
           case FrameOpRef::Kind::Reset: {
-            const FrameResetOp &pr = parent.resets[op_ref.idx];
-            FrameResetOp r;
-            r.q = pr.q;
-            r.random = ref.measureFlipSupport(r.q, flip_x, flip_z);
-            if (r.random) {
-                recordFlipSupport(prog, r, flip_x, flip_z);
-                ref.postselect(r.q, false);
-            } else if (ref.populationOne(r.q) == 1.0) {
-                ref.applyX(r.q);
+            const bool meas = op.kind == FrameOpRef::Kind::Meas;
+            const int q =
+                meas ? root.meas[op.idx].q : root.resets[op.idx].q;
+            FrameTail::Collapse ov;
+            ov.random = ref.measureFlipSupport(q, flip_x, flip_z);
+            if (ov.random) {
+                if (rec != nullptr)
+                    ov.flip = recordFlipSupport(rec->flipQubits, flip_x,
+                                                flip_z);
+                ref.postselect(q, false);
+            } else {
+                ov.refBit = ref.populationOne(q) == 1.0 ? 1 : 0;
+                if (!meas && ov.refBit != 0)
+                    ref.applyX(q); // the reset's correction
             }
-            prog.resets.push_back(r);
-            prog.ops.push_back(
-                {FrameOpRef::Kind::Reset,
-                 static_cast<uint32_t>(prog.resets.size()) - 1});
+            if (meas)
+                refCl[static_cast<size_t>(root.meas[op.idx].clbit)] =
+                    ov.refBit;
+            if (rec != nullptr)
+                (meas ? rec->meas : rec->resets).push_back(ov);
             break;
           }
           case FrameOpRef::Kind::Cond: {
-            FrameCondOp c = parent.cond[op_ref.idx];
-            c.refCond = refCl[static_cast<size_t>(c.condBit)];
-            if (c.refCond != 0)
-                applyPauliToRef(ref, c.pauli, c.q);
-            prog.cond.push_back(c);
-            prog.ops.push_back(
-                {FrameOpRef::Kind::Cond,
-                 static_cast<uint32_t>(prog.cond.size()) - 1});
+            const FrameCondOp &c = root.cond[op.idx];
+            const uint8_t bit = refCl[static_cast<size_t>(c.condBit)];
+            if (bit != 0)
+                applyPauliCode(ref, c.pauli, c.q);
+            if (rec != nullptr)
+                rec->condRef.push_back(bit);
             break;
           }
         }
     }
-    prog.branchTails =
-        prog.branchDepth > 0 && prog.randomT1Count > 0;
-    return prog;
 }
 
-const FrameProgram &
-FrameTailCache::tail(const FrameProgram &parent, uint32_t ordinal)
+} // namespace
+
+FrameTail
+compileFrameTail(const FrameProgram &root, const FrameTail *parent,
+                 uint32_t ordinal)
 {
-    const std::pair<const FrameProgram *, uint32_t> key{&parent,
-                                                        ordinal};
+    const std::vector<uint32_t> &sites =
+        parent != nullptr ? parent->siteOps : root.siteOps;
+    require(ordinal < sites.size(),
+            "compileFrameTail: checkpoint ordinal out of range");
+    const uint32_t site = sites[ordinal];
+    const int q = root.markov[root.ops[site].idx].q;
+
+    // The jumped reference: the parent's start reference advanced to
+    // the checkpoint, the excited branch postselected, and the decay
+    // jump landing it in |0>.
+    StabilizerState ref = parent != nullptr
+                              ? parent->ref
+                              : StabilizerState(root.numQubits);
+    std::vector<uint8_t> refCl =
+        parent != nullptr
+            ? parent->refCl
+            : std::vector<uint8_t>(static_cast<size_t>(root.numClbits), 0);
+    walkTailReference(root, ref, refCl,
+                      parent != nullptr ? parent->start : 0, site, nullptr);
+    ref.postselect(q, true);
+    ref.applyX(q);
+
+    FrameTail tail(ref);
+    tail.refCl = refCl;
+    tail.start = site + 1;
+    tail.branchDepth =
+        (parent != nullptr ? parent->branchDepth : root.branchDepth) - 1;
+    if (tail.branchDepth < 0)
+        return tail;
+    walkTailReference(root, ref, refCl, tail.start,
+                      static_cast<uint32_t>(root.ops.size()), &tail);
+    // Each overlay covers the suffix of its root array that
+    // root.ops[start ..) references.
+    const auto base = [](const auto &all, const auto &overlay) {
+        return static_cast<uint32_t>(all.size() - overlay.size());
+    };
+    tail.markovBase = base(root.markov, tail.markov);
+    tail.measBase = base(root.meas, tail.meas);
+    tail.resetBase = base(root.resets, tail.resets);
+    tail.condBase = base(root.cond, tail.condRef);
+    return tail;
+}
+
+const FrameTail &
+FrameTailCache::tail(const FrameProgram &root, const FrameTail *parent,
+                     uint32_t ordinal)
+{
+    const std::pair<const void *, uint32_t> key{
+        parent != nullptr ? static_cast<const void *>(parent) : &root,
+        ordinal};
     {
         std::lock_guard<std::mutex> lock(mu_);
         auto it = tails_.find(key);
@@ -1453,11 +1396,18 @@ FrameTailCache::tail(const FrameProgram &parent, uint32_t ordinal)
     // Compile outside the lock: deterministic output makes a racing
     // double-compile benign, and try_emplace keeps the first copy
     // (stable addresses for nested tail keys).
-    auto compiled = std::make_unique<FrameProgram>(
-        compileFrameTail(parent, ordinal));
+    auto compiled = std::make_unique<FrameTail>(
+        compileFrameTail(root, parent, ordinal));
     std::lock_guard<std::mutex> lock(mu_);
     auto [it, inserted] = tails_.try_emplace(key, std::move(compiled));
     return *it->second;
+}
+
+size_t
+FrameTailCache::size() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return tails_.size();
 }
 
 // ------------------------------------------------------------------

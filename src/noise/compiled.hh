@@ -382,10 +382,10 @@ ShotProgram compileShotProgram(const ExecutionPlan &plan,
 // windows, the dense splice tables (every Matrix2 product), and the
 // frame path's entire reference-tableau walk (measurement outcomes,
 // branch-flip supports, T1 classifications, fused-train frame
-// transforms, branch-hop tableau snapshots).  Binding stamps the
-// remaining constants — T1 / dephasing / readout / gate-error rates,
-// OU terms, crosstalk coefficients, fixed-point Bernoulli thresholds
-// — and is orders of magnitude cheaper than a cold compile.  Drift
+// transforms).  Binding stamps the remaining constants — T1 /
+// dephasing / readout / gate-error rates, OU terms, crosstalk
+// coefficients, fixed-point Bernoulli thresholds — and is orders of
+// magnitude cheaper than a cold compile.  Drift
 // sweeps, adaptSearch mask neighbourhoods, and repeated JobServer
 // submissions share skeletons through the ProgramCache
 // (noise/program_cache.hh) and only re-bind.
@@ -436,7 +436,9 @@ struct ShotTables
  * population classes) and every fused-train Clifford resolution is
  * device-independent, so it is recorded once here and consumed in
  * plan-step order by bindFrameProgram — which then only evaluates
- * calibration-dependent probabilities.
+ * calibration-dependent probabilities.  It keeps no tableau: a branch
+ * tail re-derives its jumped reference from the bound op stream when
+ * it is first compiled (compileFrameTail).
  */
 struct FrameSkeleton
 {
@@ -460,8 +462,7 @@ struct FrameSkeleton
     struct T1Trace
     {
         uint8_t t1Ref = 0; //!< 0 / 1 deterministic, 2 superposed
-        int site = -1;     //!< sites[] index (superposed, depth > 0)
-        std::vector<QubitId> flipX, flipZ;
+        std::vector<QubitId> flipX, flipZ; //!< superposed, depth > 0
     };
 
     /** One per Meas step. */
@@ -483,10 +484,6 @@ struct FrameSkeleton
     std::vector<T1Trace> t1;
     std::vector<MeasTrace> meas;
     std::vector<ResetTrace> resets;
-
-    /** Branch-hop tableau snapshots, indexed by random-T1 ordinal;
-     *  FrameT1Site::opIndex is stamped at bind time. */
-    std::vector<FrameT1Site> sites;
 };
 
 /**
@@ -583,40 +580,45 @@ FrameProgram bindFrameProgram(const ExecutionPlan &plan,
                               const NoiseFlags &flags);
 
 /**
- * Compile the branch-tail sub-program for random-reference T1
- * checkpoint @p ordinal of @p parent: the suffix of the parent's op
- * stream after that checkpoint, re-resolved against the post-jump
- * reference (X · postselect(ref, 1) at the checkpoint — the tableau
- * snapshot the parent recorded at compile time).  Gate and error ops
- * copy verbatim (they are reference-independent); measurements,
- * resets, T1 classifications, and conditional-gate reference bits are
- * re-derived by advancing a copy of the snapshot.  The tail's
- * branchDepth is one less than the parent's, so tail trees bottom out
- * at the ADAPT_FRAME_BRANCH_DEPTH cap.
+ * Compile the branch tail for superposed T1 checkpoint @p ordinal of
+ * @p parent (nullptr: of @p root itself) — see FrameTail.  The jumped
+ * reference is built here, once per tail: the parent's start
+ * reference (|0...0> at op 0 for the root) advanced through root ops
+ * [parent start, site), then X · postselect(ref, 1) on the decaying
+ * qubit.  A copy of it then walks root.ops[site + 1 ..) to re-derive
+ * every reference-dependent field into the tail's overlays; gates,
+ * errors and rates are never copied.  The tail's branchDepth is one
+ * less than the parent's; a capped tail (branchDepth < 0) stops after
+ * its reference, which is all the depth-cap fallback reads.
  *
- * @pre parent.branchTails and ordinal < parent.t1Sites.size()
+ * @pre root.branchTails, and ordinal indexes the parent's siteOps
  */
-FrameProgram compileFrameTail(const FrameProgram &parent,
-                              uint32_t ordinal);
+FrameTail compileFrameTail(const FrameProgram &root,
+                           const FrameTail *parent, uint32_t ordinal);
 
 /**
- * Lazy, thread-safe store of compiled branch tails, keyed by
- * (parent program, ordinal) — tails of tails nest naturally because
- * the stored programs have stable addresses.  Shared by all the shot
- * chunks of a prepared job: a tail is compiled at most once per job
- * no matter how many lanes fire through it.  Compilation is
- * deterministic, so the cache never changes results — only cost.
+ * Lazy, thread-safe store of compiled branch tails, keyed by (parent
+ * tail, or the root, plus ordinal) — tails of tails nest naturally
+ * because the stored tails have stable addresses.  Shared by all the
+ * shot chunks of a prepared job: a tail is compiled at most once per
+ * job no matter how many lanes fire through it, and lives as long as
+ * the job.  Compilation is deterministic, so the cache never changes
+ * results — only cost.
  */
 class FrameTailCache final : public FrameTailSource
 {
   public:
-    const FrameProgram &tail(const FrameProgram &parent,
-                             uint32_t ordinal) override;
+    const FrameTail &tail(const FrameProgram &root,
+                          const FrameTail *parent,
+                          uint32_t ordinal) override;
+
+    /** Tails compiled so far. */
+    size_t size() const;
 
   private:
-    std::mutex mu_;
-    std::map<std::pair<const FrameProgram *, uint32_t>,
-             std::unique_ptr<FrameProgram>>
+    mutable std::mutex mu_;
+    std::map<std::pair<const void *, uint32_t>,
+             std::unique_ptr<FrameTail>>
         tails_;
 };
 

@@ -59,6 +59,12 @@ PreparedCircuit::frameBatched() const
     return impl_->frame.has_value();
 }
 
+size_t
+PreparedCircuit::compiledTails() const
+{
+    return impl_ != nullptr && impl_->tails ? impl_->tails->size() : 0;
+}
+
 namespace
 {
 

@@ -98,6 +98,10 @@ class PreparedCircuit
      *  (ExecMode::Compiled will run the batch frame engine). */
     bool frameBatched() const;
 
+    /** Branch tails compiled so far: they compile lazily, when a lane
+     *  first fires through their checkpoint (0 off the frame path). */
+    size_t compiledTails() const;
+
     /** True once prepare() has populated this handle. */
     bool valid() const { return impl_ != nullptr; }
 

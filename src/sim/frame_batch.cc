@@ -260,6 +260,17 @@ FrameBatchBackend::runOps(int64_t block, int lanes,
 {
     constexpr int words = kFrameLaneWords;
     uint64_t m[words];
+    // A random measure / reset: draw one branch coin per lane and XOR
+    // the branch-flip Pauli into the planes of the lanes that read 1.
+    const auto absorbCoinFlip = [&](const FrameFlip &flip) {
+        uint64_t coin[words];
+        for (int w = 0; w < words; w++)
+            coin[w] = blockRng_.next();
+        for (uint32_t i = 0; i < flip.xCnt; i++)
+            xorWords(xPlane(prog_.flipQubits[flip.xOff + i]), coin);
+        for (uint32_t i = 0; i < flip.zCnt; i++)
+            xorWords(zPlane(prog_.flipQubits[flip.zOff + i]), coin);
+    };
     for (const FrameOpRef ref : prog_.ops) {
         switch (ref.kind) {
           case FrameOpRef::Kind::F1Q: {
@@ -401,27 +412,12 @@ FrameBatchBackend::runOps(int64_t block, int lanes,
           }
           case FrameOpRef::Kind::Meas: {
             const FrameMeasOp &op = prog_.meas[ref.idx];
-            if (op.random) {
-                // Fresh uniform branch coin per lane; lanes with
-                // coin = 1 absorb the branch-flip Pauli, hopping the
-                // frame onto the opposite reference branch (this also
-                // flips x(q), which the outcome read below sees).
-                uint64_t coin[words];
-                for (int w = 0; w < words; w++)
-                    coin[w] = blockRng_.next();
-                for (uint32_t i = 0; i < op.flipXCnt; i++) {
-                    uint64_t *xq = xPlane(
-                        prog_.flipQubits[op.flipXOff + i]);
-                    for (int w = 0; w < words; w++)
-                        xq[w] ^= coin[w];
-                }
-                for (uint32_t i = 0; i < op.flipZCnt; i++) {
-                    uint64_t *zq = zPlane(
-                        prog_.flipQubits[op.flipZOff + i]);
-                    for (int w = 0; w < words; w++)
-                        zq[w] ^= coin[w];
-                }
-            }
+            // Fresh uniform branch coin per lane; lanes with coin = 1
+            // absorb the branch-flip Pauli, hopping the frame onto
+            // the opposite reference branch (this also flips x(q),
+            // which the outcome read below sees).
+            if (op.random)
+                absorbCoinFlip(op.flip);
             uint64_t m01[words] = {};
             uint64_t m10[words] = {};
             drawMask(op.err01, m01);
@@ -438,27 +434,12 @@ FrameBatchBackend::runOps(int64_t block, int lanes,
           }
           case FrameOpRef::Kind::Reset: {
             const FrameResetOp &op = prog_.resets[ref.idx];
-            if (op.random) {
-                // Fresh collapse coin per lane, absorbing the
-                // branch-flip Pauli exactly like a random measure:
-                // correlations with other qubits land in their
-                // planes before q's own planes clear.
-                uint64_t coin[words];
-                for (int w = 0; w < words; w++)
-                    coin[w] = blockRng_.next();
-                for (uint32_t i = 0; i < op.flipXCnt; i++) {
-                    uint64_t *xq = xPlane(
-                        prog_.flipQubits[op.flipXOff + i]);
-                    for (int w = 0; w < words; w++)
-                        xq[w] ^= coin[w];
-                }
-                for (uint32_t i = 0; i < op.flipZCnt; i++) {
-                    uint64_t *zq = zPlane(
-                        prog_.flipQubits[op.flipZOff + i]);
-                    for (int w = 0; w < words; w++)
-                        zq[w] ^= coin[w];
-                }
-            }
+            // Fresh collapse coin per lane, absorbing the branch-flip
+            // Pauli exactly like a random measure: correlations with
+            // other qubits land in their planes before q's own planes
+            // clear.
+            if (op.random)
+                absorbCoinFlip(op.flip);
             // Post-reset the reference holds q in |0> exactly (the
             // compile walk postselected / corrected it) and so does
             // every lane, whatever it measured — its conditional X
@@ -540,29 +521,39 @@ FrameBatchBackend::foldOutcomes(int lanes, FlatAccumulator &hist)
     }
 }
 
-namespace
+void
+applyFrameOp(StabilizerState &state, const Frame1QOp &op)
 {
-
-/** Apply one named gate of a train realization to the tableau. */
-inline void
-applyNamed(StabilizerState &state, GateType g, int q)
-{
-    switch (g) {
-      case GateType::H: state.applyH(q); break;
-      case GateType::S: state.applyS(q); break;
-      case GateType::Sdg: state.applySdg(q); break;
-      case GateType::X: state.applyX(q); break;
-      case GateType::Y: state.applyY(q); break;
-      case GateType::Z: state.applyZ(q); break;
-      case GateType::SX: state.applySX(q); break;
-      case GateType::SXdg: state.applySXdg(q); break;
-      default:
-        panic("frame replay: unexpected named gate " + gateName(g));
+    for (uint8_t i = 0; i < op.namedCount; i++) {
+        switch (op.named[i]) {
+          case GateType::H: state.applyH(op.q); break;
+          case GateType::S: state.applyS(op.q); break;
+          case GateType::Sdg: state.applySdg(op.q); break;
+          case GateType::X: state.applyX(op.q); break;
+          case GateType::Y: state.applyY(op.q); break;
+          case GateType::Z: state.applyZ(op.q); break;
+          case GateType::SX: state.applySX(op.q); break;
+          case GateType::SXdg: state.applySXdg(op.q); break;
+          default:
+            panic("frame replay: unexpected named gate " +
+                  gateName(op.named[i]));
+        }
     }
 }
 
-/** Apply Pauli @p code (engine packing: 1 = X, 2 = Y, 3 = Z). */
-inline void
+void
+applyFrameOp(StabilizerState &state, const Frame2QOp &op)
+{
+    switch (op.type) {
+      case GateType::CX: state.applyCX(op.a, op.b); break;
+      case GateType::CZ: state.applyCZ(op.a, op.b); break;
+      case GateType::SWAP: state.applySwap(op.a, op.b); break;
+      default:
+        panic("frame replay: unexpected two-qubit gate");
+    }
+}
+
+void
 applyPauliCode(StabilizerState &state, int code, int q)
 {
     switch (code) {
@@ -572,8 +563,6 @@ applyPauliCode(StabilizerState &state, int code, int q)
       default: state.applyZ(q); break;
     }
 }
-
-} // namespace
 
 namespace
 {
@@ -589,7 +578,9 @@ constexpr uint32_t kNoOrdinal = ~uint32_t{0};
  * forced quiet and the one at it fires unconditionally (the deferral
  * conditioning); from then on — or from the start when @p live is
  * true (branch-tail depth-cap continuations) — every checkpoint
- * evolves off the tableau.
+ * evolves off the tableau.  A live walk reads only
+ * reference-independent fields, so it runs any tail's continuation
+ * on the root stream.
  */
 void
 walkFrameTableau(const FrameProgram &prog, StabilizerState &state,
@@ -599,23 +590,12 @@ walkFrameTableau(const FrameProgram &prog, StabilizerState &state,
     for (uint32_t oi = start; oi < prog.ops.size(); oi++) {
         const FrameOpRef ref = prog.ops[oi];
         switch (ref.kind) {
-          case FrameOpRef::Kind::F1Q: {
-            const Frame1QOp &op = prog.f1q[ref.idx];
-            for (uint8_t i = 0; i < op.namedCount; i++)
-                applyNamed(state, op.named[i], op.q);
+          case FrameOpRef::Kind::F1Q:
+            applyFrameOp(state, prog.f1q[ref.idx]);
             break;
-          }
-          case FrameOpRef::Kind::F2Q: {
-            const Frame2QOp &op = prog.f2q[ref.idx];
-            switch (op.type) {
-              case GateType::CX: state.applyCX(op.a, op.b); break;
-              case GateType::CZ: state.applyCZ(op.a, op.b); break;
-              case GateType::SWAP: state.applySwap(op.a, op.b); break;
-              default:
-                panic("frame replay: unexpected two-qubit gate");
-            }
+          case FrameOpRef::Kind::F2Q:
+            applyFrameOp(state, prog.f2q[ref.idx]);
             break;
-          }
           case FrameOpRef::Kind::Err1Q: {
             const FrameErr1QOp &op = prog.err1q[ref.idx];
             if (fires(rng, op.prob.thresh)) {
@@ -690,24 +670,44 @@ walkFrameTableau(const FrameProgram &prog, StabilizerState &state,
     }
 }
 
+/** XOR branch-flip Pauli @p flip (spans into @p qubits) into a
+ *  single lane's frame. */
+inline void
+flipLane(const std::vector<int> &qubits, const FrameFlip &flip,
+         std::vector<uint8_t> &xf, std::vector<uint8_t> &zf)
+{
+    for (uint32_t i = 0; i < flip.xCnt; i++)
+        xf[static_cast<size_t>(qubits[flip.xOff + i])] ^= 1;
+    for (uint32_t i = 0; i < flip.zCnt; i++)
+        zf[static_cast<size_t>(qubits[flip.zOff + i])] ^= 1;
+}
+
 /**
- * Single-lane scalar frame walk of a branch-tail program from its
- * first op: the per-byte mirror of runBlock's plane sweeps, with the
- * lane's own outcome record driving conditional gates.  Returns the
- * randT1Ordinal of a freshly fired superposed T1 checkpoint — frame
- * and packer left exactly as of that instant, deph of the firing op
- * not yet drawn (the checkpoint's tail re-emits it) — or kNoOrdinal
- * when the walk completed and packer holds the lane's outcomes.
+ * Single-lane scalar frame walk of branch tail @p tail: the fired
+ * checkpoint's residual dephasing, then root.ops[tail.start ..) —
+ * the per-byte mirror of runBlock's plane sweeps, with gates, errors
+ * and rates read from the root and every reference-dependent field
+ * from the tail's overlays, and the lane's own outcome record driving
+ * conditional gates.  Returns the tail ordinal of a freshly fired
+ * superposed T1 checkpoint — frame and packer left exactly as of that
+ * instant, deph of the firing op not yet drawn (the next tail draws
+ * it first) — or kNoOrdinal when the walk completed and packer holds
+ * the lane's outcomes.
  */
 uint32_t
-walkScalarFrame(const FrameProgram &prog, std::vector<uint8_t> &xf,
-                std::vector<uint8_t> &zf, OutcomePacker &packer,
-                Rng &rng)
+walkScalarFrame(const FrameProgram &root, const FrameTail &tail,
+                std::vector<uint8_t> &xf, std::vector<uint8_t> &zf,
+                OutcomePacker &packer, Rng &rng)
 {
-    for (const FrameOpRef ref : prog.ops) {
+    const FrameMarkovOp &fired =
+        root.markov[root.ops[tail.start - 1].idx];
+    if (fires(rng, fired.deph.thresh))
+        zf[static_cast<size_t>(fired.q)] ^= 1;
+    for (uint32_t oi = tail.start; oi < root.ops.size(); oi++) {
+        const FrameOpRef ref = root.ops[oi];
         switch (ref.kind) {
           case FrameOpRef::Kind::F1Q: {
-            const Frame1QOp &op = prog.f1q[ref.idx];
+            const Frame1QOp &op = root.f1q[ref.idx];
             uint8_t &x = xf[static_cast<size_t>(op.q)];
             uint8_t &z = zf[static_cast<size_t>(op.q)];
             const uint8_t t = x;
@@ -722,7 +722,7 @@ walkScalarFrame(const FrameProgram &prog, std::vector<uint8_t> &xf,
             break;
           }
           case FrameOpRef::Kind::F2Q: {
-            const Frame2QOp &op = prog.f2q[ref.idx];
+            const Frame2QOp &op = root.f2q[ref.idx];
             const auto a = static_cast<size_t>(op.a);
             const auto b = static_cast<size_t>(op.b);
             switch (op.type) {
@@ -744,7 +744,7 @@ walkScalarFrame(const FrameProgram &prog, std::vector<uint8_t> &xf,
             break;
           }
           case FrameOpRef::Kind::Err1Q: {
-            const FrameErr1QOp &op = prog.err1q[ref.idx];
+            const FrameErr1QOp &op = root.err1q[ref.idx];
             if (fires(rng, op.prob.thresh)) {
                 const auto pauli = static_cast<int>(
                     op.mapped[rng.uniformInt(3)]);
@@ -756,7 +756,7 @@ walkScalarFrame(const FrameProgram &prog, std::vector<uint8_t> &xf,
             break;
           }
           case FrameOpRef::Kind::Err2Q: {
-            const FrameErr2QOp &op = prog.err2q[ref.idx];
+            const FrameErr2QOp &op = root.err2q[ref.idx];
             if (fires(rng, op.prob.thresh)) {
                 const auto code =
                     static_cast<int>(rng.uniformInt(15)) + 1;
@@ -772,14 +772,16 @@ walkScalarFrame(const FrameProgram &prog, std::vector<uint8_t> &xf,
             break;
           }
           case FrameOpRef::Kind::Markov: {
-            const FrameMarkovOp &op = prog.markov[ref.idx];
-            if (op.t1Ref == 2) {
+            const FrameMarkovOp &op = root.markov[ref.idx];
+            const FrameTail::Markov &ov =
+                tail.markov[ref.idx - tail.markovBase];
+            if (ov.t1Ref == 2) {
                 // Same folded gamma/2 law as the plane pass; a fire
                 // hands the lane to the next tail down.
-                if (fires(rng, op.t1.thresh))
-                    return op.randT1Ordinal;
-            } else if (fires(rng, op.t1.thresh)) {
-                if ((op.t1Ref ^ xf[static_cast<size_t>(op.q)]) & 1)
+                if (fires(rng, ov.t1Thresh))
+                    return ov.ordinal;
+            } else if (fires(rng, ov.t1Thresh)) {
+                if ((ov.t1Ref ^ xf[static_cast<size_t>(op.q)]) & 1)
                     xf[static_cast<size_t>(op.q)] ^= 1;
             }
             if (fires(rng, op.deph.thresh))
@@ -787,45 +789,38 @@ walkScalarFrame(const FrameProgram &prog, std::vector<uint8_t> &xf,
             break;
           }
           case FrameOpRef::Kind::Twirl: {
-            const FrameTwirlOp &op = prog.twirl[ref.idx];
+            const FrameTwirlOp &op = root.twirl[ref.idx];
             if (fires(rng, op.prob.thresh))
                 zf[static_cast<size_t>(op.q)] ^= 1;
             break;
           }
           case FrameOpRef::Kind::Meas: {
-            const FrameMeasOp &op = prog.meas[ref.idx];
-            if (op.random && rng.bernoulli(0.5)) {
-                for (uint32_t i = 0; i < op.flipXCnt; i++)
-                    xf[static_cast<size_t>(
-                        prog.flipQubits[op.flipXOff + i])] ^= 1;
-                for (uint32_t i = 0; i < op.flipZCnt; i++)
-                    zf[static_cast<size_t>(
-                        prog.flipQubits[op.flipZOff + i])] ^= 1;
-            }
+            const FrameMeasOp &op = root.meas[ref.idx];
+            const FrameTail::Collapse &ov =
+                tail.meas[ref.idx - tail.measBase];
+            if (ov.random && rng.bernoulli(0.5))
+                flipLane(tail.flipQubits, ov.flip, xf, zf);
             bool bit =
-                (op.refBit ^ xf[static_cast<size_t>(op.q)]) & 1;
+                (ov.refBit ^ xf[static_cast<size_t>(op.q)]) & 1;
             if (fires(rng, bit ? op.err10.thresh : op.err01.thresh))
                 bit = !bit;
             packer.set(op.clbit, bit);
             break;
           }
           case FrameOpRef::Kind::Reset: {
-            const FrameResetOp &op = prog.resets[ref.idx];
-            if (op.random && rng.bernoulli(0.5)) {
-                for (uint32_t i = 0; i < op.flipXCnt; i++)
-                    xf[static_cast<size_t>(
-                        prog.flipQubits[op.flipXOff + i])] ^= 1;
-                for (uint32_t i = 0; i < op.flipZCnt; i++)
-                    zf[static_cast<size_t>(
-                        prog.flipQubits[op.flipZOff + i])] ^= 1;
-            }
+            const FrameResetOp &op = root.resets[ref.idx];
+            const FrameTail::Collapse &ov =
+                tail.resets[ref.idx - tail.resetBase];
+            if (ov.random && rng.bernoulli(0.5))
+                flipLane(tail.flipQubits, ov.flip, xf, zf);
             xf[static_cast<size_t>(op.q)] = 0;
             zf[static_cast<size_t>(op.q)] = 0;
             break;
           }
           case FrameOpRef::Kind::Cond: {
-            const FrameCondOp &op = prog.cond[ref.idx];
-            if (packer.get(op.condBit) != (op.refCond != 0)) {
+            const FrameCondOp &op = root.cond[ref.idx];
+            if (packer.get(op.condBit) !=
+                (tail.condRef[ref.idx - tail.condBase] != 0)) {
                 xf[static_cast<size_t>(op.q)] ^=
                     static_cast<uint8_t>(kPauliHasX[op.pauli]);
                 zf[static_cast<size_t>(op.q)] ^=
@@ -889,38 +884,39 @@ drainTailShots(const FrameProgram &prog, const Rng &base,
                 packer.set(c, true);
         }
 
-        const FrameProgram *cur = &prog;
+        const FrameTail *cur = nullptr; // fired in (nullptr: the root)
         uint32_t ord = ts.ordinal;
         int depth = 0;
         for (;;) {
             depth++;
-            const FrameT1Site &site =
-                cur->t1Sites[static_cast<size_t>(ord)];
-            const FrameMarkovOp &mop =
-                cur->markov[cur->ops[site.opIndex].idx];
+            const FrameTail &tail = source.tail(prog, cur, ord);
+            const uint32_t mi = prog.ops[tail.start - 1].idx;
+            const FrameMarkovOp &mop = prog.markov[mi];
 
             // The jump maps the lane onto the jumped reference with
             // frame F' = F * g^{x_F(q)}: when the lane's frame
             // carries X on q, sigma- acting through it lands on the
-            // opposite collapse branch, and g (the recorded
-            // branch-flip stabilizer) hops the frame across.
+            // opposite collapse branch, and g (the branch-flip
+            // stabilizer the firing stream recorded) hops the frame
+            // across.
             if (xf[static_cast<size_t>(mop.q)] & 1) {
-                for (uint32_t i = 0; i < mop.flipXCnt; i++)
-                    xf[static_cast<size_t>(
-                        cur->flipQubits[mop.flipXOff + i])] ^= 1;
-                for (uint32_t i = 0; i < mop.flipZCnt; i++)
-                    zf[static_cast<size_t>(
-                        cur->flipQubits[mop.flipZOff + i])] ^= 1;
+                if (cur == nullptr) {
+                    flipLane(prog.flipQubits, mop.flip, xf, zf);
+                } else {
+                    flipLane(cur->flipQubits,
+                             cur->markov[mi - cur->markovBase].flip, xf,
+                             zf);
+                }
             }
 
-            if (cur->branchDepth < 1) {
+            if (tail.branchDepth < 0) {
                 // Recursion budget exhausted: exact tableau
-                // continuation from the site's jumped-reference
-                // snapshot, frame applied as Paulis, the firing
+                // continuation from the capped tail's jumped
+                // reference, frame applied as Paulis, the firing
                 // checkpoint's residual dephasing drawn inline.
                 stats.depthCapHits++;
                 stats.deferredShots++;
-                state = site.refAfterJump;
+                state = tail.ref;
                 for (int q = 0; q < prog.numQubits; q++) {
                     if (xf[static_cast<size_t>(q)])
                         state.applyX(q);
@@ -929,15 +925,13 @@ drainTailShots(const FrameProgram &prog, const Rng &base,
                 }
                 if (fires(rng, mop.deph.thresh))
                     state.applyZ(mop.q);
-                walkFrameTableau(*cur, state, packer, rng,
-                                 site.opIndex + 1, /*live=*/true,
-                                 kNoOrdinal);
+                walkFrameTableau(prog, state, packer, rng, tail.start,
+                                 /*live=*/true, kNoOrdinal);
                 break;
             }
 
-            const FrameProgram &tail = source.tail(*cur, ord);
             const uint32_t fired =
-                walkScalarFrame(tail, xf, zf, packer, rng);
+                walkScalarFrame(prog, tail, xf, zf, packer, rng);
             if (fired == kNoOrdinal) {
                 stats.tailShots++;
                 break;

@@ -76,6 +76,7 @@
 
 #include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "circuit/gate.hh"
@@ -186,6 +187,15 @@ struct FrameErr2QOp
     FrameBernoulli prob;
 };
 
+/** Support of a branch-flip Pauli (sign omitted; frames ignore
+ *  global phase): offset / count spans of its X- and Z-carrying
+ *  qubits in the owning program's (or tail's) flipQubits. */
+struct FrameFlip
+{
+    uint32_t xOff = 0, xCnt = 0;
+    uint32_t zOff = 0, zCnt = 0;
+};
+
 /** Markovian (T1 + white dephasing) noise over one interval. */
 struct FrameMarkovOp
 {
@@ -220,10 +230,8 @@ struct FrameMarkovOp
     /** Branch-flip support g of a superposed checkpoint (t1Ref == 2,
      *  recorded only when the program compiles branch tails): a
      *  firing lane's frame absorbs g iff its x bit of q reads 1, and
-     *  then rides the tail program in-frame.  Offsets into
-     *  FrameProgram::flipQubits. */
-    uint32_t flipXOff = 0, flipXCnt = 0;
-    uint32_t flipZOff = 0, flipZCnt = 0;
+     *  then rides the checkpoint's branch tail in-frame. */
+    FrameFlip flip;
 
     FrameBernoulli deph;
 };
@@ -245,10 +253,7 @@ struct FrameMeasOp
     uint8_t refBit = 0; //!< reference outcome (0 for random measures)
     bool random = false;
 
-    /** Branch-flip Pauli support (random measures only), into
-     *  FrameProgram::flipQubits. */
-    uint32_t flipXOff = 0, flipXCnt = 0;
-    uint32_t flipZOff = 0, flipZCnt = 0;
+    FrameFlip flip; //!< branch-flip Pauli (random measures only)
 
     FrameBernoulli err01, err10;
 };
@@ -266,10 +271,7 @@ struct FrameResetOp
     int q = -1;
     bool random = false;
 
-    /** Branch-flip Pauli support (random references only), into
-     *  FrameProgram::flipQubits. */
-    uint32_t flipXOff = 0, flipXCnt = 0;
-    uint32_t flipZOff = 0, flipZCnt = 0;
+    FrameFlip flip; //!< branch-flip Pauli (random references only)
 };
 
 /**
@@ -306,25 +308,13 @@ struct FrameOpRef
 };
 
 /**
- * Snapshot of the reference at a superposed T1 checkpoint — the
- * compile-time ingredients of that checkpoint's branch tail.  The
- * jumped reference ref' = X_q * postselect(ref, 1) seeds both the
- * tail compilation and the runtime depth-cap fallback; the recorded
- * reference clbits keep conditional gates resolvable downstream.
- */
-struct FrameT1Site
-{
-    StabilizerState refAfterJump;
-    std::vector<uint8_t> refCl; //!< reference clbit record at the site
-    uint32_t opIndex = 0;       //!< Markov op position in ops
-};
-
-/**
  * A stabilizer job lowered into a frame op stream: the reference
  * simulation's outcomes baked in, every probability resolved into a
  * mask-generation mode, every pulse train fused into one of the six
  * GL(2, F2) transforms.  Built once per job by bindFrameProgram
- * (noise/compiled.hh) and shared read-only by all shot workers.
+ * (noise/compiled.hh) and shared read-only by all shot workers.  It is
+ * the *root* of its job's branch tails: every FrameTail reads its
+ * gate, error, twirl and noise-rate ops from these arrays.
  */
 struct FrameProgram
 {
@@ -349,11 +339,10 @@ struct FrameProgram
 
     std::vector<int> flipQubits; //!< branch-flip Pauli supports
 
-    /** Remaining branch-tail recursion budget: how many nested
-     *  superposed-T1 jumps a lane may take in-frame below this
-     *  program (ADAPT_FRAME_BRANCH_DEPTH at the root, parent - 1 in
-     *  each tail).  0 disables tails — firing lanes defer to the
-     *  exact per-shot tableau rerun instead. */
+    /** Branch-tail recursion budget: how many nested superposed-T1
+     *  jumps a lane may take in-frame (ADAPT_FRAME_BRANCH_DEPTH).  0
+     *  disables tails — firing lanes defer to the exact per-shot
+     *  tableau rerun instead. */
     int branchDepth = 0;
 
     /** True when this program records branch-tail sites (branchDepth
@@ -361,9 +350,74 @@ struct FrameProgram
      *  lanes produce FrameTailShot snapshots, never DeferredShots. */
     bool branchTails = false;
 
-    /** Per-ordinal reference snapshots (branchTails only), indexed by
-     *  FrameMarkovOp::randT1Ordinal. */
-    std::vector<FrameT1Site> t1Sites;
+    /** Op index of each superposed T1 checkpoint, by randT1Ordinal
+     *  (branchTails only). */
+    std::vector<uint32_t> siteOps;
+};
+
+/**
+ * A branch tail: the root program's op stream after one superposed
+ * T1 checkpoint fired, re-resolved against the jumped reference
+ * X_q * postselect(ref, 1).  A tail is an overlay on the root: it
+ * reads every gate, error, twirl and noise rate from the root's
+ * arrays and stores only what the jump changes — T1 classes, measure
+ * and reset reference bits, conditional reference bits and the
+ * branch-flip supports.  Overlay entry i of a kind stands for root
+ * array index base + i: the root's per-kind indices rise with op
+ * position, so the ops in root.ops[start ..) map onto a dense suffix
+ * of each array.  A tail of a tail is again an overlay on the root.
+ * Compiled lazily by compileFrameTail (noise/compiled.hh).
+ */
+struct FrameTail
+{
+    explicit FrameTail(StabilizerState jumped) : ref(std::move(jumped)) {}
+
+    /** Root op index right after the fired checkpoint.  Its residual
+     *  dephasing, root.markov[root.ops[start - 1].idx].deph, is the
+     *  first draw of the tail walk. */
+    uint32_t start = 0;
+
+    /** Remaining nested-jump budget: the parent's (or the root's)
+     *  minus one.  A capped tail (branchDepth < 0) carries only its
+     *  jumped reference, which seeds the exact tableau continuation
+     *  of a lane that fired past the cap. */
+    int branchDepth = 0;
+
+    /** A Markov op under the jumped reference. */
+    struct Markov
+    {
+        uint64_t t1Thresh = 0; //!< gamma / 2 superposed, else gamma
+        uint32_t ordinal = 0;  //!< superposed: index into siteOps
+        uint8_t t1Ref = 0;     //!< 0 / 1 deterministic, 2 superposed
+        FrameFlip flip;        //!< superposed only
+    };
+
+    /** A measure or reset under the jumped reference: a random
+     *  collapse with its branch-flip support, or the deterministic
+     *  reference bit (read by measures only). */
+    struct Collapse
+    {
+        bool random = false;
+        uint8_t refBit = 0;
+        FrameFlip flip; //!< random only
+    };
+
+    /** Root array index of each overlay's entry 0. */
+    uint32_t markovBase = 0, measBase = 0, resetBase = 0, condBase = 0;
+
+    std::vector<Markov> markov;
+    std::vector<Collapse> meas, resets;
+    std::vector<uint8_t> condRef; //!< reference's recorded condBit
+
+    std::vector<int> flipQubits; //!< the overlays' flip supports
+
+    /** Root op index of each superposed checkpoint, by ordinal. */
+    std::vector<uint32_t> siteOps;
+
+    /** The jumped reference at start and its recorded clbits: child
+     *  tails advance a copy of it to their own checkpoint. */
+    StabilizerState ref;
+    std::vector<uint8_t> refCl;
 };
 
 /**
@@ -382,10 +436,11 @@ struct DeferredShot
 constexpr uint64_t kFrameDeferSalt = uint64_t{1} << 33;
 
 /**
- * A lane whose T1 jump fired at a superposed checkpoint of a
- * branch-tail program: its frame and classical record, captured at
- * the instant the jump fired, ride the checkpoint's tail program
- * in-frame instead of deferring to a whole-shot tableau rerun.
+ * A lane whose T1 jump fired at a superposed checkpoint of a program
+ * that compiles branch tails: its frame and classical record,
+ * captured at the instant the jump fired, ride the checkpoint's
+ * branch tail in-frame instead of deferring to a whole-shot tableau
+ * rerun.
  */
 struct FrameTailShot
 {
@@ -432,19 +487,22 @@ struct FrameBatchStats
 };
 
 /**
- * Provider of branch-tail programs: tail(parent, ordinal) returns the
- * sub-program that continues parent's op stream after the superposed
- * T1 checkpoint @p ordinal, re-resolved against the jumped reference.
- * Implemented by FrameTailCache (noise/compiled.hh), which compiles
- * lazily and memoizes; must be safe to call from concurrent chunk
- * workers.  @pre parent.branchDepth > 0 and ordinal is a valid site.
+ * Provider of branch tails: tail(root, parent, ordinal) returns the
+ * tail that continues root's op stream after the superposed T1
+ * checkpoint @p ordinal of @p parent (nullptr: of the root itself),
+ * re-resolved against the jumped reference.  Implemented by
+ * FrameTailCache (noise/compiled.hh), which compiles lazily and
+ * memoizes; must be safe to call from concurrent chunk workers.
+ * @pre root.branchTails, parent (if any) is a tail of root with
+ *      branchDepth >= 0, and ordinal is one of its sites.
  */
 class FrameTailSource
 {
   public:
     virtual ~FrameTailSource() = default;
-    virtual const FrameProgram &tail(const FrameProgram &parent,
-                                     uint32_t ordinal) = 0;
+    virtual const FrameTail &tail(const FrameProgram &root,
+                                  const FrameTail *parent,
+                                  uint32_t ordinal) = 0;
 };
 
 /**
@@ -563,13 +621,14 @@ void drainDeferredShots(const FrameProgram &prog, const Rng &base,
  * Finish every lane in @p tails in-frame (see FrameTailShot),
  * counting the outcomes into @p hist, and clear the list.  Each lane
  * absorbs the checkpoint's branch-flip Pauli iff its x bit of the
- * decaying qubit reads 1, then walks the checkpoint's tail program
- * (from @p source) as a scalar frame; a nested superposed jump
- * recurses one tail deeper until the parent's branchDepth is
- * exhausted, at which point the lane falls back to an exact tableau
- * continuation seeded from the site's jumped-reference snapshot.
- * Each lane consumes the dedicated stream base.fork(kFrameDeferSalt +
- * shot) — the same contract as drainDeferredShots, so the fold stays
+ * decaying qubit reads 1, then walks the checkpoint's tail (from
+ * @p source) as a scalar frame over the root's op stream, reading
+ * the reference-dependent fields from the tail's overlays.  A nested
+ * superposed jump recurses one tail deeper; a jump past the
+ * branchDepth cap falls back to an exact tableau walk of the root
+ * stream, seeded from the capped tail's jumped reference.  Each lane
+ * consumes the dedicated stream base.fork(kFrameDeferSalt + shot) —
+ * the same contract as drainDeferredShots, so the fold stays
  * chunking- and wave-invariant.  @p stats accumulates how lanes
  * finished (never reset here).
  *
@@ -582,6 +641,16 @@ void drainTailShots(const FrameProgram &prog, const Rng &base,
                     FrameTailSource &source, StabilizerState &state,
                     OutcomePacker &packer, FlatAccumulator &hist,
                     FrameBatchStats &stats);
+
+/** @name Tableau actions of frame ops
+ *  A fused train's named realization (its Clifford up to global
+ *  phase), a two-qubit frame gate, and Pauli @p code in the engine
+ *  packing (0 = I, 1 = X, 2 = Y, 3 = Z): the deferred-lane replay and
+ *  the frame compiler's reference walks share these. @{ */
+void applyFrameOp(StabilizerState &state, const Frame1QOp &op);
+void applyFrameOp(StabilizerState &state, const Frame2QOp &op);
+void applyPauliCode(StabilizerState &state, int code, int q);
+/** @} */
 
 } // namespace adapt
 

@@ -23,6 +23,8 @@
  *    decoys with tails enabled, bounded tail recursion under
  *    ADAPT_FRAME_BRANCH_DEPTH, and the tails-disabled deferral path
  *    still sampling the same law;
+ *  - branch-tail memory: a 50-qubit tail-heavy job runs under a 2 GB
+ *    address-space cap;
  *  - dispatch: conditional non-Pauli gates keep the job off the
  *    frame engine but on the stabilizer backend (interpreted walk).
  *
@@ -31,6 +33,8 @@
  */
 
 #include <gtest/gtest.h>
+
+#include <sys/resource.h>
 
 #include <cstdlib>
 #include <vector>
@@ -124,6 +128,40 @@ wideCorpus()
 
 constexpr int kCorpusShots = 8000;
 constexpr int kShots = 60000;
+
+/**
+ * frame_char_100q's tail job at @p n qubits: |+>, a 20 us XY4-padded
+ * idle, X-basis readout.  T1 fires on superposed qubits, so most
+ * lanes leave the plane pass and finish on nested branch tails.
+ */
+ScheduledCircuit
+tailIdleExecutable(const Device &device, int n)
+{
+    Circuit c(n);
+    for (QubitId q = 0; q < n; q++) {
+        c.h(q);
+        c.delay(20000.0, q);
+        c.h(q);
+    }
+    c.measureAll();
+    const Calibration cal = device.calibration(0);
+    return insertDDAll(schedule(decompose(c), device.topology(), cal,
+                                ScheduleMode::Asap),
+                       cal, DDOptions{});
+}
+
+/** Prepare @p sched for the frame engine under
+ *  ADAPT_FRAME_BRANCH_DEPTH=@p depth. */
+PreparedCircuit
+prepareAtDepth(const NoisyMachine &machine, const ScheduledCircuit &sched,
+               const char *depth)
+{
+    setenv("ADAPT_FRAME_BRANCH_DEPTH", depth, 1);
+    PreparedCircuit prepared =
+        machine.prepare(sched, BackendKind::Stabilizer);
+    unsetenv("ADAPT_FRAME_BRANCH_DEPTH");
+    return prepared;
+}
 
 } // namespace
 
@@ -407,6 +445,51 @@ TEST(DynamicDeterminism, BatchVsSerialBitIdentical)
     }
 }
 
+TEST(DynamicDeterminism, NestedTailsAtWidthBitIdentical)
+{
+    // Hundreds of tails, nested several deep and cached by the
+    // address of their parent tail.  Every run prepares afresh, so
+    // the threaded and batched runs compile their tails concurrently.
+    const Device device = Device::synthetic(Topology::grid(10, 10));
+    const NoisyMachine machine(device, 0, NoiseFlags::pauliOnly());
+    const ScheduledCircuit sched = tailIdleExecutable(device, 20);
+    const int shots = 5 * kFrameLanes + 17;
+    for (const char *depth : {"8", "2"}) {
+        const PreparedCircuit job = prepareAtDepth(machine, sched, depth);
+        ASSERT_TRUE(job.frameBatched());
+        const RunOutcome serial =
+            machine.runPartial(job, shots, 31, 1, RunControl{});
+        EXPECT_GT(serial.frameStats.maxTailDepth, 2) << "depth " << depth;
+        EXPECT_GT(job.compiledTails(), 0u);
+
+        const RunOutcome threaded = machine.runPartial(
+            prepareAtDepth(machine, sched, depth), shots, 31, 7,
+            RunControl{});
+        EXPECT_TRUE(distributionsIdentical(serial.dist, threaded.dist))
+            << "depth " << depth;
+        EXPECT_EQ(serial.frameStats.tailShots,
+                  threaded.frameStats.tailShots);
+        EXPECT_EQ(serial.frameStats.depthCapHits,
+                  threaded.frameStats.depthCapHits);
+        EXPECT_EQ(serial.frameStats.maxTailDepth,
+                  threaded.frameStats.maxTailDepth);
+
+        const std::vector<PreparedCircuit> jobs = {
+            prepareAtDepth(machine, sched, depth),
+            prepareAtDepth(machine, sched, depth)};
+        const std::vector<uint64_t> seeds = {31, 32};
+        const std::vector<Distribution> batched = machine.runBatch(
+            std::span<const PreparedCircuit>(jobs), shots, seeds,
+            /*threads=*/5);
+        ASSERT_EQ(batched.size(), jobs.size());
+        EXPECT_TRUE(distributionsIdentical(batched[0], serial.dist))
+            << "depth " << depth;
+        EXPECT_TRUE(distributionsIdentical(
+            batched[1], machine.run(job, shots, 32, 1)))
+            << "depth " << depth;
+    }
+}
+
 // ----------------------------------------------- branch-tail stats
 
 namespace
@@ -537,6 +620,55 @@ TEST(DynamicTailStats, DisablingTailsFallsBackToDeferralPath)
         machine.runPartial(tails, kShots, 13, 0, RunControl{});
     EXPECT_EQ(tout.frameStats.deferredShots, 0);
     EXPECT_LT(tvDistance(out.dist, tout.dist), 0.015);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define ADAPT_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define ADAPT_TEST_SANITIZED 1
+#endif
+#endif
+
+namespace
+{
+
+/** Run the 50-qubit tail shape (1,024 shots, 2 threads) under a 2 GB
+ *  address-space cap; exits 0 iff it completes with tail lanes. */
+[[noreturn]] void
+runWideTailJobUnderCap()
+{
+    const rlim_t cap = rlim_t{2} << 30;
+    const rlimit limit{cap, cap};
+    if (setrlimit(RLIMIT_AS, &limit) != 0)
+        std::_Exit(2);
+    const Device device = Device::synthetic(Topology::grid(10, 10));
+    const NoisyMachine machine(device, 0, NoiseFlags::pauliOnly());
+    const PreparedCircuit prepared = machine.prepare(
+        tailIdleExecutable(device, 50), BackendKind::Stabilizer);
+    const RunOutcome out =
+        machine.runPartial(prepared, 1024, 7, 2, RunControl{});
+    std::_Exit(out.frameStats.tailShots > 0 &&
+                       out.dist.totalSamples() == 1024
+                   ? 0
+                   : 1);
+}
+
+} // namespace
+
+TEST(DynamicTailMemory, FiftyQubitTailShapeFitsUnderTwoGigabytes)
+{
+#ifdef ADAPT_TEST_SANITIZED
+    GTEST_SKIP() << "sanitizer shadow memory exceeds the address-space "
+                    "cap";
+#endif
+    // Tails must stay overlays on the root: a tail that copies its
+    // parent's op suffix exhausts this cap on this job.  The capped
+    // child re-executes the test binary (threadsafe style), so it
+    // forks no live pool.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(runWideTailJobUnderCap(), ::testing::ExitedWithCode(0),
+                "");
 }
 
 // -------------------------------------------------------- dispatch
