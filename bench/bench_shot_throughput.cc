@@ -21,13 +21,9 @@
  *    number, recorded in BENCH_pr4.json); on the 14-active-qubit
  *    routing the amplitude sweeps dominate both paths and the gap
  *    narrows — that regime is what the SIMD kernels and the
- *    live-width state vector attack;
- *  - grouped (shot-batched) vs per-shot compiled replay: the
- *    headline rows time all three dense strategies and record the
- *    signature-grouping occupancy (mean group size, no-error-group
- *    fraction) that explains each speedup; the per-shot rows and the
- *    registered *PerShot variants run a directly built ShotReplayer,
- *    so they stay per-shot whatever the engine would pick;
+ *    live-width state vector attack.  The headline rows repeat the
+ *    decoy-scale pair with OU drift off (the *_pauli rows), which
+ *    runs the same per-shot compiled replay as full noise;
  *  - the batch frame engine at 32/50/100-qubit characterization
  *    widths (256 lanes per pass);
  *  - one-time job preparation (plan lowering + compilation), to show
@@ -50,10 +46,8 @@
 #include <thread>
 #include <vector>
 
-#include "common/flat_accumulator.hh"
 #include "common/parallel.hh"
 #include "dd/sequences.hh"
-#include "noise/compiled.hh"
 #include "noise/machine.hh"
 #include "sim/dense_kernels.hh"
 #include "transpile/decompose.hh"
@@ -139,11 +133,9 @@ decoyPaddedSchedule()
 }
 
 /** Pauli-only decoy machine (gate/measure/T1/white-dephasing noise,
- *  OU drift off).  With no per-shot OU phases the whole event-free
- *  prefix is shot-invariant, which is where the grouped engine's
- *  reference-state reuse pays off fully — the >= 2x acceptance row.
- *  (QAOA decoys are non-Clifford, so this config still runs the
- *  dense backend in production.) */
+ *  OU drift off): programs without per-shot OU phase slots.  QAOA
+ *  decoys are non-Clifford, so this config still runs the dense
+ *  backend, on the same per-shot compiled replay as full noise. */
 const NoisyMachine &
 decoyPauliMachine()
 {
@@ -164,55 +156,6 @@ runThroughput(benchmark::State &state, const NoisyMachine &m,
         benchmark::DoNotOptimize(
             m.run(prepared, shots, ++seed, threads, mode));
     }
-    state.SetItemsProcessed(state.iterations() * shots);
-    state.counters["shots_per_sec"] = benchmark::Counter(
-        static_cast<double>(state.iterations()) * shots,
-        benchmark::Counter::kIsRate);
-}
-
-/**
- * The per-shot compiled replay of a dense schedule, built directly
- * (buildPlan + compileShotProgram + ShotReplayer) rather than through
- * NoisyMachine's strategy choice, so per-shot rows stay per-shot on
- * programs the engine would group.  Serial, like the rows it backs.
- */
-struct PerShotReplay
-{
-    PerShotReplay(const NoisyMachine &m, const ScheduledCircuit &sched)
-        : plan(buildPlan(sched, m.calibration(), m.flags())),
-          prog(compileShotProgram(plan, m.calibration(), m.flags())),
-          replayer(plan, prog)
-    {
-    }
-
-    /** replayer refers to plan and prog: pinned in place. */
-    PerShotReplay(const PerShotReplay &) = delete;
-    PerShotReplay &operator=(const PerShotReplay &) = delete;
-
-    /** Run @p shots shots; returns the outcome support size. */
-    size_t
-    run(int shots, uint64_t seed)
-    {
-        FlatAccumulator hist;
-        replayer.runBlock(Rng(seed), 0, shots, hist);
-        return hist.size();
-    }
-
-    ExecutionPlan plan;
-    ShotProgram prog;
-    ShotReplayer replayer;
-};
-
-/** Same sweep on the directly built per-shot replay: the baseline the
- *  registered compiled rows are read against. */
-void
-runThroughputPerShot(benchmark::State &state, const NoisyMachine &m,
-                     const ScheduledCircuit &sched, int shots)
-{
-    PerShotReplay pershot(m, sched);
-    uint64_t seed = 1;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(pershot.run(shots, ++seed));
     state.SetItemsProcessed(state.iterations() * shots);
     state.counters["shots_per_sec"] = benchmark::Counter(
         static_cast<double>(state.iterations()) * shots,
@@ -285,20 +228,6 @@ BM_DecoyShotThroughputDDInterpreted(benchmark::State &state)
     runThroughput(state, decoyMachine(), decoyPaddedSchedule(),
                   ExecMode::Interpreted,
                   static_cast<int>(state.range(0)), kShots);
-}
-
-void
-BM_DecoyShotThroughputPerShot(benchmark::State &state)
-{
-    runThroughputPerShot(state, decoyMachine(), decoySchedule(),
-                         kShots);
-}
-
-void
-BM_DecoyShotThroughputDDPerShot(benchmark::State &state)
-{
-    runThroughputPerShot(state, decoyMachine(), decoyPaddedSchedule(),
-                         kShots);
 }
 
 /** One-time job preparation (plan lowering + shot-program
@@ -436,10 +365,6 @@ registerBenchmarks()
                        BM_DecoyShotThroughputDD, true);
     registerThroughput("BM_DecoyShotThroughputDDInterpreted",
                        BM_DecoyShotThroughputDDInterpreted, false);
-    registerThroughput("BM_DecoyShotThroughputPerShot",
-                       BM_DecoyShotThroughputPerShot, false);
-    registerThroughput("BM_DecoyShotThroughputDDPerShot",
-                       BM_DecoyShotThroughputDDPerShot, false);
     benchmark::RegisterBenchmark("BM_PrepareCompile",
                                  BM_PrepareCompile)
         ->Unit(benchmark::kMicrosecond);
@@ -458,13 +383,9 @@ registerBenchmarks()
     }
 }
 
-/** Record one headline interpreted / per-shot-compiled / grouped
- *  triple directly (the registered benchmarks re-measure the same
- *  points with more rigor; these rows make the BENCH_*.json record
- *  self-contained).  The grouped row also carries the occupancy of
- *  the signature grouping — mean group size and the fraction of
- *  shots whose draw pass fired nothing — so a recorded speedup can
- *  be read against how much grouping was actually available. */
+/** Record one headline interpreted / compiled pair directly (the
+ *  registered benchmarks re-measure the same points with more rigor;
+ *  these rows make the BENCH_*.json record self-contained). */
 void
 recordHeadline(const char *name, const NoisyMachine &m,
                const ScheduledCircuit &sched, int shots)
@@ -479,62 +400,19 @@ recordHeadline(const char *name, const NoisyMachine &m,
                shots;
     };
     const double interpreted = seconds(ExecMode::Interpreted);
-    double pershot = 0.0;
-    {
-        PerShotReplay replay(m, sched);
-        const auto t0 = std::chrono::steady_clock::now();
-        benchmark::DoNotOptimize(replay.run(shots, 7));
-        const auto t1 = std::chrono::steady_clock::now();
-        pershot =
-            std::chrono::duration<double>(t1 - t0).count() / shots;
-    }
-
-    DenseBatchStats stats;
-    const auto t0 = std::chrono::steady_clock::now();
-    {
-        const RunOutcome out = m.runPartial(prepared, shots, 7, 1,
-                                            RunControl{});
-        benchmark::DoNotOptimize(&out.dist);
-        stats = out.denseStats;
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    const double grouped =
-        std::chrono::duration<double>(t1 - t0).count() / shots;
-
-    benchio::Case &row =
-        benchio::record(name)
-            .metric("shots", shots)
-            .metric("interpreted_ns_per_shot", interpreted * 1e9)
-            .metric("pershot_compiled_ns_per_shot", pershot * 1e9)
-            .metric("grouped_compiled_ns_per_shot", grouped * 1e9)
-            .metric("interpreted_shots_per_sec", 1.0 / interpreted)
-            .metric("pershot_compiled_shots_per_sec", 1.0 / pershot)
-            .metric("grouped_compiled_shots_per_sec", 1.0 / grouped)
-            .metric("speedup_compiled_vs_interpreted",
-                    interpreted / pershot)
-            .metric("speedup_grouped_vs_pershot", pershot / grouped);
-    // Occupancy: zero grouped shots means the job was ineligible
-    // (per-shot OU phases, or a register wider than kMaxBatchQubits)
-    // and ran the per-shot replay — mean_group_size then records
-    // null.
-    row.metric("grouped_shots", static_cast<double>(stats.shots))
-        .metric("mean_group_size",
-                static_cast<double>(stats.shots) /
-                    static_cast<double>(stats.groups))
-        .metric("no_error_group_fraction",
-                stats.shots > 0
-                    ? static_cast<double>(stats.noErrorShots) /
-                          static_cast<double>(stats.shots)
-                    : 0.0)
-        .metric("batched_shot_fraction",
-                stats.shots > 0
-                    ? static_cast<double>(stats.batchedShots) /
-                          static_cast<double>(stats.shots)
-                    : 0.0);
-    std::printf("%-28s %9.0f ns/shot interpreted, %8.0f per-shot, "
-                "%8.0f grouped (%.2fx vs per-shot)\n",
-                name, interpreted * 1e9, pershot * 1e9, grouped * 1e9,
-                pershot / grouped);
+    const double compiled = seconds(ExecMode::Compiled);
+    benchio::record(name)
+        .metric("shots", shots)
+        .metric("interpreted_ns_per_shot", interpreted * 1e9)
+        .metric("compiled_ns_per_shot", compiled * 1e9)
+        .metric("interpreted_shots_per_sec", 1.0 / interpreted)
+        .metric("compiled_shots_per_sec", 1.0 / compiled)
+        .metric("speedup_compiled_vs_interpreted",
+                interpreted / compiled);
+    std::printf("%-28s %9.0f ns/shot interpreted, %8.0f compiled "
+                "(%.2fx)\n",
+                name, interpreted * 1e9, compiled * 1e9,
+                interpreted / compiled);
 }
 
 /** Whole-device T1/idle characterization at width @p n — the frame
@@ -589,9 +467,9 @@ void
 runExperiment()
 {
     benchio::open("shot_throughput",
-                  "dense shot replay — interpreted vs per-shot "
-                  "compiled vs grouped (ns per shot and shots/sec, "
-                  "1 thread) at decoy and device scale, plus "
+                  "dense shot replay — interpreted vs compiled "
+                  "(ns per shot and shots/sec, 1 thread) at decoy "
+                  "and device scale, plus "
                   "frame-plane characterization at 32, 50, and 100 "
                   "qubits");
     banner("Shot throughput",
@@ -608,16 +486,14 @@ runExperiment()
                    decoySchedule(), kShots);
     recordHeadline("qaoa5_rome_decoy_scale_dd", decoyMachine(),
                    decoyPaddedSchedule(), kShots);
-    // Same circuits with OU drift off (NoiseFlags::pauliOnly): the
-    // shot-invariant-prefix configuration the grouped engine's
-    // acceptance number is quoted on.
+    // Same circuits with OU drift off (NoiseFlags::pauliOnly): no
+    // per-shot OU phase slots, same per-shot compiled replay.
     recordHeadline("qaoa5_rome_decoy_scale_pauli",
                    decoyPauliMachine(), decoySchedule(), kShots);
     recordHeadline("qaoa5_rome_decoy_scale_dd_pauli",
                    decoyPauliMachine(), decoyPaddedSchedule(),
                    kShots);
-    // Above the kMaxBatchQubits cap: records the per-shot fallback
-    // (grouped metrics degenerate) next to the small-register wins.
+    // The 14-active-qubit routing, where amplitude sweeps dominate.
     recordHeadline("qaoa10_toronto", machine(), program().schedule,
                    kPaddedShots);
     recordFrameSweep();

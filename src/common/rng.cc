@@ -39,48 +39,17 @@ Rng::Rng(uint64_t seed) : cachedNormal_(0.0), hasCachedNormal_(false)
 uint64_t
 Rng::next()
 {
-    return step(state_);
-}
+    const uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const uint64_t t = state_[1] << 17;
 
-uint64_t
-Rng::step(uint64_t (&s)[4])
-{
-    const uint64_t result = rotl(s[1] * 5, 7) * 9;
-    const uint64_t t = s[1] << 17;
-
-    s[2] ^= s[0];
-    s[3] ^= s[1];
-    s[1] ^= s[2];
-    s[0] ^= s[3];
-    s[2] ^= t;
-    s[3] = rotl(s[3], 45);
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
 
     return result;
-}
-
-void
-Rng::stepLanes(uint64_t *__restrict s0, uint64_t *__restrict s1,
-               uint64_t *__restrict s2, uint64_t *__restrict s3,
-               uint64_t *__restrict out, int n)
-{
-    for (int l = 0; l < n; l++) {
-        out[l] = rotl(s1[l] * 5, 7) * 9;
-        const uint64_t t = s1[l] << 17;
-
-        s2[l] ^= s0[l];
-        s3[l] ^= s1[l];
-        s1[l] ^= s2[l];
-        s0[l] ^= s3[l];
-        s2[l] ^= t;
-        s3[l] = rotl(s3[l], 45);
-    }
-}
-
-void
-Rng::exportState(uint64_t (&out)[4]) const
-{
-    for (int w = 0; w < 4; w++)
-        out[w] = state_[w];
 }
 
 double
@@ -100,17 +69,11 @@ uint64_t
 Rng::uniformInt(uint64_t n)
 {
     require(n > 0, "Rng::uniformInt requires n > 0");
-    return uniformIntFromState(state_, n);
-}
-
-uint64_t
-Rng::uniformIntFromState(uint64_t (&state)[4], uint64_t n)
-{
     // Rejection sampling to avoid modulo bias.
     const uint64_t limit = UINT64_MAX - UINT64_MAX % n;
     uint64_t draw;
     do {
-        draw = step(state);
+        draw = next();
     } while (draw >= limit);
     return draw % n;
 }

@@ -33,34 +33,6 @@ class Rng
     /** Next raw 64-bit draw. */
     uint64_t next();
 
-    /**
-     * Advance one raw xoshiro256** state by one step and return the
-     * draw — the core of next(), exposed so batch executors can run
-     * many forked streams without wrapping each in an Rng.
-     */
-    static uint64_t step(uint64_t (&state)[4]);
-
-    /**
-     * Advance @p n parallel stream states stored as four lane arrays
-     * (state word w of lane l at s\<w\>[l]) by one step each, writing
-     * lane l's draw to out[l].  Bit-identical per lane to step();
-     * the structure-of-arrays layout lets the loop auto-vectorize.
-     */
-    static void stepLanes(uint64_t *s0, uint64_t *s1, uint64_t *s2,
-                          uint64_t *s3, uint64_t *out, int n);
-
-    /**
-     * uniformInt() on a raw state: rejection-sampled uniform integer
-     * in [0, n) consuming step() draws exactly as uniformInt() does.
-     * @pre n > 0
-     */
-    static uint64_t uniformIntFromState(uint64_t (&state)[4],
-                                        uint64_t n);
-
-    /** Copy the four raw state words out (seeding a lane of a
-     *  structure-of-arrays stream block). */
-    void exportState(uint64_t (&out)[4]) const;
-
     /** Uniform double in [0, 1). */
     double uniform();
 

@@ -1,7 +1,6 @@
 #include "noise/compiled.hh"
 
 #include <cmath>
-#include <cstring>
 #include <utility>
 
 #include "circuit/clifford1q.hh"
@@ -1414,18 +1413,6 @@ FrameTailCache::size() const
 // Per-shot execution.
 // ------------------------------------------------------------------
 
-namespace
-{
-
-/** End index of a whole op stream (replayRange's end_op). */
-uint32_t
-fullRange(const std::vector<OpRef> &stream)
-{
-    return static_cast<uint32_t>(stream.size());
-}
-
-} // namespace
-
 ShotReplayer::ShotReplayer(const ExecutionPlan &plan,
                            const ShotProgram &prog)
     : plan_(plan), prog_(prog), sv_(prog.numQubits),
@@ -1562,17 +1549,18 @@ ShotReplayer::drawTape(const Rng &shot_rng, ShotTape &tape)
 }
 
 void
-ShotReplayer::replayRange(const std::vector<OpRef> &stream,
-                          uint32_t first_op, uint32_t end_op,
-                          const ShotTape &tape, size_t cursor)
+ShotReplayer::replayStream(const std::vector<OpRef> &stream,
+                           const ShotTape &tape)
 {
     const NoiseFlags &flags = prog_.flags;
     const std::vector<ShotEvent> &events = tape.events;
     const size_t n_events = events.size();
+    const auto n_ops = static_cast<uint32_t>(stream.size());
+    size_t cursor = 0; // first tape event not yet applied
     // Ops name dense qubits; the state is addressed by join-order bit.
     const int *bit = plan_.svBit.data();
 
-    for (uint32_t i = first_op; i < end_op; i++) {
+    for (uint32_t i = 0; i < n_ops; i++) {
         const OpRef ref = stream[i];
         switch (ref.kind) {
           case OpRef::Kind::Coherent: {
@@ -1710,9 +1698,9 @@ ShotReplayer::replayShot(const ShotTape &tape)
         // No stochastic event fired: maximally fused deterministic
         // replay (no Markov ops, one matrix per pulse train).
         fastShots_++;
-        replayRange(prog_.fastOps, 0, fullRange(prog_.fastOps), tape, 0);
+        replayStream(prog_.fastOps, tape);
     } else {
-        replayRange(prog_.ops, 0, fullRange(prog_.ops), tape, 0);
+        replayStream(prog_.ops, tape);
     }
     return packer_.key();
 }
@@ -1741,504 +1729,6 @@ ShotReplayer::runBlock(const Rng &base, int64_t first_shot,
         const Rng shot_rng = base.fork(
             static_cast<uint64_t>(first_shot + done) + 1);
         hist.add(runShot(shot_rng), 1.0);
-    }
-    return done;
-}
-
-// ------------------------------------------------------------------
-// Grouped (shot-batched) dense execution.
-// ------------------------------------------------------------------
-
-namespace
-{
-
-/** True when two tapes resolved the same event pattern.  The per-shot
- *  measurement / T1 words are deliberately excluded: group members
- *  may differ in them because they are only consumed after the
- *  divergence point. */
-bool
-sameSignature(const ShotTape &x, const ShotTape &y)
-{
-    if (x.events.size() != y.events.size())
-        return false;
-    for (size_t k = 0; k < x.events.size(); k++) {
-        const ShotEvent &a = x.events[k];
-        const ShotEvent &b = y.events[k];
-        if (a.op != b.op || a.pulse != b.pulse || a.kind != b.kind ||
-            a.a != b.a || a.b != b.b)
-            return false;
-    }
-    return true;
-}
-
-/** One scalar draw on lane @p l of a structure-of-arrays stream
- *  block (word w of lane l at words[w * stride + l]) — the rare
- *  follow-up word after a firing threshold check. */
-uint64_t
-laneStep(uint64_t *words, size_t stride, int l)
-{
-    const auto u = static_cast<size_t>(l);
-    uint64_t st[4] = {words[u], words[stride + u],
-                      words[2 * stride + u], words[3 * stride + u]};
-    const uint64_t r = Rng::step(st);
-    words[u] = st[0];
-    words[stride + u] = st[1];
-    words[2 * stride + u] = st[2];
-    words[3 * stride + u] = st[3];
-    return r;
-}
-
-/** Rng::uniformInt on lane @p l of a stream block (Pauli error code
- *  draws after a firing gate-error check). */
-uint64_t
-laneUniformInt(uint64_t *words, size_t stride, int l, uint64_t n)
-{
-    const auto u = static_cast<size_t>(l);
-    uint64_t st[4] = {words[u], words[stride + u],
-                      words[2 * stride + u], words[3 * stride + u]};
-    const uint64_t r = Rng::uniformIntFromState(st, n);
-    words[u] = st[0];
-    words[stride + u] = st[1];
-    words[2 * stride + u] = st[2];
-    words[3 * stride + u] = st[3];
-    return r;
-}
-
-} // namespace
-
-BatchShotReplayer::BatchShotReplayer(const ExecutionPlan &plan,
-                                     const ShotProgram &prog)
-    : scalar_(plan, prog), tapes_(kBatchLanes),
-      groupAmps_(uint64_t{1} << prog.numQubits),
-      drawBatched_(!prog.flags.ouDephasing),
-      gateWords_(drawBatched_ ? size_t{4} * kBatchLanes : 0),
-      qubitWords_(drawBatched_
-                      ? size_t{4} * kBatchLanes *
-                            static_cast<size_t>(prog.numQubits)
-                      : 0)
-{
-    require(eligible(prog),
-            "BatchShotReplayer requires an eligible program");
-    // With no per-shot dynamic phases the event-free evolution of the
-    // general stream is shot-invariant: checkpoint it once, up to the
-    // first state-dependent op.
-    refDivOp_ = static_cast<uint32_t>(prog.ops.size());
-    for (uint32_t i = 0; i < prog.ops.size(); i++) {
-        const OpRef::Kind k = prog.ops[i].kind;
-        if (k == OpRef::Kind::Meas || k == OpRef::Kind::Reset) {
-            refDivOp_ = i;
-            break;
-        }
-    }
-    const uint64_t dim = uint64_t{1} << prog.numQubits;
-    const auto max_cp = static_cast<uint32_t>(std::max<size_t>(
-        2, kRefBudgetBytes / (dim * sizeof(Complex))));
-    refStride_ =
-        std::max<uint32_t>(1, (refDivOp_ + max_cp - 1) / max_cp);
-    const uint32_t num_cp = refDivOp_ / refStride_ + 1;
-    refAmps_.resize(size_t{num_cp} * dim);
-    scalar_.sv_.reset();
-    for (uint32_t c = 0; c < num_cp; c++) {
-        std::memcpy(refAmps_.data() + size_t{c} * dim,
-                    scalar_.sv_.data(), dim * sizeof(Complex));
-        replayPrefix(prog.ops, c * refStride_,
-                     std::min((c + 1) * refStride_, refDivOp_),
-                     emptyTape_);
-    }
-    // The no-error prefix on the fast stream, likewise tape-invariant,
-    // shared by every no-error shot of a run.
-    size_t fast_cursor = 0;
-    refFastDivOp_ = divergenceOp(prog.fastOps, emptyTape_, fast_cursor);
-    refFastAmps_.resize(dim);
-    scalar_.sv_.reset();
-    replayPrefix(prog.fastOps, 0, refFastDivOp_, emptyTape_);
-    std::memcpy(refFastAmps_.data(), scalar_.sv_.data(),
-                dim * sizeof(Complex));
-}
-
-uint64_t
-BatchShotReplayer::replayShotFromRef(const ShotTape &tape)
-{
-    // Mirrors ShotReplayer::replayShot, except the state starts at
-    // the precomputed reference below the shot's first divergence —
-    // the fast-stream prefix state for a no-error tape, or the
-    // checkpoint below the first event — instead of |0...0>.
-    const ShotProgram &prog = scalar_.prog_;
-    const uint64_t dim = uint64_t{1} << prog.numQubits;
-    scalar_.packer_.clear();
-    scalar_.totalShots_++;
-    if (tape.events.empty()) {
-        scalar_.fastShots_++;
-        scalar_.sv_.setAmplitudes(refFastAmps_.data(), dim);
-        scalar_.replayRange(prog.fastOps, refFastDivOp_,
-                            fullRange(prog.fastOps), tape, 0);
-    } else {
-        const uint32_t j = std::min(tape.events[0].op, refDivOp_);
-        const uint32_t cp = j / refStride_;
-        scalar_.sv_.setAmplitudes(refAmps_.data() + size_t{cp} * dim,
-                                  dim);
-        scalar_.replayRange(prog.ops, cp * refStride_,
-                            fullRange(prog.ops), tape, 0);
-    }
-    return scalar_.packer_.key();
-}
-
-void
-BatchShotReplayer::drawBlockTapes(const Rng &base, int64_t first_shot,
-                                  int count)
-{
-    // Mirrors ShotReplayer::drawTape op by op: each lane's streams
-    // consume the same words in the same order, so the tapes are
-    // bitwise those of count scalar draw passes.  The per-shot
-    // Gaussians of OU dephasing are the one draw kind with no
-    // lockstep form (Box-Muller caches a second value per stream);
-    // programs that sample them construct with drawBatched_ false.
-    const ShotProgram &prog = scalar_.prog_;
-    const NoiseFlags &flags = prog.flags;
-    constexpr size_t kL = kBatchLanes;
-    const auto n = static_cast<size_t>(prog.numQubits);
-
-    uint64_t st[4];
-    for (int l = 0; l < count; l++) {
-        const auto ul = static_cast<size_t>(l);
-        const Rng shot_rng =
-            base.fork(static_cast<uint64_t>(first_shot + l) + 1);
-        shot_rng.fork(0x6a7e).exportState(st);
-        for (size_t w = 0; w < 4; w++)
-            gateWords_[w * kL + ul] = st[w];
-        for (size_t ai = 0; ai < n; ai++) {
-            shot_rng.fork(0x0b5e + ai).exportState(st);
-            uint64_t *qs = qubitWords_.data() + ai * 4 * kL;
-            for (size_t w = 0; w < 4; w++)
-                qs[w * kL + ul] = st[w];
-        }
-        ShotTape &tape = tapes_[ul];
-        tape.phases.resize(prog.phaseSlots);
-        tape.measWord.resize(size_t{2} * prog.measSlots);
-        tape.events.clear();
-    }
-
-    uint64_t words[kBatchLanes];
-    uint64_t *gs = gateWords_.data();
-    const auto sweep = [&](uint64_t *s) {
-        Rng::stepLanes(s, s + kL, s + 2 * kL, s + 3 * kL, words,
-                       count);
-    };
-    // Draw + threshold check in one pass; the caller scans for the
-    // firing lanes only when at least one fired (events are rare, so
-    // the vectorizable count skips nearly every scalar scan).
-    const auto sweepCount = [&](uint64_t *s, uint64_t thresh) {
-        Rng::stepLanes(s, s + kL, s + 2 * kL, s + 3 * kL, words,
-                       count);
-        int fired = 0;
-        for (int l = 0; l < count; l++)
-            fired += (words[l] >> 11) < thresh ? 1 : 0;
-        return fired;
-    };
-
-    for (uint32_t i = 0; i < prog.ops.size(); i++) {
-        const OpRef ref = prog.ops[i];
-        switch (ref.kind) {
-          case OpRef::Kind::Coherent: {
-            // ouKind != 0 implies flags.ouDephasing, which disables
-            // the batched draw; only static-phase twirls draw here.
-            const CoherentOp &c = prog.coherent[ref.idx];
-            if (c.twirlThresh != kNoDraw &&
-                sweepCount(qubitWords_.data() +
-                               static_cast<size_t>(c.q) * 4 * kL,
-                           c.twirlThresh) != 0) {
-                for (int l = 0; l < count; l++) {
-                    if ((words[l] >> 11) < c.twirlThresh) {
-                        tapes_[static_cast<size_t>(l)]
-                            .events.push_back(
-                                {i, 0, 0, ShotEvent::Kind::TwirlZ, 0,
-                                 0});
-                    }
-                }
-            }
-            break;
-          }
-          case OpRef::Kind::Markov: {
-            const MarkovOp &m = prog.markov[ref.idx];
-            uint64_t *qs = qubitWords_.data() +
-                           static_cast<size_t>(m.q) * 4 * kL;
-            if (m.t1Thresh != kNoDraw &&
-                sweepCount(qs, m.t1Thresh) != 0) {
-                for (int l = 0; l < count; l++) {
-                    if ((words[l] >> 11) < m.t1Thresh) {
-                        // Reserve the population-conditional word
-                        // from this lane's stream, like the scalar
-                        // draw.
-                        tapes_[static_cast<size_t>(l)]
-                            .events.push_back(
-                                {i, 0, laneStep(qs, kL, l),
-                                 ShotEvent::Kind::T1Jump, 0, 0});
-                    }
-                }
-            }
-            if (m.dephThresh != kNoDraw &&
-                sweepCount(qs, m.dephThresh) != 0) {
-                for (int l = 0; l < count; l++) {
-                    if ((words[l] >> 11) < m.dephThresh) {
-                        tapes_[static_cast<size_t>(l)]
-                            .events.push_back(
-                                {i, 0, 0, ShotEvent::Kind::DephZ, 0,
-                                 0});
-                    }
-                }
-            }
-            break;
-          }
-          case OpRef::Kind::Fused1Q: {
-            const Fused1QOp &f = prog.fused[ref.idx];
-            for (uint32_t e = 0; e < f.errCnt; e++) {
-                const PulseErrCheck &chk =
-                    prog.errChecks[f.errOff + e];
-                if (sweepCount(gs, chk.thresh) == 0)
-                    continue;
-                for (int l = 0; l < count; l++) {
-                    if ((words[l] >> 11) < chk.thresh) {
-                        const auto pauli = static_cast<uint8_t>(
-                            laneUniformInt(gs, kL, l, 3) + 1);
-                        tapes_[static_cast<size_t>(l)]
-                            .events.push_back(
-                                {i, chk.pulse, 0,
-                                 ShotEvent::Kind::Err1Q, pauli, 0});
-                    }
-                }
-            }
-            break;
-          }
-          case OpRef::Kind::TwoQ: {
-            const TwoQOp &t = prog.twoQ[ref.idx];
-            if (t.errThresh != kNoDraw &&
-                sweepCount(gs, t.errThresh) != 0) {
-                for (int l = 0; l < count; l++) {
-                    if ((words[l] >> 11) < t.errThresh) {
-                        const auto code = static_cast<int>(
-                                              laneUniformInt(gs, kL,
-                                                             l, 15)) +
-                                          1;
-                        tapes_[static_cast<size_t>(l)]
-                            .events.push_back(
-                                {i, 0, 0, ShotEvent::Kind::Err2Q,
-                                 static_cast<uint8_t>(code & 3),
-                                 static_cast<uint8_t>(code >> 2)});
-                    }
-                }
-            }
-            break;
-          }
-          case OpRef::Kind::Meas: {
-            const MeasOp &m = prog.meas[ref.idx];
-            sweep(gs);
-            for (int l = 0; l < count; l++) {
-                tapes_[static_cast<size_t>(l)]
-                    .measWord[size_t{2} * m.wordSlot] = words[l];
-            }
-            if (flags.measurementErrors) {
-                sweep(gs);
-                for (int l = 0; l < count; l++) {
-                    tapes_[static_cast<size_t>(l)]
-                        .measWord[size_t{2} * m.wordSlot + 1] =
-                        words[l];
-                }
-            } else {
-                for (int l = 0; l < count; l++) {
-                    tapes_[static_cast<size_t>(l)]
-                        .measWord[size_t{2} * m.wordSlot + 1] = 0;
-                }
-            }
-            break;
-          }
-          case OpRef::Kind::Reset: {
-            const ResetOp &r = prog.resets[ref.idx];
-            sweep(gs);
-            for (int l = 0; l < count; l++) {
-                ShotTape &tape = tapes_[static_cast<size_t>(l)];
-                tape.measWord[size_t{2} * r.wordSlot] = words[l];
-                tape.measWord[size_t{2} * r.wordSlot + 1] = 0;
-            }
-            break;
-          }
-          case OpRef::Kind::Cond1Q:
-            break;
-        }
-    }
-}
-
-uint32_t
-BatchShotReplayer::divergenceOp(const std::vector<OpRef> &stream,
-                                const ShotTape &rep,
-                                size_t &cursor_out) const
-{
-    const std::vector<ShotEvent> &events = rep.events;
-    size_t cursor = 0;
-    for (uint32_t i = 0; i < stream.size(); i++) {
-        const OpRef ref = stream[i];
-        if (ref.kind == OpRef::Kind::Meas ||
-            ref.kind == OpRef::Kind::Reset) {
-            cursor_out = cursor;
-            return i;
-        }
-        if (ref.kind == OpRef::Kind::Markov &&
-            cursor < events.size() && events[cursor].op == i &&
-            events[cursor].kind == ShotEvent::Kind::T1Jump) {
-            // The draw pass emits a Markov op's T1Jump before its
-            // DephZ, so a population-conditional jump is always the
-            // first event at its op index.
-            cursor_out = cursor;
-            return i;
-        }
-        while (cursor < events.size() && events[cursor].op == i)
-            cursor++;
-    }
-    cursor_out = cursor;
-    return static_cast<uint32_t>(stream.size());
-}
-
-void
-BatchShotReplayer::replayPrefix(const std::vector<OpRef> &stream,
-                                uint32_t from, uint32_t to,
-                                const ShotTape &rep)
-{
-    // Ops before the divergence point read no per-shot state or
-    // words, and no measurement has written the classical record yet
-    // (conditional pulses there are uniform no-ops), so the scalar
-    // replay of that range is the group's shared evolution.
-    scalar_.packer_.clear();
-    scalar_.replayRange(stream, from, to, rep, 0);
-}
-
-void
-BatchShotReplayer::runSubBlock(const Rng &base, int64_t first_shot,
-                               int count, FlatAccumulator &hist)
-{
-    const ShotProgram &prog = scalar_.prog_;
-    if (drawBatched_) {
-        drawBlockTapes(base, first_shot, count);
-    } else {
-        for (int s = 0; s < count; s++) {
-            const Rng shot_rng =
-                base.fork(static_cast<uint64_t>(first_shot + s) + 1);
-            scalar_.drawTape(shot_rng, tapes_[static_cast<size_t>(s)]);
-        }
-    }
-    for (int s = 0; s < count; s++) {
-        if (tapes_[static_cast<size_t>(s)].events.empty())
-            stats_.noErrorShots++;
-    }
-    stats_.shots += count;
-    stats_.blocks++;
-
-    // Group by event signature with an order-preserving scan against
-    // each group's representative (<= 64 members per block keeps the
-    // quadratic comparison trivial; tapes of one group share every
-    // event, so comparing against the representative suffices).
-    int groupOf[kBatchLanes];
-    int repOf[kBatchLanes];
-    int num_groups = 0;
-    for (int s = 0; s < count; s++) {
-        int g = -1;
-        for (int k = 0; k < num_groups; k++) {
-            if (sameSignature(tapes_[static_cast<size_t>(s)],
-                              tapes_[static_cast<size_t>(repOf[k])])) {
-                g = k;
-                break;
-            }
-        }
-        if (g < 0) {
-            g = num_groups++;
-            repOf[g] = s;
-        }
-        groupOf[s] = g;
-    }
-    stats_.groups += num_groups;
-
-    const uint64_t dim = uint64_t{1} << prog.numQubits;
-    int lanes[kBatchLanes];
-    for (int k = 0; k < num_groups; k++) {
-        int group_size = 0;
-        for (int s = 0; s < count; s++) {
-            if (groupOf[s] == k)
-                lanes[group_size++] = s;
-        }
-        const ShotTape &rep = tapes_[static_cast<size_t>(repOf[k])];
-        const std::vector<OpRef> &stream =
-            rep.events.empty() ? prog.fastOps : prog.ops;
-        size_t cursor_at_d = 0;
-        const uint32_t d =
-            group_size >= 2
-                ? divergenceOp(stream, rep, cursor_at_d)
-                : 0;
-        if (group_size < 2 || d == 0) {
-            // Nothing to share across lanes: per-shot replay from the
-            // precomputed reference below the shot's first
-            // divergence.
-            for (int g = 0; g < group_size; g++) {
-                hist.add(replayShotFromRef(
-                             tapes_[static_cast<size_t>(lanes[g])]),
-                         1.0);
-            }
-            continue;
-        }
-
-        // Every member's prefix is the identical operator sequence
-        // (equal events, no per-shot phases): run it once on the
-        // scalar state, snapshot, and give each member the shared
-        // state for its divergent tail.
-        stats_.batchedShots += group_size;
-        if (rep.events.empty()) {
-            // No-error group: its fast-stream prefix state is
-            // block-invariant, and d here always equals refFastDivOp_
-            // (both are the first Meas/Reset of fastOps), so the
-            // precomputed reference IS the shared snapshot.
-            std::memcpy(groupAmps_.data(), refFastAmps_.data(),
-                        dim * sizeof(Complex));
-        } else {
-            // Start from the reference checkpoint below the group's
-            // first event.
-            const uint32_t j = std::min(rep.events[0].op, refDivOp_);
-            const uint32_t cp = j / refStride_;
-            scalar_.sv_.setAmplitudes(refAmps_.data() + size_t{cp} * dim,
-                                      dim);
-            replayPrefix(stream, cp * refStride_, d, rep);
-            std::memcpy(groupAmps_.data(), scalar_.sv_.data(),
-                        dim * sizeof(Complex));
-        }
-        for (int g = 0; g < group_size; g++) {
-            const ShotTape &tape = tapes_[static_cast<size_t>(lanes[g])];
-            scalar_.sv_.setAmplitudes(groupAmps_.data(), dim);
-            // No measurement ran before the divergence op, so the
-            // packer is clear there in every member.
-            scalar_.packer_.clear();
-            scalar_.totalShots_++;
-            if (tape.events.empty())
-                scalar_.fastShots_++;
-            scalar_.replayRange(stream, d, fullRange(stream), tape,
-                                cursor_at_d);
-            hist.add(scalar_.packer_.key(), 1.0);
-        }
-    }
-}
-
-int64_t
-BatchShotReplayer::runBlock(const Rng &base, int64_t first_shot,
-                            int64_t count, FlatAccumulator &hist,
-                            const CancellationToken *token)
-{
-    // Outcomes never depend on the sub-block split (every shot's
-    // tape is drawn from (base, absolute index) alone), so draw
-    // blocks are formed from the range start; the token is polled
-    // once per block, truncating to an exact block-prefix.
-    int64_t done = 0;
-    while (done < count) {
-        if (token != nullptr && token->stopRequested())
-            break;
-        const int n = static_cast<int>(
-            std::min<int64_t>(kBatchLanes, count - done));
-        runSubBlock(base, first_shot + done, n, hist);
-        done += n;
     }
     return done;
 }

@@ -641,34 +641,14 @@ struct ShotEvent
  * Everything one shot's draw pass resolved: the dynamic phases, the
  * reserved measurement / reset RNG words, and the fired events.  A
  * ShotTape plus the compiled program fully determines the shot — the
- * replay consumes no RNG — so tapes for a whole block can be drawn up
- * front and replayed in any grouping without changing any outcome.
+ * replay consumes no RNG — so a tape drawn by drawTape and replayed
+ * later by replayShot gives the same outcome as runShot.
  */
 struct ShotTape
 {
     std::vector<double> phases;     //!< per phaseSlot
     std::vector<uint64_t> measWord; //!< 2 per measSlot
     std::vector<ShotEvent> events;
-};
-
-/** Occupancy counters of the grouped dense path (BatchShotReplayer),
- *  reported per run through RunOutcome::denseStats. */
-struct DenseBatchStats
-{
-    int64_t shots = 0;   //!< shots routed through the grouped path
-    int64_t blocks = 0;  //!< <= 64-shot draw blocks formed
-    int64_t groups = 0;  //!< signature groups (singletons included)
-    int64_t batchedShots = 0;  //!< shots whose group prefix ran once
-    int64_t noErrorShots = 0;  //!< shots whose draw pass fired nothing
-
-    void merge(const DenseBatchStats &other)
-    {
-        shots += other.shots;
-        blocks += other.blocks;
-        groups += other.groups;
-        batchedShots += other.batchedShots;
-        noErrorShots += other.noErrorShots;
-    }
 };
 
 /**
@@ -723,14 +703,10 @@ class ShotReplayer
     uint64_t totalShots() const { return totalShots_; }
 
   private:
-    friend class BatchShotReplayer;
-
-    /** Replay stream ops [first_op, end_op) against the current
-     *  state, with @p cursor positioned at the first tape event whose
-     *  op index is >= first_op. */
-    void replayRange(const std::vector<OpRef> &stream,
-                     uint32_t first_op, uint32_t end_op,
-                     const ShotTape &tape, size_t cursor);
+    /** Replay every op of @p stream against the current state,
+     *  applying @p tape's events at their ops. */
+    void replayStream(const std::vector<OpRef> &stream,
+                      const ShotTape &tape);
 
     const ExecutionPlan &plan_;
     const ShotProgram &prog_;
@@ -745,141 +721,6 @@ class ShotReplayer
 
     uint64_t fastShots_ = 0;
     uint64_t totalShots_ = 0;
-};
-
-/**
- * Shot-batched dense replay: the grouped execution strategy for
- * programs without per-shot OU phases (eligible()).
- *
- * Each <= 64-shot block first runs the state-independent draw pass
- * for every shot, then groups shots whose tapes resolved to the same
- * *event signature* — the sequence of (op, pulse, kind, Pauli codes),
- * ignoring the per-shot measurement words.  At realistic error rates
- * the empty signature (no event fired) dominates, so one group
- * usually holds most of the block.  With no per-shot dynamic phase,
- * every member of a group applies the identical operator sequence up
- * to the group's first *divergent* op — a measurement, reset, or
- * population-conditional T1 jump, whose effect depends on per-shot
- * state or per-shot words — so that prefix runs once on the scalar
- * state, starting from a precomputed event-free reference
- * checkpoint, and every member finishes alone from the shared
- * snapshot.
- *
- * Bit-identity: tapes are drawn from the same per-shot forks in the
- * same order as ShotReplayer::runBlock, the shared prefix applies
- * the scalar replay's exact operands, and divergence splits *before*
- * any state-dependent resolution, so every outcome key equals the
- * per-shot path's for any seed, thread count, and block split.
- */
-class BatchShotReplayer
-{
-  public:
-    BatchShotReplayer(const ExecutionPlan &plan,
-                      const ShotProgram &prog);
-
-    /** Widest register the grouped replay serves. */
-    static constexpr int kMaxBatchQubits = 12;
-
-    /** Lanes per draw block (matches the engine's kShotBlock). */
-    static constexpr int kBatchLanes = 64;
-
-    /** True when grouping can share work for @p prog: no per-shot OU
-     *  phase slots (OU-dephased programs give every shot a distinct
-     *  operator sequence, so they stay on ShotReplayer) and at most
-     *  kMaxBatchQubits qubits (wider registers' amplitude sweeps
-     *  amortize per-op dispatch already). */
-    static bool eligible(const ShotProgram &prog)
-    {
-        return prog.numQubits <= kMaxBatchQubits &&
-               prog.phaseSlots == 0;
-    }
-
-    /**
-     * Grouped-path equivalent of ShotReplayer::runBlock: identical
-     * outcomes, identical per-shot RNG forks.  @p token, when
-     * non-null, is polled once per <= 64-shot draw block, so a stop
-     * request truncates to an exact block-prefix of the range.
-     */
-    int64_t runBlock(const Rng &base, int64_t first_shot,
-                     int64_t count, FlatAccumulator &hist,
-                     const CancellationToken *token = nullptr);
-
-    const DenseBatchStats &stats() const { return stats_; }
-    uint64_t fastShots() const { return scalar_.fastShots(); }
-    uint64_t totalShots() const { return scalar_.totalShots(); }
-
-  private:
-    void runSubBlock(const Rng &base, int64_t first_shot, int count,
-                     FlatAccumulator &hist);
-
-    /**
-     * Draw the tapes of shots [first_shot, first_shot + count) into
-     * tapes_[0..count) with the per-shot RNG streams advanced in
-     * structure-of-arrays lockstep (Rng::stepLanes), consuming every
-     * stream exactly as count calls of ShotReplayer::drawTape would.
-     * Only valid when the program draws no per-shot Gaussians
-     * (!flags.ouDephasing — see drawBatched_).
-     */
-    void drawBlockTapes(const Rng &base, int64_t first_shot,
-                        int count);
-
-    /** First op of @p stream whose replay depends on per-shot state
-     *  or words (Meas / Reset / T1Jump-carrying Markov); returns
-     *  stream.size() when none.  @p cursor_out receives the tape
-     *  cursor at the divergence point. */
-    uint32_t divergenceOp(const std::vector<OpRef> &stream,
-                          const ShotTape &rep,
-                          size_t &cursor_out) const;
-
-    /**
-     * Execute stream ops [from, to) of @p rep's event pattern on the
-     * scalar state — the prefix every member of @p rep's group
-     * shares.
-     * @pre Every event of @p rep sits at an op >= from.
-     */
-    void replayPrefix(const std::vector<OpRef> &stream, uint32_t from,
-                      uint32_t to, const ShotTape &rep);
-
-    /** Memory budget for the reference checkpoints; refStride_ (ops
-     *  between checkpoints) is the smallest stride fitting it, so
-     *  small registers checkpoint every op and a shot's replay
-     *  starts exactly at its first event. */
-    static constexpr size_t kRefBudgetBytes = size_t{4} << 20;
-
-    /**
-     * Replay a shot from the reference checkpoint at or below its
-     * first divergence instead of |0...0>: the event-free prefix is
-     * shot-invariant, so ops [0, cp) are skipped outright.
-     */
-    uint64_t replayShotFromRef(const ShotTape &tape);
-
-    ShotReplayer scalar_;
-    std::vector<ShotTape> tapes_;  //!< kBatchLanes reusable tapes
-    std::vector<Complex> groupAmps_;    //!< shared group-prefix state
-    bool drawBatched_;  //!< SoA draw pass valid (no OU Gaussians)
-    std::vector<uint64_t> gateWords_;   //!< [word][lane] gate stream
-    std::vector<uint64_t> qubitWords_;  //!< [qubit][word][lane]
-
-    /**
-     * Event-free reference evolution: the state of the general op
-     * stream before op c * refStride_, for every checkpoint c up to
-     * the stream's first Meas / Reset op (refDivOp_).  Shot-invariant
-     * — any shot's state before its first event is the reference
-     * state — so it is built once at construction and each error
-     * shot's replay starts at the checkpoint below its first event.
-     */
-    uint32_t refDivOp_ = 0;
-    uint32_t refStride_ = 1;        //!< ops between checkpoints
-    std::vector<Complex> refAmps_;  //!< [checkpoint][basis]
-    ShotTape emptyTape_;            //!< reference (no events)
-
-    /** The no-error group's prefix on the fast stream is the same
-     *  tape-independent evolution: its state at the fast stream's
-     *  first Meas / Reset op, computed once. */
-    uint32_t refFastDivOp_ = 0;
-    std::vector<Complex> refFastAmps_;
-
-    DenseBatchStats stats_;
 };
 
 } // namespace adapt

@@ -391,9 +391,9 @@ class BlockRunner
     /**
      * Execute shots [lo, hi), counting outcomes into @p hist.  @p lo
      * is a multiple of the factory's grain(); @p hi is too, or the
-     * job's end.  A non-null @p token is polled per shot (per draw
-     * block on the grouped path) and the runner stops early on a stop
-     * request.
+     * job's end.  A non-null @p token is polled per shot and the
+     * runner stops early on a stop request (the frame runner ignores
+     * it and runs whole blocks).
      *
      * @return Shots committed: a prefix of the range.
      */
@@ -468,33 +468,6 @@ class FrameRunner final : public BlockRunner
     std::vector<DeferredShot> deferred_;
     std::vector<FrameTailShot> tails_;
     FrameBatchStats stats_;
-};
-
-/** Grouped dense replay (BatchShotReplayer): draw tapes per 64-shot
- *  block, share each error signature's event-free prefix. */
-class GroupedDenseRunner final : public BlockRunner
-{
-  public:
-    explicit GroupedDenseRunner(const PreparedJob &job)
-        : replayer_(job.plan, *job.program)
-    {
-    }
-
-    int64_t
-    run(const Rng &base, int64_t lo, int64_t hi, FlatAccumulator &hist,
-        const CancellationToken *token) override
-    {
-        return replayer_.runBlock(base, lo, hi - lo, hist, token);
-    }
-
-    void
-    addStats(RunOutcome &out) const override
-    {
-        out.denseStats.merge(replayer_.stats());
-    }
-
-  private:
-    BatchShotReplayer replayer_;
 };
 
 /** Per-shot compiled replay (ShotReplayer). */
@@ -601,8 +574,6 @@ class RunnerFactory
         switch (kind_) {
           case Kind::Frame:
             return std::make_unique<FrameRunner>(job_);
-          case Kind::GroupedDense:
-            return std::make_unique<GroupedDenseRunner>(job_);
           case Kind::CompiledShot:
             return std::make_unique<CompiledShotRunner>(job_);
           case Kind::Interpreted:
@@ -612,22 +583,19 @@ class RunnerFactory
     }
 
   private:
-    enum class Kind { Frame, GroupedDense, CompiledShot, Interpreted };
+    enum class Kind { Frame, CompiledShot, Interpreted };
 
     /** Compiled runs take the job's compiled program — the frame
-     *  engine for stabilizer jobs, grouped replay for eligible dense
-     *  programs, per-shot replay for the rest; Interpreted runs, and
-     *  stabilizer jobs the frame engine cannot model, walk the plan. */
+     *  engine for stabilizer jobs, per-shot replay (ShotReplayer) for
+     *  dense ones; Interpreted runs, and stabilizer jobs the frame
+     *  engine cannot model, walk the plan. */
     static Kind
     chooseKind(const PreparedJob &job, ExecMode mode)
     {
         if (mode == ExecMode::Compiled && job.frame.has_value())
             return Kind::Frame;
-        if (mode == ExecMode::Compiled && job.program.has_value()) {
-            return BatchShotReplayer::eligible(*job.program)
-                       ? Kind::GroupedDense
-                       : Kind::CompiledShot;
-        }
+        if (mode == ExecMode::Compiled && job.program.has_value())
+            return Kind::CompiledShot;
         return Kind::Interpreted;
     }
 

@@ -53,12 +53,8 @@ class ProgramCache;
  *    ShotProgram (noise/compiled.hh) and every shot replays it — a
  *    cheap draw pass resolving all stochastic outcomes against
  *    fixed-point thresholds, then a no-error fast replay when nothing
- *    fired.  Small programs without per-shot OU phases additionally
- *    batch the shot dimension (BatchShotReplayer): the draw pass runs
- *    for a whole kShotBlock block up front, and shots with identical
- *    resolved error patterns share one execution of their event-free
- *    prefix before finishing alone.  Bit-identical to Interpreted for
- *    any seed/thread count either way.
+ *    fired.  Bit-identical to Interpreted for any seed and thread
+ *    count.
  *  - Interpreted: the historical per-shot plan walk (the reference
  *    semantics the compiled path is tested against).
  *
@@ -113,13 +109,10 @@ class PreparedCircuit
 /**
  * Shots per cancellation block on the dense / per-shot paths: the
  * granularity at which wave-structured cancellable runs commit work
- * (the batch frame engine's natural block is kFrameLanes instead).
- * This is also the grouped dense replay's batching window: a block's
- * shots draw their tapes together and shots with identical error
- * patterns share one prefix execution.
- * Per-shot RNG streams make any block size prefix-exact; this one
- * just bounds how much work a multi-chunk run can lose to a stop
- * request.
+ * (the batch frame engine's natural block is kFrameLanes instead),
+ * and the unit of a shard range.  Per-shot RNG streams make any
+ * block size prefix-exact; this one just bounds how much work a
+ * multi-chunk run can lose to a stop request.
  */
 constexpr int kShotBlock = 64;
 
@@ -141,6 +134,29 @@ struct RunControl
 };
 
 /**
+ * Zero-valued stub, kept only because perfbench/src/engine_counters.hh
+ * reads it.  No execution path fills these counters — every compiled
+ * dense shot runs ShotReplayer — so perfbench's dense.grouped_*
+ * metrics read 0.  ROADMAP.md's metrics-registry item deletes the
+ * struct together with that header.
+ */
+struct DenseBatchStats
+{
+    int64_t shots = 0;
+    int64_t groups = 0;
+    int64_t batchedShots = 0;
+    int64_t noErrorShots = 0;
+
+    void merge(const DenseBatchStats &other)
+    {
+        shots += other.shots;
+        groups += other.groups;
+        batchedShots += other.batchedShots;
+        noErrorShots += other.noErrorShots;
+    }
+};
+
+/**
  * Outcome of a cancellable run.  When a stop request lands mid-job,
  * dist holds the histogram of the shot blocks completed before it —
  * a contiguous prefix [0, shotsDone) that is bit-identical to the
@@ -155,7 +171,7 @@ struct RunOutcome
     bool partial = false;               //!< stopped before all shots
     StopCause cause = StopCause::None;  //!< why, when partial
     FrameBatchStats frameStats;         //!< batch frame path only
-    DenseBatchStats denseStats;         //!< grouped dense path only
+    DenseBatchStats denseStats;         //!< always zero (see above)
 };
 
 /** The simulated hardware endpoint. */

@@ -58,10 +58,9 @@ class StateVector
     void reset();
 
     /**
-     * Overwrite the first @p count amplitudes from @p src (the grouped
-     * replayer restoring a reference checkpoint or a shared
-     * group-prefix state).  Restores the full live width, since @p src
-     * may have amplitude anywhere.
+     * Overwrite all amplitudes from @p src (a state prepared outside
+     * the op API, such as a full-width reference for tests).  Restores
+     * the full live width, since @p src may have amplitude anywhere.
      *
      * @pre count == dim().
      */
@@ -75,11 +74,6 @@ class StateVector
     int liveQubits() const { return live_; }
 
     Complex amplitude(uint64_t basis) const { return amps_.at(basis); }
-
-    /** Raw amplitude array, all dim() of it (the batch replayer
-     *  snapshotting a shared group-prefix state before per-lane
-     *  divergent tails). */
-    const Complex *data() const { return amps_.data(); }
 
     /** Apply an arbitrary single-qubit unitary to qubit @p q. */
     void apply1Q(const Matrix2 &u, QubitId q);

@@ -45,22 +45,9 @@ ccx(Circuit &c, QubitId a, QubitId b, QubitId t)
     c.cx(a, b);
 }
 
-/** QFT rotation ladder + bit-reversal swaps on qubits [0, n). */
-void
-qftRotations(Circuit &c, int n)
-{
-    for (int i = n - 1; i >= 0; i--) {
-        c.h(i);
-        // ldexp, not (1 << (i - j)): a rotation spanning >= 31 bits
-        // overflows the signed shift on wide registers.
-        for (int j = i - 1; j >= 0; j--)
-            cp(c, std::ldexp(kPi, -(i - j)), j, i);
-    }
-    for (int i = 0; i < n / 2; i++)
-        c.swap(i, n - 1 - i);
-}
-
-/** Inverse QFT on qubits [0, n) (exact inverse of qftRotations). */
+/** Inverse QFT on qubits [0, n): undo the bit-reversal swaps, then
+ *  the controlled-phase ladder with negated angles, each qubit closed
+ *  by H. */
 void
 inverseQftRotations(Circuit &c, int n)
 {

@@ -53,6 +53,18 @@ compileWorkload(const Circuit &logical, const Device &device)
     return transpile(logical, device, device.calibration(0)).schedule;
 }
 
+/** Every channel except OU dephasing: crosstalk keeps its static
+ *  coherent phases and no program has per-shot phase slots — an
+ *  input no other config here covers (pauliOnly() drops crosstalk
+ *  too). */
+NoiseFlags
+allButOu()
+{
+    NoiseFlags flags = NoiseFlags::all();
+    flags.ouDephasing = false;
+    return flags;
+}
+
 /**
  * Assert the compiled dense replay reproduces the interpreted engine
  * bit for bit: serial interpreted reference vs compiled at several
@@ -82,20 +94,24 @@ expectCompiledMatchesInterpreted(const NoisyMachine &machine,
 TEST(CompiledProgram, MatchesInterpretedOnNonCliffordWorkload)
 {
     const Device device = Device::ibmqRome();
-    const NoisyMachine machine(device); // NoiseFlags::all()
     const ScheduledCircuit sched =
         compileWorkload(makeQaoa(5, QaoaGraph::A), device);
+    const NoisyMachine machine(device); // NoiseFlags::all()
     expectCompiledMatchesInterpreted(machine, sched, 800, 11);
+    const NoisyMachine no_ou(device, 0, allButOu());
+    expectCompiledMatchesInterpreted(no_ou, sched, 800, 11);
 }
 
 TEST(CompiledProgram, MatchesInterpretedPerNoiseChannel)
 {
-    // One flag at a time (plus all-off and all-on): every opcode
-    // kind, draw-consumption rule, and threshold is crossed.
+    // One flag at a time (plus all-off, all-on, Pauli-only and
+    // all-but-OU): every opcode kind, draw-consumption rule, and
+    // threshold is crossed.
     std::vector<NoiseFlags> configs;
     configs.push_back(NoiseFlags::none());
     configs.push_back(NoiseFlags::all());
     configs.push_back(NoiseFlags::pauliOnly());
+    configs.push_back(allButOu());
     for (int channel = 0; channel < 6; channel++) {
         NoiseFlags flags = NoiseFlags::none();
         flags.gateErrors = channel == 0;
