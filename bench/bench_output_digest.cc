@@ -1,0 +1,269 @@
+/**
+ * @file
+ * Output digest of a fixed corpus of dense jobs, for checking that a
+ * change leaves every sampled distribution bit-identical.
+ *
+ * Every job runs through the public NoisyMachine API on the forced
+ * dense backend and is reduced to one 64-bit digest over its outcome
+ * keys and counts; the digests fold, in job order, into one total.
+ * Build this file against two revisions, run both with the same
+ * --shots and compare the totals: equal totals mean equal outputs on
+ * every job (up to a 64-bit hash collision).
+ *
+ * Corpus:
+ *  - static: the 11 Table 4 programs on ibmq_toronto and
+ *    ibmq_guadalupe, each as the routed program, its All-DD (XY4)
+ *    padding, its seeded decoy and the All-DD decoy, under four noise
+ *    flag sets (all, all but OU, Pauli-only, all with twirled coherent
+ *    noise), run compiled at two seeds and interpreted at one;
+ *  - dynamic: 120 seeded random dynamic circuits of width 2-8 on a
+ *    synthetic line under every noise channel (XY4 on every other
+ *    one), with final measurements mid-circuit, repeated
+ *    measurements, resets, X / Z feedback, T / RZ gates, delays and
+ *    CX, run compiled and interpreted at one seed.
+ *
+ * Usage: bench_output_digest [--shots=N] [--bench_json=PATH]
+ * (default 256 shots per job).  Prints one line per job and the total;
+ * --bench_json records the same digests as hex labels.
+ */
+
+#include <cinttypes>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "adapt/decoy.hh"
+#include "bench_io.hh"
+#include "dd/sequences.hh"
+#include "noise/machine.hh"
+#include "transpile/decompose.hh"
+#include "transpile/schedule.hh"
+#include "transpile/transpiler.hh"
+#include "workloads/benchmarks.hh"
+
+using namespace adapt;
+
+namespace
+{
+
+/** splitmix64 finalizer over (h ^ v): order-sensitive word fold. */
+uint64_t
+fold(uint64_t h, uint64_t v)
+{
+    uint64_t z = (h ^ v) + 0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
+/** Digest of a sampled distribution: its outcome keys and counts. */
+uint64_t
+digest(const Distribution &dist)
+{
+    const auto total = static_cast<double>(dist.totalSamples());
+    uint64_t h = fold(0, dist.totalSamples());
+    for (const auto &[key, prob] : dist.probabilities()) {
+        h = fold(h, key);
+        h = fold(h, static_cast<uint64_t>(std::llround(prob * total)));
+    }
+    return h;
+}
+
+std::string
+hex(uint64_t v)
+{
+    char buf[20];
+    std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
+    return buf;
+}
+
+/** The four flag sets of the static corpus, with their names. */
+std::vector<std::pair<std::string, NoiseFlags>>
+flagSets()
+{
+    NoiseFlags no_ou = NoiseFlags::all();
+    no_ou.ouDephasing = false;
+    NoiseFlags twirled = NoiseFlags::all();
+    twirled.twirlCoherent = true;
+    return {{"all", NoiseFlags::all()},
+            {"no_ou", no_ou},
+            {"pauli", NoiseFlags::pauliOnly()},
+            {"twirled", twirled}};
+}
+
+/**
+ * A seeded random dynamic circuit over a line of @p width qubits: now
+ * and then a qubit is measured for the last time and leaves the op
+ * pool; a closing readout skips some of the qubits left.
+ */
+Circuit
+dynamicCircuit(int width, uint64_t seed)
+{
+    Rng rng(seed * 104729 + 3);
+    const int clbits = width + 1;
+    auto clbit = [&] {
+        return static_cast<int>(
+            rng.uniformInt(static_cast<uint64_t>(clbits)));
+    };
+    Circuit c(width, clbits);
+    std::vector<bool> done(static_cast<size_t>(width), false);
+    int live = width;
+    auto alive = [&](QubitId q) {
+        return q >= 0 && q < width && !done[static_cast<size_t>(q)];
+    };
+    for (int layer = 0; layer < 10 * width; layer++) {
+        QubitId q = 0;
+        do {
+            q = static_cast<QubitId>(
+                rng.uniformInt(static_cast<uint64_t>(width)));
+        } while (!alive(q));
+        if (live > 1 && rng.bernoulli(0.08)) {
+            c.measure(q, clbit());
+            done[static_cast<size_t>(q)] = true;
+            live--;
+            continue;
+        }
+        switch (rng.uniformInt(11)) {
+          case 0: c.h(q); break;
+          case 1: c.t(q); break;
+          case 2: c.rz(rng.uniform(-kPi, kPi), q); break;
+          case 3: c.sx(q); break;
+          case 4: c.delay(300.0 + 600.0 * rng.uniform(), q); break;
+          case 5: c.measure(q, clbit()); break;
+          case 6: c.reset(q); break;
+          case 7: c.xIf(q, clbit()); break;
+          case 8: c.zIf(q, clbit()); break;
+          default: {
+            const QubitId b = alive(q + 1) ? q + 1 : q - 1;
+            if (alive(b))
+                c.cx(q, b);
+            else
+                c.h(q);
+            break;
+          }
+        }
+    }
+    for (QubitId q = 0; q < width; q++) {
+        if (alive(q) && rng.bernoulli(0.75))
+            c.measure(q, clbit());
+    }
+    return c;
+}
+
+struct Digester
+{
+    int shots = 256;
+    uint64_t total = 0;
+    int jobs = 0;
+
+    void
+    run(const NoisyMachine &machine, const ScheduledCircuit &sched,
+        const std::string &name, uint64_t seed, ExecMode mode)
+    {
+        const std::string job =
+            name + (mode == ExecMode::Compiled ? "/compiled/"
+                                               : "/interpreted/") +
+            std::to_string(seed);
+        const uint64_t d = digest(machine.run(
+            sched, shots, seed, /*threads=*/0, BackendKind::Dense, mode));
+        total = fold(total, d);
+        jobs++;
+        std::printf("%s %s\n", hex(d).c_str(), job.c_str());
+        benchio::record(job).label("digest", hex(d));
+    }
+};
+
+void
+staticCorpus(Digester &dg)
+{
+    for (const Device &device :
+         {Device::ibmqToronto(), Device::ibmqGuadalupe()}) {
+        const Calibration cal = device.calibration(0);
+        for (const Workload &w : paperBenchmarks()) {
+            const CompiledProgram program =
+                transpile(w.circuit, device, cal);
+            const ScheduledCircuit decoy = reschedule(
+                makeDecoy(program.physical, DecoyOptions{}).circuit,
+                device, cal);
+            const std::vector<std::pair<std::string, ScheduledCircuit>>
+                variants = {
+                    {"program", program.schedule},
+                    {"all_dd", insertDDAll(program.schedule, cal,
+                                           DDOptions{})},
+                    {"decoy", decoy},
+                    {"decoy_all_dd", insertDDAll(decoy, cal, DDOptions{})},
+                };
+            for (const auto &[fname, flags] : flagSets()) {
+                const NoisyMachine machine(device, 0, flags);
+                for (const auto &[vname, sched] : variants) {
+                    const std::string name = device.name() + "/" + w.name +
+                                             "/" + vname + "/" + fname;
+                    dg.run(machine, sched, name, 11, ExecMode::Compiled);
+                    dg.run(machine, sched, name, 12, ExecMode::Compiled);
+                    dg.run(machine, sched, name, 11,
+                           ExecMode::Interpreted);
+                }
+            }
+        }
+    }
+}
+
+void
+dynamicCorpus(Digester &dg)
+{
+    for (int i = 0; i < 120; i++) {
+        const int width = 2 + i % 7;
+        const auto seed = static_cast<uint64_t>(5000 + i);
+        const Device device =
+            Device::synthetic(Topology::linear(width), seed);
+        const Calibration cal = device.calibration(0);
+        ScheduledCircuit sched =
+            schedule(decompose(dynamicCircuit(width, seed)),
+                     device.topology(), cal, ScheduleMode::Alap);
+        if (i % 2 == 1)
+            sched = insertDDAll(sched, cal, DDOptions{});
+        const NoisyMachine machine(device);
+        const std::string name = "dynamic/" + std::to_string(i) + "/w" +
+                                 std::to_string(width);
+        dg.run(machine, sched, name, seed, ExecMode::Compiled);
+        dg.run(machine, sched, name, seed, ExecMode::Interpreted);
+    }
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    benchio::init(argc, argv);
+    Digester dg;
+    constexpr const char *kShots = "--shots=";
+    for (int i = 1; i < argc; i++) {
+        if (std::strncmp(argv[i], kShots, std::strlen(kShots)) != 0)
+            continue;
+        char *end = nullptr;
+        const long shots = std::strtol(argv[i] + std::strlen(kShots),
+                                       &end, 10);
+        if (*end != '\0' || shots < 1 || shots > (1L << 24)) {
+            std::fprintf(stderr, "bad %s\n", argv[i]);
+            return 2;
+        }
+        dg.shots = static_cast<int>(shots);
+    }
+    benchio::open("bench_output_digest",
+                  "64-bit digest of each dense job's outcome keys and "
+                  "counts, over a fixed static and dynamic corpus");
+    staticCorpus(dg);
+    dynamicCorpus(dg);
+    std::printf("total %s (%d jobs, %d shots each)\n",
+                hex(dg.total).c_str(), dg.jobs, dg.shots);
+    benchio::record("total")
+        .label("digest", hex(dg.total))
+        .metric("jobs", dg.jobs)
+        .metric("shots", dg.shots);
+    benchio::finish();
+    return 0;
+}

@@ -219,6 +219,17 @@ buildPlanSkeleton(const ScheduledCircuit &sched,
     }
     for (size_t dq = 0; dq < plan.svBit.size(); dq++)
         join(static_cast<int>(dq));
+
+    // A Meas that is the last step touching its qubit retires it.
+    std::vector<bool> touched_later(plan.active.size(), false);
+    for (auto it = steps.rbegin(); it != steps.rend(); ++it) {
+        const auto q = static_cast<size_t>(it->q);
+        it->retires =
+            it->kind == PlanStep::Kind::Meas && !touched_later[q];
+        touched_later[q] = true;
+        if (it->kind == PlanStep::Kind::TwoQubit)
+            touched_later[static_cast<size_t>(it->q2)] = true;
+    }
     return skel;
 }
 
@@ -491,6 +502,7 @@ bindShotProgram(const ExecutionPlan &plan, const ShotTables &tables,
             m.wordSlot = prog.measSlots++;
             m.thresh01 = bernoulliThreshold(step.err01);
             m.thresh10 = bernoulliThreshold(step.err10);
+            m.retires = step.retires;
             prog.meas.push_back(m);
             pushOp(OpRef::Kind::Meas,
                    static_cast<uint32_t>(prog.meas.size()) - 1,
@@ -1557,8 +1569,9 @@ ShotReplayer::replayStream(const std::vector<OpRef> &stream,
     const size_t n_events = events.size();
     const auto n_ops = static_cast<uint32_t>(stream.size());
     size_t cursor = 0; // first tape event not yet applied
-    // Ops name dense qubits; the state is addressed by join-order bit.
-    const int *bit = plan_.svBit.data();
+    // Ops name dense qubits; the state is addressed by this shot's bit
+    // table (join order, shifted by every retiring Meas).
+    const int *bit = svBit_.data();
 
     for (uint32_t i = 0; i < n_ops; i++) {
         const OpRef ref = stream[i];
@@ -1659,7 +1672,13 @@ ShotReplayer::replayStream(const std::vector<OpRef> &stream,
             const uint64_t mw = tape.measWord[size_t{2} * m.wordSlot];
             const double u =
                 static_cast<double>(mw >> 11) * 0x1.0p-53;
-            bool outcome = sv_.measureCollapse(bit[m.q], u);
+            bool outcome;
+            if (m.retires) {
+                outcome = sv_.measureRetire(bit[m.q], u);
+                retireBit(svBit_, m.q);
+            } else {
+                outcome = sv_.measureCollapse(bit[m.q], u);
+            }
             if (flags.measurementErrors) {
                 const uint64_t ew =
                     tape.measWord[size_t{2} * m.wordSlot + 1];
@@ -1692,6 +1711,7 @@ uint64_t
 ShotReplayer::replayShot(const ShotTape &tape)
 {
     sv_.reset();
+    svBit_ = plan_.svBit;
     packer_.clear();
     totalShots_++;
     if (tape.events.empty()) {

@@ -120,6 +120,11 @@ struct PlanStep
     int clbit = 0;                   // Meas
     double err01 = 0.0, err10 = 0.0; // Meas
 
+    /** Meas only: no later step touches q, so the dense engines
+     *  retire q from the state vector (StateVector::measureRetire).
+     *  Derived from the schedule alone. */
+    bool retires = false;
+
     /** Classical bit the gate is conditioned on (Cond1Q only).
      *  Conditional pulses carry no gate-error channel — the feedback
      *  pulse fires in a data-dependent subset of shots, and keeping
@@ -139,15 +144,17 @@ struct ExecutionPlan
     std::vector<QubitId> active; //!< dense index -> physical qubit
 
     /**
-     * Dense index -> state-vector bit, in join order: qubits take bits
-     * in the order the step stream first touches them (a step's q,
-     * then a TwoQubit's q2), and qubits with no step (e.g. only a
-     * Delay) take the remaining bits.  The dense engines address the
-     * StateVector through this table, so its live prefix
-     * (sim/statevector.hh) reaches a qubit only at its first step.
-     * Everything else — RNG streams, noise constants, crosstalk, the
-     * stabilizer engines — stays keyed by dense index.  Derived from
-     * the schedule alone, so it is part of the cached skeleton.
+     * Dense index -> state-vector bit at shot start, in join order:
+     * qubits take bits in the order the step stream first touches them
+     * (a step's q, then a TwoQubit's q2), and qubits with no step
+     * (e.g. only a Delay) take the remaining bits.  The dense engines
+     * address the StateVector through a per-shot copy of this table,
+     * so its live prefix (sim/statevector.hh) reaches a qubit only at
+     * its first step; a retiring Meas (PlanStep::retires) removes the
+     * qubit's bit and shifts the copy (retireBit).  Everything else —
+     * RNG streams, noise constants, crosstalk, the stabilizer engines
+     * — stays keyed by dense index.  Derived from the schedule alone,
+     * so it is part of the cached skeleton.
      */
     std::vector<int> svBit;
 
@@ -284,6 +291,7 @@ struct MeasOp
     int clbit = 0;
     uint32_t wordSlot = 0; //!< tape slot holding the raw RNG words
     uint64_t thresh01 = 0, thresh10 = 0;
+    bool retires = false; //!< PlanStep::retires: leave the state vector
 };
 
 /** An active reset: a projective collapse (one reserved gateRng word,
@@ -653,8 +661,8 @@ struct ShotTape
 
 /**
  * Per-chunk worker that replays a compiled program.  Owns the state
- * vector, the outcome packer, and the reusable draw tape; one
- * instance serves all the shots of a chunk.
+ * vector, its per-shot bit table, the outcome packer, and the
+ * reusable draw tape; one instance serves all the shots of a chunk.
  */
 class ShotReplayer
 {
@@ -712,6 +720,11 @@ class ShotReplayer
     const ShotProgram &prog_;
     StateVector sv_;
     OutcomePacker packer_;
+
+    /** This shot's dense index -> state-vector bit table: plan_.svBit
+     *  at shot start, shifted by every retiring Meas.  Per replayer,
+     *  because the shot chunks share the plan. */
+    std::vector<int> svBit_;
 
     Rng gateRng_;
     std::vector<Rng> qubitRng_;

@@ -198,7 +198,7 @@ runShot(const ExecutionPlan &plan, const Calibration &cal,
         switch (step.kind) {
           case PlanStep::Kind::Meas: {
             catch_up(step.q, step);
-            bool bit = state.measure(step.q, gate_rng);
+            bool bit = state.measure(step.q, gate_rng, step.retires);
             if (flags.measurementErrors) {
                 const double p_flip = bit ? step.err10 : step.err01;
                 if (gate_rng.bernoulli(p_flip))
@@ -212,7 +212,7 @@ runShot(const ExecutionPlan &plan, const Calibration &cal,
             // the gate stream (like Measure, minus readout error),
             // then a deterministic |1> -> |0> flip.
             catch_up(step.q, step);
-            if (state.measure(step.q, gate_rng))
+            if (state.measure(step.q, gate_rng, /*retire=*/false))
                 state.applyPauli(1, step.q);
             break;
           }

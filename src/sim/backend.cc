@@ -96,10 +96,25 @@ DenseBackend::DenseBackend(int num_qubits)
 }
 
 DenseBackend::DenseBackend(int num_qubits, std::vector<int> sv_bit)
-    : state_(num_qubits), svBit_(std::move(sv_bit))
+    : state_(num_qubits), startBit_(std::move(sv_bit)), svBit_(startBit_)
 {
-    require(svBit_.size() == static_cast<size_t>(num_qubits),
+    require(startBit_.size() == static_cast<size_t>(num_qubits),
             "DenseBackend bit table must have one entry per qubit");
+}
+
+QubitId
+DenseBackend::bit(QubitId q) const
+{
+    const int b = svBit_[static_cast<size_t>(q)];
+    require(b >= 0, "DenseBackend: qubit used after its final measurement");
+    return b;
+}
+
+void
+DenseBackend::init()
+{
+    state_.reset();
+    svBit_ = startBit_;
 }
 
 void
@@ -138,9 +153,13 @@ DenseBackend::applyDecayJump(QubitId q)
 }
 
 bool
-DenseBackend::measure(QubitId q, Rng &rng)
+DenseBackend::measure(QubitId q, Rng &rng, bool retire)
 {
-    return state_.measureCollapse(bit(q), rng);
+    if (!retire)
+        return state_.measureCollapse(bit(q), rng);
+    const bool outcome = state_.measureRetire(bit(q), rng);
+    retireBit(svBit_, q);
+    return outcome;
 }
 
 void
@@ -244,8 +263,9 @@ PauliFrameBackend::applyDecayJump(QubitId q)
 }
 
 bool
-PauliFrameBackend::measure(QubitId q, Rng &rng)
+PauliFrameBackend::measure(QubitId q, Rng &rng, bool retire)
 {
+    (void)retire; // a tableau qubit costs the same measured or not
     return tableau_.measure(q, rng);
 }
 

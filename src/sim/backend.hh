@@ -104,8 +104,13 @@ class SimBackend
      *  engine fires this with probability gamma * populationOne(). */
     virtual void applyDecayJump(QubitId q) = 0;
 
-    /** Projectively measure one qubit, collapsing the state. */
-    virtual bool measure(QubitId q, Rng &rng) = 0;
+    /**
+     * Projectively measure one qubit, collapsing the state.  When
+     * @p retire is set no later op touches @p q (PlanStep::retires):
+     * the dense backend then removes the qubit from its state vector
+     * (StateVector::measureRetire); the tableau ignores the hint.
+     */
+    virtual bool measure(QubitId q, Rng &rng, bool retire) = 0;
 
     /**
      * True if the backend consumes fused 2x2 matrix products via
@@ -135,7 +140,9 @@ class SimBackend
  * through a qubit -> state-vector-bit table, the identity unless one
  * is given.  The trajectory engine passes ExecutionPlan::svBit, so the
  * interpreted reference lays the state out exactly as the compiled
- * replay does.
+ * replay does.  A retiring measurement shifts a working copy of the
+ * table (retireBit), which init() restores; using a retired qubit
+ * afterwards is a usage error.
  */
 class DenseBackend final : public SimBackend
 {
@@ -147,13 +154,13 @@ class DenseBackend final : public SimBackend
 
     BackendKind kind() const override { return BackendKind::Dense; }
     int numQubits() const override { return state_.numQubits(); }
-    void init() override { state_.reset(); }
+    void init() override;
     void applyGate(const Gate &gate) override;
     void applyPauli(int pauli, QubitId q) override;
     void applyIdlePhase(QubitId q, double phi, Rng &rng) override;
     double populationOne(QubitId q) override;
     void applyDecayJump(QubitId q) override;
-    bool measure(QubitId q, Rng &rng) override;
+    bool measure(QubitId q, Rng &rng, bool retire) override;
     bool fusesMatrices() const override { return true; }
     void apply1Q(const Matrix2 &u, QubitId q) override;
     Distribution sample(const Circuit &circuit, int shots,
@@ -164,10 +171,11 @@ class DenseBackend final : public SimBackend
     const StateVector &state() const { return state_; }
 
   private:
-    QubitId bit(QubitId q) const { return svBit_[static_cast<size_t>(q)]; }
+    QubitId bit(QubitId q) const;
 
     StateVector state_;
-    std::vector<int> svBit_;
+    std::vector<int> startBit_; //!< the layout init() restores
+    std::vector<int> svBit_;    //!< this shot's table
 };
 
 /**
@@ -187,7 +195,7 @@ class PauliFrameBackend final : public SimBackend
     void applyIdlePhase(QubitId q, double phi, Rng &rng) override;
     double populationOne(QubitId q) override;
     void applyDecayJump(QubitId q) override;
-    bool measure(QubitId q, Rng &rng) override;
+    bool measure(QubitId q, Rng &rng, bool retire) override;
     bool fusesMatrices() const override { return false; }
     [[noreturn]] void apply1Q(const Matrix2 &u, QubitId q) override;
     Distribution sample(const Circuit &circuit, int shots,

@@ -696,31 +696,58 @@ StateVector::measureCollapse(QubitId q, double uniform_draw)
     return collapseTo(q, uniform_draw < p1);
 }
 
-void
-StateVector::applyAmplitudeDamping(QubitId q, double gamma, Rng &rng)
+bool
+StateVector::retireTo(QubitId q, bool outcome)
 {
-    require(gamma >= 0.0 && gamma <= 1.0,
-            "amplitude damping gamma must be a probability");
-    if (gamma <= 0.0)
-        return;
-    const double p1 = populationOne(q);
-    const double p_decay = gamma * p1;
+    if (q == 0)
+        return collapseTo(q, outcome);
+    require(q < numQubits_, "qubit out of range for the state vector");
     touch();
-    cover(q);
-    const uint64_t bit = uint64_t{1} << q;
-    if (rng.bernoulli(p_decay)) {
-        // K1 branch: |1> component collapses to |0>.
-        forEachSet(liveDim(), bit, [&](uint64_t i) {
-            amps_[i & ~bit] = amps_[i];
-            amps_[i] = 0.0;
-        });
-    } else {
-        // K0 branch: |1> component shrinks by sqrt(1 - gamma).
-        const double scale = std::sqrt(1.0 - gamma);
-        forEachSet(liveDim(), bit,
-                   [&](uint64_t i) { amps_[i] *= scale; });
+    if (q < live_) {
+        // With b = 2^q and o the outcome, run k of the kept half,
+        // [2kb + ob, 2kb + ob + b), moves to [kb, kb + b) (run 0 of the
+        // |0> half is already in place).  Every source starts at or
+        // above its destination and past every earlier run's end, so
+        // an ascending in-place copy reads each amplitude before any
+        // write reaches it.
+        const uint64_t bit = uint64_t{1} << q;
+        const uint64_t dim = liveDim();
+        Complex *amps = amps_.data();
+        for (uint64_t src = outcome ? bit : 2 * bit, dst = outcome ? 0 : bit;
+             src < dim; src += 2 * bit, dst += bit) {
+            for (uint64_t i = 0; i < bit; i++)
+                amps[dst + i] = amps[src + i];
+        }
+        std::fill(amps + dim / 2, amps + dim, Complex{});
+        live_--;
     }
     normalize();
+    return outcome;
+}
+
+bool
+StateVector::measureRetire(QubitId q, Rng &rng)
+{
+    const double p1 = populationOne(q);
+    return retireTo(q, rng.bernoulli(p1));
+}
+
+bool
+StateVector::measureRetire(QubitId q, double uniform_draw)
+{
+    const double p1 = populationOne(q);
+    return retireTo(q, uniform_draw < p1);
+}
+
+void
+retireBit(std::vector<int> &sv_bit, QubitId q)
+{
+    int &gone = sv_bit[static_cast<size_t>(q)];
+    if (gone > 0) {
+        for (int &b : sv_bit)
+            b -= b > gone;
+    }
+    gone = -1;
 }
 
 double

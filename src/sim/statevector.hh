@@ -32,16 +32,18 @@ namespace adapt
  * The vector keeps a *live width*: every amplitude at an index
  * >= 2^liveQubits() is exactly zero, i.e. qubits liveQubits() and up
  * are all in |0>.  Every sweep covers only the 2^live prefix, so a
- * qubit costs nothing until an op first touches it.  Ops that can move
- * amplitude onto a qubit above the prefix (apply1Q, CX, SWAP, a
- * collapse, a decay) first widen the prefix to cover their operands;
- * growing is free, because the tail is already zero.  Reads and diagonal ops on a
- * qubit above the prefix (populationOne, applyPhase, CZ) give exact
- * zeros or no-ops without widening, because their loops never reach
- * those indices.  Sweeping the prefix gives the same amplitudes as
- * sweeping the full register, and bit-identical reductions: the
- * skipped amplitudes are zeros, and adding zeros to a sum changes no
- * bit of it.
+ * qubit costs nothing until an op first touches it, and nothing after
+ * its final measurement.  Ops that can move amplitude onto a qubit
+ * above the prefix (apply1Q, CX, SWAP, a collapse, a decay) first
+ * widen the prefix to cover their operands; growing is free, because
+ * the tail is already zero.  Reads and diagonal ops on a qubit above
+ * the prefix (populationOne, applyPhase, CZ) give exact zeros or
+ * no-ops without widening, because their loops never reach those
+ * indices.  The prefix also shrinks: measureRetire removes a measured
+ * qubit's bit, compacting the outcome half into the low half.
+ * Sweeping the prefix gives the same amplitudes as sweeping the full
+ * register, and bit-identical reductions: the skipped amplitudes are
+ * zeros, and adding zeros to a sum changes no bit of it.
  */
 class StateVector
 {
@@ -70,7 +72,8 @@ class StateVector
     size_t dim() const { return amps_.size(); }
 
     /** Qubits in the live prefix: one past the highest qubit an op has
-     *  widened it to since the last reset() (at least one). */
+     *  widened it to since the last reset(), less one per qubit
+     *  measureRetire removed from inside it (at least one). */
     int liveQubits() const { return live_; }
 
     Complex amplitude(uint64_t basis) const { return amps_.at(basis); }
@@ -144,14 +147,31 @@ class StateVector
     bool measureCollapse(QubitId q, double uniform_draw);
 
     /**
-     * Amplitude-damping trajectory step on one qubit: with the
-     * physically correct branch probabilities either the decay Kraus
-     * K1 (|1> -> |0>) or the no-decay Kraus K0 fires; the state is
-     * re-normalized.
+     * Measure qubit @p q for the last time and remove its bit from the
+     * register (same Born rule and draw as measureCollapse).  For
+     * q >= 1 every bit above q shifts down by one (retireBit() applies
+     * the same shift to a qubit -> bit table):
+     *  - q inside the prefix: the outcome half's runs of 2^q amplitudes
+     *    move down into the low half in ascending order, the vacated
+     *    upper half is zeroed, the live width drops by one, and the
+     *    new prefix is normalized;
+     *  - q above the prefix: the qubit is in |0>, so the outcome is 0
+     *    and no amplitude moves (the prefix is still normalized, as
+     *    measureCollapse would).
+     * Qubit 0 collapses in place and keeps its bit: the sweeps need
+     * two amplitudes, and dropping bit 0 would move amplitudes between
+     * the even / odd reduction lanes.
      *
-     * @param gamma Decay probability 1 - exp(-t / T1) for the step.
+     * Bit-identical to measureCollapse followed by deleting bit q:
+     * dropping a bit >= 1 keeps every surviving amplitude's parity and
+     * order, and the zeros the collapse leaves add nothing to a sum,
+     * so every later reduction adds the same terms in the same lanes.
      */
-    void applyAmplitudeDamping(QubitId q, double gamma, Rng &rng);
+    bool measureRetire(QubitId q, Rng &rng);
+
+    /** measureRetire with a pre-drawn uniform variate (see the
+     *  measureCollapse overload). */
+    bool measureRetire(QubitId q, double uniform_draw);
 
     double norm() const;
     void normalize();
@@ -177,6 +197,10 @@ class StateVector
      *  (shared tail of the two measureCollapse overloads). */
     bool collapseTo(QubitId q, bool outcome);
 
+    /** Keep the @p outcome branch of qubit @p q, remove its bit, and
+     *  renormalize (shared tail of the two measureRetire overloads). */
+    bool retireTo(QubitId q, bool outcome);
+
     void buildSampleCache() const;
 
     int numQubits_;
@@ -199,6 +223,15 @@ class StateVector
  * reductions included, so outputs do not depend on the host.
  */
 const char *denseKernelIsa();
+
+/**
+ * Apply StateVector::measureRetire's bit removal to a qubit ->
+ * state-vector-bit table: qubit @p q's entry becomes -1 and, unless q
+ * held bit 0 (which collapses in place), every entry above it drops by
+ * one.  The dense engines keep one such table per shot and restore it
+ * from the plan's layout at shot start.
+ */
+void retireBit(std::vector<int> &sv_bit, QubitId q);
 
 /**
  * Exact output distribution of a noiseless circuit over its classical

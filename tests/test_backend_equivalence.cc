@@ -388,7 +388,7 @@ TEST(BackendObjects, WideCliffordRegistersRunBeyondDenseLimit)
     for (int q = 0; q + 1 < n; q++)
         backend.applyGate({GateType::CX, {q, q + 1}});
     backend.applyPauli(3, 40);
-    const bool first = backend.measure(0, rng);
+    const bool first = backend.measure(0, rng, /*retire=*/false);
     for (int q = 1; q < n; q++)
-        EXPECT_EQ(backend.measure(q, rng), first);
+        EXPECT_EQ(backend.measure(q, rng, /*retire=*/false), first);
 }

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "adapt/decoy.hh"
@@ -24,6 +25,8 @@
 #include "noise/compiled.hh"
 #include "noise/machine.hh"
 #include "test_util.hh"
+#include "transpile/decompose.hh"
+#include "transpile/schedule.hh"
 #include "transpile/transpiler.hh"
 #include "workloads/benchmarks.hh"
 
@@ -276,6 +279,153 @@ TEST(CompiledProgram, RoutedQaoa10DecoyMatchesInterpreted)
         buildPlan(padded, machine.calibration(), machine.flags());
     ASSERT_GT(plan.active.size(), 10u);
     expectCompiledMatchesInterpreted(machine, padded, 200, 43);
+}
+
+/** Schedule @p c as-late-as-possible on a line, optionally with XY4. */
+ScheduledCircuit
+scheduleLine(const Device &device, const Circuit &c, bool with_dd)
+{
+    const Calibration cal = device.calibration(0);
+    ScheduledCircuit sched = schedule(decompose(c), device.topology(),
+                                      cal, ScheduleMode::Alap);
+    if (with_dd)
+        sched = insertDDAll(sched, cal, DDOptions{});
+    return sched;
+}
+
+/**
+ * A seeded random dynamic circuit over a line of @p width qubits.
+ * Now and then a qubit is measured for the last time and leaves the
+ * op pool, so final measurements land mid-circuit; the rest mixes
+ * repeated measurements, resets, X / Z feedback, T and RZ gates,
+ * delays and nearest-neighbour CX.  A closing readout skips some of
+ * the qubits still in the pool.
+ */
+Circuit
+dynamicRetireCircuit(int width, uint64_t seed)
+{
+    Rng rng(seed * 6151 + 7);
+    const int clbits = width + 1;
+    auto clbit = [&] {
+        return static_cast<int>(
+            rng.uniformInt(static_cast<uint64_t>(clbits)));
+    };
+    Circuit c(width, clbits);
+    std::vector<bool> done(static_cast<size_t>(width), false);
+    int live = width;
+    auto alive = [&](QubitId q) {
+        return q >= 0 && q < width && !done[static_cast<size_t>(q)];
+    };
+    for (int layer = 0; layer < 10 * width; layer++) {
+        QubitId q = 0;
+        do {
+            q = static_cast<QubitId>(
+                rng.uniformInt(static_cast<uint64_t>(width)));
+        } while (!alive(q));
+        if (live > 1 && rng.bernoulli(0.08)) {
+            c.measure(q, clbit());
+            done[static_cast<size_t>(q)] = true;
+            live--;
+            continue;
+        }
+        switch (rng.uniformInt(11)) {
+          case 0: c.h(q); break;
+          case 1: c.t(q); break;
+          case 2: c.rz(rng.uniform(-kPi, kPi), q); break;
+          case 3: c.sx(q); break;
+          case 4: c.delay(300.0 + 600.0 * rng.uniform(), q); break;
+          case 5: c.measure(q, clbit()); break;
+          case 6: c.reset(q); break;
+          case 7: c.xIf(q, clbit()); break;
+          case 8: c.zIf(q, clbit()); break;
+          default: {
+            const QubitId b = alive(q + 1) ? q + 1 : q - 1;
+            if (alive(b))
+                c.cx(q, b);
+            else
+                c.h(q);
+            break;
+          }
+        }
+    }
+    for (QubitId q = 0; q < width; q++) {
+        if (alive(q) && rng.bernoulli(0.75))
+            c.measure(q, clbit());
+    }
+    return c;
+}
+
+/** Retiring Meas steps of @p plan that some non-Meas step follows. */
+int
+midCircuitRetirements(const ExecutionPlan &plan)
+{
+    int count = 0;
+    bool later_gate = false;
+    for (auto it = plan.steps.rbegin(); it != plan.steps.rend(); ++it) {
+        if (it->kind != PlanStep::Kind::Meas)
+            later_gate = true;
+        else if (it->retires && later_gate)
+            count++;
+    }
+    return count;
+}
+
+TEST(CompiledProgram, TeleportationRetiresSendersMidCircuit)
+{
+    // Both sender qubits are measured for the last time before the
+    // feedback, so the dense engines drop them from the state vector
+    // while the corrections and a CX still run on the two survivors.
+    const Device device = Device::synthetic(Topology::linear(4), 31);
+    const NoisyMachine machine(device); // NoiseFlags::all()
+    Circuit c(4, 4);
+    c.ry(1.1, 0); // a non-Clifford state to teleport
+    c.t(0);
+    c.h(1);
+    c.cx(1, 2);
+    c.h(3);
+    c.cx(0, 1);
+    c.h(0);
+    c.measure(0, 0);
+    c.measure(1, 1);
+    c.xIf(2, 1);
+    c.zIf(2, 0);
+    c.cx(2, 3);
+    c.measure(2, 2);
+    c.measure(3, 3);
+    const ScheduledCircuit sched = scheduleLine(device, c, false);
+
+    const ExecutionPlan plan =
+        buildPlan(sched, machine.calibration(), machine.flags());
+    int retiring = 0;
+    for (const PlanStep &step : plan.steps)
+        retiring += step.retires;
+    EXPECT_EQ(retiring, 4);
+    EXPECT_EQ(midCircuitRetirements(plan), 2);
+    expectCompiledMatchesInterpreted(machine, sched, 2000, 53);
+}
+
+TEST(CompiledProgram, DynamicCircuitCorpusMatchesInterpreted)
+{
+    // Seeded dynamic circuits of width 2-8 under every noise channel,
+    // XY4-padded on every other seed: mid-circuit retirement, repeated
+    // measurements, resets and feedback on the compiled replay must
+    // match the interpreted walk bit for bit.
+    int mid_circuit = 0;
+    for (int i = 0; i < 40; i++) {
+        const int width = 2 + i % 7;
+        const auto seed = static_cast<uint64_t>(300 + i);
+        const Device device =
+            Device::synthetic(Topology::linear(width), seed);
+        const NoisyMachine machine(device);
+        const ScheduledCircuit sched = scheduleLine(
+            device, dynamicRetireCircuit(width, seed), i % 2 == 1);
+        mid_circuit += midCircuitRetirements(
+            buildPlan(sched, machine.calibration(), machine.flags()));
+        SCOPED_TRACE("corpus entry " + std::to_string(i));
+        expectCompiledMatchesInterpreted(machine, sched, 300, seed);
+    }
+    // The corpus must keep exercising retirement before the last op.
+    EXPECT_GE(mid_circuit, 40);
 }
 
 TEST(CompiledProgram, PreparedBatchMatchesSerialRuns)

@@ -140,29 +140,6 @@ TEST(StateVec, MeasureCollapseProjects)
     EXPECT_NEAR(ones / 500.0, 0.5, 0.08);
 }
 
-TEST(StateVec, AmplitudeDampingDecaysExcitedState)
-{
-    Rng rng(5);
-    const double gamma = 0.4;
-    int decayed = 0;
-    const int n = 4000;
-    for (int i = 0; i < n; i++) {
-        StateVector s(1);
-        s.apply1Q(gateMatrix(GateType::X), 0);
-        s.applyAmplitudeDamping(0, gamma, rng);
-        decayed += s.populationOne(0) < 0.5;
-    }
-    EXPECT_NEAR(static_cast<double>(decayed) / n, gamma, 0.03);
-}
-
-TEST(StateVec, AmplitudeDampingPreservesGroundState)
-{
-    Rng rng(6);
-    StateVector s(1);
-    s.applyAmplitudeDamping(0, 0.9, rng);
-    EXPECT_NEAR(s.probability(0), 1.0, 1e-12);
-}
-
 TEST(StateVec, DecayJumpResetsQubit)
 {
     StateVector s(2);
@@ -405,6 +382,124 @@ TEST(StateVec, LivePrefixMatchesFullWidth)
         EXPECT_EQ(live.amplitude(0), Complex(1.0));
         for (uint64_t i = 1; i < dim; i++)
             ASSERT_EQ(live.amplitude(i), Complex{}) << "index " << i;
+    }
+}
+
+TEST(StateVec, FinalMeasurementMatchesCollapseInPlace)
+{
+    // measureRetire on one vector, measureCollapse with the same draw
+    // on a twin.  After each readout the retired vector must hold the
+    // twin's amplitudes with the retired bits deleted, bit for bit,
+    // and every reduction must be bit-equal.  States come at full and
+    // at partial live width; each readout order covers bit 0 (which
+    // collapses in place), bits inside the prefix and, at partial
+    // width, one bit above it.
+    Rng rng(20261018);
+    for (int n = 2; n <= 14; n++) {
+        const uint64_t dim = uint64_t{1} << n;
+        for (const bool partial : {false, true}) {
+            StateVector retired(n);
+            int width = n;
+            if (partial) {
+                width = 1 + static_cast<int>(rng.uniformInt(
+                                static_cast<uint64_t>(n - 1)));
+                for (int layer = 0; layer < 2; layer++) {
+                    for (QubitId q = 0; q < width; q++)
+                        retired.apply1Q(randomUnitary(rng), q);
+                    for (QubitId q = 0; q + 1 < width; q++)
+                        retired.applyCX(q, q + 1);
+                }
+            } else {
+                const std::vector<Complex> psi = randomState(n, rng);
+                retired.setAmplitudes(psi.data(), psi.size());
+            }
+            ASSERT_EQ(retired.liveQubits(), width);
+            StateVector twin = retired;
+
+            // Readouts: qubit 0, a random subset of the other live
+            // qubits (all of them at full width) and, at partial width,
+            // one qubit above the prefix; shuffled.
+            std::vector<QubitId> order = {0};
+            for (QubitId q = 1; q < width; q++) {
+                if (!partial || rng.bernoulli(0.6))
+                    order.push_back(q);
+            }
+            if (partial) {
+                const auto above = static_cast<QubitId>(
+                    rng.uniformInt(static_cast<uint64_t>(n - width)));
+                order.push_back(width + above);
+            }
+            for (size_t i = order.size() - 1; i > 0; i--)
+                std::swap(order[i], order[rng.uniformInt(i + 1)]);
+
+            // The identity layout, shifted as bits retire (-1 once
+            // retired).  Qubit 0 keeps bit 0 throughout; `kept` is the
+            // twin index of the removed qubits' outcomes.
+            std::vector<int> bits(static_cast<size_t>(n));
+            for (int q = 0; q < n; q++)
+                bits[static_cast<size_t>(q)] = q;
+            uint64_t kept = 0;
+            int width_bits = n; // bits the retired register still has
+            for (const QubitId q : order) {
+                const int b = bits[static_cast<size_t>(q)];
+                const int live_before = retired.liveQubits();
+                const double u = rng.uniform();
+                const bool outcome = retired.measureRetire(b, u);
+                ASSERT_EQ(outcome, twin.measureCollapse(q, u))
+                    << "n=" << n << " q=" << q;
+                retireBit(bits, q);
+                if (b > 0) {
+                    width_bits--;
+                    if (outcome)
+                        kept |= uint64_t{1} << q;
+                }
+                ASSERT_EQ(retired.liveQubits(),
+                          b >= 1 && b < live_before ? live_before - 1
+                                                    : live_before)
+                    << "n=" << n << " q=" << q;
+
+                // owner[b]: the twin qubit at retired-register bit b.
+                std::vector<QubitId> owner(static_cast<size_t>(n), 0);
+                for (QubitId r = 0; r < n; r++) {
+                    const int rb = bits[static_cast<size_t>(r)];
+                    if (rb >= 0)
+                        owner[static_cast<size_t>(rb)] = r;
+                }
+                const uint64_t live_dim = uint64_t{1}
+                                          << retired.liveQubits();
+                for (uint64_t j = 0; j < dim; j++) {
+                    if (j >= live_dim || j >> width_bits != 0) {
+                        ASSERT_EQ(retired.amplitude(j), Complex{})
+                            << "n=" << n << " index " << j;
+                        continue;
+                    }
+                    uint64_t t = kept;
+                    for (int jb = 0; jb < width_bits; jb++) {
+                        if (j >> jb & 1)
+                            t |= uint64_t{1}
+                                 << owner[static_cast<size_t>(jb)];
+                    }
+                    ASSERT_EQ(retired.amplitude(j), twin.amplitude(t))
+                        << "n=" << n << " index " << j;
+                }
+                for (QubitId r = 0; r < n; r++) {
+                    const int rb = bits[static_cast<size_t>(r)];
+                    if (rb < 0)
+                        continue;
+                    ASSERT_TRUE(bitEqual(retired.populationOne(rb),
+                                         twin.populationOne(r)))
+                        << "populationOne, n=" << n << " q=" << r;
+                }
+                ASSERT_TRUE(bitEqual(retired.norm(), twin.norm()))
+                    << "norm, n=" << n;
+            }
+
+            retired.reset();
+            EXPECT_EQ(retired.liveQubits(), 1);
+            EXPECT_EQ(retired.amplitude(0), Complex(1.0));
+            for (uint64_t i = 1; i < dim; i++)
+                ASSERT_EQ(retired.amplitude(i), Complex{}) << "index " << i;
+        }
     }
 }
 
