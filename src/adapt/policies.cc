@@ -6,7 +6,6 @@
 
 #include "common/logging.hh"
 #include "common/parallel.hh"
-#include "noise/program_cache.hh"
 
 namespace adapt
 {
@@ -83,8 +82,6 @@ evaluatePolicy(Policy policy, const CompiledProgram &program,
             runWithMask(policy, program, machine, ideal, options,
                         search.logicalMask, options.seed);
         outcome.searchRuns = search.decoysExecuted;
-        outcome.cacheHits = search.cacheHits;
-        outcome.cacheMisses = search.cacheMisses;
         return outcome;
       }
       case Policy::RuntimeBest: {
@@ -138,9 +135,6 @@ evaluatePolicy(Policy policy, const CompiledProgram &program,
         // as well, and each candidate is prepared inside its own run
         // task, so only the candidates in flight hold a compiled job.
         const size_t n_cand = candidates.size();
-        const ProgramCache *cache = machine.programCache();
-        const ProgramCache::Stats cache_before =
-            cache != nullptr ? cache->stats() : ProgramCache::Stats{};
         std::vector<ScheduledCircuit> scheds(n_cand,
                                              ScheduledCircuit(0, 0));
         std::vector<int> dd_pulses(n_cand, 0);
@@ -178,11 +172,6 @@ evaluatePolicy(Policy policy, const CompiledProgram &program,
         best.fidelity = best_fid;
         best.ddPulses = dd_pulses[win];
         best.searchRuns = static_cast<int>(outputs.size());
-        if (cache != nullptr) {
-            const ProgramCache::Stats after = cache->stats();
-            best.cacheHits = after.hits - cache_before.hits;
-            best.cacheMisses = after.misses - cache_before.misses;
-        }
         return best;
       }
     }

@@ -69,12 +69,6 @@ struct PolicyOutcome
     /** Decoy executions consumed (ADAPT) or program executions
      *  consumed (Runtime-Best search); 0 otherwise. */
     int searchRuns = 0;
-
-    /** Program-skeleton cache traffic of the policy's search batches
-     *  (ADAPT decoy neighbourhoods / Runtime-Best mask candidates);
-     *  0 for the searchless policies or when no cache is installed. */
-    uint64_t cacheHits = 0;
-    uint64_t cacheMisses = 0;
 };
 
 /**

@@ -5,7 +5,6 @@
 
 #include "common/logging.hh"
 #include "common/parallel.hh"
-#include "noise/program_cache.hh"
 #include "serve/shard_executor.hh"
 
 namespace adapt
@@ -67,13 +66,6 @@ adaptSearch(const CompiledProgram &program, const NoisyMachine &machine,
             return program.schedule.totalIdleTime(pa) >
                    program.schedule.totalIdleTime(pb);
         });
-
-    // Skeleton-cache traffic is reported as the delta of the
-    // machine's cache counters across the search (the cache may be
-    // process-shared, so absolute counts mean nothing here).
-    const ProgramCache *cache = machine.programCache();
-    const ProgramCache::Stats cache_before =
-        cache != nullptr ? cache->stats() : ProgramCache::Stats{};
 
     int eval_index = 0;
     result.bestDecoyFidelity = -1.0;
@@ -184,11 +176,6 @@ adaptSearch(const CompiledProgram &program, const NoisyMachine &machine,
 
     result.decoysExecuted = eval_index;
     result.physicalMask = liftMask(program, result.logicalMask);
-    if (cache != nullptr) {
-        const ProgramCache::Stats after = cache->stats();
-        result.cacheHits = after.hits - cache_before.hits;
-        result.cacheMisses = after.misses - cache_before.misses;
-    }
     return result;
 }
 

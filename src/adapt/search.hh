@@ -112,18 +112,6 @@ struct AdaptResult
 
     /** The decoy used (for correlation studies). */
     Decoy decoy;
-
-    /**
-     * Program-skeleton cache traffic attributable to this search's
-     * decoy-variant prepares (deltas of the machine's ProgramCache
-     * counters around the batch submissions; both stay 0 when no
-     * cache is installed).  Decoy variants share a circuit skeleton
-     * whenever their DD masks lower to the same structure, so hits
-     * here measure how much of the neighbourhood sweep was pure
-     * constant re-binding.
-     */
-    uint64_t cacheHits = 0;
-    uint64_t cacheMisses = 0;
 };
 
 /**

@@ -83,6 +83,9 @@ struct DriftSweepResult
     /** coldPrepareMs / rebindPrepareMs. */
     double speedup = 0.0;
 
+    /** Sweep-local cache counters: every timed re-bind hits
+     *  (devices * cycles), and each device's untimed warm-up build
+     *  misses. */
     uint64_t cacheHits = 0;
     uint64_t cacheMisses = 0;
 

@@ -92,7 +92,6 @@ buildPlanSkeleton(const ScheduledCircuit &sched,
     // train instead of once per pulse.  This keeps dense XY4 fills
     // (1000+ pulses on long idle windows) affordable.
     std::vector<PlanStep> &steps = plan.steps;
-    steps.reserve(sched.ops().size());
     std::vector<int> open(plan.active.size(), -1);
 
     for (const TimedOp &op : sched.ops()) {
@@ -230,6 +229,12 @@ buildPlanSkeleton(const ScheduledCircuit &sched,
         if (it->kind == PlanStep::Kind::TwoQubit)
             touched_later[static_cast<size_t>(it->q2)] = true;
     }
+
+    // Exact size: the skeleton may live on in the program cache, and
+    // DD trains fuse thousands of ops into a few hundred steps.
+    steps.shrink_to_fit();
+    for (PlanStep &step : steps)
+        step.pulses.shrink_to_fit();
     return skel;
 }
 
@@ -348,6 +353,8 @@ buildShotTables(const ExecutionPlan &plan)
             }
         }
     }
+    // Exact size: the table may live on in the program cache.
+    tables.matrices.shrink_to_fit();
     return tables;
 }
 
@@ -983,6 +990,12 @@ buildFrameSkeleton(const ExecutionPlan &plan, const NoiseFlags &flags,
           }
         }
     }
+
+    // Exact size: the skeleton may live on in the program cache.
+    skel.fused.shrink_to_fit();
+    skel.t1.shrink_to_fit();
+    skel.meas.shrink_to_fit();
+    skel.resets.shrink_to_fit();
     return skel;
 }
 

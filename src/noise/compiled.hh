@@ -394,9 +394,11 @@ ShotProgram compileShotProgram(const ExecutionPlan &plan,
 // dephasing / readout / gate-error rates, OU terms, crosstalk
 // coefficients, fixed-point Bernoulli thresholds — and is orders of
 // magnitude cheaper than a cold compile.  Drift
-// sweeps, adaptSearch mask neighbourhoods, and repeated JobServer
-// submissions share skeletons through the ProgramCache
-// (noise/program_cache.hh) and only re-bind.
+// sweeps and repeated JobServer submissions share skeletons through
+// the ProgramCache (noise/program_cache.hh) and only re-bind; the
+// structure phase leaves its step, pulse, matrix and trace vectors
+// at their exact size, since a cached skeleton outlives the prepare
+// that built it.
 //
 // Determinism: a bound program is field-for-field identical to a
 // cold compile of the same (schedule, calibration, flags) — the
@@ -496,11 +498,10 @@ struct FrameSkeleton
 
 /**
  * A compiled program with its device constants factored out: the
- * unit the ProgramCache shares across machines, drift cycles, and
- * mask variants.  `plan` carries zeroed constants and empty
- * crosstalk; `kind` is the resolved backend; exactly one of
- * `tables` / `frame` is set when `compiled` (none on the per-shot
- * interpreted stabilizer path).
+ * unit the ProgramCache shares across machines and drift cycles.
+ * `plan` carries zeroed constants and empty crosstalk; `kind` is the
+ * resolved backend; exactly one of `tables` / `frame` is set when
+ * `compiled` (none on the per-shot interpreted stabilizer path).
  */
 struct ProgramSkeleton
 {

@@ -369,9 +369,10 @@ class NoisyMachine
      * into a device-independent structure phase (ProgramSkeleton,
      * cached under a fingerprint of circuit + flags + backend) and a
      * cheap per-calibration bind phase, so re-preparing the same
-     * executable against a drifted calibration, a mask variant's
-     * sibling machine, or a repeated JobServer submission skips the
-     * expensive half.  Defaults to ProgramCache::processShared();
+     * executable against a drifted calibration or a repeated
+     * JobServer submission skips the expensive half (the cache
+     * retains a skeleton once its structure recurs; see
+     * ProgramCache).  Defaults to ProgramCache::processShared();
      * nullptr compiles every prepare cold.
      */
     void setProgramCache(ProgramCache *cache) { cache_ = cache; }

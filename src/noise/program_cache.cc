@@ -1,5 +1,6 @@
 #include "noise/program_cache.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -96,7 +97,8 @@ skeletonFingerprint(const ScheduledCircuit &sched,
 }
 
 ProgramCache::ProgramCache(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity)
+    : capacity_(capacity == 0 ? 1 : capacity),
+      window_(std::max<size_t>(1, capacity_ / 8))
 {
 }
 
@@ -112,6 +114,10 @@ ProgramCache::findOrBuild(
             hits_++;
             it->second.lastUse = ++tick_;
             return it->second.skeleton;
+        }
+        if (SkeletonPtr windowed = promote(fp)) {
+            hits_++;
+            return windowed;
         }
         misses_++;
     }
@@ -129,6 +135,24 @@ ProgramCache::findOrBuild(
         it->second.lastUse = ++tick_;
         return it->second.skeleton;
     }
+    // Lost the race to a first sighting: the structure recurred.
+    if (SkeletonPtr windowed = promote(fp))
+        return windowed;
+    // Recurred after its skeleton left the window: retain this build.
+    if (seen_.count(fp) != 0) {
+        admit(fp, built);
+        return built;
+    }
+    // A first sighting stays out of the LRU, so structures built once
+    // (most decoy variants) cost no LRU slot.
+    declined_++;
+    remember(fp, built);
+    return built;
+}
+
+void
+ProgramCache::admit(const ProgramFingerprint &fp, SkeletonPtr skeleton)
+{
     while (entries_.size() >= capacity_) {
         auto victim = entries_.begin();
         for (auto cand = entries_.begin(); cand != entries_.end();
@@ -139,15 +163,41 @@ ProgramCache::findOrBuild(
         entries_.erase(victim);
         evictions_++;
     }
-    entries_.emplace(fp, Entry{built, ++tick_});
-    return built;
+    entries_.emplace(fp, Entry{std::move(skeleton), ++tick_});
+}
+
+ProgramCache::SkeletonPtr
+ProgramCache::promote(const ProgramFingerprint &fp)
+{
+    auto it = seen_.find(fp);
+    if (it == seen_.end() || !it->second)
+        return nullptr;
+    SkeletonPtr skeleton = std::move(it->second); // leaves it null
+    admit(fp, skeleton);
+    return skeleton;
+}
+
+void
+ProgramCache::remember(const ProgramFingerprint &fp, SkeletonPtr skeleton)
+{
+    seen_.emplace(fp, std::move(skeleton));
+    seenOrder_.push_back(fp);
+    // The window is the newest window_ sightings: the one just past
+    // it lets its skeleton go (its fingerprint stays remembered).
+    if (seenOrder_.size() > window_)
+        seen_.find(seenOrder_[seenOrder_.size() - 1 - window_])
+            ->second = nullptr;
+    if (seenOrder_.size() > capacity_) {
+        seen_.erase(seenOrder_.front());
+        seenOrder_.pop_front();
+    }
 }
 
 ProgramCache::Stats
 ProgramCache::stats() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return {hits_, misses_, evictions_, entries_.size()};
+    return {hits_, misses_, declined_, evictions_, entries_.size()};
 }
 
 void
@@ -155,6 +205,8 @@ ProgramCache::clear()
 {
     std::lock_guard<std::mutex> lock(mu_);
     entries_.clear();
+    seen_.clear();
+    seenOrder_.clear();
 }
 
 ProgramCache *

@@ -5,21 +5,31 @@
  * The contract under test: prepare() against a warm cache re-binds a
  * cached structure, and the resulting program is *bit-identical* to a
  * cold compile — same distributions, any thread count, dense and
- * frame paths alike.  Plus the cache mechanics themselves: hit/miss/
- * eviction counters, capacity clamping, and fingerprint sensitivity
- * to the frame engine's branch-tail depth (by value, not spelling).
+ * frame paths alike.  Plus the cache mechanics themselves: admission
+ * once a structure recurs (first sightings are declined from the LRU
+ * and held only in the admission window), clear() as a cold reset,
+ * hit/miss/eviction counters, capacity clamping, fingerprint
+ * sensitivity to the frame engine's branch-tail depth (by value, not
+ * spelling), and exact-size skeletons.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <latch>
+#include <set>
+#include <thread>
 
 #include "circuit/circuit.hh"
+#include "dd/sequences.hh"
 #include "device/device.hh"
+#include "experiments/fleet.hh"
+#include "noise/compiled.hh"
 #include "noise/machine.hh"
 #include "noise/program_cache.hh"
 #include "test_util.hh"
 #include "transpile/transpiler.hh"
+#include "workloads/benchmarks.hh"
 
 using namespace adapt;
 using namespace adapt::testutil;
@@ -57,10 +67,42 @@ cliffordSchedule(const Device &device)
 }
 
 /**
+ * Six qubits, each with a 1 us idle window between non-Clifford
+ * gates: every one of the 2^6 DD masks lowers to a distinct schedule
+ * (the adaptSearch neighbourhood shape).
+ */
+ScheduledCircuit
+idleSchedule(const Device &device)
+{
+    Circuit c(6, 6);
+    for (QubitId q = 0; q < 6; q++) {
+        c.h(q);
+        c.delay(1000.0, q);
+        c.t(q);
+    }
+    for (QubitId q = 0; q + 1 < 6; q++)
+        c.cx(q, q + 1);
+    c.measureAll();
+    return transpile(c, device, device.calibration(0)).schedule;
+}
+
+/** DD on the qubits whose bit is set in @p bits. */
+ScheduledCircuit
+maskVariant(const ScheduledCircuit &sched, const Device &device,
+            unsigned bits)
+{
+    std::vector<bool> mask(static_cast<size_t>(sched.numQubits()));
+    for (size_t q = 0; q < mask.size(); q++)
+        mask[q] = ((bits >> q) & 1u) != 0;
+    return insertDD(sched, device.calibration(0), DDOptions{}, mask);
+}
+
+/**
  * Cold-vs-warm bit-identity on one machine: the same schedule
- * prepared without a cache, through a cold cache (miss + bind), and
- * through the now-warm cache (hit + bind) must sample identical
- * distributions at every thread count.
+ * prepared without a cache, through a cold cache (first sighting:
+ * built, declined from the LRU, held in the window), and through the
+ * now-warm cache (a window hit, promoted, + bind) must sample
+ * identical distributions at every thread count.
  */
 void
 expectCachedPreparesIdentical(const NoisyMachine &machine_const,
@@ -74,10 +116,14 @@ expectCachedPreparesIdentical(const NoisyMachine &machine_const,
 
     machine.setProgramCache(&cache);
     const PreparedCircuit miss = machine.prepare(sched);
+    EXPECT_EQ(cache.stats().declined, 1u);
+    EXPECT_EQ(cache.stats().entries, 0u);
     const PreparedCircuit hit = machine.prepare(sched);
 
     EXPECT_EQ(cache.stats().misses, 1u);
     EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.stats().declined, 1u);
+    EXPECT_EQ(cache.stats().entries, 1u);
     EXPECT_EQ(cold.backend(), hit.backend());
     EXPECT_EQ(cold.frameBatched(), hit.frameBatched());
 
@@ -90,6 +136,14 @@ expectCachedPreparesIdentical(const NoisyMachine &machine_const,
         EXPECT_TRUE(distributionsIdentical(
             ref, machine.run(hit, 512, 7, threads)));
     }
+}
+
+/** capacity() == size(): no growth slack left behind. */
+template <typename T>
+void
+expectExactSize(const std::vector<T> &v, const std::string &what)
+{
+    EXPECT_EQ(v.capacity(), v.size()) << what;
 }
 
 } // namespace
@@ -133,9 +187,11 @@ TEST(ProgramCache, RebindAcrossDriftedCalibrations)
         EXPECT_TRUE(distributionsIdentical(
             ref, machine.run(machine.prepare(sched), 512, 11)));
     }
-    // One structure compile served all four cycles.
+    // One structure compile served all four cycles: the next cycle
+    // found it in the window and admitted it.
     EXPECT_EQ(cache.stats().misses, 1u);
     EXPECT_EQ(cache.stats().hits, 3u);
+    EXPECT_EQ(cache.stats().declined, 1u);
     EXPECT_EQ(cache.stats().entries, 1u);
 }
 
@@ -150,24 +206,34 @@ TEST(ProgramCache, DistinctStructuresMissAndEvict)
     const ScheduledCircuit b = cliffordSchedule(device);
 
     machine.prepare(a);
-    machine.prepare(b); // different fingerprint -> miss + eviction
+    machine.prepare(a); // a recurs -> admitted
+    EXPECT_EQ(cache.stats().entries, 1u);
+    machine.prepare(b);
+    machine.prepare(b); // b admitted -> evicts a
     machine.prepare(a); // evicted earlier -> miss again
 
     const ProgramCache::Stats stats = cache.stats();
     EXPECT_EQ(stats.misses, 3u);
-    EXPECT_EQ(stats.hits, 0u);
-    EXPECT_EQ(stats.evictions, 2u);
+    EXPECT_EQ(stats.hits, 2u);
+    // The single-slot history forgot a when b first missed, so a's
+    // return is a first sighting again.
+    EXPECT_EQ(stats.declined, 3u);
+    EXPECT_EQ(stats.evictions, 1u);
     EXPECT_EQ(stats.entries, 1u);
 
     cache.clear();
     EXPECT_EQ(cache.stats().entries, 0u);
     EXPECT_EQ(cache.stats().misses, 3u); // counters survive clear()
+    EXPECT_EQ(cache.stats().declined, 3u);
 }
 
 TEST(ProgramCache, CapacityClampsToOne)
 {
     EXPECT_EQ(ProgramCache(0).capacity(), 1u);
     EXPECT_EQ(ProgramCache(16).capacity(), 16u);
+    // The admission window is an eighth of the capacity, at least one.
+    EXPECT_EQ(ProgramCache(0).window(), 1u);
+    EXPECT_EQ(ProgramCache(64).window(), 8u);
 }
 
 TEST(ProgramCache, FingerprintTracksFrameKnobs)
@@ -249,8 +315,246 @@ TEST(ProgramCache, InterpretedRunsBypassTheCache)
                     ExecMode::Interpreted);
     EXPECT_EQ(cache.stats().misses, 0u);
     EXPECT_EQ(cache.stats().hits, 0u);
+    EXPECT_EQ(cache.stats().declined, 0u);
 
     // Reference semantics still agree with the compiled path.
     EXPECT_TRUE(distributionsIdentical(
         interpreted, machine.run(sched, 256, 3, 1)));
+}
+
+TEST(ProgramCache, OneShotStructuresAreNotRetained)
+{
+    // The adaptSearch shape: every DD-mask variant of a decoy is a
+    // distinct structure prepared once.  None of them may take an LRU
+    // slot, only the newest window() keep a skeleton at all, and the
+    // declined builds still bind bit-identically.
+    const Device device = Device::synthetic(Topology::linear(6));
+    const ScheduledCircuit base = idleSchedule(device);
+    NoisyMachine machine(device, 0);
+    ProgramCache cache(64);
+    machine.setProgramCache(&cache);
+
+    constexpr unsigned kVariants = 40;
+    std::vector<ScheduledCircuit> variants;
+    std::set<ProgramFingerprint> keys;
+    for (unsigned bits = 0; bits < kVariants; bits++) {
+        variants.push_back(maskVariant(base, device, bits));
+        keys.insert(skeletonFingerprint(variants.back(), machine.flags(),
+                                        BackendKind::Auto, 8));
+    }
+    ASSERT_EQ(keys.size(), kVariants) << "mask variants must differ";
+
+    std::vector<PreparedCircuit> prepared;
+    for (const ScheduledCircuit &v : variants)
+        prepared.push_back(machine.prepare(v));
+
+    ProgramCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.misses, kVariants);
+    EXPECT_EQ(stats.declined, kVariants);
+    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(stats.evictions, 0u);
+    EXPECT_EQ(stats.entries, 0u);
+
+    // The oldest variant the window still holds comes back without a
+    // build; the one before it has left the window, so it is rebuilt,
+    // and retained because the history remembers it.
+    const auto oldest_windowed = kVariants - cache.window();
+    const PreparedCircuit promoted =
+        machine.prepare(variants[oldest_windowed]);
+    const PreparedCircuit rebuilt =
+        machine.prepare(variants[oldest_windowed - 1]);
+    stats = cache.stats();
+    EXPECT_EQ(stats.hits, 1u);
+    EXPECT_EQ(stats.misses, kVariants + 1);
+    EXPECT_EQ(stats.declined, kVariants);
+    EXPECT_EQ(stats.entries, 2u);
+
+    NoisyMachine cold_machine(device, 0);
+    cold_machine.setProgramCache(nullptr);
+    const auto cold = [&](size_t bits) {
+        return cold_machine.run(cold_machine.prepare(variants[bits]), 256,
+                                17);
+    };
+    for (unsigned bits : {0u, 13u, kVariants - 1}) {
+        SCOPED_TRACE("mask=" + std::to_string(bits));
+        EXPECT_TRUE(distributionsIdentical(
+            cold(bits), machine.run(prepared[bits], 256, 17)));
+    }
+    EXPECT_TRUE(distributionsIdentical(cold(oldest_windowed),
+                                       machine.run(promoted, 256, 17)));
+    EXPECT_TRUE(distributionsIdentical(cold(oldest_windowed - 1),
+                                       machine.run(rebuilt, 256, 17)));
+}
+
+TEST(ProgramCache, ClearIsAColdReset)
+{
+    const Device device = Device::ibmqRome();
+    NoisyMachine machine(device, 0);
+    const ScheduledCircuit sched = denseSchedule(device);
+    {
+        ProgramCache cache(8);
+        machine.setProgramCache(&cache);
+        machine.prepare(sched);
+        machine.prepare(sched);
+        ASSERT_EQ(cache.stats().entries, 1u);
+
+        // clear() forgets the skeleton and the structure: the next
+        // prepare is a first sighting again, and the one after it
+        // finds the skeleton in the window.
+        cache.clear();
+        EXPECT_EQ(cache.stats().entries, 0u);
+        machine.prepare(sched);
+        EXPECT_EQ(cache.stats().misses, 2u);
+        EXPECT_EQ(cache.stats().declined, 2u);
+        EXPECT_EQ(cache.stats().entries, 0u);
+        machine.prepare(sched);
+        EXPECT_EQ(cache.stats().hits, 2u);
+        EXPECT_EQ(cache.stats().entries, 1u);
+    }
+
+    // The history holds the last capacity() distinct fingerprints
+    // that missed: of N + 1 new ones, the oldest is forgotten.  The
+    // window keeps the newest one's skeleton.
+    constexpr size_t kCap = 4;
+    ProgramCache cache(kCap);
+    ASSERT_EQ(cache.window(), 1u);
+    int builds = 0;
+    auto touch = [&](uint64_t id) {
+        cache.findOrBuild({0, id}, [&] {
+            builds++;
+            return ProgramSkeleton{};
+        });
+    };
+    for (uint64_t id = 0; id <= kCap; id++)
+        touch(id);
+    EXPECT_EQ(cache.stats().declined, kCap + 1);
+    EXPECT_EQ(cache.stats().entries, 0u);
+
+    touch(kCap); // in the window: promoted, no build
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.stats().entries, 1u);
+    touch(1); // remembered, out of the window: rebuilt and admitted
+    EXPECT_EQ(cache.stats().entries, 2u);
+    touch(0); // forgotten: a first sighting again
+    EXPECT_EQ(cache.stats().declined, kCap + 2);
+    EXPECT_EQ(cache.stats().entries, 2u);
+    touch(1); // retained: no build
+    EXPECT_EQ(cache.stats().hits, 2u);
+    EXPECT_EQ(builds, static_cast<int>(kCap) + 3);
+}
+
+TEST(ProgramCache, ConcurrentFirstSightingsRetainOne)
+{
+    // Racing first builds of one new structure: exactly one is the
+    // first sighting, and the structure is admitted once, by a later
+    // lookup or finishing build; the rest share that skeleton.
+    const Device device = Device::ibmqRome();
+    const NoisyMachine machine(device, 0);
+    const ScheduledCircuit sched = denseSchedule(device);
+    ProgramCache cache(8);
+    NoisyMachine cached = machine;
+    cached.setProgramCache(&cache);
+
+    constexpr int kThreads = 8;
+    std::vector<PreparedCircuit> prepared(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; t++) {
+        threads.emplace_back([&, t] {
+            start.arrive_and_wait();
+            prepared[static_cast<size_t>(t)] = cached.prepare(sched);
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+
+    const ProgramCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_EQ(stats.declined, 1u);
+    EXPECT_EQ(stats.hits + stats.misses, static_cast<uint64_t>(kThreads));
+
+    NoisyMachine cold = machine;
+    cold.setProgramCache(nullptr);
+    const Distribution ref = cold.run(cold.prepare(sched), 512, 23);
+    for (const PreparedCircuit &p : prepared)
+        EXPECT_TRUE(distributionsIdentical(ref, cold.run(p, 512, 23)));
+}
+
+TEST(ProgramCache, StructurePhaseLeavesExactSizes)
+{
+    // A retained skeleton must not carry growth slack: DD-padded
+    // schedules fuse thousands of ops into a few hundred steps.
+    {
+        SCOPED_TRACE("dense: QAOA-10B All-DD on Toronto");
+        const Device device = Device::ibmqToronto();
+        const Calibration cal = device.calibration(0);
+        Circuit circuit(1, 1);
+        for (const Workload &w : paperBenchmarks()) {
+            if (w.name == "QAOA-10B")
+                circuit = w.circuit;
+        }
+        ASSERT_GT(circuit.numQubits(), 1);
+        const ScheduledCircuit sched = insertDDAll(
+            transpile(circuit, device, cal).schedule, cal, DDOptions{});
+
+        const ProgramSkeleton skel =
+            buildPlanSkeleton(sched, NoiseFlags::all());
+        expectExactSize(skel.plan.steps, "plan.steps");
+        for (size_t si = 0; si < skel.plan.steps.size(); si++)
+            expectExactSize(skel.plan.steps[si].pulses,
+                            "steps[" + std::to_string(si) + "].pulses");
+        const ShotTables tables = buildShotTables(skel.plan);
+        ASSERT_FALSE(tables.matrices.empty());
+        expectExactSize(tables.matrices, "matrices");
+        expectExactSize(tables.perStep, "perStep");
+    }
+    {
+        SCOPED_TRACE("frame: DD-padded Clifford on Rome");
+        const Device device = Device::ibmqRome();
+        const NoiseFlags flags = NoiseFlags::pauliOnly();
+        const ScheduledCircuit sched =
+            insertDDAll(cliffordSchedule(device),
+                        device.calibration(0), DDOptions{});
+        ASSERT_GT(ddPulseCount(sched), 0);
+
+        const ProgramSkeleton skel = buildPlanSkeleton(sched, flags);
+        expectExactSize(skel.plan.steps, "plan.steps");
+        for (const PlanStep &step : skel.plan.steps)
+            expectExactSize(step.pulses, "pulses");
+        const FrameSkeleton frame =
+            buildFrameSkeleton(skel.plan, flags, /*branch_depth=*/8);
+        ASSERT_FALSE(frame.fused.empty());
+        ASSERT_FALSE(frame.t1.empty());
+        expectExactSize(frame.fused, "fused");
+        expectExactSize(frame.t1, "t1");
+        expectExactSize(frame.meas, "meas");
+        expectExactSize(frame.resets, "resets");
+        for (const FrameSkeleton::FusedTrace &t : frame.fused)
+            expectExactSize(t.mapped, "fused.mapped");
+    }
+}
+
+TEST(ProgramCache, DriftSweepTimesPureRebinds)
+{
+    // driftSweep's untimed warm-up must leave the skeleton cached (in
+    // the window), so every timed cached prepare is a hit: a pure
+    // re-bind.
+    Circuit c(3, 3);
+    c.h(0);
+    c.cx(0, 1);
+    c.delay(600.0, 2);
+    c.cx(1, 2);
+    c.measureAll();
+    const Workload workload{"ghz3-idle", c};
+    const std::vector<Device> fleet = makeSyntheticFleet({.devices = 2});
+
+    for (const NoiseFlags &flags :
+         {NoiseFlags::all(), NoiseFlags::pauliOnly()}) {
+        const DriftSweepResult r = driftSweep(
+            fleet, workload, {.cycles = 3, .shots = 0, .flags = flags});
+        EXPECT_EQ(r.cacheHits, static_cast<uint64_t>(r.devices * r.cycles));
+        EXPECT_EQ(r.cacheMisses, static_cast<uint64_t>(r.devices));
+        EXPECT_EQ(r.devices, 2);
+        EXPECT_EQ(r.cycles, 3);
+    }
 }
