@@ -22,9 +22,16 @@
  *    measurements, resets, X / Z feedback, T / RZ gates, delays and
  *    CX, run compiled and interpreted at one seed.
  *
+ * Each interpreted job also gates its compiled twin (same name, same
+ * seed): the two must have equal digests, as the compiled engine is
+ * bit-identical to the interpreted reference.  That is 352 static and
+ * 120 dynamic pairs.
+ *
  * Usage: bench_output_digest [--shots=N] [--bench_json=PATH]
- * (default 256 shots per job).  Prints one line per job and the total;
- * --bench_json records the same digests as hex labels.
+ * (default 256 shots per job).  Prints one line per job, the total and
+ * the pair count; --bench_json records the same digests as hex labels.
+ * Exits 1, naming each pair, when a compiled job's digest differs from
+ * its interpreted twin's.
  */
 
 #include <cinttypes>
@@ -32,6 +39,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -159,6 +167,12 @@ struct Digester
     uint64_t total = 0;
     int jobs = 0;
 
+    /** Compiled digests by "name/seed", awaiting their interpreted
+     *  twin; and the twins compared so far. */
+    std::map<std::string, uint64_t> compiled;
+    int pairs = 0;
+    int pairsDiffer = 0;
+
     void
     run(const NoisyMachine &machine, const ScheduledCircuit &sched,
         const std::string &name, uint64_t seed, ExecMode mode)
@@ -173,6 +187,23 @@ struct Digester
         jobs++;
         std::printf("%s %s\n", hex(d).c_str(), job.c_str());
         benchio::record(job).label("digest", hex(d));
+
+        const std::string pair = name + "/" + std::to_string(seed);
+        if (mode == ExecMode::Compiled) {
+            compiled[pair] = d;
+            return;
+        }
+        const auto twin = compiled.find(pair);
+        if (twin == compiled.end())
+            return;
+        pairs++;
+        if (twin->second != d) {
+            pairsDiffer++;
+            std::fprintf(stderr,
+                         "compiled != interpreted: %s (%s vs %s)\n",
+                         pair.c_str(), hex(twin->second).c_str(),
+                         hex(d).c_str());
+        }
     }
 };
 
@@ -260,10 +291,14 @@ main(int argc, char **argv)
     dynamicCorpus(dg);
     std::printf("total %s (%d jobs, %d shots each)\n",
                 hex(dg.total).c_str(), dg.jobs, dg.shots);
+    std::printf("pairs %d compiled vs interpreted, %d differ\n", dg.pairs,
+                dg.pairsDiffer);
     benchio::record("total")
         .label("digest", hex(dg.total))
         .metric("jobs", dg.jobs)
-        .metric("shots", dg.shots);
+        .metric("shots", dg.shots)
+        .metric("pairs", dg.pairs)
+        .metric("pairs_differ", dg.pairsDiffer);
     benchio::finish();
-    return 0;
+    return dg.pairsDiffer == 0 ? 0 : 1;
 }

@@ -311,6 +311,17 @@ namespace
  *  arithmetically identical sequential fold on the rare error shot. */
 constexpr uint32_t kSuffixTablePulses = 64;
 
+/** Fold pulses [from, to) from identity: the product the interpreter
+ *  re-accumulates after a gate error. */
+Matrix2
+foldPulses(const std::vector<Pulse> &pulses, uint32_t from, uint32_t to)
+{
+    Matrix2 acc = Matrix2::identity();
+    for (uint32_t j = from; j < to; j++)
+        acc = pulses[j].matrix * acc;
+    return acc;
+}
+
 } // namespace
 
 ShotTables
@@ -345,12 +356,8 @@ buildShotTables(const ExecutionPlan &plan)
         // error at pulse i (O(k^2) to build, so capped).
         if (k <= kSuffixTablePulses) {
             ref.suffixOff = static_cast<uint32_t>(tables.matrices.size());
-            for (uint32_t i = 0; i < k; i++) {
-                Matrix2 tail = Matrix2::identity();
-                for (uint32_t j = i + 1; j < k; j++)
-                    tail = step.pulses[j].matrix * tail;
-                tables.matrices.push_back(tail);
-            }
+            for (uint32_t i = 0; i < k; i++)
+                tables.matrices.push_back(foldPulses(step.pulses, i + 1, k));
         }
     }
     // Exact size: the table may live on in the program cache.
@@ -380,10 +387,11 @@ bindShotProgram(const ExecutionPlan &plan, const ShotTables &tables,
     std::vector<TimeNs> last_end(plan.active.size(), -1.0);
     std::vector<double> ou_last_us(plan.active.size(), 0.0);
 
-    auto pushOp = [&](OpRef::Kind kind, uint32_t idx, bool fast) {
-        prog.ops.push_back({kind, idx});
-        if (fast)
-            prog.fastOps.push_back({kind, idx});
+    // Append @p op to its payload pool and reference it from the
+    // stream.
+    auto pushOp = [&](OpRef::Kind kind, auto &pool, const auto &op) {
+        pool.push_back(op);
+        prog.ops.push_back({kind, static_cast<uint32_t>(pool.size()) - 1});
     };
 
     // Coherent (refocusable) idle noise over [t0, t1): mirrors
@@ -426,13 +434,7 @@ bindShotProgram(const ExecutionPlan &plan, const ShotTables &tables,
             } else {
                 c.ouKind = 1;
             }
-            const bool twirl = flags.twirlCoherent;
-            if (!twirl)
-                c.phaseSlot = prog.phaseSlots++;
-            prog.coherent.push_back(c);
-            pushOp(OpRef::Kind::Coherent,
-                   static_cast<uint32_t>(prog.coherent.size()) - 1,
-                   /*fast=*/!twirl);
+            pushOp(OpRef::Kind::Coherent, prog.coherent, c);
             return;
         }
 
@@ -446,20 +448,11 @@ bindShotProgram(const ExecutionPlan &plan, const ShotTables &tables,
             prog.xtalkTerms.resize(c.termsOff);
             return;
         }
-        if (flags.twirlCoherent) {
-            c.twirlThresh =
-                bernoulliThreshold(twirlZProbability(phase));
-            prog.coherent.push_back(c);
-            pushOp(OpRef::Kind::Coherent,
-                   static_cast<uint32_t>(prog.coherent.size()) - 1,
-                   /*fast=*/false);
-        } else {
+        if (flags.twirlCoherent)
+            c.twirlThresh = bernoulliThreshold(twirlZProbability(phase));
+        else
             c.staticPhi = phase;
-            prog.coherent.push_back(c);
-            pushOp(OpRef::Kind::Coherent,
-                   static_cast<uint32_t>(prog.coherent.size()) - 1,
-                   /*fast=*/true);
-        }
+        pushOp(OpRef::Kind::Coherent, prog.coherent, c);
     };
 
     // Markovian noise over dt_us of wall-clock time: both flip
@@ -481,10 +474,7 @@ bindShotProgram(const ExecutionPlan &plan, const ShotTables &tables,
             m.dephThresh = bernoulliThreshold(
                 whiteDephasingFlipProbability(dt_us, qc.t2WhiteUs));
         }
-        prog.markov.push_back(m);
-        pushOp(OpRef::Kind::Markov,
-               static_cast<uint32_t>(prog.markov.size()) - 1,
-               /*fast=*/false);
+        pushOp(OpRef::Kind::Markov, prog.markov, m);
     };
 
     auto catchUp = [&](int dq, const PlanStep &step) {
@@ -506,37 +496,23 @@ bindShotProgram(const ExecutionPlan &plan, const ShotTables &tables,
             MeasOp m;
             m.q = step.q;
             m.clbit = step.clbit;
-            m.wordSlot = prog.measSlots++;
             m.thresh01 = bernoulliThreshold(step.err01);
             m.thresh10 = bernoulliThreshold(step.err10);
             m.retires = step.retires;
-            prog.meas.push_back(m);
-            pushOp(OpRef::Kind::Meas,
-                   static_cast<uint32_t>(prog.meas.size()) - 1,
-                   /*fast=*/true);
+            pushOp(OpRef::Kind::Meas, prog.meas, m);
             break;
           }
-          case PlanStep::Kind::Reset: {
+          case PlanStep::Kind::Reset:
             catchUp(step.q, step);
-            ResetOp r;
-            r.q = step.q;
-            r.wordSlot = prog.measSlots++;
-            prog.resets.push_back(r);
-            pushOp(OpRef::Kind::Reset,
-                   static_cast<uint32_t>(prog.resets.size()) - 1,
-                   /*fast=*/true);
+            pushOp(OpRef::Kind::Reset, prog.resets, ResetOp{step.q});
             break;
-          }
           case PlanStep::Kind::Cond1Q: {
             catchUp(step.q, step);
             Cond1QOp c;
             c.q = step.q;
             c.condBit = step.condBit;
             c.mat = tables.perStep[si].mat;
-            prog.cond.push_back(c);
-            pushOp(OpRef::Kind::Cond1Q,
-                   static_cast<uint32_t>(prog.cond.size()) - 1,
-                   /*fast=*/true);
+            pushOp(OpRef::Kind::Cond1Q, prog.cond, c);
             break;
           }
           case PlanStep::Kind::TwoQubit: {
@@ -551,10 +527,7 @@ bindShotProgram(const ExecutionPlan &plan, const ShotTables &tables,
             // threshold of 0 (consume, never fire) is not kNoDraw.
             if (flags.gateErrors)
                 t.errThresh = bernoulliThreshold(step.cxError);
-            prog.twoQ.push_back(t);
-            pushOp(OpRef::Kind::TwoQ,
-                   static_cast<uint32_t>(prog.twoQ.size()) - 1,
-                   /*fast=*/true);
+            pushOp(OpRef::Kind::TwoQ, prog.twoQ, t);
             break;
           }
           case PlanStep::Kind::Fused1Q: {
@@ -587,11 +560,7 @@ bindShotProgram(const ExecutionPlan &plan, const ShotTables &tables,
             }
             f.errCnt =
                 static_cast<uint32_t>(prog.errChecks.size()) - f.errOff;
-
-            prog.fused.push_back(f);
-            pushOp(OpRef::Kind::Fused1Q,
-                   static_cast<uint32_t>(prog.fused.size()) - 1,
-                   /*fast=*/true);
+            pushOp(OpRef::Kind::Fused1Q, prog.fused, f);
             break;
           }
         }
@@ -1445,11 +1414,10 @@ ShotReplayer::ShotReplayer(const ExecutionPlan &plan,
       qubitRng_(static_cast<size_t>(prog.numQubits)),
       ouVal_(static_cast<size_t>(prog.numQubits), 0.0)
 {
-    tape_.events.reserve(64);
 }
 
-void
-ShotReplayer::drawTape(const Rng &shot_rng, ShotTape &tape)
+uint64_t
+ShotReplayer::runShot(const Rng &shot_rng)
 {
     const NoiseFlags &flags = prog_.flags;
     gateRng_ = shot_rng.fork(0x6a7e);
@@ -1461,204 +1429,87 @@ ShotReplayer::drawTape(const Rng &shot_rng, ShotTape &tape)
             ouVal_[ai] = qubitRng_[ai].normal(0.0, prog_.ouSigma[ai]);
         }
     }
-    // Every written slot is unconditionally overwritten before any
-    // read (dynamic phases on emission, meas words per Meas / Reset
-    // op), so resize without zeroing is safe.
-    tape.phases.resize(prog_.phaseSlots);
-    tape.measWord.resize(size_t{2} * prog_.measSlots);
-    tape.events.clear();
-
-    for (uint32_t i = 0; i < prog_.ops.size(); i++) {
-        const OpRef ref = prog_.ops[i];
-        switch (ref.kind) {
-          case OpRef::Kind::Coherent: {
-            const CoherentOp &c = prog_.coherent[ref.idx];
-            const auto ai = static_cast<size_t>(c.q);
-            if (c.ouKind != 0) {
-                if (c.ouKind == 2) {
-                    ouVal_[ai] = ouVal_[ai] * c.ouDecay +
-                                 qubitRng_[ai].normal(0.0, c.ouSd);
-                }
-                double phase = 0.0;
-                phase += ouVal_[ai] * c.gapDtUs;
-                for (uint32_t t = 0; t < c.termsCnt; t++)
-                    phase += prog_.xtalkTerms[c.termsOff + t];
-                if (flags.twirlCoherent) {
-                    if (phase != 0.0) {
-                        if (qubitRng_[ai].bernoulli(
-                                twirlZProbability(phase))) {
-                            tape.events.push_back(
-                                {i, 0, 0, ShotEvent::Kind::TwirlZ, 0,
-                                 0});
-                        }
-                    }
-                } else {
-                    tape.phases[c.phaseSlot] = phase;
-                }
-            } else if (c.twirlThresh != kNoDraw) {
-                if ((qubitRng_[ai].next() >> 11) < c.twirlThresh) {
-                    tape.events.push_back(
-                        {i, 0, 0, ShotEvent::Kind::TwirlZ, 0, 0});
-                }
-            }
-            // Static non-twirl phases draw nothing.
-            break;
-          }
-          case OpRef::Kind::Markov: {
-            const MarkovOp &m = prog_.markov[ref.idx];
-            const auto ai = static_cast<size_t>(m.q);
-            if (m.t1Thresh != kNoDraw &&
-                (qubitRng_[ai].next() >> 11) < m.t1Thresh) {
-                // Reserve the population-conditional word; the replay
-                // resolves it against the live state.
-                tape.events.push_back({i, 0, qubitRng_[ai].next(),
-                                       ShotEvent::Kind::T1Jump, 0, 0});
-            }
-            if (m.dephThresh != kNoDraw &&
-                (qubitRng_[ai].next() >> 11) < m.dephThresh) {
-                tape.events.push_back(
-                    {i, 0, 0, ShotEvent::Kind::DephZ, 0, 0});
-            }
-            break;
-          }
-          case OpRef::Kind::Fused1Q: {
-            const Fused1QOp &f = prog_.fused[ref.idx];
-            for (uint32_t e = 0; e < f.errCnt; e++) {
-                const PulseErrCheck &chk =
-                    prog_.errChecks[f.errOff + e];
-                if ((gateRng_.next() >> 11) < chk.thresh) {
-                    const auto pauli = static_cast<uint8_t>(
-                        gateRng_.uniformInt(3) + 1);
-                    tape.events.push_back({i, chk.pulse, 0,
-                                           ShotEvent::Kind::Err1Q,
-                                           pauli, 0});
-                }
-            }
-            break;
-          }
-          case OpRef::Kind::TwoQ: {
-            const TwoQOp &t = prog_.twoQ[ref.idx];
-            if (t.errThresh != kNoDraw &&
-                (gateRng_.next() >> 11) < t.errThresh) {
-                const auto code =
-                    static_cast<int>(gateRng_.uniformInt(15)) + 1;
-                tape.events.push_back(
-                    {i, 0, 0, ShotEvent::Kind::Err2Q,
-                     static_cast<uint8_t>(code & 3),
-                     static_cast<uint8_t>(code >> 2)});
-            }
-            break;
-          }
-          case OpRef::Kind::Meas: {
-            const MeasOp &m = prog_.meas[ref.idx];
-            tape.measWord[size_t{2} * m.wordSlot] = gateRng_.next();
-            tape.measWord[size_t{2} * m.wordSlot + 1] =
-                flags.measurementErrors ? gateRng_.next() : 0;
-            break;
-          }
-          case OpRef::Kind::Reset: {
-            // One collapse word, like a measurement without readout
-            // error; the conditional |1> -> |0> flip resolves in the
-            // replay against the live state.
-            const ResetOp &r = prog_.resets[ref.idx];
-            tape.measWord[size_t{2} * r.wordSlot] = gateRng_.next();
-            tape.measWord[size_t{2} * r.wordSlot + 1] = 0;
-            break;
-          }
-          case OpRef::Kind::Cond1Q:
-            // Conditional pulses carry no error channel: nothing to
-            // draw, and the condition resolves in the replay.
-            break;
-        }
-    }
-}
-
-void
-ShotReplayer::replayStream(const std::vector<OpRef> &stream,
-                           const ShotTape &tape)
-{
-    const NoiseFlags &flags = prog_.flags;
-    const std::vector<ShotEvent> &events = tape.events;
-    const size_t n_events = events.size();
-    const auto n_ops = static_cast<uint32_t>(stream.size());
-    size_t cursor = 0; // first tape event not yet applied
+    sv_.reset();
+    svBit_ = plan_.svBit;
+    packer_.clear();
     // Ops name dense qubits; the state is addressed by this shot's bit
     // table (join order, shifted by every retiring Meas).
     const int *bit = svBit_.data();
 
-    for (uint32_t i = 0; i < n_ops; i++) {
-        const OpRef ref = stream[i];
+    for (const OpRef ref : prog_.ops) {
         switch (ref.kind) {
           case OpRef::Kind::Coherent: {
             const CoherentOp &c = prog_.coherent[ref.idx];
-            if (flags.twirlCoherent) {
-                if (cursor < n_events && events[cursor].op == i) {
+            const auto ai = static_cast<size_t>(c.q);
+            Rng &rng = qubitRng_[ai];
+            if (c.ouKind == 0) {
+                // Static: the phase, or its twirl threshold, is
+                // precomputed (and never zero).
+                if (c.twirlThresh == kNoDraw)
+                    sv_.applyPhase(bit[c.q], c.staticPhi);
+                else if ((rng.next() >> 11) < c.twirlThresh)
                     sv_.apply1Q(pauliMatrix(3), bit[c.q]);
-                    cursor++;
-                }
                 break;
             }
-            const double phi = c.ouKind != 0
-                                   ? tape.phases[c.phaseSlot]
-                                   : c.staticPhi;
-            if (phi != 0.0)
-                sv_.applyPhase(bit[c.q], phi);
+            if (c.ouKind == 2)
+                ouVal_[ai] = ouVal_[ai] * c.ouDecay + rng.normal(0.0, c.ouSd);
+            double phase = 0.0;
+            phase += ouVal_[ai] * c.gapDtUs;
+            for (uint32_t t = 0; t < c.termsCnt; t++)
+                phase += prog_.xtalkTerms[c.termsOff + t];
+            if (phase == 0.0)
+                break;
+            if (!flags.twirlCoherent)
+                sv_.applyPhase(bit[c.q], phase);
+            else if (rng.bernoulli(twirlZProbability(phase)))
+                sv_.apply1Q(pauliMatrix(3), bit[c.q]);
             break;
           }
           case OpRef::Kind::Markov: {
             const MarkovOp &m = prog_.markov[ref.idx];
-            while (cursor < n_events && events[cursor].op == i) {
-                const ShotEvent &e = events[cursor++];
-                if (e.kind == ShotEvent::Kind::T1Jump) {
-                    const double p = sv_.populationOne(bit[m.q]);
-                    const double u =
-                        static_cast<double>(e.word >> 11) * 0x1.0p-53;
-                    if (u < p)
-                        sv_.applyDecayJump(bit[m.q]);
-                } else { // DephZ
-                    sv_.apply1Q(pauliMatrix(3), bit[m.q]);
-                }
-            }
+            Rng &rng = qubitRng_[static_cast<size_t>(m.q)];
+            // The population word is drawn only when the jump check
+            // fires, as the interpreter's && short-circuit does.
+            if (m.t1Thresh != kNoDraw &&
+                (rng.next() >> 11) < m.t1Thresh &&
+                rng.bernoulli(sv_.populationOne(bit[m.q])))
+                sv_.applyDecayJump(bit[m.q]);
+            if (m.dephThresh != kNoDraw &&
+                (rng.next() >> 11) < m.dephThresh)
+                sv_.apply1Q(pauliMatrix(3), bit[m.q]);
             break;
           }
           case OpRef::Kind::Fused1Q: {
             const Fused1QOp &f = prog_.fused[ref.idx];
-            if (cursor >= n_events || events[cursor].op != i) {
-                sv_.apply1Q(prog_.matrices[f.fullMat], bit[f.q]);
-                break;
-            }
-            // Error splice: prefix · Pauli · (segments) · suffix,
-            // every product bit-identical to the interpreter's
-            // running accumulation.
-            const std::vector<Pulse> &pulses =
-                plan_.steps[f.step].pulses;
-            int64_t prev = -1;
-            while (cursor < n_events && events[cursor].op == i) {
-                const ShotEvent &e = events[cursor++];
-                if (prev < 0) {
-                    sv_.apply1Q(prog_.matrices[f.prefixOff + e.pulse],
-                                bit[f.q]);
+            const int b = bit[f.q];
+            // Error splice: prefix · Pauli · (segments) · suffix, every
+            // product bit-identical to the interpreter's running
+            // accumulation.  `next` is the first pulse not yet applied.
+            uint32_t next = 0;
+            for (uint32_t e = 0; e < f.errCnt; e++) {
+                const PulseErrCheck &chk = prog_.errChecks[f.errOff + e];
+                if ((gateRng_.next() >> 11) >= chk.thresh)
+                    continue;
+                const auto pauli =
+                    static_cast<int>(gateRng_.uniformInt(3)) + 1;
+                if (next == 0) {
+                    sv_.apply1Q(prog_.matrices[f.prefixOff + chk.pulse], b);
                 } else {
-                    Matrix2 seg = Matrix2::identity();
-                    for (auto j = static_cast<uint32_t>(prev + 1);
-                         j <= e.pulse; j++)
-                        seg = pulses[j].matrix * seg;
-                    sv_.apply1Q(seg, bit[f.q]);
+                    sv_.apply1Q(foldPulses(plan_.steps[f.step].pulses,
+                                           next, chk.pulse + 1),
+                                b);
                 }
-                sv_.apply1Q(pauliMatrix(e.a), bit[f.q]);
-                prev = e.pulse;
+                sv_.apply1Q(pauliMatrix(pauli), b);
+                next = chk.pulse + 1;
             }
-            if (f.suffixOff != kNoTable) {
-                sv_.apply1Q(
-                    prog_.matrices[f.suffixOff +
-                                   static_cast<uint32_t>(prev)],
-                    bit[f.q]);
+            if (next == 0) {
+                sv_.apply1Q(prog_.matrices[f.fullMat], b);
+            } else if (f.suffixOff != kNoTable) {
+                sv_.apply1Q(prog_.matrices[f.suffixOff + next - 1], b);
             } else {
-                Matrix2 tail = Matrix2::identity();
-                for (auto j = static_cast<uint32_t>(prev + 1);
-                     j < f.pulseCnt; j++)
-                    tail = pulses[j].matrix * tail;
-                sv_.apply1Q(tail, bit[f.q]);
+                sv_.apply1Q(foldPulses(plan_.steps[f.step].pulses, next,
+                                       f.pulseCnt),
+                            b);
             }
             break;
           }
@@ -1671,42 +1522,38 @@ ShotReplayer::replayStream(const std::vector<OpRef> &stream,
               default:
                 panic("compiled replay: unexpected two-qubit gate");
             }
-            if (cursor < n_events && events[cursor].op == i) {
-                const ShotEvent &e = events[cursor++];
-                if (e.a != 0)
-                    sv_.apply1Q(pauliMatrix(e.a), bit[t.q]);
-                if (e.b != 0)
-                    sv_.apply1Q(pauliMatrix(e.b), bit[t.q2]);
+            if (t.errThresh != kNoDraw &&
+                (gateRng_.next() >> 11) < t.errThresh) {
+                const auto code =
+                    static_cast<int>(gateRng_.uniformInt(15)) + 1;
+                if ((code & 3) != 0)
+                    sv_.apply1Q(pauliMatrix(code & 3), bit[t.q]);
+                if ((code >> 2) != 0)
+                    sv_.apply1Q(pauliMatrix(code >> 2), bit[t.q2]);
             }
             break;
           }
           case OpRef::Kind::Meas: {
+            // The collapse word, then (under measurement errors) the
+            // readout word, both from the gate stream.
             const MeasOp &m = prog_.meas[ref.idx];
-            const uint64_t mw = tape.measWord[size_t{2} * m.wordSlot];
-            const double u =
-                static_cast<double>(mw >> 11) * 0x1.0p-53;
             bool outcome;
             if (m.retires) {
-                outcome = sv_.measureRetire(bit[m.q], u);
+                outcome = sv_.measureRetire(bit[m.q], gateRng_);
                 retireBit(svBit_, m.q);
             } else {
-                outcome = sv_.measureCollapse(bit[m.q], u);
+                outcome = sv_.measureCollapse(bit[m.q], gateRng_);
             }
-            if (flags.measurementErrors) {
-                const uint64_t ew =
-                    tape.measWord[size_t{2} * m.wordSlot + 1];
-                if ((ew >> 11) < (outcome ? m.thresh10 : m.thresh01))
-                    outcome = !outcome;
-            }
+            if (flags.measurementErrors &&
+                (gateRng_.next() >> 11) <
+                    (outcome ? m.thresh10 : m.thresh01))
+                outcome = !outcome;
             packer_.set(m.clbit, outcome);
             break;
           }
           case OpRef::Kind::Reset: {
             const ResetOp &r = prog_.resets[ref.idx];
-            const uint64_t mw = tape.measWord[size_t{2} * r.wordSlot];
-            const double u =
-                static_cast<double>(mw >> 11) * 0x1.0p-53;
-            if (sv_.measureCollapse(bit[r.q], u))
+            if (sv_.measureCollapse(bit[r.q], gateRng_))
                 sv_.apply1Q(pauliMatrix(1), bit[r.q]);
             break;
           }
@@ -1718,31 +1565,7 @@ ShotReplayer::replayStream(const std::vector<OpRef> &stream,
           }
         }
     }
-}
-
-uint64_t
-ShotReplayer::replayShot(const ShotTape &tape)
-{
-    sv_.reset();
-    svBit_ = plan_.svBit;
-    packer_.clear();
-    totalShots_++;
-    if (tape.events.empty()) {
-        // No stochastic event fired: maximally fused deterministic
-        // replay (no Markov ops, one matrix per pulse train).
-        fastShots_++;
-        replayStream(prog_.fastOps, tape);
-    } else {
-        replayStream(prog_.ops, tape);
-    }
     return packer_.key();
-}
-
-uint64_t
-ShotReplayer::runShot(const Rng &shot_rng)
-{
-    drawTape(shot_rng, tape_);
-    return replayShot(tape_);
 }
 
 int64_t

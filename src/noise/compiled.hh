@@ -17,24 +17,23 @@
  *    suffix product tables so a rare gate error firing at pulse i
  *    splices prefix[i] · Pauli · suffix[i] without re-deriving any
  *    matrix (multi-error trains fall back to an identical sequential
- *    fold over the stored pulse matrices),
+ *    fold over the stored pulse matrices), and
  *  - per-step idle / Markovian noise constants (OU decay and
  *    innovation sigma, crosstalk phase terms, T1 / dephasing flip
  *    probabilities) precomputed once, with probabilities stored as
  *    fixed-point Bernoulli thresholds compared directly against raw
- *    RNG words, and
- *  - a no-error fast replay stream: each shot first resolves all of
- *    its stochastic outcomes in a cheap draw pass (no state-vector
- *    work); when nothing fires — the common case at realistic error
- *    rates — the shot replays a maximally fused deterministic stream
- *    that skips every noise branch.
+ *    RNG words.
+ *
+ * A shot is one walk over the stream: each op draws its randomness
+ * and applies it to the state before the next op runs.
  *
  * Determinism contract: a compiled shot consumes exactly the same RNG
- * words from exactly the same forked streams as the interpreted
- * reference path in machine.cc, and mutates the StateVector with
- * bit-identical operands in the same order.  Output distributions are
- * therefore bit-identical to the interpreter for any seed, any thread
- * count, and batch-vs-serial (tests/test_compiled.cc locks this).
+ * words from exactly the same forked streams, in the same op order, as
+ * the interpreted reference path in machine.cc, and mutates the
+ * StateVector with bit-identical operands in the same order.  Output
+ * distributions are therefore bit-identical to the interpreter for any
+ * seed, any thread count, and batch-vs-serial (tests/test_compiled.cc
+ * locks this).
  * The library builds with -ffp-contract=off so the duplicated scalar
  * expressions here and in machine.cc cannot diverge through FMA
  * contraction on native builds.
@@ -221,10 +220,10 @@ constexpr uint32_t kNoTable = UINT32_MAX;
 
 /**
  * Coherent idle noise for one qubit over one gap.  Three flavours:
- *  - dynamic (OU enabled): the draw pass advances the qubit's OU
- *    value with the precomputed (decay, innovation sigma) pair and
- *    folds the precomputed crosstalk terms onto it; the resulting
- *    phase lands in the tape slot the replay reads.
+ *  - dynamic (OU enabled): the shot advances the qubit's OU value
+ *    with the precomputed (decay, innovation sigma) pair and folds
+ *    the precomputed crosstalk terms onto it; the resulting phase is
+ *    applied (or, under twirlCoherent, twirled into a Z draw).
  *  - static phase (OU off, non-zero crosstalk fold): phi is fully
  *    precomputed; no per-shot randomness at all.
  *  - static twirl (OU off, twirlCoherent): the Z probability
@@ -244,7 +243,6 @@ struct CoherentOp
     double staticPhi = 0.0;
 
     uint32_t termsOff = 0, termsCnt = 0; //!< into xtalkTerms
-    uint32_t phaseSlot = 0;              //!< tape slot (dynamic)
     uint64_t twirlThresh = kNoDraw;      //!< static twirl only
 };
 
@@ -289,23 +287,21 @@ struct MeasOp
 {
     int q = -1;
     int clbit = 0;
-    uint32_t wordSlot = 0; //!< tape slot holding the raw RNG words
     uint64_t thresh01 = 0, thresh10 = 0;
     bool retires = false; //!< PlanStep::retires: leave the state vector
 };
 
-/** An active reset: a projective collapse (one reserved gateRng word,
- *  like a measurement) followed by X when the outcome was 1.  The
- *  outcome is consumed internally — no clbit, no readout error. */
+/** An active reset: a projective collapse (one gateRng word, like a
+ *  measurement) followed by X when the outcome was 1.  The outcome is
+ *  consumed internally — no clbit, no readout error. */
 struct ResetOp
 {
     int q = -1;
-    uint32_t wordSlot = 0; //!< tape slot (first word; second unused)
 };
 
-/** A classically-controlled 1Q pulse: applied in replay only (no
- *  draws — conditional pulses carry no gate-error channel) when the
- *  last recorded value of condBit is 1. */
+/** A classically-controlled 1Q pulse, applied when the last recorded
+ *  value of condBit is 1.  It draws nothing: conditional pulses carry
+ *  no gate-error channel. */
 struct Cond1QOp
 {
     int q = -1;
@@ -332,11 +328,9 @@ struct OpRef
 };
 
 /**
- * A job lowered into flat opcode streams.  `ops` is the complete
- * stream the draw pass walks (and the replay falls back to when any
- * stochastic event fired); `fastOps` is the no-error replay stream
- * with every Markov / twirl op removed and every fused train resolved
- * to its single precomputed product.
+ * A job lowered into a flat opcode stream.  `ops` lists the ops in
+ * the interpreter's order (coherent catch-up, then Markovian, then the
+ * step, per plan step); every shot walks it once.
  */
 struct ShotProgram
 {
@@ -347,7 +341,6 @@ struct ShotProgram
     std::vector<double> ouSigma; //!< per dense qubit (initial draw)
 
     std::vector<OpRef> ops;
-    std::vector<OpRef> fastOps;
 
     std::vector<CoherentOp> coherent;
     std::vector<MarkovOp> markov;
@@ -360,9 +353,6 @@ struct ShotProgram
     std::vector<PulseErrCheck> errChecks;
     std::vector<double> xtalkTerms;
     std::vector<Matrix2> matrices; //!< fused products + splice tables
-
-    uint32_t phaseSlots = 0;
-    uint32_t measSlots = 0;
 };
 
 /**
@@ -635,35 +625,10 @@ class FrameTailCache final : public FrameTailSource
 // Per-shot execution.
 // ------------------------------------------------------------------
 
-/** A stochastic event resolved by the draw pass. */
-struct ShotEvent
-{
-    enum class Kind : uint8_t { TwirlZ, T1Jump, DephZ, Err1Q, Err2Q };
-    uint32_t op = 0;    //!< index into ShotProgram::ops
-    uint32_t pulse = 0; //!< firing pulse (Err1Q)
-    uint64_t word = 0;  //!< reserved raw RNG word (T1Jump)
-    Kind kind = Kind::TwirlZ;
-    uint8_t a = 0, b = 0; //!< Pauli codes (Err1Q / Err2Q)
-};
-
 /**
- * Everything one shot's draw pass resolved: the dynamic phases, the
- * reserved measurement / reset RNG words, and the fired events.  A
- * ShotTape plus the compiled program fully determines the shot — the
- * replay consumes no RNG — so a tape drawn by drawTape and replayed
- * later by replayShot gives the same outcome as runShot.
- */
-struct ShotTape
-{
-    std::vector<double> phases;     //!< per phaseSlot
-    std::vector<uint64_t> measWord; //!< 2 per measSlot
-    std::vector<ShotEvent> events;
-};
-
-/**
- * Per-chunk worker that replays a compiled program.  Owns the state
- * vector, its per-shot bit table, the outcome packer, and the
- * reusable draw tape; one instance serves all the shots of a chunk.
+ * Per-chunk worker that runs a compiled program.  Owns the state
+ * vector, its per-shot bit table, the outcome packer and the shot's
+ * RNG streams; one instance serves all the shots of a chunk.
  */
 class ShotReplayer
 {
@@ -671,9 +636,10 @@ class ShotReplayer
     ShotReplayer(const ExecutionPlan &plan, const ShotProgram &prog);
 
     /**
-     * Execute one shot: draw pass, then fast or general replay.
-     * Consumes RNG streams forked off @p shot_rng exactly as the
-     * interpreted path does, and returns the same outcome key.
+     * Execute one shot: one walk over the op stream, each op drawing
+     * its randomness and applying it to the state.  Consumes RNG
+     * streams forked off @p shot_rng exactly as the interpreted path
+     * does, and returns the same outcome key.
      */
     uint64_t runShot(const Rng &shot_rng);
 
@@ -694,29 +660,7 @@ class ShotReplayer
                      int64_t count, FlatAccumulator &hist,
                      const CancellationToken *token = nullptr);
 
-    /**
-     * Draw pass only: resolve every stochastic outcome of the shot
-     * into @p tape (sized / cleared here).  Consumes exactly the RNG
-     * words runShot's draw pass would.
-     */
-    void drawTape(const Rng &shot_rng, ShotTape &tape);
-
-    /** Replay a previously drawn tape from the |0...0> state and
-     *  return the outcome key (the replay half of runShot). */
-    uint64_t replayShot(const ShotTape &tape);
-
-    /** Shots replayed on the no-error fast stream so far. */
-    uint64_t fastShots() const { return fastShots_; }
-
-    /** Total shots executed so far. */
-    uint64_t totalShots() const { return totalShots_; }
-
   private:
-    /** Replay every op of @p stream against the current state,
-     *  applying @p tape's events at their ops. */
-    void replayStream(const std::vector<OpRef> &stream,
-                      const ShotTape &tape);
-
     const ExecutionPlan &plan_;
     const ShotProgram &prog_;
     StateVector sv_;
@@ -730,11 +674,6 @@ class ShotReplayer
     Rng gateRng_;
     std::vector<Rng> qubitRng_;
     std::vector<double> ouVal_;
-
-    ShotTape tape_; //!< runShot's reusable tape
-
-    uint64_t fastShots_ = 0;
-    uint64_t totalShots_ = 0;
 };
 
 } // namespace adapt

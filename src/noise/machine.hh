@@ -50,11 +50,10 @@ class ProgramCache;
  *
  * Dense jobs:
  *  - Compiled (default): the job is lowered once into a flat
- *    ShotProgram (noise/compiled.hh) and every shot replays it — a
- *    cheap draw pass resolving all stochastic outcomes against
- *    fixed-point thresholds, then a no-error fast replay when nothing
- *    fired.  Bit-identical to Interpreted for any seed and thread
- *    count.
+ *    ShotProgram (noise/compiled.hh) and every shot walks it once,
+ *    each op drawing against precomputed fixed-point thresholds and
+ *    applying its outcome.  Bit-identical to Interpreted for any seed
+ *    and thread count.
  *  - Interpreted: the historical per-shot plan walk (the reference
  *    semantics the compiled path is tested against).
  *

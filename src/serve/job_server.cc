@@ -17,26 +17,6 @@
 namespace adapt::serve
 {
 
-const char *
-jobStateName(JobState state)
-{
-    switch (state) {
-      case JobState::Queued:
-        return "queued";
-      case JobState::Running:
-        return "running";
-      case JobState::Done:
-        return "done";
-      case JobState::Cancelled:
-        return "cancelled";
-      case JobState::Expired:
-        return "expired";
-      case JobState::Failed:
-        return "failed";
-    }
-    return "unknown";
-}
-
 ServerOptions
 ServerOptions::fromEnv()
 {

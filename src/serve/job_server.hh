@@ -75,8 +75,6 @@ enum class JobState : uint8_t
     Failed,    //!< retries exhausted or non-retryable error
 };
 
-const char *jobStateName(JobState state);
-
 /** One unit of work: a prepared circuit plus execution knobs. */
 struct JobSpec
 {

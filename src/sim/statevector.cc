@@ -668,8 +668,9 @@ StateVector::sample(Rng &rng) const
 }
 
 bool
-StateVector::collapseTo(QubitId q, bool outcome)
+StateVector::measureCollapse(QubitId q, Rng &rng)
 {
+    const bool outcome = rng.bernoulli(populationOne(q));
     touch();
     cover(q);
     const uint64_t bit = uint64_t{1} << q;
@@ -683,25 +684,12 @@ StateVector::collapseTo(QubitId q, bool outcome)
 }
 
 bool
-StateVector::measureCollapse(QubitId q, Rng &rng)
-{
-    const double p1 = populationOne(q);
-    return collapseTo(q, rng.bernoulli(p1));
-}
-
-bool
-StateVector::measureCollapse(QubitId q, double uniform_draw)
-{
-    const double p1 = populationOne(q);
-    return collapseTo(q, uniform_draw < p1);
-}
-
-bool
-StateVector::retireTo(QubitId q, bool outcome)
+StateVector::measureRetire(QubitId q, Rng &rng)
 {
     if (q == 0)
-        return collapseTo(q, outcome);
+        return measureCollapse(q, rng);
     require(q < numQubits_, "qubit out of range for the state vector");
+    const bool outcome = rng.bernoulli(populationOne(q));
     touch();
     if (q < live_) {
         // With b = 2^q and o the outcome, run k of the kept half,
@@ -723,20 +711,6 @@ StateVector::retireTo(QubitId q, bool outcome)
     }
     normalize();
     return outcome;
-}
-
-bool
-StateVector::measureRetire(QubitId q, Rng &rng)
-{
-    const double p1 = populationOne(q);
-    return retireTo(q, rng.bernoulli(p1));
-}
-
-bool
-StateVector::measureRetire(QubitId q, double uniform_draw)
-{
-    const double p1 = populationOne(q);
-    return retireTo(q, uniform_draw < p1);
 }
 
 void

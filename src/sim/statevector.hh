@@ -134,21 +134,15 @@ class StateVector
 
     /**
      * Projectively measure one qubit: samples the outcome with the
-     * Born rule, collapses the state, and re-normalizes.
+     * Born rule, collapses the state, and re-normalizes.  Draws
+     * exactly one word from @p rng, rng.bernoulli(P(1)), whatever the
+     * state, so a shot's RNG consumption never depends on its data.
      */
     bool measureCollapse(QubitId q, Rng &rng);
 
     /**
-     * measureCollapse with a pre-drawn uniform variate in [0, 1)
-     * (compiled shot replay: the RNG word was reserved by the draw
-     * pass).  Bit-identical to measureCollapse(q, rng) when
-     * @p uniform_draw equals the value rng.uniform() would return.
-     */
-    bool measureCollapse(QubitId q, double uniform_draw);
-
-    /**
      * Measure qubit @p q for the last time and remove its bit from the
-     * register (same Born rule and draw as measureCollapse).  For
+     * register (same Born rule and single draw as measureCollapse).  For
      * q >= 1 every bit above q shifts down by one (retireBit() applies
      * the same shift to a qubit -> bit table):
      *  - q inside the prefix: the outcome half's runs of 2^q amplitudes
@@ -169,10 +163,6 @@ class StateVector
      */
     bool measureRetire(QubitId q, Rng &rng);
 
-    /** measureRetire with a pre-drawn uniform variate (see the
-     *  measureCollapse overload). */
-    bool measureRetire(QubitId q, double uniform_draw);
-
     double norm() const;
     void normalize();
 
@@ -192,14 +182,6 @@ class StateVector
     }
 
     void grow(QubitId q);
-
-    /** Zero the non-@p outcome branch of qubit @p q and renormalize
-     *  (shared tail of the two measureCollapse overloads). */
-    bool collapseTo(QubitId q, bool outcome);
-
-    /** Keep the @p outcome branch of qubit @p q, remove its bit, and
-     *  renormalize (shared tail of the two measureRetire overloads). */
-    bool retireTo(QubitId q, bool outcome);
 
     void buildSampleCache() const;
 

@@ -73,21 +73,6 @@ ScheduledCircuit::idleWindows(QubitId q, TimeNs min_duration_ns) const
     return windows;
 }
 
-std::vector<IdleWindow>
-ScheduledCircuit::allIdleWindows(TimeNs min_dur_ns) const
-{
-    std::vector<IdleWindow> all;
-    for (QubitId q = 0; q < numQubits_; q++) {
-        const auto windows = idleWindows(q, min_dur_ns);
-        all.insert(all.end(), windows.begin(), windows.end());
-    }
-    std::stable_sort(all.begin(), all.end(),
-                     [](const IdleWindow &a, const IdleWindow &b) {
-                         return a.duration() > b.duration();
-                     });
-    return all;
-}
-
 double
 ScheduledCircuit::idleFraction(QubitId q) const
 {

@@ -89,9 +89,6 @@ class ScheduledCircuit
     std::vector<IdleWindow> idleWindows(QubitId q,
                                         TimeNs min_duration_ns = 0.0) const;
 
-    /** All idle windows of all qubits, longest first. */
-    std::vector<IdleWindow> allIdleWindows(TimeNs min_dur_ns = 0.0) const;
-
     /** Fraction of the makespan a qubit spends idle (Table 1). */
     double idleFraction(QubitId q) const;
 

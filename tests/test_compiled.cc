@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -149,10 +151,10 @@ TEST(CompiledProgram, ErrorSpliceMatchesInterpretedMidFusion)
 {
     // DD-padded executable: dense pulse trains (hundreds of physical
     // pulses) with gate errors as the only channel, at enough shots
-    // that errors certainly fire mid-train — prefix splice, repeated
-    // (multi-error) splice, and the capped-suffix sequential fold all
-    // execute.  Any draw-order or splice-product deviation from the
-    // interpreter would shift outcomes and break exact identity.
+    // that errors fire mid-train — the prefix splice and the
+    // capped-suffix sequential fold execute.  Any draw-order or
+    // splice-product deviation from the interpreter would shift
+    // outcomes and break exact identity.
     NoiseFlags flags = NoiseFlags::none();
     flags.gateErrors = true;
     const Device device = Device::ibmqRome();
@@ -163,21 +165,29 @@ TEST(CompiledProgram, ErrorSpliceMatchesInterpretedMidFusion)
         insertDDAll(bare, machine.calibration(), DDOptions{});
     ASSERT_GT(ddPulseCount(padded), 0);
 
-    // Prove the splice path actually executes: over these shots some
-    // must leave the no-error fast stream (a gate error fired inside
-    // a fused train) while most stay on it.
+    // Prove the splice paths run: the compiled thresholds (p =
+    // thresh * 2^-53) expect many fired gate errors over these shots,
+    // in all trains and in the trains too long for a suffix table.
     const ExecutionPlan plan =
         buildPlan(padded, machine.calibration(), machine.flags());
     const ShotProgram prog = compileShotProgram(
         plan, machine.calibration(), machine.flags());
-    ShotReplayer replayer(plan, prog);
-    const Rng base(uint64_t{17} ^ 0xadab7dd);
-    for (int shot = 0; shot < 1500; shot++)
-        replayer.runShot(base.fork(static_cast<uint64_t>(shot) + 1));
-    EXPECT_LT(replayer.fastShots(), replayer.totalShots());
-    EXPECT_GT(replayer.fastShots(), 0u);
+    constexpr int kShots = 1500;
+    double fires = 0.0, capped_fires = 0.0;
+    for (const Fused1QOp &f : prog.fused) {
+        for (uint32_t e = 0; e < f.errCnt; e++) {
+            const double p = std::ldexp(
+                static_cast<double>(prog.errChecks[f.errOff + e].thresh),
+                -53);
+            fires += p;
+            if (f.suffixOff == kNoTable)
+                capped_fires += p;
+        }
+    }
+    EXPECT_GT(kShots * fires, 50.0);
+    EXPECT_GT(kShots * capped_fires, 20.0);
 
-    expectCompiledMatchesInterpreted(machine, padded, 1500, 17);
+    expectCompiledMatchesInterpreted(machine, padded, kShots, 17);
 }
 
 /**
@@ -231,32 +241,24 @@ TEST(CompiledProgram, LateJoiningQubitsMatchInterpreted)
     EXPECT_EQ(plan.svBit, (std::vector<int>{2, 0, 1, 3}));
 
     // The late qubit's join-step Markov op really fires, both its T1
-    // draw (resolved against a qubit not yet in the live prefix) and
-    // its dephasing draw.
+    // check (resolved against a qubit not yet in the live prefix) and
+    // its dephasing check: its thresholds (p = thresh * 2^-53) expect
+    // many fires in 400 shots.
     const ShotProgram prog = compileShotProgram(
         plan, machine.calibration(), machine.flags());
-    uint32_t join_op = 0;
-    while (join_op < prog.ops.size() &&
-           !(prog.ops[join_op].kind == OpRef::Kind::Markov &&
-             prog.markov[prog.ops[join_op].idx].q == 0))
-        join_op++;
-    ASSERT_LT(join_op, prog.ops.size());
-    ShotReplayer replayer(plan, prog);
-    ShotTape tape;
-    int t1_jumps = 0, deph_flips = 0;
-    const Rng base(uint64_t{41} ^ 0xadab7dd);
-    for (int shot = 0; shot < 400; shot++) {
-        replayer.drawTape(base.fork(static_cast<uint64_t>(shot) + 1),
-                          tape);
-        for (const ShotEvent &e : tape.events) {
-            if (e.op != join_op)
-                continue;
-            t1_jumps += e.kind == ShotEvent::Kind::T1Jump;
-            deph_flips += e.kind == ShotEvent::Kind::DephZ;
-        }
-    }
-    EXPECT_GT(t1_jumps, 40);
-    EXPECT_GT(deph_flips, 5);
+    const auto join = std::find_if(
+        prog.ops.begin(), prog.ops.end(), [&](const OpRef &ref) {
+            return ref.kind == OpRef::Kind::Markov &&
+                   prog.markov[ref.idx].q == 0;
+        });
+    ASSERT_NE(join, prog.ops.end());
+    const MarkovOp &m = prog.markov[join->idx];
+    ASSERT_NE(m.t1Thresh, kNoDraw);
+    ASSERT_NE(m.dephThresh, kNoDraw);
+    EXPECT_GT(400 * std::ldexp(static_cast<double>(m.t1Thresh), -53),
+              40.0);
+    EXPECT_GT(400 * std::ldexp(static_cast<double>(m.dephThresh), -53),
+              5.0);
 
     expectCompiledMatchesInterpreted(machine, sched, 3000, 41);
 }
@@ -539,26 +541,6 @@ TEST(CompiledProgram, BernoulliThresholdMatchesRngCompare)
                 << "p=" << p << " u=" << u;
         }
     }
-}
-
-TEST(CompiledProgram, FastPathCoversNoiselessShots)
-{
-    // With every stochastic channel off, every shot must take the
-    // no-error fast replay stream.
-    const Device device = Device::ibmqRome();
-    const NoisyMachine machine(device, 0, NoiseFlags::none());
-    const ScheduledCircuit sched =
-        compileWorkload(makeQaoa(4, QaoaGraph::A), device);
-    const ExecutionPlan plan =
-        buildPlan(sched, machine.calibration(), machine.flags());
-    const ShotProgram prog = compileShotProgram(
-        plan, machine.calibration(), machine.flags());
-    ShotReplayer replayer(plan, prog);
-    const Rng base(123);
-    for (int shot = 0; shot < 64; shot++)
-        replayer.runShot(base.fork(static_cast<uint64_t>(shot) + 1));
-    EXPECT_EQ(replayer.fastShots(), replayer.totalShots());
-    EXPECT_EQ(replayer.totalShots(), 64u);
 }
 
 TEST(CompiledProgram, StabilizerJobsCompileToFrameBatch)

@@ -321,9 +321,9 @@ TEST(StateVec, LivePrefixMatchesFullWidth)
                 break;
               }
               case 2: {
-                const double u = rng.uniform();
-                ASSERT_EQ(live.measureCollapse(a, u),
-                          full.measureCollapse(a, u));
+                Rng twin_rng = rng;
+                ASSERT_EQ(live.measureCollapse(a, rng),
+                          full.measureCollapse(a, twin_rng));
                 widen(a);
                 break;
               }
@@ -443,9 +443,9 @@ TEST(StateVec, FinalMeasurementMatchesCollapseInPlace)
             for (const QubitId q : order) {
                 const int b = bits[static_cast<size_t>(q)];
                 const int live_before = retired.liveQubits();
-                const double u = rng.uniform();
-                const bool outcome = retired.measureRetire(b, u);
-                ASSERT_EQ(outcome, twin.measureCollapse(q, u))
+                Rng twin_rng = rng;
+                const bool outcome = retired.measureRetire(b, rng);
+                ASSERT_EQ(outcome, twin.measureCollapse(q, twin_rng))
                     << "n=" << n << " q=" << q;
                 retireBit(bits, q);
                 if (b > 0) {
