@@ -12,9 +12,10 @@
  * instance; the stats rows prove the frame engine kept every lane
  * in-frame (branch tails, zero deferred shots).
  *
- * Each syndrome row also times the same job with branch tails off
- * (ADAPT_FRAME_BRANCH_DEPTH=0: fired lanes defer to per-shot tableau
- * reruns), the baseline the tails must beat.  The tail_idle_{20,50,100}q
+ * Each syndrome row also times the same job at branch depth 0
+ * (ADAPT_FRAME_BRANCH_DEPTH=0: every fired lane finishes on the exact
+ * tableau continuation from its checkpoint), the baseline the nested
+ * tails must beat.  The tail_idle_{20,50,100}q
  * rows widen frame_char_100q's tail job (|+>, 20 us XY4-padded idle,
  * X readout, 10x10 synthetic grid) and record seconds per shot with
  * tails (cold: tails compile on the lanes' first fires; warm: cached)
@@ -167,11 +168,12 @@ registerBenchmarks()
         ->Unit(benchmark::kMicrosecond);
 }
 
-/** Prepare @p sched for the frame engine with branch tails off
- *  (ADAPT_FRAME_BRANCH_DEPTH=0). */
+/** Prepare @p sched for the frame engine at branch depth 0
+ *  (ADAPT_FRAME_BRANCH_DEPTH=0): no nested tails, so every fired lane
+ *  finishes on the exact tableau from its checkpoint. */
 PreparedCircuit
-prepareWithoutTails(const NoisyMachine &machine,
-                    const ScheduledCircuit &sched)
+prepareAtDepthZero(const NoisyMachine &machine,
+                   const ScheduledCircuit &sched)
 {
     setenv("ADAPT_FRAME_BRANCH_DEPTH", "0", 1);
     PreparedCircuit prepared =
@@ -199,7 +201,7 @@ secondsPerShot(const NoisyMachine &machine,
 }
 
 /** Headline rows: single-threaded seconds/shot both ways, speedup,
- *  the same job with tails off, and the frame engine's own
+ *  the same job at branch depth 0, and the frame engine's own
  *  accounting of where lanes finished. */
 void
 recordHeadline(Instance &inst)
@@ -207,7 +209,7 @@ recordHeadline(Instance &inst)
     const PreparedCircuit prepared =
         inst.machine.prepare(inst.sched, BackendKind::Stabilizer);
     const PreparedCircuit depth0 =
-        prepareWithoutTails(inst.machine, inst.sched);
+        prepareAtDepthZero(inst.machine, inst.sched);
     // Warm-up pass: populates the lazy branch-tail cache (a one-time
     // cost shared by all subsequent runs of the prepared job) so the
     // timed runs measure steady-state throughput.
@@ -282,7 +284,7 @@ recordTailIdle(int n)
     const double warm =
         secondsPerShot(machine, prepared, ExecMode::Compiled, &out);
     const double no_tails =
-        secondsPerShot(machine, prepareWithoutTails(machine, sched));
+        secondsPerShot(machine, prepareAtDepthZero(machine, sched));
     const double peak = peakRssMb();
     const std::string name = "tail_idle_" + std::to_string(n) + "q";
     benchio::record(name)

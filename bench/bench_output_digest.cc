@@ -1,16 +1,17 @@
 /**
  * @file
- * Output digest of a fixed corpus of dense jobs, for checking that a
- * change leaves every sampled distribution bit-identical.
+ * Output digest of a fixed corpus of dense and batch-frame jobs, for
+ * checking that a change leaves every sampled distribution
+ * bit-identical.
  *
- * Every job runs through the public NoisyMachine API on the forced
- * dense backend and is reduced to one 64-bit digest over its outcome
- * keys and counts; the digests fold, in job order, into one total.
- * Build this file against two revisions, run both with the same
- * --shots and compare the totals: equal totals mean equal outputs on
- * every job (up to a 64-bit hash collision).
+ * Every job runs through the public NoisyMachine API and is reduced
+ * to one 64-bit digest over its outcome keys and counts; the digests
+ * fold, in job order, into one total per section.  Build this file
+ * against two revisions, run both with the same --shots and compare
+ * the totals: equal totals mean equal outputs on every job (up to a
+ * 64-bit hash collision).
  *
- * Corpus:
+ * Dense corpus (forced dense backend):
  *  - static: the 11 Table 4 programs on ibmq_toronto and
  *    ibmq_guadalupe, each as the routed program, its All-DD (XY4)
  *    padding, its seeded decoy and the All-DD decoy, under four noise
@@ -27,11 +28,23 @@
  * bit-identical to the interpreted reference.  That is 352 static and
  * 120 dynamic pairs.
  *
+ * Frame corpus (forced stabilizer backend, so every job runs the
+ * batch Pauli-frame engine): 60 seeded random Clifford circuits of
+ * width 2-12 on a synthetic line, static and dynamic, with and
+ * without XY4 padding, under Pauli-only or T1-only noise; a 2-qubit
+ * chain of re-superposed long idles whose lanes leave the plane pass
+ * and nest; a distance-5 syndrome-extraction workload; and 20- and
+ * 30-qubit idle tails.  Each runs kFrameShots (2,065) shots at
+ * ADAPT_FRAME_BRANCH_DEPTH 8, 2, 1 and 0, prepared afresh on 1 and on
+ * 4 threads; the two must have equal digests.
+ *
  * Usage: bench_output_digest [--shots=N] [--bench_json=PATH]
- * (default 256 shots per job).  Prints one line per job, the total and
- * the pair count; --bench_json records the same digests as hex labels.
- * Exits 1, naming each pair, when a compiled job's digest differs from
- * its interpreted twin's.
+ * (default 256 shots per dense job).  Prints one line per job, the
+ * dense total and pair count, then one frame total per depth;
+ * --bench_json records the same digests as hex labels.  Exits 1,
+ * naming each job, when a compiled dense job's digest differs from
+ * its interpreted twin's or a frame job's 1-thread digest differs
+ * from its 4-thread one.
  */
 
 #include <cinttypes>
@@ -44,6 +57,7 @@
 #include <vector>
 
 #include "adapt/decoy.hh"
+#include "common/logging.hh"
 #include "bench_io.hh"
 #include "dd/sequences.hh"
 #include "noise/machine.hh"
@@ -264,6 +278,169 @@ dynamicCorpus(Digester &dg)
     }
 }
 
+/** Shots of every frame job, whatever --shots says: eight full
+ *  256-lane blocks and a partial one, so the 4-thread run splits
+ *  each job across chunks. */
+constexpr int kFrameShots = 8 * 256 + 17;
+
+/** A frame-corpus job: the device outlives the machines built on it. */
+struct FrameJob
+{
+    std::string name;
+    Device device;
+    NoiseFlags flags;
+    ScheduledCircuit sched;
+    uint64_t seed = 0;
+};
+
+/**
+ * A seeded random Clifford circuit over a line of @p width qubits: H,
+ * S, SX, CX, CZ and idle delays, then a readout of every qubit; a
+ * dynamic one also measures mid-circuit, resets, and feeds X / Z back
+ * on recorded bits.
+ */
+Circuit
+cliffordCircuit(int width, bool dynamic, uint64_t seed)
+{
+    Rng rng(seed * 7919 + 5);
+    const int clbits = width + 1;
+    auto clbit = [&] {
+        return static_cast<int>(
+            rng.uniformInt(static_cast<uint64_t>(clbits)));
+    };
+    Circuit c(width, clbits);
+    for (int layer = 0; layer < 8 * width; layer++) {
+        const auto q = static_cast<QubitId>(
+            rng.uniformInt(static_cast<uint64_t>(width)));
+        const QubitId b = q + 1 < width ? q + 1 : q - 1;
+        switch (rng.uniformInt(dynamic ? 11 : 7)) {
+          case 0: c.h(q); break;
+          case 1: c.s(q); break;
+          case 2: c.sx(q); break;
+          case 3: c.delay(500.0 + 3000.0 * rng.uniform(), q); break;
+          case 4:
+          case 5: c.cx(q, b); break;
+          case 6: c.cz(q, b); break;
+          case 7: c.measure(q, clbit()); break;
+          case 8: c.reset(q); break;
+          case 9: c.xIf(q, clbit()); break;
+          default: c.zIf(q, clbit()); break;
+        }
+    }
+    for (QubitId q = 0; q < width; q++)
+        c.measure(q, q);
+    return c;
+}
+
+std::vector<FrameJob>
+frameCorpus()
+{
+    NoiseFlags t1_only = NoiseFlags::none();
+    t1_only.t1Damping = true;
+    std::vector<FrameJob> jobs;
+    auto add = [&](std::string name, Device device, NoiseFlags flags,
+                   const Circuit &c, ScheduleMode mode, bool with_dd,
+                   uint64_t seed) {
+        const Calibration cal = device.calibration(0);
+        ScheduledCircuit sched =
+            schedule(decompose(c), device.topology(), cal, mode);
+        if (with_dd)
+            sched = insertDDAll(sched, cal, DDOptions{});
+        jobs.push_back({std::move(name), std::move(device), flags,
+                        std::move(sched), seed});
+    };
+    for (int i = 0; i < 60; i++) {
+        const int width = 2 + i % 11;
+        const bool dynamic = i % 2 == 1;
+        const bool with_dd = i / 2 % 2 == 1;
+        const bool pauli = i / 4 % 2 == 0;
+        const auto seed = static_cast<uint64_t>(7000 + i);
+        add("fuzz/" + std::to_string(i) + "/w" + std::to_string(width) +
+                (dynamic ? "/dynamic" : "/static") +
+                (with_dd ? "/dd" : "") + (pauli ? "/pauli" : "/t1"),
+            Device::synthetic(Topology::linear(width), seed),
+            pauli ? NoiseFlags::pauliOnly() : t1_only,
+            cliffordCircuit(width, dynamic, seed), ScheduleMode::Alap,
+            with_dd, seed);
+    }
+
+    Circuit chain(2);
+    for (int k = 0; k < 6; k++) {
+        chain.h(0);
+        chain.delay(40000.0, 0);
+    }
+    chain.measureAll();
+    add("heavy_fire", Device::synthetic(Topology::linear(2), 74),
+        t1_only, chain, ScheduleMode::Alap, false, 9);
+
+    add("syndrome_d5_r3", Device::synthetic(Topology::linear(9), 79),
+        NoiseFlags::pauliOnly(), makeSyndromeExtraction(5, 3),
+        ScheduleMode::Alap, false, 17);
+
+    for (const int n : {20, 30}) {
+        Circuit idle(n);
+        for (QubitId q = 0; q < n; q++) {
+            idle.h(q);
+            idle.delay(20000.0, q);
+            idle.h(q);
+        }
+        idle.measureAll();
+        add("tail_idle_" + std::to_string(n) + "q",
+            Device::synthetic(Topology::grid(10, 10)),
+            NoiseFlags::pauliOnly(), idle, ScheduleMode::Asap, true, 31);
+    }
+    return jobs;
+}
+
+/** Digest of @p job prepared afresh at branch depth @p depth and run
+ *  on @p threads threads. */
+uint64_t
+frameDigest(const FrameJob &job, const char *depth, int threads)
+{
+    setenv("ADAPT_FRAME_BRANCH_DEPTH", depth, 1);
+    const NoisyMachine machine(job.device, 0, job.flags);
+    const PreparedCircuit prepared =
+        machine.prepare(job.sched, BackendKind::Stabilizer);
+    unsetenv("ADAPT_FRAME_BRANCH_DEPTH");
+    if (!prepared.frameBatched())
+        fatal("frame corpus job " + job.name + " left the frame engine");
+    return digest(machine.run(prepared, kFrameShots, job.seed, threads));
+}
+
+/** Run the frame corpus at every depth; returns the number of jobs
+ *  whose 1-thread and 4-thread digests differ. */
+int
+frameSection()
+{
+    const std::vector<FrameJob> jobs = frameCorpus();
+    int differ = 0;
+    for (const char *depth : {"8", "2", "1", "0"}) {
+        uint64_t total = 0;
+        for (const FrameJob &job : jobs) {
+            const std::string name =
+                std::string("frame/d") + depth + "/" + job.name;
+            const uint64_t serial = frameDigest(job, depth, 1);
+            const uint64_t threaded = frameDigest(job, depth, 4);
+            total = fold(total, serial);
+            std::printf("%s %s\n", hex(serial).c_str(), name.c_str());
+            benchio::record(name).label("digest", hex(serial));
+            if (serial != threaded) {
+                differ++;
+                std::fprintf(stderr, "1 thread != 4 threads: %s (%s vs %s)\n",
+                             name.c_str(), hex(serial).c_str(),
+                             hex(threaded).c_str());
+            }
+        }
+        std::printf("frame total d%s %s (%zu jobs, %d shots each)\n", depth,
+                    hex(total).c_str(), jobs.size(), kFrameShots);
+        benchio::record(std::string("frame_total/d") + depth)
+            .label("digest", hex(total))
+            .metric("jobs", static_cast<double>(jobs.size()))
+            .metric("shots", kFrameShots);
+    }
+    return differ;
+}
+
 } // namespace
 
 int
@@ -285,8 +462,8 @@ main(int argc, char **argv)
         dg.shots = static_cast<int>(shots);
     }
     benchio::open("bench_output_digest",
-                  "64-bit digest of each dense job's outcome keys and "
-                  "counts, over a fixed static and dynamic corpus");
+                  "64-bit digest of each dense and batch-frame job's "
+                  "outcome keys and counts, over fixed corpora");
     staticCorpus(dg);
     dynamicCorpus(dg);
     std::printf("total %s (%d jobs, %d shots each)\n",
@@ -299,6 +476,7 @@ main(int argc, char **argv)
         .metric("shots", dg.shots)
         .metric("pairs", dg.pairs)
         .metric("pairs_differ", dg.pairsDiffer);
+    const int frame_differ = frameSection();
     benchio::finish();
-    return dg.pairsDiffer == 0 ? 0 : 1;
+    return dg.pairsDiffer == 0 && frame_differ == 0 ? 0 : 1;
 }

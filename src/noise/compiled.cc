@@ -755,8 +755,7 @@ recordFlipSupport(std::vector<int> &qubits,
 } // namespace
 
 FrameSkeleton
-buildFrameSkeleton(const ExecutionPlan &plan, const NoiseFlags &flags,
-                   int branch_depth)
+buildFrameSkeleton(const ExecutionPlan &plan, const NoiseFlags &flags)
 {
     require(plan.clifford,
             "frame program requires an all-Clifford executable");
@@ -770,7 +769,6 @@ buildFrameSkeleton(const ExecutionPlan &plan, const NoiseFlags &flags,
             "Paulis");
 
     FrameSkeleton skel;
-    skel.branchDepth = branch_depth;
 
     // The noiseless reference simulation: advanced through the plan
     // in step order.  Everything it answers — measurement outcomes,
@@ -805,14 +803,12 @@ buildFrameSkeleton(const ExecutionPlan &plan, const NoiseFlags &flags,
             const double p1 = ref.populationOne(dq);
             if (p1 == 0.5) {
                 trace.t1Ref = 2;
-                if (skel.branchDepth > 0) {
-                    const bool sup =
-                        ref.measureFlipSupport(dq, flip_x, flip_z);
-                    require(sup, "superposed T1 checkpoint with a "
-                                 "deterministic Z measurement");
-                    trace.flipX = flip_x;
-                    trace.flipZ = flip_z;
-                }
+                const bool sup =
+                    ref.measureFlipSupport(dq, flip_x, flip_z);
+                require(sup, "superposed T1 checkpoint with a "
+                             "deterministic Z measurement");
+                trace.flipX = flip_x;
+                trace.flipZ = flip_z;
             } else {
                 trace.t1Ref = p1 == 1.0 ? 1 : 0;
             }
@@ -879,10 +875,9 @@ buildFrameSkeleton(const ExecutionPlan &plan, const NoiseFlags &flags,
                 suffix[0], frameMatOfGate(step.pulses[0].gate));
 
             // The train's Clifford product up to global phase, as a
-            // named-gate realization: the deferred-lane tableau
-            // replay needs it even when the frame action is the
-            // identity (a Pauli train — DD padding — still flips
-            // tableau signs).
+            // named-gate realization: the exact tableau continuation
+            // needs it even when the frame action is the identity (a
+            // Pauli train — DD padding — still flips tableau signs).
             Matrix2 product = Matrix2::identity();
             for (const Pulse &pulse : step.pulses)
                 product = pulse.matrix * product;
@@ -970,7 +965,8 @@ buildFrameSkeleton(const ExecutionPlan &plan, const NoiseFlags &flags,
 
 FrameProgram
 bindFrameProgram(const ExecutionPlan &plan, const FrameSkeleton &skel,
-                 const Calibration &cal, const NoiseFlags &flags)
+                 const Calibration &cal, const NoiseFlags &flags,
+                 int branch_depth)
 {
     require(plan.clifford,
             "frame program requires an all-Clifford executable");
@@ -986,7 +982,7 @@ bindFrameProgram(const ExecutionPlan &plan, const FrameSkeleton &skel,
     FrameProgram prog;
     prog.numQubits = static_cast<int>(plan.active.size());
     prog.numClbits = plan.maxClbit + 1;
-    prog.branchDepth = skel.branchDepth;
+    prog.branchDepth = branch_depth;
 
     // Cursors into the recorded reference-walk traces, consumed in
     // lock-step with the structure-only guards the skeleton used.
@@ -1051,21 +1047,16 @@ bindFrameProgram(const ExecutionPlan &plan, const FrameSkeleton &skel,
             if (trace.t1Ref == 2) {
                 // Superposed reference: the jump fires with the
                 // folded rate gamma * 1/2 and hands the lane to a
-                // compiled branch tail — or, with tails disabled,
-                // defers it to an exact per-shot rerun forced at
-                // this ordinal.
+                // compiled branch tail.
                 m.randT1Ordinal = prog.randomT1Count++;
                 m.t1 = makeFrameBernoulli(gamma * 0.5);
-                if (prog.branchDepth > 0) {
-                    m.flip = recordFlipSupport(prog.flipQubits,
-                                               trace.flipX, trace.flipZ);
-                    // One site per random ordinal, even if the op
-                    // below is elided (keeps the ordinal -> site
-                    // indexing dense; an elided op has gamma 0 and
-                    // never fires).
-                    prog.siteOps.push_back(
-                        static_cast<uint32_t>(prog.ops.size()));
-                }
+                m.flip = recordFlipSupport(prog.flipQubits, trace.flipX,
+                                           trace.flipZ);
+                // One site per random ordinal, even if the op below
+                // is elided (keeps the ordinal -> site indexing
+                // dense; an elided op has gamma 0 and never fires).
+                prog.siteOps.push_back(
+                    static_cast<uint32_t>(prog.ops.size()));
             } else {
                 m.t1 = makeFrameBernoulli(gamma);
             }
@@ -1226,8 +1217,6 @@ bindFrameProgram(const ExecutionPlan &plan, const FrameSkeleton &skel,
                 meas_cursor == skel.meas.size() &&
                 reset_cursor == skel.resets.size(),
             "frame skeleton traces not fully consumed by the bind");
-    prog.branchTails =
-        prog.branchDepth > 0 && prog.randomT1Count > 0;
     return prog;
 }
 

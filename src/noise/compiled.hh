@@ -442,10 +442,6 @@ struct ShotTables
  */
 struct FrameSkeleton
 {
-    /** Branch-tail recursion cap the skeleton was built for (part of
-     *  the program-cache key). */
-    int branchDepth = 0;
-
     /** One per Fused1Q step: the train's frame transform, its
      *  named-gate realization, and each pulse's Pauli images through
      *  the train suffix. */
@@ -462,7 +458,7 @@ struct FrameSkeleton
     struct T1Trace
     {
         uint8_t t1Ref = 0; //!< 0 / 1 deterministic, 2 superposed
-        std::vector<QubitId> flipX, flipZ; //!< superposed, depth > 0
+        std::vector<QubitId> flipX, flipZ; //!< superposed only
     };
 
     /** One per Meas step. */
@@ -548,7 +544,7 @@ ShotProgram bindShotProgram(const ExecutionPlan &plan,
  *    Pauli for random-outcome measurements,
  *  - each T1 checkpoint's reference population (deterministic
  *    checkpoints take the exact jump path, superposed ones a branch
- *    tail or a deferred per-shot rerun),
+ *    tail),
  *  - every pulse train fused into one GL(2, F2) frame transform, with
  *    mid-train gate errors conjugated through the train suffix,
  *  - every noise probability resolved into a FrameBernoulli mask
@@ -558,25 +554,27 @@ ShotProgram bindShotProgram(const ExecutionPlan &plan,
  * catch-up, then Markovian, then the step), so the two engines sample
  * the same law.
  *
- * @param branch_depth Branch-tail recursion cap (the parsed
- *        ADAPT_FRAME_BRANCH_DEPTH; 0 disables tails).
  * @pre plan.clifford and flags Pauli-expressible without per-shot OU
  *      (flags.ouDephasing off) and no non-Pauli conditionals; the
  *      dispatcher keeps other stabilizer jobs on the per-shot backend.
  */
 FrameSkeleton buildFrameSkeleton(const ExecutionPlan &plan,
-                                 const NoiseFlags &flags,
-                                 int branch_depth);
+                                 const NoiseFlags &flags);
 
 /**
  * Bind phase of the frame compiler: replay the recorded reference
  * trace against a *bound* plan, evaluating FrameBernoullis from the
  * calibration.
+ *
+ * @param branch_depth Branch-tail recursion cap (the parsed
+ *        ADAPT_FRAME_BRANCH_DEPTH; at 0 a fired lane finishes on the
+ *        exact tableau from its checkpoint).
  */
 FrameProgram bindFrameProgram(const ExecutionPlan &plan,
                               const FrameSkeleton &skel,
                               const Calibration &cal,
-                              const NoiseFlags &flags);
+                              const NoiseFlags &flags,
+                              int branch_depth);
 
 /**
  * Compile the branch tail for superposed T1 checkpoint @p ordinal of
@@ -590,7 +588,8 @@ FrameProgram bindFrameProgram(const ExecutionPlan &plan,
  * less than the parent's; a capped tail (branchDepth < 0) stops after
  * its reference, which is all the depth-cap fallback reads.
  *
- * @pre root.branchTails, and ordinal indexes the parent's siteOps
+ * @pre root.randomT1Count > 0, and ordinal indexes the parent's
+ *      siteOps
  */
 FrameTail compileFrameTail(const FrameProgram &root,
                            const FrameTail *parent, uint32_t ordinal);

@@ -39,7 +39,7 @@ struct PreparedJob
     std::optional<FrameProgram> frame;  //!< stabilizer jobs only
 
     /** Lazy branch-tail store, shared by every run of this job;
-     *  non-null iff frame && frame->branchTails. */
+     *  non-null iff frame && frame->randomT1Count > 0. */
     std::shared_ptr<FrameTailCache> tails;
 };
 
@@ -321,14 +321,14 @@ frameEligible(const ExecutionPlan &plan, const NoiseFlags &flags)
  * The structure phase of prepare(): everything device-independent —
  * plan lowering, backend resolution, dense splice tables or the frame
  * engine's reference-tableau walk.  A skeleton is a pure function of
- * (schedule, flags, requested backend, frame branch depth), which is
- * exactly what skeletonFingerprint folds, so instances are safely
- * shared across machines, calibration cycles, and threads.
+ * (schedule, flags, requested backend), which is exactly what
+ * skeletonFingerprint folds, so instances are safely shared across
+ * machines, calibration cycles, and threads.
  */
 ProgramSkeleton
 buildProgramSkeleton(const ScheduledCircuit &sched,
                      const NoiseFlags &flags, BackendKind backend,
-                     bool compile, int frame_branch_depth)
+                     bool compile)
 {
     ProgramSkeleton skel = buildPlanSkeleton(sched, flags);
     skel.kind = resolveBackend(backend, skel.plan, flags);
@@ -337,8 +337,7 @@ buildProgramSkeleton(const ScheduledCircuit &sched,
             skel.tables = buildShotTables(skel.plan);
             skel.compiled = true;
         } else if (frameEligible(skel.plan, flags)) {
-            skel.frame = buildFrameSkeleton(skel.plan, flags,
-                                            frame_branch_depth);
+            skel.frame = buildFrameSkeleton(skel.plan, flags);
             skel.compiled = true;
         }
     }
@@ -409,10 +408,9 @@ class BlockRunner
  * Batch Pauli-frame engine: kFrameLanes shots per plane pass, each
  * block's randomness forked from (base, absolute block).  Lanes whose
  * T1 jump fired on a reference-superposed qubit leave the pass and
- * are drained after every block — via compiled branch tails when
- * enabled, else via exact per-shot tableau reruns.  Either way each
- * consumes a dedicated stream keyed by its absolute shot index, so the
- * drain cadence never changes an outcome.  Whole blocks only: the
+ * are drained after every block on compiled branch tails, each
+ * consuming a dedicated stream keyed by its absolute shot index, so
+ * the drain cadence never changes an outcome.  Whole blocks only: the
  * token is ignored (driveWaves polls between blocks).
  */
 class FrameRunner final : public BlockRunner
@@ -431,24 +429,16 @@ class FrameRunner final : public BlockRunner
             const auto lanes = static_cast<int>(
                 std::min<int64_t>(kFrameLanes, hi - first));
             engine_.runBlock(base, first / kFrameLanes, lanes, hist,
-                             deferred_, tails_);
-            if (deferred_.empty() && tails_.empty())
+                             tails_);
+            if (tails_.empty())
                 continue;
             if (!scratch_) {
                 scratch_ =
                     std::make_unique<StabilizerState>(prog_.numQubits);
                 packer_ = std::make_unique<OutcomePacker>(prog_.numClbits);
             }
-            if (!deferred_.empty()) {
-                stats_.deferredShots +=
-                    static_cast<int64_t>(deferred_.size());
-                drainDeferredShots(prog_, base, deferred_, *scratch_,
-                                   *packer_, hist);
-            }
-            if (!tails_.empty()) {
-                drainTailShots(prog_, base, tails_, *job_.tails,
-                               *scratch_, *packer_, hist, stats_);
-            }
+            drainTailShots(prog_, base, tails_, *job_.tails, *scratch_,
+                           *packer_, hist, stats_);
         }
         return hi - lo;
     }
@@ -465,7 +455,6 @@ class FrameRunner final : public BlockRunner
     FrameBatchBackend engine_;
     std::unique_ptr<StabilizerState> scratch_;
     std::unique_ptr<OutcomePacker> packer_;
-    std::vector<DeferredShot> deferred_;
     std::vector<FrameTailShot> tails_;
     FrameBatchStats stats_;
 };
@@ -713,12 +702,6 @@ PreparedCircuit
 NoisyMachine::prepareImpl(const ScheduledCircuit &sched,
                           BackendKind backend, bool compile) const
 {
-    // The one engine knob left, resolved here at the edge and carried
-    // by value into the structure phase and its cache key: how many
-    // nested superposed-T1 jumps a frame lane may take in-frame.
-    const auto branch_depth = static_cast<int>(
-        envInt("ADAPT_FRAME_BRANCH_DEPTH", 8, 0, 64));
-
     // Structure phase: cached when a cache is installed and the job
     // is compiled (interpreted prepares skip compilation and are too
     // cheap to be worth a cache slot).  Cold and cached prepares run
@@ -727,15 +710,13 @@ NoisyMachine::prepareImpl(const ScheduledCircuit &sched,
     std::shared_ptr<const ProgramSkeleton> skel;
     if (cache_ != nullptr && compile) {
         const ProgramFingerprint fp =
-            skeletonFingerprint(sched, flags_, backend, branch_depth);
+            skeletonFingerprint(sched, flags_, backend);
         skel = cache_->findOrBuild(fp, [&] {
-            return buildProgramSkeleton(sched, flags_, backend,
-                                        compile, branch_depth);
+            return buildProgramSkeleton(sched, flags_, backend, compile);
         });
     } else {
         skel = std::make_shared<const ProgramSkeleton>(
-            buildProgramSkeleton(sched, flags_, backend, compile,
-                                 branch_depth));
+            buildProgramSkeleton(sched, flags_, backend, compile));
     }
 
     // Bind phase: stamp this machine's calibration constants.
@@ -746,9 +727,14 @@ NoisyMachine::prepareImpl(const ScheduledCircuit &sched,
         job->program =
             bindShotProgram(job->plan, *skel->tables, cal_, flags_);
     } else if (skel->frame) {
-        job->frame =
-            bindFrameProgram(job->plan, *skel->frame, cal_, flags_);
-        if (job->frame->branchTails)
+        // The one engine knob left, resolved here at the edge and
+        // stamped by the bind: how many nested superposed-T1 jumps a
+        // frame lane may take in-frame.
+        const auto branch_depth = static_cast<int>(
+            envInt("ADAPT_FRAME_BRANCH_DEPTH", 8, 0, 64));
+        job->frame = bindFrameProgram(job->plan, *skel->frame, cal_,
+                                      flags_, branch_depth);
+        if (job->frame->randomT1Count > 0)
             job->tails = std::make_shared<FrameTailCache>();
     }
     PreparedCircuit prepared;

@@ -375,7 +375,6 @@ class NoisyMachine
      * nullptr compiles every prepare cold.
      */
     void setProgramCache(ProgramCache *cache) { cache_ = cache; }
-    ProgramCache *programCache() const { return cache_; }
 
   private:
     /** prepare() with the shot-program compilation optional (skipped

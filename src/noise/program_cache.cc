@@ -55,8 +55,7 @@ struct Folder
 
 ProgramFingerprint
 skeletonFingerprint(const ScheduledCircuit &sched,
-                    const NoiseFlags &flags, BackendKind requested,
-                    int frame_branch_depth)
+                    const NoiseFlags &flags, BackendKind requested)
 {
     Folder f;
 
@@ -91,7 +90,6 @@ skeletonFingerprint(const ScheduledCircuit &sched,
            (flags.crosstalk ? 32u : 0u) |
            (flags.twirlCoherent ? 64u : 0u));
     f.word(static_cast<uint64_t>(requested));
-    f.word(static_cast<uint64_t>(frame_branch_depth));
 
     return {f.a.state, f.b.state};
 }

@@ -6,8 +6,8 @@
  * a bind phase (calibration constants) makes the expensive half —
  * plan lowering, splice-table matrix products, the frame engine's
  * reference-tableau walk — a pure function of (scheduled circuit,
- * noise flags, backend request, frame branch depth).  Drift sweeps
- * and repeated JobServer submissions re-run the same structures
+ * noise flags, backend request).  Drift sweeps and repeated
+ * JobServer submissions re-run the same structures
  * against fresh calibration snapshots, so the skeletons are cached
  * under a fingerprint of those inputs and only the cheap bind phase
  * runs per (device, cycle).
@@ -69,15 +69,13 @@ struct ProgramFingerprint
 /**
  * Fingerprint of everything the structure phase reads: the scheduled
  * op stream (types, operands, parameter/time bit patterns, link
- * indices), the noise-flag set, the requested backend, and the frame
- * engine's branch-tail depth — folded by value, so equal depths share
- * a key however they were spelled and a changed depth never serves a
- * stale skeleton.
+ * indices), the noise-flag set and the requested backend.  The frame
+ * engine's branch-tail depth is not among them: the bind stamps it,
+ * so a changed depth re-binds the cached skeleton.
  */
 ProgramFingerprint skeletonFingerprint(const ScheduledCircuit &sched,
                                        const NoiseFlags &flags,
-                                       BackendKind requested,
-                                       int frame_branch_depth);
+                                       BackendKind requested);
 
 /**
  * Thread-safe LRU map from fingerprint to immutable skeleton, behind

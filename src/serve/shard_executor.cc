@@ -566,7 +566,10 @@ struct ShardExecutor::Impl
     {
         switch (frame.type) {
           case wire::FrameType::Heartbeat:
-            break; // liveness only (lastBeat already updated)
+            // Liveness only (lastBeat already updated), but a payload
+            // that fails to decode loses trust like any other frame.
+            wire::decodeHeartbeat(frame.payload);
+            break;
           case wire::FrameType::Partial:
             // In-lease progress doubles as the heartbeat; nothing
             // else to do until the RESULT.

@@ -38,43 +38,6 @@ pauliMatrix(int pauli)
           " is not a non-identity Pauli");
 }
 
-namespace
-{
-
-/** (measured qubit, classical bit) pairs of a circuit's Measure
- *  gates, validating that measurements are terminal per qubit. */
-std::vector<std::pair<QubitId, int>>
-terminalMeasures(const Circuit &circuit)
-{
-    std::vector<bool> measured(
-        static_cast<size_t>(circuit.numQubits()), false);
-    std::vector<std::pair<QubitId, int>> measures;
-    for (const Gate &gate : circuit.gates()) {
-        if (gate.type == GateType::Measure) {
-            const int clbit = gate.clbit < 0
-                                  ? static_cast<int>(gate.qubit())
-                                  : gate.clbit;
-            measured[static_cast<size_t>(gate.qubit())] = true;
-            measures.emplace_back(gate.qubit(), clbit);
-            continue;
-        }
-        if (!isUnitaryGate(gate.type))
-            continue;
-        for (QubitId q : gate.qubits) {
-            if (measured[static_cast<size_t>(q)]) {
-                fatal("dense backend sample requires terminal "
-                      "measurements (gate after Measure on q" +
-                      std::to_string(q) + ")");
-            }
-        }
-    }
-    require(!measures.empty(),
-            "sample requires at least one Measure gate");
-    return measures;
-}
-
-} // namespace
-
 // ---------------------------------------------------------- DenseBackend
 
 namespace
@@ -168,43 +131,6 @@ DenseBackend::apply1Q(const Matrix2 &u, QubitId q)
     state_.apply1Q(u, bit(q));
 }
 
-Distribution
-DenseBackend::sample(const Circuit &circuit, int shots, Rng &rng)
-{
-    require(shots > 0, "sample requires at least one shot");
-    require(circuit.numQubits() == numQubits(),
-            "sample: circuit width does not match the backend");
-    const auto measures = terminalMeasures(circuit);
-
-    init();
-    std::vector<Gate> unitaries;
-    unitaries.reserve(circuit.gates().size());
-    for (const Gate &gate : circuit.gates()) {
-        if (!isUnitaryGate(gate.type))
-            continue;
-        unitaries.push_back(gate);
-        for (QubitId &q : unitaries.back().qubits)
-            q = bit(q);
-    }
-    state_.applyFused(unitaries);
-
-    // Repeated non-collapsing draws reuse the state's cumulative
-    // weight cache: O(2^n) once, then O(n) per shot.
-    Distribution dist;
-    int max_clbit = 0;
-    for (const auto &[q, c] : measures)
-        max_clbit = std::max(max_clbit, c);
-    OutcomePacker packer(max_clbit + 1);
-    for (int shot = 0; shot < shots; shot++) {
-        const uint64_t basis = state_.sample(rng);
-        packer.clear();
-        for (const auto &[q, c] : measures)
-            packer.set(c, (basis & (uint64_t{1} << bit(q))) != 0);
-        dist.addSample(packer.key());
-    }
-    return dist;
-}
-
 // ----------------------------------------------------- PauliFrameBackend
 
 PauliFrameBackend::PauliFrameBackend(int num_qubits)
@@ -276,14 +202,6 @@ PauliFrameBackend::apply1Q(const Matrix2 &u, QubitId q)
     (void)q;
     panic("PauliFrameBackend cannot apply a raw 2x2 matrix; replay "
           "gates individually (fusesMatrices() is false)");
-}
-
-Distribution
-PauliFrameBackend::sample(const Circuit &circuit, int shots, Rng &rng)
-{
-    require(circuit.numQubits() == numQubits(),
-            "sample: circuit width does not match the backend");
-    return cliffordSample(circuit, shots, rng);
 }
 
 // -------------------------------------------------------------- factory

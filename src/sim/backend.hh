@@ -122,15 +122,6 @@ class SimBackend
     /** Apply an arbitrary single-qubit unitary.
      *  @pre fusesMatrices() */
     virtual void apply1Q(const Matrix2 &u, QubitId q) = 0;
-
-    /**
-     * Sample the noise-free output distribution of @p circuit
-     * (Measure gates record into their classical bits).
-     *
-     * @pre circuit.numQubits() == numQubits()
-     */
-    virtual Distribution sample(const Circuit &circuit, int shots,
-                                Rng &rng) = 0;
 };
 
 /**
@@ -163,8 +154,6 @@ class DenseBackend final : public SimBackend
     bool measure(QubitId q, Rng &rng, bool retire) override;
     bool fusesMatrices() const override { return true; }
     void apply1Q(const Matrix2 &u, QubitId q) override;
-    Distribution sample(const Circuit &circuit, int shots,
-                        Rng &rng) override;
 
     /** Underlying state, for tests and exact queries (indexed by
      *  state-vector bit). */
@@ -198,8 +187,6 @@ class PauliFrameBackend final : public SimBackend
     bool measure(QubitId q, Rng &rng, bool retire) override;
     bool fusesMatrices() const override { return false; }
     [[noreturn]] void apply1Q(const Matrix2 &u, QubitId q) override;
-    Distribution sample(const Circuit &circuit, int shots,
-                        Rng &rng) override;
 
     /** Underlying tableau, for tests. */
     const StabilizerState &tableau() const { return tableau_; }

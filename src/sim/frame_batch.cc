@@ -65,7 +65,7 @@ constexpr uint64_t kPauliHasZ[4] = {0, 0, 1, 1};
 
 /** Salt base for the per-block streams; disjoint from the per-shot
  *  salts (shot + 1) of the dense / interpreted paths and from
- *  kFrameDeferSalt. */
+ *  kFrameTailSalt. */
 constexpr uint64_t kFrameBlockSalt = uint64_t{1} << 32;
 
 /** Single-lane Bernoulli test against a precomputed fixed-point
@@ -236,7 +236,6 @@ FrameBatchBackend::snapshotLane(int w, int bit, int64_t shot,
 void
 FrameBatchBackend::runBlock(const Rng &base, int64_t block, int lanes,
                             FlatAccumulator &hist,
-                            std::vector<DeferredShot> &deferred,
                             std::vector<FrameTailShot> &tails)
 {
     require(lanes >= 1 && lanes <= kFrameLanes,
@@ -244,18 +243,17 @@ FrameBatchBackend::runBlock(const Rng &base, int64_t block, int lanes,
     blockRng_ =
         base.fork(kFrameBlockSalt + static_cast<uint64_t>(block));
     for (int w = 0; w < kFrameLaneWords; w++)
-        deferredMask_[w] = 0;
+        tailMask_[w] = 0;
     std::fill(x_.begin(), x_.end(), 0);
     std::fill(z_.begin(), z_.end(), 0);
     std::fill(bits_.begin(), bits_.end(), 0);
 
-    runOps(block, lanes, deferred, tails);
+    runOps(block, lanes, tails);
     foldOutcomes(lanes, hist);
 }
 
 void
 FrameBatchBackend::runOps(int64_t block, int lanes,
-                          std::vector<DeferredShot> &deferred,
                           std::vector<FrameTailShot> &tails)
 {
     constexpr int words = kFrameLaneWords;
@@ -360,14 +358,12 @@ FrameBatchBackend::runOps(int64_t block, int lanes,
                         // population is exactly 1/2 (folded into the
                         // rate), so the firing events are independent
                         // of all other draws.  A firing lane leaves
-                        // the plane pass — snapshotted onto this
-                        // checkpoint's branch tail when the program
-                        // compiled tails, deferred to an exact
-                        // per-shot rerun otherwise; later ops keep
+                        // the plane pass, snapshotted onto this
+                        // checkpoint's branch tail; later ops keep
                         // draining its draws so the other lanes'
                         // streams are unaffected.
-                        uint64_t fresh = m[w] & ~deferredMask_[w];
-                        deferredMask_[w] |= fresh;
+                        uint64_t fresh = m[w] & ~tailMask_[w];
+                        tailMask_[w] |= fresh;
                         while (fresh != 0) {
                             const int lane = std::countr_zero(fresh);
                             fresh &= fresh - 1;
@@ -375,13 +371,8 @@ FrameBatchBackend::runOps(int64_t block, int lanes,
                                 continue;
                             const int64_t shot =
                                 block * kFrameLanes + w * 64 + lane;
-                            if (prog_.branchTails) {
-                                tails.push_back(snapshotLane(
-                                    w, lane, shot, op.randT1Ordinal));
-                            } else {
-                                deferred.push_back(
-                                    {shot, op.randT1Ordinal});
-                            }
+                            tails.push_back(snapshotLane(
+                                w, lane, shot, op.randT1Ordinal));
                         }
                     } else {
                         // Deterministic reference: a candidate fires
@@ -485,8 +476,8 @@ FrameBatchBackend::foldOutcomes(int lanes, FlatAccumulator &hist)
     // 64-bit keys up to 64 clbits (a bit transpose of the outcome
     // planes), splitmix fingerprints beyond (per-lane packer walk —
     // those registers are rare and the packer is the one place the
-    // fingerprint convention lives).  Deferred lanes are the
-    // caller's to rerun.
+    // fingerprint convention lives).  Lanes that left for a branch
+    // tail are the caller's to finish.
     if (prog_.numClbits <= 64) {
         uint64_t keys[64];
         for (int w = 0; w * 64 < lanes; w++) {
@@ -498,7 +489,7 @@ FrameBatchBackend::foldOutcomes(int lanes, FlatAccumulator &hist)
             transpose64(keys);
             const int live = std::min(64, lanes - w * 64);
             for (int l = 0; l < live; l++) {
-                if (deferredMask_[w] >> l & 1)
+                if (tailMask_[w] >> l & 1)
                     continue;
                 hist.add(keys[l], 1.0);
             }
@@ -508,7 +499,7 @@ FrameBatchBackend::foldOutcomes(int lanes, FlatAccumulator &hist)
     for (int lane = 0; lane < lanes; lane++) {
         const int w = lane >> 6;
         const uint64_t bit = uint64_t{1} << (lane & 63);
-        if (deferredMask_[w] & bit)
+        if (tailMask_[w] & bit)
             continue;
         packer_.clear();
         for (int c = 0; c < prog_.numClbits; c++) {
@@ -567,25 +558,20 @@ applyPauliCode(StabilizerState &state, int code, int q)
 namespace
 {
 
-/** "No checkpoint": walkFrameTableau forcing disabled / no fresh
- *  scalar-walk fire. */
+/** "No checkpoint": the scalar walk completed without a fresh
+ *  fire. */
 constexpr uint32_t kNoOrdinal = ~uint32_t{0};
 
 /**
  * Live tableau walk of prog.ops[start ..): the exact per-shot
- * semantics every frame shortcut is measured against.  With @p live
- * false, random-reference T1 checkpoints below @p forced_ordinal are
- * forced quiet and the one at it fires unconditionally (the deferral
- * conditioning); from then on — or from the start when @p live is
- * true (branch-tail depth-cap continuations) — every checkpoint
- * evolves off the tableau.  A live walk reads only
- * reference-independent fields, so it runs any tail's continuation
- * on the root stream.
+ * semantics every frame shortcut is measured against, run for lanes
+ * past the branch-depth cap.  Every checkpoint evolves off the
+ * tableau, and the walk reads only reference-independent fields, so
+ * it runs any tail's continuation on the root stream.
  */
 void
 walkFrameTableau(const FrameProgram &prog, StabilizerState &state,
-                 OutcomePacker &packer, Rng &rng, uint32_t start,
-                 bool live, uint32_t forced_ordinal)
+                 OutcomePacker &packer, Rng &rng, uint32_t start)
 {
     for (uint32_t oi = start; oi < prog.ops.size(); oi++) {
         const FrameOpRef ref = prog.ops[oi];
@@ -618,12 +604,7 @@ walkFrameTableau(const FrameProgram &prog, StabilizerState &state,
           }
           case FrameOpRef::Kind::Markov: {
             const FrameMarkovOp &op = prog.markov[ref.idx];
-            if (op.t1Ref == 2 && !live) {
-                if (op.randT1Ordinal == forced_ordinal) {
-                    state.applyDecayJump(op.q);
-                    live = true;
-                }
-            } else if (fires(rng, op.gammaThresh)) {
+            if (fires(rng, op.gammaThresh)) {
                 // Candidate jump: fires against the live population
                 // (exactly {0, 1/2, 1} on a tableau), mirroring the
                 // interpreted bernoulli(gamma) * bernoulli(p1) law.
@@ -835,35 +816,6 @@ walkScalarFrame(const FrameProgram &root, const FrameTail &tail,
 
 } // namespace
 
-uint64_t
-runFrameDeferredShot(const FrameProgram &prog, StabilizerState &state,
-                     OutcomePacker &packer, const Rng &shot_rng,
-                     uint32_t forced_ordinal)
-{
-    state.reset();
-    packer.clear();
-    Rng rng = shot_rng;
-    walkFrameTableau(prog, state, packer, rng, 0, /*live=*/false,
-                     forced_ordinal);
-    return packer.key();
-}
-
-void
-drainDeferredShots(const FrameProgram &prog, const Rng &base,
-                   std::vector<DeferredShot> &deferred,
-                   StabilizerState &state, OutcomePacker &packer,
-                   FlatAccumulator &hist)
-{
-    for (const DeferredShot &d : deferred) {
-        const Rng rng =
-            base.fork(kFrameDeferSalt + static_cast<uint64_t>(d.shot));
-        hist.add(runFrameDeferredShot(prog, state, packer, rng,
-                                      d.firstRandomT1),
-                 1.0);
-    }
-    deferred.clear();
-}
-
 void
 drainTailShots(const FrameProgram &prog, const Rng &base,
                std::vector<FrameTailShot> &tails,
@@ -873,7 +825,7 @@ drainTailShots(const FrameProgram &prog, const Rng &base,
 {
     std::vector<uint8_t> xf, zf;
     for (const FrameTailShot &ts : tails) {
-        Rng rng = base.fork(kFrameDeferSalt +
+        Rng rng = base.fork(kFrameTailSalt +
                             static_cast<uint64_t>(ts.shot));
         xf = ts.xf;
         zf = ts.zf;
@@ -914,7 +866,6 @@ drainTailShots(const FrameProgram &prog, const Rng &base,
                 // continuation from the capped tail's jumped
                 // reference, frame applied as Paulis, the firing
                 // checkpoint's residual dephasing drawn inline.
-                stats.depthCapHits++;
                 stats.deferredShots++;
                 state = tail.ref;
                 for (int q = 0; q < prog.numQubits; q++) {
@@ -925,8 +876,7 @@ drainTailShots(const FrameProgram &prog, const Rng &base,
                 }
                 if (fires(rng, mop.deph.thresh))
                     state.applyZ(mop.q);
-                walkFrameTableau(prog, state, packer, rng, tail.start,
-                                 /*live=*/true, kNoOrdinal);
+                walkFrameTableau(prog, state, packer, rng, tail.start);
                 break;
             }
 

@@ -39,23 +39,24 @@
  *    records g.)
  * The one event a shared-reference frame cannot represent is the T1
  * relaxation jump on a qubit whose reference state is in
- * superposition: the true jump collapses the shot (non-unital).  The
- * engine handles it by *deferral*, keeping the total law exact:
- * until a shot's first such jump, the qubit's population is exactly
+ * superposition: the true jump collapses the shot (non-unital).
+ * Until a shot's first such jump, the qubit's population is exactly
  * 1/2 at every superposed checkpoint (frames preserve the
  * reference's determinism structure), so the firing events are
  * i.i.d. Bernoulli(gamma / 2) independent of all other randomness.
- * The draw pass samples them as masks; a lane that fires is excluded
- * from frame assembly and re-run on the per-shot tableau with the
- * first gamma/2 firing *forced* at the recorded checkpoint ordinal
- * (earlier superposed checkpoints forced quiet, everything after
- * evolved live) — exactly the conditional law given that deferral
- * event.  Jumps on reference-deterministic qubits — the dominant
- * case in characterization workloads — stay in-frame: the jump
- * fires against the shot's actual bit (ref XOR x_frame) and is
- * exactly an X flip.  The per-shot backend (ExecMode::Interpreted)
- * remains the reference semantics; tests lock TVD / chi-squared
- * equivalence between the two.
+ * The plane pass samples them as masks; a lane that fires leaves the
+ * pass as a FrameTailShot and finishes on the checkpoint's *branch
+ * tail* (FrameTail): the rest of the op stream re-resolved against
+ * the jumped reference, walked as a single-lane frame.  A nested jump
+ * recurses one tail deeper; a jump past the branch-depth cap (at depth
+ * 0, the first one) lands on a capped tail, and the lane finishes on
+ * the exact tableau seeded from that tail's jumped reference.  Jumps
+ * on reference-deterministic qubits — the dominant case in
+ * characterization workloads — stay in-frame: the jump fires against
+ * the shot's actual bit (ref XOR x_frame) and is exactly an X flip.
+ * The per-shot backend (ExecMode::Interpreted) remains the reference
+ * semantics; tests lock TVD / chi-squared equivalence between the
+ * two.
  *
  * Determinism contract.  All randomness for the lanes of block b
  * (shots [kFrameLanes * b, kFrameLanes * (b + 1))) comes from a stream
@@ -115,7 +116,7 @@ enum class Frame1QKind : uint8_t
 
     /** Frame no-op (a Pauli train, e.g. DD padding): skipped by the
      *  plane pass, but its named realization still matters to the
-     *  deferred-lane tableau replay, where signs are observable. */
+     *  exact tableau continuation, where signs are observable. */
     Identity,
 };
 
@@ -127,12 +128,11 @@ enum class Frame1QKind : uint8_t
  * sampling would cost more).
  *
  * `thresh` is always the single-lane fixed-point threshold — the
- * Dense per-lane compare, and the deferred-lane tableau replay's
- * per-shot Bernoulli test (one raw draw, `(w >> 11) < thresh`,
- * across every mode).  `anyThresh` is the Sparse fast path: the
- * threshold of P(any of a block's kFrameLanes lanes fires); a draw
- * at or above it proves the whole block mask empty without touching
- * libm.
+ * Dense per-lane compare, and the single-lane walks' Bernoulli test
+ * (one raw draw, `(w >> 11) < thresh`, across every mode).
+ * `anyThresh` is the Sparse fast path: the threshold of P(any of a
+ * block's kFrameLanes lanes fires); a draw at or above it proves the
+ * whole block mask empty without touching libm.
  */
 struct FrameBernoulli
 {
@@ -148,8 +148,8 @@ FrameBernoulli makeFrameBernoulli(double p);
 
 /** A fused single-qubit frame transform: the GL(2, F2) class for the
  *  plane pass, plus a named-gate realization of the train's Clifford
- *  product (up to global phase) for the deferred-lane tableau
- *  replay, where Pauli signs are observable. */
+ *  product (up to global phase) for the exact tableau continuation,
+ *  where Pauli signs are observable. */
 struct Frame1QOp
 {
     int q = -1;
@@ -206,20 +206,20 @@ struct FrameMarkovOp
     uint8_t t1Ref = 0;
 
     /** Ordinal of this checkpoint among the job's random-reference
-     *  T1 checkpoints (t1Ref == 2 only) — the forcing handle for
-     *  deferred-lane reruns and the branch-tail site index. */
+     *  T1 checkpoints (t1Ref == 2 only): its branch-tail site
+     *  index. */
     uint32_t randT1Ordinal = 0;
 
     /** Candidate rate gamma for deterministic references (the jump
      *  then fires against the shot's actual bit); the folded
      *  gamma * 1/2 firing rate for random references (a firing lane
-     *  leaves the plane pass — branch tail or deferred rerun, see
-     *  the file comment). */
+     *  leaves the plane pass for a branch tail, see the file
+     *  comment). */
     FrameBernoulli t1;
 
-    /** Raw (unfolded) gamma threshold, for the deferred-lane replay's
-     *  live checkpoints: fire = bernoulli(gamma) * bernoulli(p1) with
-     *  p1 read off the live tableau. */
+    /** Raw (unfolded) gamma threshold, for the exact tableau
+     *  continuation's live checkpoints: fire = bernoulli(gamma) *
+     *  bernoulli(p1) with p1 read off the live tableau. */
     uint64_t gammaThresh = 0;
 
     /** Raw jump probability, kept for branch-tail recompilation: a
@@ -227,10 +227,9 @@ struct FrameMarkovOp
      *  and the folded threshold is not invertible. */
     double gamma = 0.0;
 
-    /** Branch-flip support g of a superposed checkpoint (t1Ref == 2,
-     *  recorded only when the program compiles branch tails): a
-     *  firing lane's frame absorbs g iff its x bit of q reads 1, and
-     *  then rides the checkpoint's branch tail in-frame. */
+    /** Branch-flip support g of a superposed checkpoint (t1Ref == 2):
+     *  a firing lane's frame absorbs g iff its x bit of q reads 1, and
+     *  then rides the checkpoint's branch tail. */
     FrameFlip flip;
 
     FrameBernoulli deph;
@@ -321,8 +320,8 @@ struct FrameProgram
     int numQubits = 0;
     int numClbits = 1;
 
-    /** Random-reference T1 checkpoints in the stream (deferral
-     *  sites); 0 means no shot can ever defer. */
+    /** Random-reference T1 checkpoints in the stream (branch-tail
+     *  sites); 0 means no lane can ever leave the plane pass. */
     uint32_t randomT1Count = 0;
 
     std::vector<FrameOpRef> ops;
@@ -340,18 +339,12 @@ struct FrameProgram
     std::vector<int> flipQubits; //!< branch-flip Pauli supports
 
     /** Branch-tail recursion budget: how many nested superposed-T1
-     *  jumps a lane may take in-frame (ADAPT_FRAME_BRANCH_DEPTH).  0
-     *  disables tails — firing lanes defer to the exact per-shot
-     *  tableau rerun instead. */
+     *  jumps a lane may take in-frame (ADAPT_FRAME_BRANCH_DEPTH).  At
+     *  0 a fired lane finishes on the exact tableau from its
+     *  checkpoint. */
     int branchDepth = 0;
 
-    /** True when this program records branch-tail sites (branchDepth
-     *  > 0 and at least one superposed T1 checkpoint exists): firing
-     *  lanes produce FrameTailShot snapshots, never DeferredShots. */
-    bool branchTails = false;
-
-    /** Op index of each superposed T1 checkpoint, by randT1Ordinal
-     *  (branchTails only). */
+    /** Op index of each superposed T1 checkpoint, by randT1Ordinal. */
     std::vector<uint32_t> siteOps;
 };
 
@@ -420,27 +413,14 @@ struct FrameTail
     std::vector<uint8_t> refCl;
 };
 
-/**
- * A lane handed back to the dispatcher for an exact per-shot rerun:
- * its T1 jump fired at a reference-superposed checkpoint, which a
- * frame over the shared reference cannot represent.
- */
-struct DeferredShot
-{
-    int64_t shot = 0;          //!< absolute shot index in the job
-    uint32_t firstRandomT1 = 0; //!< ordinal of the firing checkpoint
-};
-
-/** Salt spacing the deferred-rerun streams away from the lane-group
- *  streams: the rerun of shot s draws from base.fork(salt + s). */
-constexpr uint64_t kFrameDeferSalt = uint64_t{1} << 33;
+/** Salt spacing the tail-lane streams away from the lane-group
+ *  streams: the lane of shot s draws from base.fork(salt + s). */
+constexpr uint64_t kFrameTailSalt = uint64_t{1} << 33;
 
 /**
- * A lane whose T1 jump fired at a superposed checkpoint of a program
- * that compiles branch tails: its frame and classical record,
- * captured at the instant the jump fired, ride the checkpoint's
- * branch tail in-frame instead of deferring to a whole-shot tableau
- * rerun.
+ * A lane whose T1 jump fired at a superposed checkpoint: its frame
+ * and classical record, captured at the instant the jump fired, ride
+ * the checkpoint's branch tail.
  */
 struct FrameTailShot
 {
@@ -462,13 +442,9 @@ struct FrameBatchStats
     /** Lanes completed in-frame by branch-tail walks. */
     int64_t tailShots = 0;
 
-    /** Lanes completed by per-shot tableau replay: the tails-disabled
-     *  deferral path plus branch-tail depth-cap fallbacks. */
+    /** Lanes finished on the exact tableau past the branch-depth
+     *  cap. */
     int64_t deferredShots = 0;
-
-    /** Tail walks that exhausted the recursion budget and fell back
-     *  to the exact tableau. */
-    int64_t depthCapHits = 0;
 
     /** Deepest nested-jump chain any lane took (0 = no lane ever
      *  left the plane pass). */
@@ -479,7 +455,6 @@ struct FrameBatchStats
     {
         tailShots += other.tailShots;
         deferredShots += other.deferredShots;
-        depthCapHits += other.depthCapHits;
         maxTailDepth = maxTailDepth > other.maxTailDepth
                            ? maxTailDepth
                            : other.maxTailDepth;
@@ -493,8 +468,8 @@ struct FrameBatchStats
  * re-resolved against the jumped reference.  Implemented by
  * FrameTailCache (noise/compiled.hh), which compiles lazily and
  * memoizes; must be safe to call from concurrent chunk workers.
- * @pre root.branchTails, parent (if any) is a tail of root with
- *      branchDepth >= 0, and ordinal is one of its sites.
+ * @pre root.randomT1Count > 0, parent (if any) is a tail of root
+ *      with branchDepth >= 0, and ordinal is one of its sites.
  */
 class FrameTailSource
 {
@@ -525,10 +500,9 @@ class FrameBatchBackend
     /**
      * Execute lanes [block * kFrameLanes, block * kFrameLanes + lanes):
      * count the lanes that finish the plane pass into @p hist; lanes
-     * whose T1 jump fires at a superposed checkpoint leave the pass —
-     * as FrameTailShot snapshots in @p tails when the program
-     * compiles branch tails, as DeferredShots in @p deferred
-     * otherwise — for the caller to drain.
+     * whose T1 jump fires at a superposed checkpoint leave the pass
+     * as FrameTailShot snapshots in @p tails, for the caller to
+     * drain.
      *
      * @param base Job-level RNG base; the block's stream is forked
      *             from it by absolute block index, so a block's
@@ -540,7 +514,6 @@ class FrameBatchBackend
      */
     void runBlock(const Rng &base, int64_t block, int lanes,
                   FlatAccumulator &hist,
-                  std::vector<DeferredShot> &deferred,
                   std::vector<FrameTailShot> &tails);
 
   private:
@@ -550,7 +523,7 @@ class FrameBatchBackend
     std::vector<uint64_t> bits_; //!< [clbit * kFrameLaneWords + w]
     OutcomePacker packer_;
     Rng blockRng_;
-    uint64_t deferredMask_[kFrameLaneWords] = {};
+    uint64_t tailMask_[kFrameLaneWords] = {}; //!< lanes that left the pass
 
     uint64_t *xPlane(int q) { return &x_[static_cast<size_t>(q) * kFrameLaneWords]; }
     uint64_t *zPlane(int q) { return &z_[static_cast<size_t>(q) * kFrameLaneWords]; }
@@ -566,7 +539,6 @@ class FrameBatchBackend
 
     /** Walk the op stream once over all lane words. */
     void runOps(int64_t block, int lanes,
-                std::vector<DeferredShot> &deferred,
                 std::vector<FrameTailShot> &tails);
 
     /** Count the surviving lanes' outcome planes into @p hist. */
@@ -579,58 +551,20 @@ class FrameBatchBackend
 };
 
 /**
- * Exact per-shot tableau replay of a deferred lane (see
- * DeferredShot): walks the same FrameProgram op stream as the plane
- * pass, but against a live StabilizerState — Clifford trains via
- * their named realizations, noise via the precomputed single-lane
- * thresholds, measurements live.  Random-reference T1 checkpoints
- * before @p forced_ordinal are forced quiet and the one at it fires
- * unconditionally (the conditional law given the deferral event);
- * everything after evolves live off the collapsed tableau.
- *
- * ~Microseconds per shot against the interpreted plan walk's tens:
- * every shot-invariant constant (pulse products, noise closed forms,
- * reference bookkeeping) was resolved at compile time.
- *
- * @param state Scratch tableau of prog.numQubits qubits; reset here.
- * @param packer Scratch packer of prog.numClbits bits.
- * @return The shot's outcome key (OutcomePacker convention).
- */
-uint64_t runFrameDeferredShot(const FrameProgram &prog,
-                              StabilizerState &state,
-                              OutcomePacker &packer, const Rng &rng,
-                              uint32_t forced_ordinal);
-
-/**
- * Rerun every lane in @p deferred per-shot (runFrameDeferredShot),
- * counting the outcomes into @p hist, and clear the list.  Each rerun
- * consumes the dedicated stream base.fork(kFrameDeferSalt + shot), so
- * the fold is chunking-invariant — a chunk may drain after any group
- * of blocks (the engine drains after every block) without perturbing
- * a single outcome.
- *
- * @param state Scratch tableau of prog.numQubits qubits.
- * @param packer Scratch packer of prog.numClbits bits.
- */
-void drainDeferredShots(const FrameProgram &prog, const Rng &base,
-                        std::vector<DeferredShot> &deferred,
-                        StabilizerState &state, OutcomePacker &packer,
-                        FlatAccumulator &hist);
-
-/**
- * Finish every lane in @p tails in-frame (see FrameTailShot),
- * counting the outcomes into @p hist, and clear the list.  Each lane
- * absorbs the checkpoint's branch-flip Pauli iff its x bit of the
- * decaying qubit reads 1, then walks the checkpoint's tail (from
- * @p source) as a scalar frame over the root's op stream, reading
- * the reference-dependent fields from the tail's overlays.  A nested
+ * Finish every lane in @p tails (see FrameTailShot), counting the
+ * outcomes into @p hist, and clear the list.  Each lane absorbs the
+ * checkpoint's branch-flip Pauli iff its x bit of the decaying qubit
+ * reads 1, then walks the checkpoint's tail (from @p source) as a
+ * scalar frame over the root's op stream, reading the
+ * reference-dependent fields from the tail's overlays.  A nested
  * superposed jump recurses one tail deeper; a jump past the
- * branchDepth cap falls back to an exact tableau walk of the root
- * stream, seeded from the capped tail's jumped reference.  Each lane
- * consumes the dedicated stream base.fork(kFrameDeferSalt + shot) —
- * the same contract as drainDeferredShots, so the fold stays
- * chunking- and wave-invariant.  @p stats accumulates how lanes
- * finished (never reset here).
+ * branchDepth cap (at depth 0, the first jump) falls back to an exact
+ * tableau walk of the root stream, seeded from the capped tail's
+ * jumped reference.  Each lane consumes the dedicated stream
+ * base.fork(kFrameTailSalt + shot), so the fold stays chunking- and
+ * wave-invariant: a chunk may drain after any group of blocks
+ * without perturbing a single outcome.  @p stats accumulates how
+ * lanes finished (never reset here).
  *
  * @param prog  The root program the snapshots were taken from.
  * @param state Scratch tableau of prog.numQubits qubits.
@@ -645,8 +579,9 @@ void drainTailShots(const FrameProgram &prog, const Rng &base,
 /** @name Tableau actions of frame ops
  *  A fused train's named realization (its Clifford up to global
  *  phase), a two-qubit frame gate, and Pauli @p code in the engine
- *  packing (0 = I, 1 = X, 2 = Y, 3 = Z): the deferred-lane replay and
- *  the frame compiler's reference walks share these. @{ */
+ *  packing (0 = I, 1 = X, 2 = Y, 3 = Z): the exact tableau
+ *  continuation and the frame compiler's reference walks share
+ *  these. @{ */
 void applyFrameOp(StabilizerState &state, const Frame1QOp &op);
 void applyFrameOp(StabilizerState &state, const Frame2QOp &op);
 void applyPauliCode(StabilizerState &state, int code, int q);

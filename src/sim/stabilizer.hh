@@ -152,7 +152,6 @@ class StabilizerState
     void rowCopy(int dst, int src);
     void rowMult(int dst, int src); //!< dst := dst * src (group law)
     void rowSetZ(int row, int col); //!< row := +Z_col
-    int clifford_phase(int row, int src) const;
 
     /** Stabilizer row index with X on @p q, or -1 (deterministic). */
     int measurePivot(QubitId q) const;

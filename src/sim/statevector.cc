@@ -459,7 +459,6 @@ StateVector::grow(QubitId q)
 void
 StateVector::reset()
 {
-    touch();
     std::fill_n(amps_.begin(), liveDim(), Complex{});
     amps_[0] = 1.0;
     live_ = 1;
@@ -470,7 +469,6 @@ StateVector::setAmplitudes(const Complex *src, size_t count)
 {
     require(count == amps_.size(),
             "setAmplitudes count must match the register dimension");
-    touch();
     std::copy(src, src + count, amps_.begin());
     live_ = numQubits_;
 }
@@ -478,7 +476,6 @@ StateVector::setAmplitudes(const Complex *src, size_t count)
 void
 StateVector::apply1Q(const Matrix2 &u, QubitId q)
 {
-    touch();
     cover(q);
     kernels().apply1Q(amps_.data(), liveDim(), u, q);
 }
@@ -486,7 +483,6 @@ StateVector::apply1Q(const Matrix2 &u, QubitId q)
 void
 StateVector::applyPhase(QubitId q, double phi)
 {
-    touch();
     kernels().applyPhase(amps_.data(), liveDim(), q,
                          std::exp(kImag * phi));
 }
@@ -494,7 +490,6 @@ StateVector::applyPhase(QubitId q, double phi)
 void
 StateVector::applyDecayJump(QubitId q)
 {
-    touch();
     cover(q);
     const uint64_t bit = uint64_t{1} << q;
     forEachSet(liveDim(), bit, [&](uint64_t i) {
@@ -507,7 +502,6 @@ StateVector::applyDecayJump(QubitId q)
 void
 StateVector::applyCX(QubitId control, QubitId target)
 {
-    touch();
     cover(std::max(control, target));
     const uint64_t cbit = uint64_t{1} << control;
     const uint64_t tbit = uint64_t{1} << target;
@@ -520,7 +514,6 @@ StateVector::applyCX(QubitId control, QubitId target)
 void
 StateVector::applyCZ(QubitId a, QubitId b)
 {
-    touch();
     const uint64_t abit = uint64_t{1} << a;
     const uint64_t bbit = uint64_t{1} << b;
     forEachBothSet(liveDim(), abit, bbit,
@@ -530,7 +523,6 @@ StateVector::applyCZ(QubitId a, QubitId b)
 void
 StateVector::applySwap(QubitId a, QubitId b)
 {
-    touch();
     cover(std::max(a, b));
     const uint64_t abit = uint64_t{1} << a;
     const uint64_t bbit = uint64_t{1} << b;
@@ -628,50 +620,10 @@ StateVector::populationOne(QubitId q) const
     return kernels().populationOne(amps_.data(), liveDim(), q);
 }
 
-void
-StateVector::buildSampleCache() const
-{
-    // Indices past the live prefix have probability zero, so they can
-    // never be drawn and the table stops at the prefix.
-    cumulative_.resize(liveDim());
-    double total = 0.0;
-    lastNonzero_ = 0;
-    for (uint64_t i = 0; i < liveDim(); i++) {
-        const double p = std::norm(amps_[i]);
-        if (p > 0.0)
-            lastNonzero_ = i;
-        total += p;
-        cumulative_[i] = total;
-    }
-    require(total > 0.0, "cannot sample a zero state");
-    sampleCacheValid_ = true;
-}
-
-uint64_t
-StateVector::sample(Rng &rng) const
-{
-    // Repeated draws from an unchanged state reuse the cumulative
-    // weights: O(2^n) once, then O(n) binary search per draw instead
-    // of a full rescan.
-    if (!sampleCacheValid_)
-        buildSampleCache();
-    const double draw = rng.uniform() * cumulative_.back();
-    const auto it = std::upper_bound(cumulative_.begin(),
-                                     cumulative_.end(), draw);
-    if (it == cumulative_.end()) {
-        // Numerical round-off pushed the draw past the total weight;
-        // fall back to the last state with non-zero probability (the
-        // final *slot* may hold probability zero).
-        return lastNonzero_;
-    }
-    return static_cast<uint64_t>(it - cumulative_.begin());
-}
-
 bool
 StateVector::measureCollapse(QubitId q, Rng &rng)
 {
     const bool outcome = rng.bernoulli(populationOne(q));
-    touch();
     cover(q);
     const uint64_t bit = uint64_t{1} << q;
     auto zero = [&](uint64_t i) { amps_[i] = 0.0; };
@@ -690,7 +642,6 @@ StateVector::measureRetire(QubitId q, Rng &rng)
         return measureCollapse(q, rng);
     require(q < numQubits_, "qubit out of range for the state vector");
     const bool outcome = rng.bernoulli(populationOne(q));
-    touch();
     if (q < live_) {
         // With b = 2^q and o the outcome, run k of the kept half,
         // [2kb + ob, 2kb + ob + b), moves to [kb, kb + b) (run 0 of the
@@ -733,7 +684,6 @@ StateVector::norm() const
 void
 StateVector::normalize()
 {
-    touch();
     const double n = norm();
     require(n > 1e-300, "cannot normalize a zero state");
     kernels().scale(amps_.data(), liveDim(), 1.0 / n);

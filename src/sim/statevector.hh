@@ -123,16 +123,6 @@ class StateVector
     double populationOne(QubitId q) const;
 
     /**
-     * Sample one full-register outcome (does not collapse).
-     *
-     * The first draw after any state mutation builds a cumulative
-     * weight table (O(2^n)); subsequent draws binary-search it
-     * (O(n)), so repeated sampling of a fixed state is cheap.  Never
-     * returns a zero-probability basis state.
-     */
-    uint64_t sample(Rng &rng) const;
-
-    /**
      * Projectively measure one qubit: samples the outcome with the
      * Born rule, collapses the state, and re-normalizes.  Draws
      * exactly one word from @p rng, rng.bernoulli(P(1)), whatever the
@@ -167,9 +157,6 @@ class StateVector
     void normalize();
 
   private:
-    /** Invalidate sampling caches; call before any amplitude write. */
-    void touch() { sampleCacheValid_ = false; }
-
     /** Amplitudes in the live prefix. */
     uint64_t liveDim() const { return uint64_t{1} << live_; }
 
@@ -183,17 +170,9 @@ class StateVector
 
     void grow(QubitId q);
 
-    void buildSampleCache() const;
-
     int numQubits_;
     int live_ = 1;
     std::vector<Complex> amps_;
-
-    /** Lazily built inclusive prefix sums of basis probabilities
-     *  (see sample()); valid only while sampleCacheValid_. */
-    mutable std::vector<double> cumulative_;
-    mutable uint64_t lastNonzero_ = 0;
-    mutable bool sampleCacheValid_ = false;
 };
 
 /**

@@ -300,22 +300,23 @@ TEST(BackendObjects, PauliFrameRejectsRawMatrices)
 
 TEST(BackendObjects, SampleAgreesAcrossBackends)
 {
-    // GHZ-3 via the SimBackend::sample entry point.
+    // GHZ-3 via idealOutputDistribution: the forced dense backend
+    // returns the exact distribution, and the tableau's samples
+    // follow it.
     Circuit c(3);
     c.h(0);
     c.cx(0, 1);
     c.cx(1, 2);
     c.measureAll();
 
-    DenseBackend dense(3);
-    PauliFrameBackend stab(3);
-    Rng rng_a(21), rng_b(22);
-    const Distribution a = dense.sample(c, 20000, rng_a);
-    const Distribution b = stab.sample(c, 20000, rng_b);
     const Distribution ideal = idealDistribution(c);
-    EXPECT_TRUE(distributionsMatch(a, ideal));
+    const Distribution a =
+        idealOutputDistribution(c, 20000, 21, BackendKind::Dense);
+    const Distribution b =
+        idealOutputDistribution(c, 20000, 22, BackendKind::Stabilizer);
+    EXPECT_TRUE(distributionsIdentical(a, ideal));
     EXPECT_TRUE(distributionsMatch(b, ideal));
-    EXPECT_LT(tvDistance(a, b), 0.02);
+    EXPECT_LT(tvDistance(b, ideal), 0.02);
 }
 
 TEST(BackendObjects, InitRewindsState)
@@ -351,13 +352,6 @@ TEST(BackendObjects, DenseBitTableAddressesTheStateVector)
     dense.applyPauli(1, 0);
     EXPECT_EQ(dense.state().liveQubits(), 3);
     EXPECT_NEAR(dense.state().probability(0b111), 0.5, 1e-12);
-
-    Circuit c(3);
-    c.x(0);
-    c.measureAll();
-    Rng rng(7);
-    const Distribution out = dense.sample(c, 100, rng);
-    EXPECT_NEAR(out.probability(0b001), 1.0, 0.0);
 
     EXPECT_THROW(DenseBackend(3, {0, 1}), UsageError);
 }

@@ -5,8 +5,7 @@
  * PR goal: mid-circuit measurement, classical-bit reuse, active
  * reset, and classically-controlled Clifford gates execute *in* the
  * batch Pauli-frame engine, with superposed-T1 lanes finishing on
- * compiled branch tails instead of deferring to per-shot tableau
- * replay.  The locks, in order of rigor:
+ * compiled branch tails.  The locks, in order of rigor:
  *
  *  - a generated corpus (>= kMinCorpus circuits — the floor is
  *    asserted so a silent corpus shrink fails CI) of seeded random
@@ -20,9 +19,9 @@
  *  - bit-identity of the frame engine against itself across thread
  *    counts and batch-vs-serial, tails included;
  *  - FrameBatchStats invariants: zero deferred lanes on DD-padded
- *    decoys with tails enabled, bounded tail recursion under
- *    ADAPT_FRAME_BRANCH_DEPTH, and the tails-disabled deferral path
- *    still sampling the same law;
+ *    decoys at the default depth, bounded tail recursion under
+ *    ADAPT_FRAME_BRANCH_DEPTH, and depth 0 finishing every fired lane
+ *    on the exact tableau under the same law;
  *  - branch-tail memory: a 50-qubit tail-heavy job runs under a 2 GB
  *    address-space cap;
  *  - dispatch: conditional non-Pauli gates keep the job off the
@@ -469,8 +468,8 @@ TEST(DynamicDeterminism, NestedTailsAtWidthBitIdentical)
             << "depth " << depth;
         EXPECT_EQ(serial.frameStats.tailShots,
                   threaded.frameStats.tailShots);
-        EXPECT_EQ(serial.frameStats.depthCapHits,
-                  threaded.frameStats.depthCapHits);
+        EXPECT_EQ(serial.frameStats.deferredShots,
+                  threaded.frameStats.deferredShots);
         EXPECT_EQ(serial.frameStats.maxTailDepth,
                   threaded.frameStats.maxTailDepth);
 
@@ -582,10 +581,8 @@ TEST(DynamicTailStats, DepthCapBoundsRecursionAndStaysCorrect)
         machine.runPartial(capped, kShots, 11, 0, RunControl{});
     // Nested fires exist at this rate, so the cap must actually
     // engage — and bound the chain at cap + 1 hops.
-    EXPECT_GT(out.frameStats.depthCapHits, 0);
+    EXPECT_GT(out.frameStats.deferredShots, 0);
     EXPECT_LE(out.frameStats.maxTailDepth, 2);
-    EXPECT_EQ(out.frameStats.deferredShots,
-              out.frameStats.depthCapHits);
     EXPECT_LT(tvDistance(out.dist, oracle), 0.015);
 
     // Capped runs keep the determinism contract too.
@@ -594,32 +591,44 @@ TEST(DynamicTailStats, DepthCapBoundsRecursionAndStaysCorrect)
         machine.run(capped, 5 * kFrameLanes + 17, 11, 7)));
 }
 
-TEST(DynamicTailStats, DisablingTailsFallsBackToDeferralPath)
+TEST(DynamicTailStats, DepthZeroFinishesFiredLanesOnTheTableau)
 {
+    // At depth 0 the first tail is already capped: every lane that
+    // fires at a superposed checkpoint finishes on the exact tableau
+    // from that checkpoint.
     const Device device = Device::synthetic(Topology::linear(2), 76);
     NoiseFlags flags = NoiseFlags::none();
     flags.t1Damping = true;
     const NoisyMachine machine(device, 0, flags);
     const ScheduledCircuit sched = heavyFireExecutable(device);
 
-    setenv("ADAPT_FRAME_BRANCH_DEPTH", "0", 1);
-    const PreparedCircuit deferred =
-        machine.prepare(sched, BackendKind::Stabilizer);
-    unsetenv("ADAPT_FRAME_BRANCH_DEPTH");
-    ASSERT_TRUE(deferred.frameBatched());
+    const PreparedCircuit flat = prepareAtDepth(machine, sched, "0");
+    ASSERT_TRUE(flat.frameBatched());
     const RunOutcome out =
-        machine.runPartial(deferred, kShots, 13, 0, RunControl{});
-    EXPECT_GT(out.frameStats.deferredShots, 0);
+        machine.runPartial(flat, kShots, 13, 0, RunControl{});
     EXPECT_EQ(out.frameStats.tailShots, 0);
+    EXPECT_GT(out.frameStats.deferredShots, 0);
+    EXPECT_EQ(out.frameStats.maxTailDepth, 1);
 
-    // Same law as the tails path: the two are different exact
-    // samplers of one distribution.
-    const PreparedCircuit tails =
-        machine.prepare(sched, BackendKind::Stabilizer);
-    const RunOutcome tout =
-        machine.runPartial(tails, kShots, 13, 0, RunControl{});
-    EXPECT_EQ(tout.frameStats.deferredShots, 0);
-    EXPECT_LT(tvDistance(out.dist, tout.dist), 0.015);
+    // The plane pass does not depend on the depth, so the same lanes
+    // fire at depth 8: each finishes there on a tail or past the cap.
+    const PreparedCircuit deep = prepareAtDepth(machine, sched, "8");
+    const RunOutcome dout =
+        machine.runPartial(deep, kShots, 13, 0, RunControl{});
+    EXPECT_GT(dout.frameStats.tailShots, 0);
+    EXPECT_EQ(out.frameStats.deferredShots,
+              dout.frameStats.tailShots + dout.frameStats.deferredShots);
+
+    // Different exact samplers of one law: depth 8 and the per-shot
+    // tableau oracle.
+    EXPECT_LT(tvDistance(out.dist, dout.dist), 0.015);
+    EXPECT_LT(tvDistance(out.dist, machine.run(flat, kShots, 14, 0,
+                                               ExecMode::Interpreted)),
+              0.015);
+
+    EXPECT_TRUE(distributionsIdentical(
+        machine.run(flat, 5 * kFrameLanes + 17, 13, 1),
+        machine.run(flat, 5 * kFrameLanes + 17, 13, 7)));
 }
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)

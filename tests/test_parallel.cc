@@ -3,8 +3,8 @@
  * Tests for the parallel shot-execution engine and its supporting
  * utilities: deterministic chunking and nested scheduling in
  * parallelFor, the flat open-addressing accumulator,
- * thread-count-invariant NoisyMachine output, fused single-qubit gate
- * application, and the sampling fast path.
+ * thread-count-invariant NoisyMachine output, and fused single-qubit
+ * gate application.
  */
 
 #include <gtest/gtest.h>
@@ -323,47 +323,3 @@ TEST(FusedGates, SkipsStructuralGates)
     EXPECT_NEAR(s.probability(0), 1.0, 1e-12);
 }
 
-// -------------------------------------------------------------- sampling
-
-TEST(Sample, NeverReturnsZeroProbabilityState)
-{
-    // |10>: the highest basis index (3) has zero probability, so the
-    // round-off fallback must never land there.
-    StateVector s(2);
-    s.apply1Q(gateMatrix(GateType::X), 1);
-    Rng rng(42);
-    for (int i = 0; i < 2000; i++) {
-        const uint64_t outcome = s.sample(rng);
-        EXPECT_GT(s.probability(outcome), 0.0);
-        EXPECT_EQ(outcome, 2u);
-    }
-}
-
-TEST(Sample, CacheInvalidatedByMutation)
-{
-    StateVector s(2);
-    Rng rng(5);
-    EXPECT_EQ(s.sample(rng), 0u); // builds the cache on |00>
-    s.apply1Q(gateMatrix(GateType::X), 0);
-    for (int i = 0; i < 50; i++)
-        EXPECT_EQ(s.sample(rng), 1u); // cache must reflect |01>
-    s.applyCX(0, 1);
-    for (int i = 0; i < 50; i++)
-        EXPECT_EQ(s.sample(rng), 3u);
-}
-
-TEST(Sample, MatchesDistribution)
-{
-    StateVector s(3);
-    s.apply1Q(gateMatrix(GateType::H), 0);
-    s.apply1Q(gateMatrix(GateType::RY, {kPi / 3.0}), 2);
-    Rng rng(17);
-    const int n = 40000;
-    std::vector<int> counts(8, 0);
-    for (int i = 0; i < n; i++)
-        counts[static_cast<size_t>(s.sample(rng))]++;
-    for (uint64_t basis = 0; basis < 8; basis++) {
-        EXPECT_NEAR(static_cast<double>(counts[basis]) / n,
-                    s.probability(basis), 0.02);
-    }
-}

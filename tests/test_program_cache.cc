@@ -8,9 +8,9 @@
  * frame paths alike.  Plus the cache mechanics themselves: admission
  * once a structure recurs (first sightings are declined from the LRU
  * and held only in the admission window), clear() as a cold reset,
- * hit/miss/eviction counters, capacity clamping, fingerprint
- * sensitivity to the frame engine's branch-tail depth (by value, not
- * spelling), and exact-size skeletons.
+ * hit/miss/eviction counters, capacity clamping, the frame engine's
+ * branch-tail depth re-binding a cached skeleton instead of keying a
+ * new one, and exact-size skeletons.
  */
 
 #include <gtest/gtest.h>
@@ -62,6 +62,23 @@ cliffordSchedule(const Device &device)
     c.delay(800.0, 2);
     c.s(1);
     c.cx(1, 2);
+    c.measureAll();
+    return transpile(c, device, device.calibration(0)).schedule;
+}
+
+/**
+ * A chain of re-superposed long idles: every T1 checkpoint sees a
+ * reference at population 1/2, so frame lanes leave the plane pass
+ * often and nest.
+ */
+ScheduledCircuit
+heavyFireSchedule(const Device &device)
+{
+    Circuit c(2, 2);
+    for (int k = 0; k < 6; k++) {
+        c.h(0);
+        c.delay(40000.0, 0);
+    }
     c.measureAll();
     return transpile(c, device, device.calibration(0)).schedule;
 }
@@ -238,44 +255,49 @@ TEST(ProgramCache, CapacityClampsToOne)
 
 TEST(ProgramCache, FingerprintTracksFrameKnobs)
 {
-    // prepare() resolves ADAPT_FRAME_BRANCH_DEPTH at the edge and the
-    // fingerprint folds the parsed depth, so toggling the knob between
-    // prepares may not serve a stale skeleton.
+    // prepare() reads ADAPT_FRAME_BRANCH_DEPTH only when it binds a
+    // frame program, and the bind stamps it: toggling the knob
+    // between prepares re-binds the cached skeleton, and the re-bound
+    // job runs at the new depth.
     const Device device = Device::ibmqRome();
-    NoisyMachine machine(device, 0, NoiseFlags::pauliOnly());
-    const ScheduledCircuit sched = cliffordSchedule(device);
+    NoiseFlags flags = NoiseFlags::none();
+    flags.t1Damping = true;
+    NoisyMachine machine(device, 0, flags);
+    const ScheduledCircuit sched = heavyFireSchedule(device);
     ProgramCache cache(8);
     machine.setProgramCache(&cache);
 
     // Own the knob for the duration of the test (the ambient
     // environment could carry any value).
     ASSERT_EQ(unsetenv("ADAPT_FRAME_BRANCH_DEPTH"), 0);
-    machine.prepare(sched);
-    machine.prepare(sched);
-    EXPECT_EQ(cache.stats().misses, 1u);
+    const PreparedCircuit deep =
+        machine.prepare(sched, BackendKind::Stabilizer);
+    ASSERT_EQ(setenv("ADAPT_FRAME_BRANCH_DEPTH", "0", 1), 0);
+    const PreparedCircuit flat =
+        machine.prepare(sched, BackendKind::Stabilizer);
+    ASSERT_EQ(unsetenv("ADAPT_FRAME_BRANCH_DEPTH"), 0);
+    EXPECT_EQ(cache.stats().misses, 1u) << "a depth change re-binds";
     EXPECT_EQ(cache.stats().hits, 1u);
 
-    ASSERT_EQ(setenv("ADAPT_FRAME_BRANCH_DEPTH", "0", 1), 0);
-    machine.prepare(sched);
-    ASSERT_EQ(unsetenv("ADAPT_FRAME_BRANCH_DEPTH"), 0);
-    EXPECT_EQ(cache.stats().misses, 2u) << "depth 0 must re-key";
+    ASSERT_TRUE(deep.frameBatched());
+    ASSERT_TRUE(flat.frameBatched());
+    const RunOutcome deep_out =
+        machine.runPartial(deep, 4096, 9, 0, RunControl{});
+    const RunOutcome flat_out =
+        machine.runPartial(flat, 4096, 9, 0, RunControl{});
+    EXPECT_GT(deep_out.frameStats.tailShots, 0);
+    EXPECT_EQ(flat_out.frameStats.tailShots, 0);
+    EXPECT_GT(flat_out.frameStats.deferredShots, 0);
 
-    // Restored environment -> restored key.
-    machine.prepare(sched);
-    EXPECT_EQ(cache.stats().misses, 2u);
-    EXPECT_EQ(cache.stats().hits, 2u);
-
-    // The depth and the other structural inputs separate keys.
-    const ProgramFingerprint base = skeletonFingerprint(
-        sched, machine.flags(), BackendKind::Auto, 8);
+    // The other structural inputs separate keys.
+    const ProgramFingerprint base =
+        skeletonFingerprint(sched, machine.flags(), BackendKind::Auto);
     EXPECT_TRUE(base == skeletonFingerprint(sched, machine.flags(),
-                                            BackendKind::Auto, 8));
+                                            BackendKind::Auto));
     EXPECT_FALSE(base == skeletonFingerprint(sched, machine.flags(),
-                                             BackendKind::Auto, 0));
-    EXPECT_FALSE(base == skeletonFingerprint(sched, machine.flags(),
-                                             BackendKind::Dense, 8));
+                                             BackendKind::Dense));
     EXPECT_FALSE(base == skeletonFingerprint(sched, NoiseFlags::all(),
-                                             BackendKind::Auto, 8));
+                                             BackendKind::Auto));
 }
 
 TEST(ProgramCache, ExplicitDefaultBranchDepthHitsCache)
@@ -340,7 +362,7 @@ TEST(ProgramCache, OneShotStructuresAreNotRetained)
     for (unsigned bits = 0; bits < kVariants; bits++) {
         variants.push_back(maskVariant(base, device, bits));
         keys.insert(skeletonFingerprint(variants.back(), machine.flags(),
-                                        BackendKind::Auto, 8));
+                                        BackendKind::Auto));
     }
     ASSERT_EQ(keys.size(), kVariants) << "mask variants must differ";
 
@@ -522,7 +544,7 @@ TEST(ProgramCache, StructurePhaseLeavesExactSizes)
         for (const PlanStep &step : skel.plan.steps)
             expectExactSize(step.pulses, "pulses");
         const FrameSkeleton frame =
-            buildFrameSkeleton(skel.plan, flags, /*branch_depth=*/8);
+            buildFrameSkeleton(skel.plan, flags);
         ASSERT_FALSE(frame.fused.empty());
         ASSERT_FALSE(frame.t1.empty());
         expectExactSize(frame.fused, "fused");

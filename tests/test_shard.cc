@@ -184,6 +184,43 @@ TEST_F(ShardTest, MessageCodecsRoundTrip)
     const wire::ErrorMsg err2 =
         wire::decodeError(wire::encodeError(err));
     EXPECT_EQ(err2.message, "boom");
+
+    wire::HeartbeatMsg beat;
+    beat.worker = 4;
+    beat.pid = 0x12345678abcdULL;
+    const std::vector<uint8_t> beat_bytes = wire::encodeHeartbeat(beat);
+    const wire::HeartbeatMsg beat2 = wire::decodeHeartbeat(beat_bytes);
+    EXPECT_EQ(beat2.worker, 4u);
+    EXPECT_EQ(beat2.pid, 0x12345678abcdULL);
+
+    wire::PartialMsg part;
+    part.jobKey = 7;
+    part.lease = 3;
+    part.shotsDone = 1536;
+    const std::vector<uint8_t> part_bytes = wire::encodePartial(part);
+    const wire::PartialMsg part2 = wire::decodePartial(part_bytes);
+    EXPECT_EQ(part2.jobKey, 7u);
+    EXPECT_EQ(part2.lease, 3u);
+    EXPECT_EQ(part2.shotsDone, 1536);
+
+    // A truncated or over-long payload is a typed WireError (the
+    // coordinator then drops the worker as corrupt).
+    const auto truncated = [](std::vector<uint8_t> b) {
+        b.pop_back();
+        return b;
+    };
+    const auto trailing = [](std::vector<uint8_t> b) {
+        b.push_back(0);
+        return b;
+    };
+    EXPECT_THROW(wire::decodeHeartbeat(truncated(beat_bytes)),
+                 wire::WireError);
+    EXPECT_THROW(wire::decodeHeartbeat(trailing(beat_bytes)),
+                 wire::WireError);
+    EXPECT_THROW(wire::decodePartial(truncated(part_bytes)),
+                 wire::WireError);
+    EXPECT_THROW(wire::decodePartial(trailing(part_bytes)),
+                 wire::WireError);
 }
 
 TEST_F(ShardTest, SubmitMsgRoundTripsTheJobExactly)

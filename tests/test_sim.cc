@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the simulators: state-vector gate semantics and sampling,
+ * Tests for the simulators: state-vector gate semantics and measurement,
  * bit-identity of the dense kernels' scalar and AVX2 bodies,
  * stabilizer tableau correctness, and cross-backend agreement on
  * random Clifford circuits.
@@ -109,19 +109,6 @@ TEST(StateVec, PopulationOne)
     EXPECT_NEAR(s.populationOne(0), std::pow(std::sin(kPi / 6.0), 2),
                 1e-12);
     EXPECT_NEAR(s.populationOne(1), 0.0, 1e-12);
-}
-
-TEST(StateVec, SampleMatchesProbabilities)
-{
-    StateVector s(2);
-    s.apply1Q(gateMatrix(GateType::RY, {2.0 * kPi / 3.0}), 0);
-    Rng rng(3);
-    int ones = 0;
-    const int n = 20000;
-    for (int i = 0; i < n; i++)
-        ones += (s.sample(rng) & 1) != 0;
-    EXPECT_NEAR(static_cast<double>(ones) / n, s.populationOne(0),
-                0.02);
 }
 
 TEST(StateVec, MeasureCollapseProjects)
