@@ -20,8 +20,13 @@
  *    compile-once replay is >= 2-3x faster (the PR's acceptance
  *    number, recorded in BENCH_pr4.json); on the 14-active-qubit
  *    routing the amplitude sweeps dominate both paths and the gap
- *    narrows — that regime is what the SIMD kernels and the
- *    live-width state vector attack.  The headline rows repeat the
+ *    narrows — that regime is what the SIMD kernels, the live-width
+ *    state vector and its lazy single-qubit operators attack.  The
+ *    two scales straddle StateVector's eager width (6 live qubits):
+ *    the 5-qubit decoy rows sweep each single-qubit op on a live
+ *    qubit at once, and the 14-qubit rows hold pulses and idle
+ *    phases as pending 2x2 operators, so the one-thread compiled
+ *    rows of both are the recorded case for that constant.  The headline rows repeat the
  *    decoy-scale pair with OU drift off (the *_pauli rows), which
  *    runs the same per-shot compiled replay as full noise;
  *  - the batch frame engine at 32/50/100-qubit characterization

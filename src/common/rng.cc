@@ -21,12 +21,6 @@ splitmix64(uint64_t &x)
     return z ^ (z >> 31);
 }
 
-uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(uint64_t seed) : cachedNormal_(0.0), hasCachedNormal_(false)
@@ -34,29 +28,6 @@ Rng::Rng(uint64_t seed) : cachedNormal_(0.0), hasCachedNormal_(false)
     uint64_t s = seed;
     for (auto &word : state_)
         word = splitmix64(s);
-}
-
-uint64_t
-Rng::next()
-{
-    const uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const uint64_t t = state_[1] << 17;
-
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 random mantissa bits -> uniform in [0, 1).
-    return (next() >> 11) * 0x1.0p-53;
 }
 
 double
@@ -100,12 +71,6 @@ double
 Rng::normal(double mean, double stddev)
 {
     return mean + stddev * normal();
-}
-
-bool
-Rng::bernoulli(double p)
-{
-    return uniform() < p;
 }
 
 Rng

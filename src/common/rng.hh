@@ -31,10 +31,23 @@ class Rng
     explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
     /** Next raw 64-bit draw. */
-    uint64_t next();
+    uint64_t next()
+    {
+        const uint64_t result = rotl(state_[1] * 5, 7) * 9;
+        const uint64_t t = state_[1] << 17;
 
-    /** Uniform double in [0, 1). */
-    double uniform();
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = rotl(state_[3], 45);
+
+        return result;
+    }
+
+    /** Uniform double in [0, 1): 53 random mantissa bits. */
+    double uniform() { return (next() >> 11) * 0x1.0p-53; }
 
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi);
@@ -49,7 +62,7 @@ class Rng
     double normal(double mean, double stddev);
 
     /** Bernoulli draw with success probability @p p. */
-    bool bernoulli(double p);
+    bool bernoulli(double p) { return uniform() < p; }
 
     /**
      * Derive an independent child stream.
@@ -61,6 +74,11 @@ class Rng
     Rng fork(uint64_t salt) const;
 
   private:
+    static uint64_t rotl(uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     uint64_t state_[4];
     double cachedNormal_;
     bool hasCachedNormal_;

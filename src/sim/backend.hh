@@ -156,8 +156,9 @@ class DenseBackend final : public SimBackend
     void apply1Q(const Matrix2 &u, QubitId q) override;
 
     /** Underlying state, for tests and exact queries (indexed by
-     *  state-vector bit). */
-    const StateVector &state() const { return state_; }
+     *  state-vector bit).  Not const: its reads flush pending
+     *  operators. */
+    StateVector &state() { return state_; }
 
   private:
     QubitId bit(QubitId q) const;

@@ -435,7 +435,9 @@ cpuHasAvx2()
 
 } // namespace detail
 
-StateVector::StateVector(int num_qubits) : numQubits_(num_qubits)
+StateVector::StateVector(int num_qubits)
+    : numQubits_(num_qubits),
+      pending_(static_cast<size_t>(std::max(num_qubits, 0)))
 {
     require(num_qubits > 0, "StateVector requires at least one qubit");
     if (num_qubits > kMaxDenseQubits) {
@@ -448,12 +450,34 @@ StateVector::StateVector(int num_qubits) : numQubits_(num_qubits)
 }
 
 void
-StateVector::grow(QubitId q)
+StateVector::sweepPending(QubitId q)
 {
-    require(q < numQubits_, "qubit out of range for the state vector");
-    // Free: every amplitude at or above the old prefix is already
-    // zero (the live-prefix invariant).
-    live_ = q + 1;
+    PendingOp &p = pending_[static_cast<size_t>(q)];
+    if (p.kind == Pending::General) {
+        cover(q);
+        kernels().apply1Q(amps_.data(), liveDim(), p.u, q);
+    } else if (q < live_) {
+        // A diagonal above the prefix is a global phase and is dropped.
+        if (p.u(0, 0) == Complex(1.0))
+            kernels().applyPhase(amps_.data(), liveDim(), q, p.u(1, 1));
+        else
+            kernels().apply1Q(amps_.data(), liveDim(), p.u, q);
+    }
+    p.kind = Pending::None;
+}
+
+void
+StateVector::flushAll()
+{
+    for (QubitId q = 0; q < numQubits_; q++)
+        flush(q);
+}
+
+void
+StateVector::dropPending()
+{
+    for (PendingOp &p : pending_)
+        p.kind = Pending::None;
 }
 
 void
@@ -462,6 +486,7 @@ StateVector::reset()
     std::fill_n(amps_.begin(), liveDim(), Complex{});
     amps_[0] = 1.0;
     live_ = 1;
+    dropPending();
 }
 
 void
@@ -471,25 +496,63 @@ StateVector::setAmplitudes(const Complex *src, size_t count)
             "setAmplitudes count must match the register dimension");
     std::copy(src, src + count, amps_.begin());
     live_ = numQubits_;
+    dropPending();
+}
+
+Complex
+StateVector::amplitude(uint64_t basis)
+{
+    flushAll();
+    return amps_.at(basis);
 }
 
 void
 StateVector::apply1Q(const Matrix2 &u, QubitId q)
 {
-    cover(q);
-    kernels().apply1Q(amps_.data(), liveDim(), u, q);
+    check(q);
+    if (eager(q)) {
+        flush(q);
+        kernels().apply1Q(amps_.data(), liveDim(), u, q);
+        return;
+    }
+    PendingOp &p = pending_[static_cast<size_t>(q)];
+    if (p.kind == Pending::General) {
+        p.u = u * p.u;
+        return;
+    }
+    const bool diagonal = u(0, 1) == 0.0 && u(1, 0) == 0.0;
+    if (diagonal && q >= live_)
+        return; // the bit is |0>: only a global phase
+    p.u = p.kind == Pending::None ? u : u * p.u;
+    p.kind = diagonal ? Pending::Diagonal : Pending::General;
 }
 
 void
 StateVector::applyPhase(QubitId q, double phi)
 {
-    kernels().applyPhase(amps_.data(), liveDim(), q,
-                         std::exp(kImag * phi));
+    check(q);
+    PendingOp &p = pending_[static_cast<size_t>(q)];
+    if (q >= live_ && p.kind != Pending::General)
+        return; // the bit is |0>: no amplitude to rotate
+    const Complex factor = std::exp(kImag * phi);
+    if (eager(q)) {
+        flush(q);
+        kernels().applyPhase(amps_.data(), liveDim(), q, factor);
+    } else if (p.kind == Pending::None) {
+        p.u = {1.0, 0.0, 0.0, factor};
+        p.kind = Pending::Diagonal;
+    } else {
+        // diag(1, factor) * u scales only row 1.
+        p.u(1, 0) *= factor;
+        p.u(1, 1) *= factor;
+    }
 }
 
 void
 StateVector::applyDecayJump(QubitId q)
 {
+    check(q);
+    flush(q);
     cover(q);
     const uint64_t bit = uint64_t{1} << q;
     forEachSet(liveDim(), bit, [&](uint64_t i) {
@@ -502,6 +565,10 @@ StateVector::applyDecayJump(QubitId q)
 void
 StateVector::applyCX(QubitId control, QubitId target)
 {
+    check(control);
+    check(target);
+    flushGeneral(control);
+    flush(target);
     cover(std::max(control, target));
     const uint64_t cbit = uint64_t{1} << control;
     const uint64_t tbit = uint64_t{1} << target;
@@ -514,6 +581,10 @@ StateVector::applyCX(QubitId control, QubitId target)
 void
 StateVector::applyCZ(QubitId a, QubitId b)
 {
+    check(a);
+    check(b);
+    flushGeneral(a);
+    flushGeneral(b);
     const uint64_t abit = uint64_t{1} << a;
     const uint64_t bbit = uint64_t{1} << b;
     forEachBothSet(liveDim(), abit, bbit,
@@ -523,6 +594,10 @@ StateVector::applyCZ(QubitId a, QubitId b)
 void
 StateVector::applySwap(QubitId a, QubitId b)
 {
+    check(a);
+    check(b);
+    std::swap(pending_[static_cast<size_t>(a)],
+              pending_[static_cast<size_t>(b)]);
     cover(std::max(a, b));
     const uint64_t abit = uint64_t{1} << a;
     const uint64_t bbit = uint64_t{1} << b;
@@ -556,58 +631,17 @@ StateVector::applyGate(const Gate &gate)
     }
 }
 
-void
-StateVector::applyFused(const std::vector<Gate> &gates)
-{
-    // Runs of consecutive single-qubit unitaries on the same qubit
-    // collapse into one Matrix2 product, so the 2^n-amplitude sweep
-    // happens once per run instead of once per gate.
-    QubitId pending_q = -1;
-    Matrix2 pending = Matrix2::identity();
-    auto flush = [&] {
-        if (pending_q >= 0) {
-            apply1Q(pending, pending_q);
-            pending_q = -1;
-            pending = Matrix2::identity();
-        }
-    };
-
-    for (const Gate &gate : gates) {
-        switch (gate.type) {
-          case GateType::I:
-          case GateType::Barrier:
-          case GateType::Delay:
-            continue;
-          case GateType::Measure:
-            panic("StateVector::applyFused cannot apply Measure");
-          case GateType::CX:
-          case GateType::CZ:
-          case GateType::SWAP:
-            flush();
-            applyGate(gate);
-            continue;
-          default: {
-            const QubitId q = gate.qubit();
-            if (q != pending_q)
-                flush();
-            pending = gateMatrix(gate) * pending;
-            pending_q = q;
-            continue;
-          }
-        }
-    }
-    flush();
-}
-
 double
-StateVector::probability(uint64_t basis) const
+StateVector::probability(uint64_t basis)
 {
+    flushAll();
     return std::norm(amps_.at(basis));
 }
 
 std::vector<double>
-StateVector::probabilities() const
+StateVector::probabilities()
 {
+    flushAll();
     std::vector<double> probs(amps_.size());
     for (uint64_t i = 0; i < liveDim(); i++)
         probs[i] = std::norm(amps_[i]);
@@ -615,8 +649,10 @@ StateVector::probabilities() const
 }
 
 double
-StateVector::populationOne(QubitId q) const
+StateVector::populationOne(QubitId q)
 {
+    check(q);
+    flushGeneral(q);
     return kernels().populationOne(amps_.data(), liveDim(), q);
 }
 
@@ -624,6 +660,9 @@ bool
 StateVector::measureCollapse(QubitId q, Rng &rng)
 {
     const bool outcome = rng.bernoulli(populationOne(q));
+    // populationOne flushed a general operator; a diagonal one is a
+    // global phase after the collapse.
+    pending_[static_cast<size_t>(q)].kind = Pending::None;
     cover(q);
     const uint64_t bit = uint64_t{1} << q;
     auto zero = [&](uint64_t i) { amps_[i] = 0.0; };
@@ -640,8 +679,17 @@ StateVector::measureRetire(QubitId q, Rng &rng)
 {
     if (q == 0)
         return measureCollapse(q, rng);
-    require(q < numQubits_, "qubit out of range for the state vector");
     const bool outcome = rng.bernoulli(populationOne(q));
+    // As in measureCollapse, q's diagonal operator is dropped; the
+    // operators above q shift down with their bits (a bit with none
+    // copies only its kind).
+    for (auto b = static_cast<size_t>(q); b + 1 < pending_.size(); b++) {
+        if (pending_[b + 1].kind == Pending::None)
+            pending_[b].kind = Pending::None;
+        else
+            pending_[b] = pending_[b + 1];
+    }
+    pending_.back().kind = Pending::None;
     if (q < live_) {
         // With b = 2^q and o the outcome, run k of the kept half,
         // [2kb + ob, 2kb + ob + b), moves to [kb, kb + b) (run 0 of the
@@ -727,10 +775,9 @@ idealDistribution(const Circuit &circuit)
     StateVector state(reduced.numQubits());
 
     // (measured qubit, classical bit) pairs, applied to the final
-    // state; all workloads measure terminally.
+    // state; all workloads measure terminally.  Each run of
+    // single-qubit gates on a qubit fuses in its pending operator.
     std::vector<std::pair<QubitId, int>> measures;
-    std::vector<Gate> unitaries;
-    unitaries.reserve(reduced.gates().size());
     for (const Gate &gate : reduced.gates()) {
         if (gate.type == GateType::Measure) {
             measures.emplace_back(gate.qubit(),
@@ -738,19 +785,18 @@ idealDistribution(const Circuit &circuit)
                                       ? static_cast<int>(gate.qubit())
                                       : gate.clbit);
         } else if (isUnitaryGate(gate.type)) {
-            unitaries.push_back(gate);
+            state.applyGate(gate);
         }
     }
     require(!measures.empty(),
             "idealDistribution requires at least one Measure gate");
-    state.applyFused(unitaries);
 
     FlatAccumulator acc(measures.size() <= 16
                             ? size_t{1} << measures.size()
                             : size_t{1} << 16);
-    const uint64_t dim = state.dim();
-    for (uint64_t basis = 0; basis < dim; basis++) {
-        const double prob = state.probability(basis);
+    const std::vector<double> probs = state.probabilities();
+    for (uint64_t basis = 0; basis < probs.size(); basis++) {
+        const double prob = probs[basis];
         if (prob <= 0.0)
             continue;
         uint64_t outcome = 0;

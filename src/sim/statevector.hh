@@ -15,10 +15,12 @@
 #ifndef ADAPT_SIM_STATEVECTOR_HH
 #define ADAPT_SIM_STATEVECTOR_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "circuit/circuit.hh"
+#include "common/logging.hh"
 #include "common/matrix2.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -29,21 +31,47 @@ namespace adapt
 /**
  * A pure quantum state over n qubits (2^n complex amplitudes).
  *
- * The vector keeps a *live width*: every amplitude at an index
- * >= 2^liveQubits() is exactly zero, i.e. qubits liveQubits() and up
- * are all in |0>.  Every sweep covers only the 2^live prefix, so a
- * qubit costs nothing until an op first touches it, and nothing after
- * its final measurement.  Ops that can move amplitude onto a qubit
- * above the prefix (apply1Q, CX, SWAP, a collapse, a decay) first
- * widen the prefix to cover their operands; growing is free, because
- * the tail is already zero.  Reads and diagonal ops on a qubit above
- * the prefix (populationOne, applyPhase, CZ) give exact zeros or
- * no-ops without widening, because their loops never reach those
- * indices.  The prefix also shrinks: measureRetire removes a measured
- * qubit's bit, compacting the outcome half into the low half.
+ * Live width: every amplitude at an index >= 2^liveQubits() is exactly
+ * zero, i.e. qubits liveQubits() and up are all in |0>.  Every sweep
+ * covers only the 2^live prefix, so a qubit costs nothing until its
+ * amplitudes are first swept, and nothing after its final measurement.
+ * A sweep that can move amplitude onto a bit above the prefix (a flush
+ * of a pending operator, CX, SWAP, a collapse, a decay) first widens
+ * the prefix to cover its operands; growing is free, because the tail
+ * is already zero.  Reads and diagonal ops on a bit above the prefix
+ * give exact zeros or no-ops without widening, because their loops
+ * never reach those indices.  measureRetire shrinks the prefix,
+ * compacting a measured bit's outcome half into the low half.
  * Sweeping the prefix gives the same amplitudes as sweeping the full
  * register, and bit-identical reductions: the skipped amplitudes are
  * zeros, and adding zeros to a sum changes no bit of it.
+ *
+ * Lazy single-qubit operators: each bit holds a pending 2x2 operator,
+ * none, diagonal or general.  apply1Q and applyPhase only multiply into
+ * it, and a bit is swept with its product only when an op needs its
+ * amplitudes (the "virtual Z" of McKay et al., PRA 96, 022330, 2017,
+ * extended to any 2x2 as in qsim's single-qubit fusion):
+ *  - always: CX target, decay jump, and the reads amplitude(),
+ *    probability() and probabilities(), which flush every bit;
+ *  - only a general operator: CX control, CZ operands, populationOne
+ *    and a collapse (a diagonal one commutes with each of them);
+ *  - never: SWAP exchanges its operands' operators; norm(),
+ *    normalize() and reset() ignore them (they are unitary).
+ * A diagonal operator is dropped as a global phase after a collapse of
+ * its bit, and whenever its bit is above the live prefix (the bit is
+ * |0> there).  So a DD train on a qubit that never interacts costs one
+ * 2x2 product per pulse and no sweep.  While the prefix holds at most
+ * kEagerLiveQubits qubits, an op on a bit inside it is swept at once
+ * (after that bit's pending operator): below 64 amplitudes holding the
+ * op costs more than the sweep it saves.
+ *
+ * Against sweeping every op at once, amplitudes match to last-bit
+ * rounding (2x2 products come before the sweep, and pending operators
+ * on different bits flush in ascending bit order) and up to a global
+ * phase (the dropped diagonals).  Probabilities and populations carry
+ * no global phase.  The result is a pure function of the call
+ * sequence, so two engines that make the same calls stay bit-identical.
+ * Reads flush, so they are not const.
  */
 class StateVector
 {
@@ -53,16 +81,18 @@ class StateVector
 
     /**
      * Rewind to |0...0> without reallocating (per-shot reuse).  Clears
-     * only the live prefix, which holds every non-zero amplitude, and
-     * returns to the minimum live width (one qubit, so a sweep always
-     * covers at least two amplitudes).
+     * only the live prefix, which holds every non-zero amplitude, drops
+     * every pending operator unswept, and returns to the minimum live
+     * width (one qubit, so a sweep always covers at least two
+     * amplitudes).
      */
     void reset();
 
     /**
      * Overwrite all amplitudes from @p src (a state prepared outside
      * the op API, such as a full-width reference for tests).  Restores
-     * the full live width, since @p src may have amplitude anywhere.
+     * the full live width, since @p src may have amplitude anywhere,
+     * and drops every pending operator.
      *
      * @pre count == dim().
      */
@@ -71,19 +101,28 @@ class StateVector
     int numQubits() const { return numQubits_; }
     size_t dim() const { return amps_.size(); }
 
-    /** Qubits in the live prefix: one past the highest qubit an op has
-     *  widened it to since the last reset(), less one per qubit
-     *  measureRetire removed from inside it (at least one). */
+    /** Qubits in the live prefix: one past the highest bit a sweep has
+     *  widened it to since the last reset(), less one per bit
+     *  measureRetire removed from inside it (at least one).  Reading it
+     *  flushes nothing, so pending operators have not widened it yet. */
     int liveQubits() const { return live_; }
 
-    Complex amplitude(uint64_t basis) const { return amps_.at(basis); }
+    /** One amplitude, after flushing every pending operator. */
+    Complex amplitude(uint64_t basis);
 
-    /** Apply an arbitrary single-qubit unitary to qubit @p q. */
+    /**
+     * Apply a single-qubit unitary to qubit @p q: multiplied into its
+     * pending operator, unless the prefix is narrow (see the class).
+     * Diagonal iff both off-diagonal entries are zero.
+     *
+     * @pre @p u is unitary (norm() ignores pending operators).
+     */
     void apply1Q(const Matrix2 &u, QubitId q);
 
     /**
-     * Fast diagonal phase: multiply every |1>_q amplitude by
-     * e^{i phi} (physically identical to RZ(phi) on @p q).
+     * Diagonal phase: multiply every |1>_q amplitude by e^{i phi}
+     * (physically identical to RZ(phi) on @p q), held in @p q's pending
+     * operator like apply1Q.
      */
     void applyPhase(QubitId q, double phi);
 
@@ -99,28 +138,18 @@ class StateVector
     void applyCZ(QubitId a, QubitId b);
     void applySwap(QubitId a, QubitId b);
 
-    /** Apply any unitary Gate (dispatches on arity). */
+    /** Apply any unitary Gate (dispatches on arity); I, Barrier and
+     *  Delay do nothing. */
     void applyGate(const Gate &gate);
 
-    /**
-     * Apply a sequence of unitary gates, fusing each run of
-     * consecutive single-qubit gates on the same qubit into one 2x2
-     * matrix product before touching the state.  Equivalent to
-     * calling applyGate() per gate (to floating-point round-off),
-     * but sweeps the 2^n amplitudes once per run instead of once per
-     * gate.  Non-unitary gates other than I/Barrier/Delay (which are
-     * skipped) are rejected.
-     */
-    void applyFused(const std::vector<Gate> &gates);
-
     /** Probability of measuring the full-register basis state. */
-    double probability(uint64_t basis) const;
+    double probability(uint64_t basis);
 
     /** All 2^n basis probabilities. */
-    std::vector<double> probabilities() const;
+    std::vector<double> probabilities();
 
     /** Probability that qubit @p q reads 1. */
-    double populationOne(QubitId q) const;
+    double populationOne(QubitId q);
 
     /**
      * Projectively measure one qubit: samples the outcome with the
@@ -133,8 +162,9 @@ class StateVector
     /**
      * Measure qubit @p q for the last time and remove its bit from the
      * register (same Born rule and single draw as measureCollapse).  For
-     * q >= 1 every bit above q shifts down by one (retireBit() applies
-     * the same shift to a qubit -> bit table):
+     * q >= 1 every bit above q shifts down by one, its pending operator
+     * with it (retireBit() applies the same shift to a qubit -> bit
+     * table):
      *  - q inside the prefix: the outcome half's runs of 2^q amplitudes
      *    move down into the low half in ascending order, the vacated
      *    upper half is zeroed, the live width drops by one, and the
@@ -157,22 +187,75 @@ class StateVector
     void normalize();
 
   private:
+    /** What is known of a bit's pending operator. */
+    enum class Pending : uint8_t
+    {
+        None,
+        Diagonal,
+        General,
+    };
+
+    struct PendingOp
+    {
+        Matrix2 u;
+        Pending kind = Pending::None;
+    };
+
+    /**
+     * Widest live prefix at which an op on a bit inside it is swept at
+     * once.  At 6 qubits (64 amplitudes) the sweep costs about what
+     * holding the op costs, and QPEA-5 lives there (bench_shot_throughput
+     * records the rows on both sides).
+     */
+    static constexpr int kEagerLiveQubits = 6;
+
     /** Amplitudes in the live prefix. */
     uint64_t liveDim() const { return uint64_t{1} << live_; }
 
-    /** Widen the live prefix to include qubit @p q; call before an op
+    /** Widen the live prefix to include bit @p q; call before a sweep
      *  that can move amplitude onto @p q's |1> half. */
-    void cover(QubitId q)
+    void cover(QubitId q) { live_ = std::max(live_, q + 1); }
+
+    /** UsageError unless 0 <= q < numQubits(). */
+    void check(QubitId q) const
     {
-        if (q >= live_)
-            grow(q);
+        require(q >= 0 && q < numQubits_,
+                "qubit out of range for the state vector");
     }
 
-    void grow(QubitId q);
+    /** Whether an op on bit @p q is swept at once. */
+    bool eager(QubitId q) const
+    {
+        return live_ <= kEagerLiveQubits && q < live_;
+    }
+
+    /** Sweep bit @p q's pending operator, if any, and clear it. */
+    void flush(QubitId q)
+    {
+        if (pending_[static_cast<size_t>(q)].kind != Pending::None)
+            sweepPending(q);
+    }
+
+    /** flush() a bit that holds an operator. */
+    void sweepPending(QubitId q);
+
+    /** flush() only a general operator. */
+    void flushGeneral(QubitId q)
+    {
+        if (pending_[static_cast<size_t>(q)].kind == Pending::General)
+            flush(q);
+    }
+
+    /** flush() every bit, in ascending order. */
+    void flushAll();
+
+    /** Forget every pending operator. */
+    void dropPending();
 
     int numQubits_;
     int live_ = 1;
     std::vector<Complex> amps_;
+    std::vector<PendingOp> pending_; //!< one per bit
 };
 
 /**

@@ -3,8 +3,8 @@
  * Tests for the parallel shot-execution engine and its supporting
  * utilities: deterministic chunking and nested scheduling in
  * parallelFor, the flat open-addressing accumulator,
- * thread-count-invariant NoisyMachine output, and fused single-qubit
- * gate application.
+ * thread-count-invariant NoisyMachine output, and single-qubit runs
+ * fusing in the state vector's pending operators.
  */
 
 #include <gtest/gtest.h>
@@ -266,60 +266,20 @@ TEST(ParallelMachine, AutoThreadsMatchesSerial)
 
 // ------------------------------------------------------- fused 1Q gates
 
-TEST(FusedGates, MatchesGateByGateApplication)
-{
-    Rng rng(99);
-    const int n = 5;
-    std::vector<Gate> gates;
-    for (int i = 0; i < 200; i++) {
-        const auto q =
-            static_cast<QubitId>(rng.uniformInt(n));
-        switch (rng.uniformInt(8)) {
-          case 0: gates.emplace_back(GateType::H, std::vector<QubitId>{q}); break;
-          case 1: gates.emplace_back(GateType::T, std::vector<QubitId>{q}); break;
-          case 2: gates.emplace_back(GateType::SX, std::vector<QubitId>{q}); break;
-          case 3:
-            gates.emplace_back(GateType::RZ, std::vector<QubitId>{q},
-                               std::vector<double>{rng.uniform(0, 2 * kPi)});
-            break;
-          case 4:
-            gates.emplace_back(GateType::RY, std::vector<QubitId>{q},
-                               std::vector<double>{rng.uniform(0, kPi)});
-            break;
-          case 5: gates.emplace_back(GateType::X, std::vector<QubitId>{q}); break;
-          default: {
-            auto q2 = static_cast<QubitId>(rng.uniformInt(n));
-            if (q2 == q)
-                q2 = (q + 1) % n;
-            gates.emplace_back(GateType::CX,
-                               std::vector<QubitId>{q, q2});
-            break;
-          }
-        }
-    }
-
-    StateVector fused(n), reference(n);
-    fused.applyFused(gates);
-    for (const Gate &gate : gates)
-        reference.applyGate(gate);
-
-    for (uint64_t basis = 0; basis < fused.dim(); basis++) {
-        EXPECT_NEAR(std::abs(fused.amplitude(basis) -
-                             reference.amplitude(basis)),
-                    0.0, 1e-12);
-    }
-}
-
 TEST(FusedGates, SkipsStructuralGates)
 {
-    std::vector<Gate> gates;
-    gates.emplace_back(GateType::H, std::vector<QubitId>{0});
-    gates.emplace_back(GateType::Barrier, std::vector<QubitId>{});
-    gates.emplace_back(GateType::I, std::vector<QubitId>{0});
-    gates.emplace_back(GateType::H, std::vector<QubitId>{0});
-    StateVector s(1);
-    s.applyFused(gates);
-    // Barrier/I must not break the H·H = I fusion chain's semantics.
+    // H, Barrier, I, H gate by gate on a qubit above the live prefix:
+    // both H's fuse in the qubit's pending operator, and Barrier / I
+    // must not break the H·H = I product.
+    const std::vector<Gate> gates = {
+        {GateType::H, {7}},
+        {GateType::Barrier, {}},
+        {GateType::I, {7}},
+        {GateType::H, {7}},
+    };
+    StateVector s(8);
+    for (const Gate &gate : gates)
+        s.applyGate(gate);
+    EXPECT_EQ(s.liveQubits(), 1);
     EXPECT_NEAR(s.probability(0), 1.0, 1e-12);
 }
-

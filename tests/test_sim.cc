@@ -142,6 +142,31 @@ TEST(StateVec, RejectsOversizedRegisters)
     EXPECT_THROW(StateVector(40), UsageError);
 }
 
+TEST(StateVec, RejectsQubitsOutOfRange)
+{
+    // Every op that indexes the per-bit operator table checks its
+    // qubits, including the diagonal ones and the reads that would
+    // otherwise be silent no-ops, and qubits >= 64 that would shift a
+    // word out of range.
+    StateVector s(3);
+    Rng rng(1);
+    for (const QubitId q : {-1, 3, 64, 70}) {
+        EXPECT_THROW(s.apply1Q(gateMatrix(GateType::X), q), UsageError);
+        EXPECT_THROW(s.applyPhase(q, 0.5), UsageError);
+        EXPECT_THROW(s.applyDecayJump(q), UsageError);
+        EXPECT_THROW(s.applyCX(0, q), UsageError);
+        EXPECT_THROW(s.applyCX(q, 0), UsageError);
+        EXPECT_THROW(s.applyCZ(0, q), UsageError);
+        EXPECT_THROW(s.applyCZ(q, 0), UsageError);
+        EXPECT_THROW(s.applySwap(0, q), UsageError);
+        EXPECT_THROW(s.applySwap(q, 0), UsageError);
+        EXPECT_THROW(s.populationOne(q), UsageError);
+        EXPECT_THROW(s.measureCollapse(q, rng), UsageError);
+        EXPECT_THROW(s.measureRetire(q, rng), UsageError);
+    }
+    EXPECT_EQ(s.probability(0), 1.0);
+}
+
 // ------------------------------------------------ dense kernel bodies
 
 namespace
@@ -248,8 +273,10 @@ TEST(StateVec, LivePrefixMatchesFullWidth)
     // Seeded random op sequences whose qubits join in a random, late
     // order, replayed op for op on a second vector forced to full
     // width up front.  Sweeping only the live prefix must leave every
-    // amplitude equal and every reduction bit-equal, and the live
-    // width must track the highest bit a widening op touched.
+    // amplitude equal and every reduction bit-equal.  Each op is
+    // followed by amplitude reads, which flush every pending
+    // operator; in that flushed state the live width must track the
+    // highest bit a widening op touched.
     Rng rng(20261017);
     for (int n = 1; n <= 14; n++) {
         const uint64_t dim = uint64_t{1} << n;
@@ -349,12 +376,12 @@ TEST(StateVec, LivePrefixMatchesFullWidth)
                 break;
               }
             }
-            ASSERT_EQ(live.liveQubits(), expect_live)
-                << "n=" << n << " op " << op;
             for (uint64_t i = 0; i < dim; i++) {
                 ASSERT_EQ(live.amplitude(i), full.amplitude(i))
                     << "n=" << n << " op " << op << " index " << i;
             }
+            ASSERT_EQ(live.liveQubits(), expect_live)
+                << "n=" << n << " op " << op;
             ASSERT_TRUE(bitEqual(live.norm(), full.norm()))
                 << "norm, n=" << n << " op " << op;
         }
@@ -487,6 +514,283 @@ TEST(StateVec, FinalMeasurementMatchesCollapseInPlace)
             for (uint64_t i = 1; i < dim; i++)
                 ASSERT_EQ(retired.amplitude(i), Complex{}) << "index " << i;
         }
+    }
+}
+
+namespace
+{
+
+/**
+ * The eager reference for lazy operators: a plain full-width amplitude
+ * array on which every op is swept at once, through the scalar kernel
+ * bodies where one exists.
+ */
+struct EagerState
+{
+    std::vector<Complex> amps;
+    const detail::DenseKernels &k = detail::scalarKernels();
+
+    explicit EagerState(int n) : amps(size_t{1} << n) { amps[0] = 1.0; }
+
+    uint64_t dim() const { return amps.size(); }
+
+    void apply1Q(const Matrix2 &u, QubitId q)
+    {
+        k.apply1Q(amps.data(), dim(), u, q);
+    }
+
+    void
+    applyPhase(QubitId q, double phi)
+    {
+        k.applyPhase(amps.data(), dim(), q, std::exp(kImag * phi));
+    }
+
+    double
+    populationOne(QubitId q) const
+    {
+        return k.populationOne(amps.data(), dim(), q);
+    }
+
+    void
+    normalize()
+    {
+        k.scale(amps.data(), dim(),
+                1.0 / std::sqrt(k.normSquared(amps.data(), dim())));
+    }
+
+    /** Visit every index with bit @p a set and bit @p b clear. */
+    template <typename Fn>
+    void
+    forSetClear(QubitId a, QubitId b, Fn &&fn)
+    {
+        for (uint64_t i = 0; i < dim(); i++) {
+            if ((i >> a & 1) && !(i >> b & 1))
+                fn(i);
+        }
+    }
+
+    void
+    applyCX(QubitId c, QubitId t)
+    {
+        forSetClear(c, t, [&](uint64_t i) {
+            std::swap(amps[i], amps[i | uint64_t{1} << t]);
+        });
+    }
+
+    void
+    applyCZ(QubitId a, QubitId b)
+    {
+        for (uint64_t i = 0; i < dim(); i++) {
+            if ((i >> a & 1) && (i >> b & 1))
+                amps[i] = -amps[i];
+        }
+    }
+
+    void
+    applySwap(QubitId a, QubitId b)
+    {
+        const uint64_t flip = uint64_t{1} << a | uint64_t{1} << b;
+        forSetClear(a, b,
+                    [&](uint64_t i) { std::swap(amps[i], amps[i ^ flip]); });
+    }
+
+    void
+    applyDecayJump(QubitId q)
+    {
+        const uint64_t bit = uint64_t{1} << q;
+        for (uint64_t i = 0; i < dim(); i++) {
+            if (i & bit) {
+                amps[i & ~bit] = amps[i];
+                amps[i] = 0.0;
+            }
+        }
+        normalize();
+    }
+
+    void
+    collapse(QubitId q, bool outcome)
+    {
+        for (uint64_t i = 0; i < dim(); i++) {
+            if (((i >> q & 1) != 0) != outcome)
+                amps[i] = 0.0;
+        }
+        normalize();
+    }
+
+    /** Collapse bit @p q >= 1 and delete it: the bits above it shift
+     *  down, and the top bit is a fresh |0>. */
+    void
+    retire(QubitId q, bool outcome)
+    {
+        collapse(q, outcome);
+        const uint64_t bit = uint64_t{1} << q;
+        std::vector<Complex> out(dim());
+        for (uint64_t j = 0; j < dim() / 2; j++) {
+            const uint64_t low = j & (bit - 1);
+            out[j] = amps[(j - low) << 1 | (outcome ? bit : 0) | low];
+        }
+        amps = std::move(out);
+    }
+};
+
+/**
+ * Largest |lazy - phase * ref| over all amplitudes, with the global
+ * phase (which dropped diagonal operators may move) fitted at the
+ * reference's largest amplitude.  Flushes every pending operator.
+ */
+double
+maxDeviation(StateVector &lazy, const EagerState &ref)
+{
+    uint64_t top = 0;
+    for (uint64_t i = 0; i < ref.dim(); i++) {
+        if (std::abs(ref.amps[i]) > std::abs(ref.amps[top]))
+            top = i;
+    }
+    const Complex phase = lazy.amplitude(top) / ref.amps[top];
+    double dev = std::abs(std::abs(phase) - 1.0);
+    for (uint64_t i = 0; i < ref.dim(); i++)
+        dev = std::max(dev, std::abs(lazy.amplitude(i) - phase * ref.amps[i]));
+    return dev;
+}
+
+} // namespace
+
+TEST(StateVec, LazyOperatorsMatchEagerSweeps)
+{
+    // Seeded op sequences at n = 1..14, so the live prefix sits on both
+    // sides of the eager width, against EagerState.  Reads come only
+    // now and then, so single-qubit ops pile up in the pending
+    // operators: general and diagonal ones, carried through SWAPs,
+    // past CZ and CX controls, dropped by collapses, and shifted by
+    // retiring bits below them.  The top qubit never interacts: it
+    // takes DD trains (X, Y and idle phases) that must leave the live
+    // width alone.
+    Rng rng(20261019);
+    for (int n = 1; n <= 14; n++) {
+        StateVector lazy(n);
+        EagerState ref(n);
+        QubitId dd = n >= 2 ? n - 1 : -1; // shifts down as bits retire
+        auto train = [&] {
+            const int live = lazy.liveQubits();
+            for (int pulse = 0; pulse < 4; pulse++) {
+                const Matrix2 u =
+                    gateMatrix(pulse % 2 == 0 ? GateType::X : GateType::Y);
+                const double phi = rng.uniform(-0.1, 0.1);
+                lazy.apply1Q(u, dd);
+                ref.apply1Q(u, dd);
+                lazy.applyPhase(dd, phi);
+                ref.applyPhase(dd, phi);
+                ASSERT_EQ(lazy.liveQubits(), live) << "n=" << n;
+            }
+        };
+        auto retire = [&](QubitId q) {
+            const bool outcome = lazy.measureRetire(q, rng);
+            if (q == 0) {
+                ref.collapse(0, outcome);
+                return;
+            }
+            ref.retire(q, outcome);
+            if (q < dd)
+                dd--;
+        };
+
+        if (n >= 3) {
+            // A retire below the bit that holds a pending train.
+            const Matrix2 h = gateMatrix(GateType::H);
+            lazy.apply1Q(h, 1);
+            ref.apply1Q(h, 1);
+            lazy.applyCX(1, 0);
+            ref.applyCX(1, 0);
+            train();
+            retire(1);
+            ASSERT_EQ(dd, n - 2);
+            ASSERT_LT(maxDeviation(lazy, ref), 1e-12) << "n=" << n;
+        }
+
+        auto bitBesidesDd = [&](QubitId other) {
+            QubitId q;
+            do {
+                q = static_cast<QubitId>(
+                    rng.uniformInt(static_cast<uint64_t>(n)));
+            } while (q == dd || q == other);
+            return q;
+        };
+        // Bits other than dd: two-qubit ops need two of them.
+        const bool pairs = n - (dd >= 0 ? 1 : 0) >= 2;
+        for (int op = 0; op < 240; op++) {
+            const QubitId a = bitBesidesDd(-1);
+            switch (rng.uniformInt(12)) {
+              case 0: {
+                const Matrix2 u = randomUnitary(rng);
+                lazy.apply1Q(u, a);
+                ref.apply1Q(u, a);
+                break;
+              }
+              case 1: {
+                const Matrix2 u = rng.bernoulli(0.5)
+                                      ? gateMatrix(GateType::Z)
+                                      : gateMatrix(GateType::RZ,
+                                                   {rng.uniform(-kPi, kPi)});
+                lazy.apply1Q(u, a);
+                ref.apply1Q(u, a);
+                break;
+              }
+              case 2: {
+                const double phi = rng.uniform(-kPi, kPi);
+                lazy.applyPhase(a, phi);
+                ref.applyPhase(a, phi);
+                break;
+              }
+              case 3:
+                if (pairs) {
+                    const QubitId b = bitBesidesDd(a);
+                    lazy.applyCX(a, b);
+                    ref.applyCX(a, b);
+                }
+                break;
+              case 4:
+                if (pairs) {
+                    const QubitId b = bitBesidesDd(a);
+                    lazy.applyCZ(a, b);
+                    ref.applyCZ(a, b);
+                }
+                break;
+              case 5:
+                if (pairs) {
+                    const QubitId b = bitBesidesDd(a);
+                    lazy.applySwap(a, b);
+                    ref.applySwap(a, b);
+                }
+                break;
+              case 6:
+                if (ref.populationOne(a) > 1e-3) {
+                    lazy.applyDecayJump(a);
+                    ref.applyDecayJump(a);
+                }
+                break;
+              case 7:
+                ref.collapse(a, lazy.measureCollapse(a, rng));
+                break;
+              case 8:
+                retire(a);
+                break;
+              case 9:
+                if (dd >= 0)
+                    train();
+                break;
+              case 10:
+                ASSERT_NEAR(lazy.populationOne(a), ref.populationOne(a),
+                            1e-12)
+                    << "n=" << n << " op " << op << " q=" << a;
+                break;
+              default:
+                ASSERT_LT(maxDeviation(lazy, ref), 1e-12)
+                    << "n=" << n << " op " << op;
+                ASSERT_NEAR(lazy.norm(), 1.0, 1e-12);
+                break;
+            }
+        }
+        EXPECT_LT(maxDeviation(lazy, ref), 1e-12) << "n=" << n;
     }
 }
 
