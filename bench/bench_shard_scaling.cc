@@ -148,7 +148,7 @@ runExperiment()
     const auto t0 = std::chrono::steady_clock::now();
     std::thread job([&] {
         out = exec.runSharded(prepared, program.schedule, kShots,
-                              kSeed, ExecMode::Compiled, ctl);
+                              kSeed, ctl);
         done.store(true);
     });
 

@@ -5,7 +5,6 @@
 
 #include "common/logging.hh"
 #include "common/parallel.hh"
-#include "serve/shard_executor.hh"
 
 namespace adapt
 {
@@ -100,13 +99,11 @@ adaptSearch(const CompiledProgram &program, const NoisyMachine &machine,
             eval_index++;
         }
 
-        // DD insertion fans out across the pool; each variant is
-        // then prepared (plan lowering + shot-program compilation)
-        // inside its own run task — locally by runBatch, or in a
-        // worker process when a shard executor takes the variants as
-        // candidate leases — so only the variants in flight hold a
-        // compiled job.  Outputs land by combo index, so the parallel
-        // build changes nothing observable.
+        // DD insertion fans out across the pool; runBatch then
+        // prepares each variant (plan lowering + shot-program
+        // compilation) inside its own run task, so only the variants
+        // in flight hold a compiled job.  Outputs land by combo index,
+        // so the parallel build changes nothing observable.
         std::vector<ScheduledCircuit> variants(num_combos,
                                                ScheduledCircuit(0, 0));
         parallelFor(0, static_cast<int64_t>(num_combos),
@@ -120,15 +117,9 @@ adaptSearch(const CompiledProgram &program, const NoisyMachine &machine,
             }
         });
 
-        const bool sharded = options.sharder != nullptr &&
-                             options.sharder->available();
         const std::vector<Distribution> outputs =
-            sharded ? options.sharder->runShardedBatch(
-                          variants, options.decoyShots, seeds,
-                          options.backend)
-                    : machine.runBatch(variants, options.decoyShots,
-                                       seeds, options.threads,
-                                       options.backend);
+            machine.runBatch(variants, options.decoyShots, seeds,
+                             options.threads, options.backend);
 
         std::vector<double> fids(num_combos);
         for (uint32_t combo = 0; combo < num_combos; combo++) {

@@ -14,10 +14,11 @@
  * The 2^k candidates of a neighbourhood are independent given the
  * frozen bits, so each neighbourhood is submitted as one
  * NoisyMachine::runBatch job batch: the variants execute across the
- * thread pool while the sequential dependence between neighbourhoods
- * is preserved.  Per-candidate seeds follow the same derivation as
- * the historical serial loop, so masks and fidelities are
- * bit-identical at any thread count.
+ * process thread pool (the search never leaves the process) while
+ * the sequential dependence between neighbourhoods is preserved.
+ * Per-candidate seeds follow the same derivation as the historical
+ * serial loop, so masks and fidelities are bit-identical at any
+ * thread count.
  */
 
 #ifndef ADAPT_ADAPT_SEARCH_HH
@@ -30,11 +31,6 @@
 #include "dd/sequences.hh"
 #include "noise/machine.hh"
 #include "transpile/transpiler.hh"
-
-namespace adapt::serve
-{
-class ShardExecutor;
-} // namespace adapt::serve
 
 namespace adapt
 {
@@ -76,16 +72,6 @@ struct AdaptOptions
      * and falls back to dense otherwise.
      */
     BackendKind backend = BackendKind::Auto;
-
-    /**
-     * Optional multi-process shard executor for the candidate sweeps
-     * (serve/shard_executor.hh): each neighbourhood's 2^k variants
-     * become candidate leases executed across the worker pool, with
-     * crash/hang recovery.  nullptr (default) keeps the in-process
-     * runBatch path.  Masks and fidelities are bit-identical either
-     * way (same per-candidate seeds, exact histogram merge).
-     */
-    const serve::ShardExecutor *sharder = nullptr;
 };
 
 /** Search outcome. */

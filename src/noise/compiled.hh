@@ -486,8 +486,9 @@ struct FrameSkeleton
  * A compiled program with its device constants factored out: the
  * unit the ProgramCache shares across machines and drift cycles.
  * `plan` carries zeroed constants and empty crosstalk; `kind` is the
- * resolved backend; exactly one of `tables` / `frame` is set when
- * `compiled` (none on the per-shot interpreted stabilizer path).
+ * resolved backend.  A compiled skeleton sets `tables` (dense) or
+ * `frame` (frame-eligible stabilizer); neither is set on the per-shot
+ * interpreted paths.
  */
 struct ProgramSkeleton
 {
@@ -496,7 +497,6 @@ struct ProgramSkeleton
     std::optional<ShotTables> tables;
     std::optional<FrameSkeleton> frame;
     BackendKind kind = BackendKind::Auto;
-    bool compiled = false;
 };
 
 /**

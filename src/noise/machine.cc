@@ -333,13 +333,10 @@ buildProgramSkeleton(const ScheduledCircuit &sched,
     ProgramSkeleton skel = buildPlanSkeleton(sched, flags);
     skel.kind = resolveBackend(backend, skel.plan, flags);
     if (compile) {
-        if (skel.kind == BackendKind::Dense) {
+        if (skel.kind == BackendKind::Dense)
             skel.tables = buildShotTables(skel.plan);
-            skel.compiled = true;
-        } else if (frameEligible(skel.plan, flags)) {
+        else if (frameEligible(skel.plan, flags))
             skel.frame = buildFrameSkeleton(skel.plan, flags);
-            skel.compiled = true;
-        }
     }
     return skel;
 }
@@ -776,34 +773,34 @@ NoisyMachine::runPartial(const PreparedCircuit &prepared, int shots,
 }
 
 int64_t
-NoisyMachine::shardBlockShots(const PreparedCircuit &prepared,
-                              ExecMode mode) const
+NoisyMachine::shardBlockShots(const PreparedCircuit &prepared) const
 {
     require(prepared.valid(),
             "shardBlockShots on an empty PreparedCircuit");
-    return RunnerFactory(*prepared.impl_, mode, cal_, flags_)
+    return RunnerFactory(*prepared.impl_, ExecMode::Compiled, cal_,
+                         flags_)
         .blockShots();
 }
 
 int64_t
 NoisyMachine::shardBlockCount(const PreparedCircuit &prepared,
-                              int shots, ExecMode mode) const
+                              int shots) const
 {
     require(shots > 0, "shardBlockCount requires at least one shot");
-    const int64_t block = shardBlockShots(prepared, mode);
+    const int64_t block = shardBlockShots(prepared);
     return (static_cast<int64_t>(shots) + block - 1) / block;
 }
 
 std::vector<std::pair<uint64_t, uint64_t>>
 NoisyMachine::runShardRange(
     const PreparedCircuit &prepared, int shots, int64_t block_lo,
-    int64_t block_hi, uint64_t run_seed, ExecMode mode,
+    int64_t block_hi, uint64_t run_seed,
     const std::function<void(int64_t)> &progress) const
 {
     require(shots > 0, "runShardRange requires at least one shot");
     require(prepared.valid(),
             "runShardRange on an empty PreparedCircuit");
-    const int64_t blocks = shardBlockCount(prepared, shots, mode);
+    const int64_t blocks = shardBlockCount(prepared, shots);
     require(block_lo >= 0 && block_lo <= block_hi && block_hi <= blocks,
             "runShardRange block range out of bounds");
     if (block_lo == block_hi)
@@ -811,7 +808,8 @@ NoisyMachine::runShardRange(
     // Serial by design — the parallelism is the process fan-out — and
     // the same runners and per-block randomness as runPartial, so any
     // partition of the blocks reproduces run() bit for bit.
-    const RunnerFactory factory(*prepared.impl_, mode, cal_, flags_);
+    const RunnerFactory factory(*prepared.impl_, ExecMode::Compiled,
+                                cal_, flags_);
     const int64_t block = factory.blockShots();
     RunControl control;
     control.progress = progress;

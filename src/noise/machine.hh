@@ -321,22 +321,22 @@ class NoisyMachine
      * the batch frame path, kShotBlock otherwise — and every block's
      * randomness is forked from (run_seed, absolute block / shot
      * index) alone.  runShardRange executes one contiguous block
-     * subrange and returns its histogram as sorted (key, count)
-     * items; because blocks are independent, concatenating the item
-     * lists of any partition of [0, blockCount) and folding duplicate
-     * keys (mergeShardItems) reproduces run()'s output bit for bit —
-     * regardless of which process ran which range, in what order, or
-     * how many times a range was re-executed after a failure.
+     * subrange of the compiled job and returns its histogram as
+     * sorted (key, count) items; because blocks are independent,
+     * concatenating the item lists of any partition of
+     * [0, blockCount) and folding duplicate keys (mergeShardItems)
+     * reproduces run()'s output bit for bit — regardless of which
+     * process ran which range, in what order, or how many times a
+     * range was re-executed after a failure.
      * @{
      */
 
-    /** Shots per shard block for this prepared job under @p mode. */
-    int64_t shardBlockShots(const PreparedCircuit &prepared,
-                            ExecMode mode = ExecMode::Compiled) const;
+    /** Shots per shard block for this prepared job. */
+    int64_t shardBlockShots(const PreparedCircuit &prepared) const;
 
     /** Number of shard blocks covering @p shots. */
-    int64_t shardBlockCount(const PreparedCircuit &prepared, int shots,
-                            ExecMode mode = ExecMode::Compiled) const;
+    int64_t shardBlockCount(const PreparedCircuit &prepared,
+                            int shots) const;
 
     /**
      * Execute blocks [block_lo, block_hi) of a @p shots-shot job
@@ -352,7 +352,6 @@ class NoisyMachine
     runShardRange(const PreparedCircuit &prepared, int shots,
                   int64_t block_lo, int64_t block_hi,
                   uint64_t run_seed = 1,
-                  ExecMode mode = ExecMode::Compiled,
                   const std::function<void(int64_t)> &progress = {}) const;
 
     /** @} */

@@ -251,12 +251,11 @@ struct JobServer::Impl
                 RunOutcome out =
                     sharded ? sharder->runSharded(
                                   job.spec.prepared, *job.spec.sched,
-                                  job.spec.shots, job.spec.seed,
-                                  job.spec.mode, ctl)
+                                  job.spec.shots, job.spec.seed, ctl)
                             : machine.runPartial(
                                   job.spec.prepared, job.spec.shots,
                                   job.spec.seed, opts.threadsPerJob,
-                                  ctl, job.spec.mode);
+                                  ctl);
                 job.outcome = std::move(out);
                 if (!job.outcome.partial) {
                     job.pendState = JobState::Done;

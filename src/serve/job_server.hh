@@ -75,13 +75,13 @@ enum class JobState : uint8_t
     Failed,    //!< retries exhausted or non-retryable error
 };
 
-/** One unit of work: a prepared circuit plus execution knobs. */
+/** One unit of work: a prepared circuit plus execution knobs.  Jobs
+ *  run compiled, in-process or sharded. */
 struct JobSpec
 {
     PreparedCircuit prepared;
     int shots = 0;
     uint64_t seed = 1;
-    ExecMode mode = ExecMode::Compiled;
 
     /** End-to-end deadline measured from submission; 0 = use the
      *  server default (which may itself be "none"). */

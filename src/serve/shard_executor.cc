@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <cstring>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -115,15 +114,14 @@ struct PendingEvent
     std::string error;
 };
 
-/** One unit of reassignable work. */
+/** One unit of reassignable work: blocks [blockLo, blockHi) of the
+ *  job.  Its index in ShardJob::leases is its wire ordinal and fault
+ *  key. */
 struct LeaseWork
 {
-    uint64_t jobKey = 0;
-    uint64_t ordinal = 0; //!< fault key: lease index within its job
     int64_t blockLo = 0;
-    int64_t blockHi = 0; //!< -1 = every block of the job
+    int64_t blockHi = 0;
     int64_t leaseShots = 0;
-    std::shared_ptr<const std::vector<uint8_t>> submit;
 
     enum State
     {
@@ -134,9 +132,23 @@ struct LeaseWork
     State state = Pending;
     uint32_t attempts = 0; //!< grants so far (wire attempt = attempts-1)
     Items items;
+};
 
-    /** Bit-identical in-process execution (quarantine/degrade). */
-    std::function<Items()> fallback;
+/** The one job a lease table serves: what its leases share, and the
+ *  contiguous prefix of completed leases. */
+struct ShardJob
+{
+    uint64_t key = 0;
+    std::vector<uint8_t> submit; //!< SUBMIT payload replicating the job
+
+    /** In-process execution inputs (quarantine/degrade). */
+    PreparedCircuit prepared;
+    int shots = 0;
+    uint64_t seed = 1;
+
+    std::vector<LeaseWork> leases;
+    size_t prefix = 0;       //!< leases [0, prefix) are Done
+    int64_t prefixShots = 0; //!< shots those leases cover
 };
 
 } // namespace
@@ -319,12 +331,11 @@ struct ShardExecutor::Impl
     }
 
     /** Put a running worker's lease back on the pending list. */
-    void releaseLeaseLocked(WorkerProc &w,
-                            std::vector<LeaseWork> &leases)
+    void releaseLeaseLocked(WorkerProc &w, ShardJob &job)
     {
         if (w.leaseIndex < 0)
             return;
-        LeaseWork &lease = leases[static_cast<size_t>(w.leaseIndex)];
+        LeaseWork &lease = job.leases[static_cast<size_t>(w.leaseIndex)];
         if (lease.state == LeaseWork::Running) {
             lease.state = LeaseWork::Pending;
             ++stats.leasesReassigned;
@@ -335,17 +346,18 @@ struct ShardExecutor::Impl
     /** Send SUBMIT (if this worker doesn't hold the job yet) and the
      *  LEASE.  Returns false when the write fails — the caller
      *  retires the worker. */
-    bool grantLease(WorkerProc &w, LeaseWork &lease)
+    bool grantLease(WorkerProc &w, const ShardJob &job, int index)
     {
+        const LeaseWork &lease = job.leases[static_cast<size_t>(index)];
         try {
-            if (w.submittedJobKey != lease.jobKey) {
+            if (w.submittedJobKey != job.key) {
                 wire::writeFrame(w.fd, wire::FrameType::Submit,
-                                 *lease.submit);
-                w.submittedJobKey = lease.jobKey;
+                                 job.submit);
+                w.submittedJobKey = job.key;
             }
             wire::LeaseMsg msg;
-            msg.jobKey = lease.jobKey;
-            msg.lease = lease.ordinal;
+            msg.jobKey = job.key;
+            msg.lease = static_cast<uint64_t>(index);
             msg.attempt = lease.attempts - 1;
             msg.blockLo = lease.blockLo;
             msg.blockHi = lease.blockHi;
@@ -358,30 +370,49 @@ struct ShardExecutor::Impl
     }
 
     /**
-     * Drive @p leases to completion (the orchestrator loop: drain
-     * events, watch heartbeats, quarantine repeat offenders, respawn
-     * and grant).  Runs on the caller's thread; returns false when
-     * @p control stopped the job first (completed leases keep their
-     * items).  @p onLeaseDone fires — with the lock dropped — after
-     * each newly completed lease.
+     * Drive @p job's leases to completion (the orchestrator loop:
+     * drain events, watch heartbeats, quarantine repeat offenders,
+     * respawn and grant).  Runs on the caller's thread; returns false
+     * when @p control stopped the job first (completed leases keep
+     * their items).  control.progress fires — with the lock dropped —
+     * whenever the completed-lease prefix grows, with the shots it
+     * covers, so a stopped job's histogram is exactly an uninterrupted
+     * run's first shotsDone shots.
      */
-    bool runLeases(std::vector<LeaseWork> &leases,
-                   const RunControl &control,
-                   const std::function<void()> &onLeaseDone)
+    bool runLeases(ShardJob &job, const RunControl &control)
     {
+        std::vector<LeaseWork> &leases = job.leases;
         std::unique_lock<std::mutex> lock(mutex);
         ++stats.jobsSharded;
         bool degraded = false;
         size_t done = 0;
+        // Leases are only mutated by this (the orchestrating) thread,
+        // so the prefix needs no lock.
         const auto finishLease = [&](LeaseWork &lease, Items items) {
             lease.items = std::move(items);
             lease.state = LeaseWork::Done;
             ++done;
-            if (onLeaseDone) {
+            const size_t before = job.prefix;
+            while (job.prefix < leases.size() &&
+                   leases[job.prefix].state == LeaseWork::Done) {
+                job.prefixShots += leases[job.prefix].leaseShots;
+                ++job.prefix;
+            }
+            if (job.prefix != before && control.progress) {
                 lock.unlock();
-                onLeaseDone();
+                control.progress(job.prefixShots);
                 lock.lock();
             }
+        };
+        // Bit-identical in-process execution (quarantine/degrade).
+        const auto runInProcess = [&](LeaseWork &lease) {
+            lock.unlock();
+            Items items =
+                machine.runShardRange(job.prepared, job.shots,
+                                      lease.blockLo, lease.blockHi,
+                                      job.seed);
+            lock.lock();
+            finishLease(lease, std::move(items));
         };
 
         while (done < leases.size()) {
@@ -409,14 +440,14 @@ struct ShardExecutor::Impl
                     w->lastBeat = Clock::now();
                     w->sawFrame = true;
                     try {
-                        handleFrameLocked(*w, ev.frame, leases,
+                        handleFrameLocked(*w, ev.frame, job,
                                           finishLease);
                     } catch (const wire::WireError &) {
                         // Undecodable payload: same trust loss as a
                         // CRC failure.
                         ++stats.corruptFrames;
                         recordDetectionLocked(*w);
-                        releaseLeaseLocked(*w, leases);
+                        releaseLeaseLocked(*w, job);
                         retireWorker(lock, w->ordinal, true);
                     }
                     continue;
@@ -433,7 +464,7 @@ struct ShardExecutor::Impl
                     ++stats.workersCrashed;
                 }
                 recordDetectionLocked(*w);
-                releaseLeaseLocked(*w, leases);
+                releaseLeaseLocked(*w, job);
                 retireWorker(lock, w->ordinal,
                              ev.kind == PendingEvent::Corrupt);
             }
@@ -453,7 +484,7 @@ struct ShardExecutor::Impl
                     continue;
                 ++stats.workersStalled;
                 recordDetectionLocked(*w);
-                releaseLeaseLocked(*w, leases);
+                releaseLeaseLocked(*w, job);
                 retireWorker(lock, static_cast<int>(i), true);
             }
 
@@ -467,10 +498,7 @@ struct ShardExecutor::Impl
                     continue;
                 ++stats.leasesQuarantined;
                 degraded = true;
-                lock.unlock();
-                Items items = lease.fallback();
-                lock.lock();
-                finishLease(lease, std::move(items));
+                runInProcess(lease);
             }
 
             // 4. Keep the pool at strength while work remains.
@@ -506,10 +534,7 @@ struct ShardExecutor::Impl
                         if (lease.state != LeaseWork::Pending)
                             continue;
                         ++stats.leasesInProcess;
-                        lock.unlock();
-                        Items items = lease.fallback();
-                        lock.lock();
-                        finishLease(lease, std::move(items));
+                        runInProcess(lease);
                     }
                     continue;
                 }
@@ -538,10 +563,10 @@ struct ShardExecutor::Impl
                 w->leaseIndex = next;
                 w->lastBeat = Clock::now();
                 ++stats.leasesGranted;
-                if (!grantLease(*w, lease)) {
+                if (!grantLease(*w, job, next)) {
                     // The pipe is dead; the reader's EOF event will
                     // retire the worker — put the lease back now.
-                    releaseLeaseLocked(*w, leases);
+                    releaseLeaseLocked(*w, job);
                 }
             }
 
@@ -558,11 +583,10 @@ struct ShardExecutor::Impl
         return true;
     }
 
-    /** Dispatch one worker frame against the lease table. */
+    /** Dispatch one worker frame against the job's lease table. */
     template <typename FinishFn>
     void handleFrameLocked(WorkerProc &w, const wire::Frame &frame,
-                           std::vector<LeaseWork> &leases,
-                           const FinishFn &finishLease)
+                           ShardJob &job, const FinishFn &finishLease)
     {
         switch (frame.type) {
           case wire::FrameType::Heartbeat:
@@ -580,9 +604,9 @@ struct ShardExecutor::Impl
             if (w.leaseIndex < 0)
                 break; // orphaned lease from a cancelled job
             LeaseWork &lease =
-                leases[static_cast<size_t>(w.leaseIndex)];
-            if (lease.jobKey != msg.jobKey ||
-                lease.ordinal != msg.lease ||
+                job.leases[static_cast<size_t>(w.leaseIndex)];
+            if (msg.jobKey != job.key ||
+                msg.lease != static_cast<uint64_t>(w.leaseIndex) ||
                 lease.attempts - 1 != msg.attempt) {
                 break; // stale attempt (already reassigned)
             }
@@ -593,16 +617,12 @@ struct ShardExecutor::Impl
           }
           case wire::FrameType::Error: {
             const wire::ErrorMsg msg = wire::decodeError(frame.payload);
-            if (w.leaseIndex < 0)
-                break;
-            LeaseWork &lease =
-                leases[static_cast<size_t>(w.leaseIndex)];
-            if (lease.jobKey != msg.jobKey ||
-                lease.ordinal != msg.lease)
+            if (w.leaseIndex < 0 || msg.jobKey != job.key ||
+                msg.lease != static_cast<uint64_t>(w.leaseIndex))
                 break;
             // A clean failure report: the worker survives, the lease
             // goes back on the queue (or into quarantine).
-            releaseLeaseLocked(w, leases);
+            releaseLeaseLocked(w, job);
             break;
           }
           default:
@@ -612,25 +632,21 @@ struct ShardExecutor::Impl
         }
     }
 
-    /** Encode the SUBMIT payload replicating one job on a worker. */
-    std::shared_ptr<const std::vector<uint8_t>>
-    encodeJobSubmit(uint64_t jobKey, const ScheduledCircuit &sched,
-                    int shots, uint64_t seed, BackendKind backend,
-                    ExecMode mode)
+    /** Encode the SUBMIT payload replicating @p job on a worker. */
+    std::vector<uint8_t> encodeJobSubmit(const ShardJob &job,
+                                         const ScheduledCircuit &sched)
     {
         wire::SubmitMsg msg;
-        msg.jobKey = jobKey;
+        msg.jobKey = job.key;
         msg.runcard = runcardText(machine.device());
         msg.cycle = machine.calibration().cycle;
         msg.flags = machine.flags();
-        msg.backend = static_cast<uint8_t>(backend);
-        msg.mode = static_cast<uint8_t>(mode);
-        msg.shots = shots;
-        msg.seed = seed;
+        msg.backend = static_cast<uint8_t>(job.prepared.backend());
+        msg.shots = job.shots;
+        msg.seed = job.seed;
         msg.sched = sched;
         msg.faults = FaultInjector::global().config();
-        return std::make_shared<const std::vector<uint8_t>>(
-            wire::encodeSubmit(msg));
+        return wire::encodeSubmit(msg);
     }
 
     void shutdownPool()
@@ -689,156 +705,55 @@ ShardExecutor::workerPids() const
 RunOutcome
 ShardExecutor::runSharded(const PreparedCircuit &prepared,
                           const ScheduledCircuit &sched, int shots,
-                          uint64_t seed, ExecMode mode,
-                          const RunControl &control) const
+                          uint64_t seed, const RunControl &control) const
 {
     require(shots > 0, "runSharded requires at least one shot");
     Impl &impl = *impl_;
     if (!impl.available()) {
         return impl.machine.runPartial(prepared, shots, seed,
-                                       /*threads=*/0, control, mode);
+                                       /*threads=*/0, control);
     }
     std::lock_guard<std::mutex> jobLock(impl.jobMutex);
 
-    const int64_t block_shots =
-        impl.machine.shardBlockShots(prepared, mode);
-    const int64_t blocks =
-        impl.machine.shardBlockCount(prepared, shots, mode);
-    uint64_t jobKey;
+    ShardJob job;
     {
         std::lock_guard<std::mutex> lock(impl.mutex);
-        jobKey = impl.nextJobKey++;
+        job.key = impl.nextJobKey++;
     }
-    const auto submit = impl.encodeJobSubmit(
-        jobKey, sched, shots, seed, prepared.backend(), mode);
-
-    std::vector<LeaseWork> leases;
-    const NoisyMachine &machine = impl.machine;
+    job.prepared = prepared;
+    job.shots = shots;
+    job.seed = seed;
+    job.submit = impl.encodeJobSubmit(job, sched);
+    const int64_t block_shots = impl.machine.shardBlockShots(prepared);
+    const int64_t blocks = impl.machine.shardBlockCount(prepared, shots);
     for (int64_t lo = 0; lo < blocks; lo += impl.opts.leaseBlocks) {
-        const int64_t hi =
-            std::min<int64_t>(lo + impl.opts.leaseBlocks, blocks);
         LeaseWork lease;
-        lease.jobKey = jobKey;
-        lease.ordinal = static_cast<uint64_t>(leases.size());
         lease.blockLo = lo;
-        lease.blockHi = hi;
+        lease.blockHi =
+            std::min<int64_t>(lo + impl.opts.leaseBlocks, blocks);
         lease.leaseShots =
-            std::min<int64_t>(hi * block_shots,
+            std::min<int64_t>(lease.blockHi * block_shots,
                               static_cast<int64_t>(shots)) -
             lo * block_shots;
-        lease.submit = submit;
-        lease.fallback = [&machine, &prepared, shots, lo, hi, seed,
-                          mode] {
-            return machine.runShardRange(prepared, shots, lo, hi, seed,
-                                         mode);
-        };
-        leases.push_back(std::move(lease));
+        job.leases.push_back(std::move(lease));
     }
 
-    // Progress contract: report the contiguous completed-lease
-    // prefix, so a cancelled job's histogram is exactly the
-    // uninterrupted run's first shotsDone shots.
-    int64_t prefix_shots = 0;
-    size_t prefix = 0;
-    const auto onLeaseDone = [&] {
-        // Called with impl.mutex dropped; leases are only mutated by
-        // this (the orchestrating) thread, so reading them is safe.
-        bool advanced = false;
-        while (prefix < leases.size() &&
-               leases[prefix].state == LeaseWork::Done) {
-            prefix_shots += leases[prefix].leaseShots;
-            ++prefix;
-            advanced = true;
-        }
-        if (advanced && control.progress)
-            control.progress(prefix_shots);
-    };
+    const bool completed = impl.runLeases(job, control);
 
-    const bool completed =
-        impl.runLeases(leases, control, onLeaseDone);
-
+    // The completed-lease prefix is every lease of a completed job,
+    // and the leases [0, k) that completed contiguously of a stopped
+    // one.
+    Items items;
+    for (size_t i = 0; i < job.prefix; ++i) {
+        items.insert(items.end(), job.leases[i].items.begin(),
+                     job.leases[i].items.end());
+    }
     RunOutcome out;
-    if (completed) {
-        Items all;
-        for (LeaseWork &lease : leases) {
-            all.insert(all.end(), lease.items.begin(),
-                       lease.items.end());
-        }
-        out.dist = mergeShardItems(std::move(all));
-        out.shotsDone = shots;
-        out.partial = false;
-        return out;
-    }
-    Items prefixItems;
-    for (size_t i = 0; i < prefix; ++i) {
-        prefixItems.insert(prefixItems.end(), leases[i].items.begin(),
-                           leases[i].items.end());
-    }
-    out.dist = mergeShardItems(std::move(prefixItems));
-    out.shotsDone = prefix_shots;
-    out.partial = true;
-    out.cause = control.token.cause();
-    return out;
-}
-
-std::vector<Distribution>
-ShardExecutor::runShardedBatch(std::span<const ScheduledCircuit> jobs,
-                               int shots,
-                               std::span<const uint64_t> seeds,
-                               BackendKind backend,
-                               ExecMode mode) const
-{
-    require(jobs.size() == seeds.size(),
-            "runShardedBatch requires one seed per job");
-    require(jobs.empty() || shots > 0,
-            "runShardedBatch requires at least one shot");
-    Impl &impl = *impl_;
-    if (jobs.empty())
-        return {};
-    if (!impl.available()) {
-        return impl.machine.runBatch(jobs, shots, seeds, /*threads=*/0,
-                                     backend, mode);
-    }
-    std::lock_guard<std::mutex> jobLock(impl.jobMutex);
-
-    // One candidate lease per circuit: the lease covers every block
-    // of its own job (blockHi = -1), and the fault-site key is the
-    // candidate index — stable at any pool size.
-    std::vector<LeaseWork> leases;
-    const NoisyMachine &machine = impl.machine;
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        uint64_t jobKey;
-        {
-            std::lock_guard<std::mutex> lock(impl.mutex);
-            jobKey = impl.nextJobKey++;
-        }
-        LeaseWork lease;
-        lease.jobKey = jobKey;
-        lease.ordinal = static_cast<uint64_t>(i);
-        lease.blockLo = 0;
-        lease.blockHi = -1;
-        lease.leaseShots = shots;
-        lease.submit = impl.encodeJobSubmit(jobKey, jobs[i], shots,
-                                            seeds[i], backend, mode);
-        const ScheduledCircuit *sched = &jobs[i];
-        const uint64_t seed = seeds[i];
-        lease.fallback = [&machine, sched, shots, seed, backend,
-                          mode] {
-            const PreparedCircuit prepared =
-                machine.prepare(*sched, backend);
-            return machine.runShardRange(
-                prepared, shots, 0,
-                machine.shardBlockCount(prepared, shots, mode), seed,
-                mode);
-        };
-        leases.push_back(std::move(lease));
-    }
-
-    impl.runLeases(leases, RunControl{}, nullptr);
-
-    std::vector<Distribution> out(jobs.size());
-    for (size_t i = 0; i < jobs.size(); ++i)
-        out[i] = mergeShardItems(std::move(leases[i].items));
+    out.dist = mergeShardItems(std::move(items));
+    out.shotsDone = job.prefixShots;
+    out.partial = !completed;
+    if (!completed)
+        out.cause = control.token.cause();
     return out;
 }
 

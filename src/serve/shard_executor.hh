@@ -2,21 +2,16 @@
  * @file
  * Supervised multi-process shard executor.
  *
- * The determinism contract makes distribution safe — a shot block or
- * a search candidate evaluates bit-identically anywhere — and this
- * layer makes it *robust*: a supervisor fork/execs a pool of worker
- * processes (the `adapt_shard_worker` binary), shards work into
- * leases, and speaks the serve/wire.hh frame protocol with each
- * worker over a socketpair.  Two lease shapes exist:
- *
- *  - **shot-block leases** (runSharded): a large-shot job's block
- *    range [0, blockCount) — kFrameLanes-sized blocks on the batch
- *    frame path, kShotBlock elsewhere — is cut into runs of
- *    `leaseBlocks` consecutive blocks, each executed by
- *    NoisyMachine::runShardRange on some worker;
- *  - **candidate leases** (runShardedBatch): each circuit of an
- *    independent batch — adaptSearch's 2^k mask variants — is one
- *    lease executing all of its own blocks.
+ * The determinism contract makes distribution safe — a shot block
+ * evaluates bit-identically anywhere — and this layer makes it
+ * *robust*: a supervisor fork/execs a pool of worker processes (the
+ * `adapt_shard_worker` binary), shards one job at a time into leases,
+ * and speaks the serve/wire.hh frame protocol with each worker over a
+ * socketpair.  A job's compiled block range [0, blockCount) —
+ * kFrameLanes-sized blocks on the batch frame path, kShotBlock
+ * elsewhere — is cut into leases of `leaseBlocks` consecutive blocks.
+ * A worker rebuilds the job once from its SUBMIT and executes each
+ * lease it is granted with NoisyMachine::runShardRange.
  *
  * Every lease carries (job seed, absolute block range), so executing
  * it twice — or on a different worker, or in-process — produces the
@@ -60,7 +55,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -111,7 +105,7 @@ struct ShardOptions
 /** Recovery metrics (monotonic since construction). */
 struct ShardStats
 {
-    uint64_t jobsSharded = 0;   //!< runSharded / batch calls served
+    uint64_t jobsSharded = 0;   //!< runSharded calls served
     uint64_t jobsDegraded = 0;  //!< completed partly/fully in-process
 
     uint64_t leasesGranted = 0;
@@ -143,10 +137,10 @@ struct ShardStats
 };
 
 /**
- * The supervisor.  One executor owns one worker pool; runSharded and
- * runShardedBatch are thread-safe but serialize internally (one
- * sharded job in flight — the JobServer's dispatcher threads contend
- * here only when sharding is enabled).  Workers are spawned on first
+ * The supervisor.  One executor owns one worker pool; runSharded is
+ * thread-safe but serializes internally (one sharded job in flight —
+ * the JobServer's dispatcher threads contend here only when sharding
+ * is enabled).  Workers are spawned on first
  * use and persist across jobs; the destructor shuts them down.
  */
 class ShardExecutor
@@ -187,20 +181,7 @@ class ShardExecutor
     RunOutcome runSharded(const PreparedCircuit &prepared,
                           const ScheduledCircuit &sched, int shots,
                           uint64_t seed,
-                          ExecMode mode = ExecMode::Compiled,
                           const RunControl &control = {}) const;
-
-    /**
-     * Execute an independent batch — one candidate lease per circuit
-     * — and return one distribution per job, bit-identical to
-     * machine.runBatch(jobs, shots, seeds) for any pool size and
-     * failure pattern.
-     */
-    std::vector<Distribution>
-    runShardedBatch(std::span<const ScheduledCircuit> jobs, int shots,
-                    std::span<const uint64_t> seeds,
-                    BackendKind backend = BackendKind::Auto,
-                    ExecMode mode = ExecMode::Compiled) const;
 
     ShardStats stats() const;
 

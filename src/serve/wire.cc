@@ -337,7 +337,6 @@ encodeSubmit(const SubmitMsg &msg)
     w.i32(msg.cycle);
     w.u32(packNoiseFlags(msg.flags));
     w.u8(msg.backend);
-    w.u8(msg.mode);
     w.i32(msg.shots);
     w.u64(msg.seed);
     encodeScheduledCircuit(w, msg.sched);
@@ -355,7 +354,8 @@ decodeSubmit(const std::vector<uint8_t> &payload)
     msg.cycle = r.i32();
     msg.flags = unpackNoiseFlags(r.u32());
     msg.backend = r.u8();
-    msg.mode = r.u8();
+    if (msg.backend > static_cast<uint8_t>(BackendKind::Stabilizer))
+        throw WireError("wire: unknown backend kind");
     msg.shots = r.i32();
     msg.seed = r.u64();
     msg.sched = decodeScheduledCircuit(r);
@@ -389,6 +389,8 @@ decodeLease(const std::vector<uint8_t> &payload)
     msg.blockHi = r.i64();
     if (!r.done())
         throw WireError("wire: trailing bytes after LEASE");
+    if (msg.blockLo < 0 || msg.blockHi < msg.blockLo)
+        throw WireError("wire: LEASE block range out of order");
     return msg;
 }
 

@@ -9,7 +9,7 @@
  *
  *     offset  size  field
  *     0       4     magic   "ASX1" (0x31585341 little-endian)
- *     4       1     version kWireVersion (1)
+ *     4       1     version kWireVersion (2)
  *     5       1     type    FrameType
  *     6       2     reserved (0)
  *     8       4     payload length (bytes, <= kMaxPayload)
@@ -33,8 +33,9 @@
  *     SUBMIT    coord -> worker  job description: device runcard,
  *                                calibration cycle, noise flags,
  *                                scheduled circuit, shots, seed,
- *                                backend/mode, fault schedule
- *     LEASE     coord -> worker  execute blocks [lo, hi) of a job
+ *                                backend, fault schedule
+ *     LEASE     coord -> worker  execute compiled blocks [lo, hi) of
+ *                                the job
  *     PARTIAL   worker -> coord  progress inside a lease (doubles as
  *                                the in-lease heartbeat)
  *     RESULT    worker -> coord  a lease's (outcome key, count) items
@@ -65,7 +66,7 @@ namespace adapt::serve::wire
 {
 
 constexpr uint32_t kMagic = 0x31585341u; // "ASX1"
-constexpr uint8_t kWireVersion = 1;
+constexpr uint8_t kWireVersion = 2;
 constexpr size_t kHeaderBytes = 16;
 
 /** Upper bound on one payload (a RESULT over a 2^26-support
@@ -270,21 +271,23 @@ FaultConfig decodeFaultConfig(Reader &r);
 /** Job description a worker can rebuild bit-identically: the device
  *  travels as canonical runcard text (exact 17-digit round trip), the
  *  executable as a binary ScheduledCircuit, and the fault schedule so
- *  worker-side injection replays the coordinator's configuration. */
+ *  worker-side injection replays the coordinator's configuration.
+ *  The worker prepares the job compiled, the one way leases run. */
 struct SubmitMsg
 {
     uint64_t jobKey = 0;
     std::string runcard;
     int32_t cycle = 0;
     NoiseFlags flags;
-    uint8_t backend = 0; //!< BackendKind
-    uint8_t mode = 0;    //!< ExecMode
+    uint8_t backend = 0; //!< BackendKind; decode rejects > Stabilizer
     int32_t shots = 0;   //!< total shots of the full job
     uint64_t seed = 1;
     ScheduledCircuit sched{0, 0};
     FaultConfig faults;
 };
 
+/** Blocks [blockLo, blockHi) of the job; decode rejects a range
+ *  with blockLo < 0 or blockHi < blockLo. */
 struct LeaseMsg
 {
     uint64_t jobKey = 0;

@@ -5,12 +5,12 @@
  * Spawned by serve/shard_executor.cc with one end of a socketpair on
  * the fd named by `--fd=N`.  The worker holds exactly ONE current
  * job: SUBMIT replaces it (parse runcard → NoisyMachine → prepare),
- * LEASE executes a block range of it via runShardRange — emitting a
- * PARTIAL per committed block, which doubles as the heartbeat — and
- * answers with a RESULT carrying the range's sorted (key, count)
- * items.  Determinism does all the heavy lifting: the items depend
- * only on (job seed, absolute block range), so the coordinator can
- * re-execute a lost lease anywhere, bit-identically.
+ * LEASE executes a compiled block range of it via runShardRange —
+ * emitting a PARTIAL per committed block, which doubles as the
+ * heartbeat — and answers with a RESULT carrying the range's sorted
+ * (key, count) items.  Determinism does all the heavy lifting: the
+ * items depend only on (job seed, absolute block range), so the
+ * coordinator can re-execute a lost lease anywhere, bit-identically.
  *
  * The coordinator ships its FaultConfig inside every SUBMIT, and the
  * worker evaluates the process-level fault sites itself, keyed by
@@ -63,7 +63,6 @@ struct CurrentJob
     PreparedCircuit prepared;
     int shots = 0;
     uint64_t seed = 1;
-    ExecMode mode = ExecMode::Compiled;
 
     void clear()
     {
@@ -111,6 +110,7 @@ handleSubmit(int fd, int worker, CurrentJob &job, wire::SubmitMsg msg)
             parseRuncard(msg.runcard, "<submit>"));
         job.machine = std::make_unique<NoisyMachine>(
             *job.device, msg.cycle, msg.flags);
+        // decodeSubmit rejected backend bytes past Stabilizer.
         job.prepared = job.machine->prepare(
             msg.sched, static_cast<BackendKind>(msg.backend));
     } catch (const std::exception &e) {
@@ -125,7 +125,6 @@ handleSubmit(int fd, int worker, CurrentJob &job, wire::SubmitMsg msg)
     job.jobKey = msg.jobKey;
     job.shots = msg.shots;
     job.seed = msg.seed;
-    job.mode = static_cast<ExecMode>(msg.mode);
     // Prepare can be the slow part of a lease; refresh liveness once
     // it lands so the watchdog clock restarts before execution.
     sendHeartbeat(fd, worker);
@@ -141,12 +140,10 @@ handleLease(int fd, CurrentJob &job, const wire::LeaseMsg &msg)
     }
     FaultInjector &faults = FaultInjector::global();
     const uint64_t key = faultKey(msg.lease, msg.attempt);
-    const int64_t blocks =
-        job.machine->shardBlockCount(job.prepared, job.shots, job.mode);
     const int64_t block_shots =
-        job.machine->shardBlockShots(job.prepared, job.mode);
+        job.machine->shardBlockShots(job.prepared);
     const int64_t lo = msg.blockLo;
-    const int64_t hi = msg.blockHi < 0 ? blocks : msg.blockHi;
+    const int64_t hi = msg.blockHi;
 
     if (faults.fires(FaultSite::LeaseStall, key)) {
         // Hang, silently: no PARTIALs while asleep, so a stall longer
@@ -164,7 +161,7 @@ handleLease(int fd, CurrentJob &job, const wire::LeaseMsg &msg)
         // this is an induced crash, not a clean shutdown.
         const int64_t first_hi = std::min<int64_t>(lo + 1, hi);
         job.machine->runShardRange(job.prepared, job.shots, lo,
-                                   first_hi, job.seed, job.mode);
+                                   first_hi, job.seed);
         wire::PartialMsg part;
         part.jobKey = msg.jobKey;
         part.lease = msg.lease;
@@ -179,7 +176,7 @@ handleLease(int fd, CurrentJob &job, const wire::LeaseMsg &msg)
     std::vector<std::pair<uint64_t, uint64_t>> items;
     try {
         items = job.machine->runShardRange(
-            job.prepared, job.shots, lo, hi, job.seed, job.mode,
+            job.prepared, job.shots, lo, hi, job.seed,
             [&](int64_t done) {
                 wire::PartialMsg part;
                 part.jobKey = msg.jobKey;

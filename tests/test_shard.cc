@@ -23,7 +23,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "adapt/search.hh"
 #include "common/logging.hh"
 #include "device/runcard.hh"
 #include "noise/machine.hh"
@@ -159,14 +158,26 @@ TEST_F(ShardTest, MessageCodecsRoundTrip)
     lease.lease = 3;
     lease.attempt = 2;
     lease.blockLo = 10;
-    lease.blockHi = -1;
+    lease.blockHi = 14;
     const wire::LeaseMsg lease2 =
         wire::decodeLease(wire::encodeLease(lease));
     EXPECT_EQ(lease2.jobKey, 7u);
     EXPECT_EQ(lease2.lease, 3u);
     EXPECT_EQ(lease2.attempt, 2u);
     EXPECT_EQ(lease2.blockLo, 10);
-    EXPECT_EQ(lease2.blockHi, -1);
+    EXPECT_EQ(lease2.blockHi, 14);
+
+    // A lease names one block range [lo, hi) of its job: a negative
+    // start or a reversed range is a typed WireError.
+    for (const auto &[lo, hi] : std::vector<std::pair<int64_t, int64_t>>{
+             {10, -1}, {-1, 4}, {5, 4}}) {
+        wire::LeaseMsg bad = lease;
+        bad.blockLo = lo;
+        bad.blockHi = hi;
+        EXPECT_THROW(wire::decodeLease(wire::encodeLease(bad)),
+                     wire::WireError)
+            << "[" << lo << ", " << hi << ")";
+    }
 
     wire::ResultMsg res;
     res.jobKey = 7;
@@ -221,6 +232,15 @@ TEST_F(ShardTest, MessageCodecsRoundTrip)
                  wire::WireError);
     EXPECT_THROW(wire::decodePartial(trailing(part_bytes)),
                  wire::WireError);
+
+    // A backend byte past BackendKind::Stabilizer is a typed
+    // WireError, not an out-of-range enum in the worker.
+    wire::SubmitMsg submit;
+    submit.backend = static_cast<uint8_t>(BackendKind::Stabilizer);
+    EXPECT_NO_THROW(wire::decodeSubmit(wire::encodeSubmit(submit)));
+    submit.backend = 3;
+    EXPECT_THROW(wire::decodeSubmit(wire::encodeSubmit(submit)),
+                 wire::WireError);
 }
 
 TEST_F(ShardTest, SubmitMsgRoundTripsTheJobExactly)
@@ -235,7 +255,6 @@ TEST_F(ShardTest, SubmitMsgRoundTripsTheJobExactly)
     msg.cycle = 0;
     msg.flags = machine.flags();
     msg.backend = static_cast<uint8_t>(BackendKind::Dense);
-    msg.mode = static_cast<uint8_t>(ExecMode::Compiled);
     msg.shots = 300;
     msg.seed = 11;
     msg.sched = job.sched;
@@ -572,9 +591,8 @@ TEST_F(ShardTest, CancellationDeliversAnExactLeasePrefix)
         if (shots_done > 0)
             source.cancel(); // stop after the first committed lease
     };
-    const RunOutcome out = exec.runSharded(job.prepared, job.sched,
-                                           kShots, 5,
-                                           ExecMode::Compiled, ctl);
+    const RunOutcome out =
+        exec.runSharded(job.prepared, job.sched, kShots, 5, ctl);
     EXPECT_TRUE(out.partial);
     EXPECT_EQ(out.cause, StopCause::Cancelled);
     ASSERT_GT(out.shotsDone, 0);
@@ -584,65 +602,6 @@ TEST_F(ShardTest, CancellationDeliversAnExactLeasePrefix)
     EXPECT_TRUE(distributionsIdentical(
         out.dist, machine.run(job.prepared,
                               static_cast<int>(out.shotsDone), 5)));
-}
-
-// ------------------------------------------------- candidate leases
-
-TEST_F(ShardTest, ShardedBatchMatchesRunBatch)
-{
-    const Device d = Device::ibmqRome();
-    // Pauli-expressible noise so the Clifford job is stabilizer-legal
-    // and the batch can mix both backends under Auto.
-    const NoisyMachine machine(d, 0, NoiseFlags::pauliOnly());
-    const JobUnderTest dense = denseJob(machine, d);
-    const JobUnderTest frame = frameJob(machine, d);
-    const std::vector<ScheduledCircuit> jobs = {
-        dense.sched, frame.sched, dense.sched};
-    const std::vector<uint64_t> seeds = {3, 4, 5};
-    constexpr int kShots = 300;
-
-    const std::vector<Distribution> oracle =
-        machine.runBatch(jobs, kShots, seeds);
-
-    // Candidate 1 crashes its worker on the first attempt.
-    FaultConfig cfg;
-    cfg.forceAt(FaultSite::WorkerCrash, faultKey(1, 0));
-    FaultInjector::global().configure(cfg);
-
-    ShardExecutor exec(machine, poolOf(2));
-    ASSERT_TRUE(exec.available());
-    const std::vector<Distribution> out =
-        exec.runShardedBatch(jobs, kShots, seeds);
-    ASSERT_EQ(out.size(), oracle.size());
-    for (size_t i = 0; i < out.size(); i++) {
-        EXPECT_TRUE(distributionsIdentical(out[i], oracle[i]))
-            << "candidate " << i;
-    }
-    EXPECT_EQ(exec.stats().workersCrashed, 1u);
-}
-
-TEST_F(ShardTest, AdaptSearchWithShardingIsBitIdentical)
-{
-    const Device d = Device::ibmqGuadalupe();
-    const NoisyMachine machine(d);
-    const CompiledProgram p = transpile(
-        makeQft(4, QftState::A), d, d.calibration(0));
-
-    AdaptOptions opt;
-    opt.decoyShots = 150;
-    const AdaptResult reference = adaptSearch(p, machine, opt);
-
-    ShardExecutor exec(machine, poolOf(2));
-    ASSERT_TRUE(exec.available());
-    opt.sharder = &exec;
-    const AdaptResult sharded = adaptSearch(p, machine, opt);
-
-    EXPECT_EQ(sharded.logicalMask, reference.logicalMask);
-    EXPECT_EQ(sharded.physicalMask, reference.physicalMask);
-    EXPECT_EQ(sharded.decoysExecuted, reference.decoysExecuted);
-    EXPECT_EQ(sharded.bestDecoyFidelity,
-              reference.bestDecoyFidelity);
-    EXPECT_GT(exec.stats().leasesCompleted, 0u);
 }
 
 // --------------------------------------------------- JobServer wiring
