@@ -12,15 +12,13 @@
  * instance; the stats rows prove the frame engine kept every lane
  * in-frame (branch tails, zero deferred shots).
  *
- * Each syndrome row also times the same job at branch depth 0
- * (ADAPT_FRAME_BRANCH_DEPTH=0: every fired lane finishes on the exact
- * tableau continuation from its checkpoint), the baseline the nested
- * tails must beat.  The tail_idle_{20,50,100}q
- * rows widen frame_char_100q's tail job (|+>, 20 us XY4-padded idle,
- * X readout, 10x10 synthetic grid) and record seconds per shot with
- * tails (cold: tails compile on the lanes' first fires; warm: cached)
- * and at depth 0, the tails compiled, and the process peak RSS.  They
- * run in ascending width, so each row's peak is its own.
+ * The tail_idle_{20,50,100}q rows widen frame_char_100q's tail job
+ * (|+>, 20 us XY4-padded idle, X readout, 10x10 synthetic grid) and
+ * record seconds per shot (cold: tails compile on the lanes' first
+ * fires; warm: cached), the tails compiled, the lanes that finished
+ * on a tail and those that fired again there (deferred: finished on
+ * the exact tableau), and the process peak RSS.  They run in
+ * ascending width, so each row's peak is its own.
  *
  * Registered google-benchmark kernels re-measure the same points
  * with more rigor, plus the one-time FrameProgram compilation cost
@@ -33,7 +31,6 @@
 #include <sys/resource.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <utility>
@@ -168,20 +165,6 @@ registerBenchmarks()
         ->Unit(benchmark::kMicrosecond);
 }
 
-/** Prepare @p sched for the frame engine at branch depth 0
- *  (ADAPT_FRAME_BRANCH_DEPTH=0): no nested tails, so every fired lane
- *  finishes on the exact tableau from its checkpoint. */
-PreparedCircuit
-prepareAtDepthZero(const NoisyMachine &machine,
-                   const ScheduledCircuit &sched)
-{
-    setenv("ADAPT_FRAME_BRANCH_DEPTH", "0", 1);
-    PreparedCircuit prepared =
-        machine.prepare(sched, BackendKind::Stabilizer);
-    unsetenv("ADAPT_FRAME_BRANCH_DEPTH");
-    return prepared;
-}
-
 /** Wall seconds per shot of one kShots, single-threaded run; the
  *  run's outcome lands in @p out when given. */
 double
@@ -201,15 +184,12 @@ secondsPerShot(const NoisyMachine &machine,
 }
 
 /** Headline rows: single-threaded seconds/shot both ways, speedup,
- *  the same job at branch depth 0, and the frame engine's own
- *  accounting of where lanes finished. */
+ *  and the frame engine's own accounting of where lanes finished. */
 void
 recordHeadline(Instance &inst)
 {
     const PreparedCircuit prepared =
         inst.machine.prepare(inst.sched, BackendKind::Stabilizer);
-    const PreparedCircuit depth0 =
-        prepareAtDepthZero(inst.machine, inst.sched);
     // Warm-up pass: populates the lazy branch-tail cache (a one-time
     // cost shared by all subsequent runs of the prepared job) so the
     // timed runs measure steady-state throughput.
@@ -217,13 +197,11 @@ recordHeadline(Instance &inst)
          {ExecMode::Interpreted, ExecMode::Compiled})
         benchmark::DoNotOptimize(
             inst.machine.run(prepared, 512, 3, 1, mode));
-    benchmark::DoNotOptimize(inst.machine.run(depth0, 512, 3, 1));
     const double interpreted =
         secondsPerShot(inst.machine, prepared, ExecMode::Interpreted);
     RunOutcome out;
     const double frame =
         secondsPerShot(inst.machine, prepared, ExecMode::Compiled, &out);
-    const double no_tails = secondsPerShot(inst.machine, depth0);
     benchio::record(inst.name)
         .label("workload", "repetition-code syndrome extraction")
         .metric("data_qubits", inst.dataQubits)
@@ -232,8 +210,6 @@ recordHeadline(Instance &inst)
         .metric("interpreted_s_per_shot", interpreted)
         .metric("frame_batch_s_per_shot", frame)
         .metric("speedup", interpreted / frame)
-        .metric("depth0_s_per_shot", no_tails)
-        .metric("tails_over_depth0", no_tails / frame)
         .metric("tail_shots",
                 static_cast<double>(out.frameStats.tailShots))
         .metric("deferred_shots",
@@ -241,12 +217,11 @@ recordHeadline(Instance &inst)
         .metric("max_tail_depth", out.frameStats.maxTailDepth);
     std::printf("%-18s %2d data / %d rounds: interpreted %.1f us, "
                 "frame %.2f us per shot -> %.1fx (tails %lld, "
-                "deferred %lld); depth 0 %.2f us -> tails %.1fx\n",
+                "deferred %lld)\n",
                 inst.name, inst.dataQubits, inst.rounds,
                 interpreted * 1e6, frame * 1e6, interpreted / frame,
                 static_cast<long long>(out.frameStats.tailShots),
-                static_cast<long long>(out.frameStats.deferredShots),
-                no_tails * 1e6, no_tails / frame);
+                static_cast<long long>(out.frameStats.deferredShots));
 }
 
 /** Process peak resident set so far, in MB. */
@@ -258,8 +233,9 @@ peakRssMb()
     return static_cast<double>(usage.ru_maxrss) / 1024.0; // KB on Linux
 }
 
-/** frame_char_100q's tail job at @p n qubits: tails cold and warm,
- *  depth 0, tails compiled, and the process peak RSS. */
+/** frame_char_100q's tail job at @p n qubits: seconds per shot cold
+ *  and warm, tails compiled, tail and deferred lanes, and the process
+ *  peak RSS. */
 void
 recordTailIdle(int n)
 {
@@ -283,8 +259,6 @@ recordTailIdle(int n)
     RunOutcome out;
     const double warm =
         secondsPerShot(machine, prepared, ExecMode::Compiled, &out);
-    const double no_tails =
-        secondsPerShot(machine, prepareAtDepthZero(machine, sched));
     const double peak = peakRssMb();
     const std::string name = "tail_idle_" + std::to_string(n) + "q";
     benchio::record(name)
@@ -293,19 +267,22 @@ recordTailIdle(int n)
         .metric("shots", kShots)
         .metric("tails_cold_s_per_shot", cold)
         .metric("tails_warm_s_per_shot", warm)
-        .metric("depth0_s_per_shot", no_tails)
         .metric("tails_compiled",
                 static_cast<double>(prepared.compiledTails()))
         .metric("tail_shots",
                 static_cast<double>(out.frameStats.tailShots))
+        .metric("deferred_shots",
+                static_cast<double>(out.frameStats.deferredShots))
         .metric("max_tail_depth", out.frameStats.maxTailDepth)
         .metric("peak_rss_mb", peak);
-    std::printf("%-18s tails %.2f us cold / %.2f us warm, depth 0 "
-                "%.2f us per shot; %zu tails compiled, tail lanes "
-                "%lld, peak RSS %.0f MB\n",
-                name.c_str(), cold * 1e6, warm * 1e6, no_tails * 1e6,
+    std::printf("%-18s %.2f us cold / %.2f us warm per shot; %zu "
+                "tails compiled, tail lanes %lld, deferred %lld, peak "
+                "RSS %.0f MB\n",
+                name.c_str(), cold * 1e6, warm * 1e6,
                 prepared.compiledTails(),
-                static_cast<long long>(out.frameStats.tailShots), peak);
+                static_cast<long long>(out.frameStats.tailShots),
+                static_cast<long long>(out.frameStats.deferredShots),
+                peak);
 }
 
 void

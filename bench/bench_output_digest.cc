@@ -33,14 +33,18 @@
  * width 2-12 on a synthetic line, static and dynamic, with and
  * without XY4 padding, under Pauli-only or T1-only noise; a 2-qubit
  * chain of re-superposed long idles whose lanes leave the plane pass
- * and nest; a distance-5 syndrome-extraction workload; and 20- and
- * 30-qubit idle tails.  Each runs kFrameShots (2,065) shots at
- * ADAPT_FRAME_BRANCH_DEPTH 8, 2, 1 and 0, prepared afresh on 1 and on
- * 4 threads; the two must have equal digests.
+ * and fire again inside their branch tails; a distance-5
+ * syndrome-extraction workload; and 20- and 30-qubit idle tails.  Each
+ * runs kFrameShots (2,065) shots, prepared afresh on 1 and on 4
+ * threads; the two must have equal digests.  Older revisions, which
+ * nested branch tails up to a configurable depth, printed one frame
+ * section per depth (frame/d8/..., d2, d1, d0); compare their d1 job
+ * lines and "frame total d1" with this section's frame/... lines and
+ * "frame total".
  *
  * Usage: bench_output_digest [--shots=N] [--bench_json=PATH]
  * (default 256 shots per dense job).  Prints one line per job, the
- * dense total and pair count, then one frame total per depth;
+ * dense total and pair count, then the frame total;
  * --bench_json records the same digests as hex labels.  Exits 1,
  * naming each job, when a compiled dense job's digest differs from
  * its interpreted twin's or a frame job's 1-thread digest differs
@@ -392,52 +396,46 @@ frameCorpus()
     return jobs;
 }
 
-/** Digest of @p job prepared afresh at branch depth @p depth and run
- *  on @p threads threads. */
+/** Digest of @p job prepared afresh and run on @p threads threads. */
 uint64_t
-frameDigest(const FrameJob &job, const char *depth, int threads)
+frameDigest(const FrameJob &job, int threads)
 {
-    setenv("ADAPT_FRAME_BRANCH_DEPTH", depth, 1);
     const NoisyMachine machine(job.device, 0, job.flags);
     const PreparedCircuit prepared =
         machine.prepare(job.sched, BackendKind::Stabilizer);
-    unsetenv("ADAPT_FRAME_BRANCH_DEPTH");
     if (!prepared.frameBatched())
         fatal("frame corpus job " + job.name + " left the frame engine");
     return digest(machine.run(prepared, kFrameShots, job.seed, threads));
 }
 
-/** Run the frame corpus at every depth; returns the number of jobs
- *  whose 1-thread and 4-thread digests differ. */
+/** Run the frame corpus; returns the number of jobs whose 1-thread
+ *  and 4-thread digests differ. */
 int
 frameSection()
 {
     const std::vector<FrameJob> jobs = frameCorpus();
     int differ = 0;
-    for (const char *depth : {"8", "2", "1", "0"}) {
-        uint64_t total = 0;
-        for (const FrameJob &job : jobs) {
-            const std::string name =
-                std::string("frame/d") + depth + "/" + job.name;
-            const uint64_t serial = frameDigest(job, depth, 1);
-            const uint64_t threaded = frameDigest(job, depth, 4);
-            total = fold(total, serial);
-            std::printf("%s %s\n", hex(serial).c_str(), name.c_str());
-            benchio::record(name).label("digest", hex(serial));
-            if (serial != threaded) {
-                differ++;
-                std::fprintf(stderr, "1 thread != 4 threads: %s (%s vs %s)\n",
-                             name.c_str(), hex(serial).c_str(),
-                             hex(threaded).c_str());
-            }
+    uint64_t total = 0;
+    for (const FrameJob &job : jobs) {
+        const std::string name = "frame/" + job.name;
+        const uint64_t serial = frameDigest(job, 1);
+        const uint64_t threaded = frameDigest(job, 4);
+        total = fold(total, serial);
+        std::printf("%s %s\n", hex(serial).c_str(), name.c_str());
+        benchio::record(name).label("digest", hex(serial));
+        if (serial != threaded) {
+            differ++;
+            std::fprintf(stderr, "1 thread != 4 threads: %s (%s vs %s)\n",
+                         name.c_str(), hex(serial).c_str(),
+                         hex(threaded).c_str());
         }
-        std::printf("frame total d%s %s (%zu jobs, %d shots each)\n", depth,
-                    hex(total).c_str(), jobs.size(), kFrameShots);
-        benchio::record(std::string("frame_total/d") + depth)
-            .label("digest", hex(total))
-            .metric("jobs", static_cast<double>(jobs.size()))
-            .metric("shots", kFrameShots);
     }
+    std::printf("frame total %s (%zu jobs, %d shots each)\n",
+                hex(total).c_str(), jobs.size(), kFrameShots);
+    benchio::record("frame_total")
+        .label("digest", hex(total))
+        .metric("jobs", static_cast<double>(jobs.size()))
+        .metric("shots", kFrameShots);
     return differ;
 }
 

@@ -514,211 +514,6 @@ runcardText(const Device &device)
     return out.str();
 }
 
-namespace
-{
-
-// The five machines of Table 3 as bundled runcards.  Profile values
-// mirror the legacy Device factories digit for digit (decimal
-// literals convert to the identical doubles), so these cards
-// reproduce the factory calibration snapshots bit-for-bit.
-
-const char kRuncardRome[] = R"(# ibmq_rome: 5 qubits, line (Table 3)
-name ibmq_rome
-qubits 5
-
-[topology]
-edge 0 1
-edge 1 2
-edge 2 3
-edge 3 4
-
-[profile]
-mean_cx_error 0.012
-mean_meas_error 0.025
-mean_t1_us 65
-mean_t2_us 75
-mean_1q_error 3e-4
-mean_cx_latency_ns 440
-min_cx_latency_ns 250
-max_cx_latency_ns 900
-crosstalk_base_rad_per_us 0.55
-crosstalk_decay_per_hop 0.18
-long_range_crosstalk_prob 0.02
-ou_sigma_rad_per_us 0.1
-ou_tau_us 3
-t2_white_us 400
-measure_latency_ns 700
-qubit_spread 0.35
-cycle_drift 0.25
-seed 5
-)";
-
-const char kRuncardLondon[] = R"(# ibmq_london: 5 qubits, T shape
-name ibmq_london
-qubits 5
-
-[topology]
-edge 0 1
-edge 1 2
-edge 1 3
-edge 3 4
-
-[profile]
-mean_cx_error 0.014
-mean_meas_error 0.027
-mean_t1_us 60
-mean_t2_us 70
-mean_1q_error 3e-4
-mean_cx_latency_ns 440
-min_cx_latency_ns 250
-max_cx_latency_ns 900
-crosstalk_base_rad_per_us 0.55
-crosstalk_decay_per_hop 0.18
-long_range_crosstalk_prob 0.02
-ou_sigma_rad_per_us 0.1
-ou_tau_us 3
-t2_white_us 400
-measure_latency_ns 700
-qubit_spread 0.35
-cycle_drift 0.25
-seed 55
-)";
-
-const char kRuncardGuadalupe[] =
-    R"(# ibmq_guadalupe: 16 qubits, heavy-hex (Sec. 3.2)
-name ibmq_guadalupe
-qubits 16
-
-[topology]
-edge 0 1
-edge 1 2
-edge 1 4
-edge 2 3
-edge 3 5
-edge 4 7
-edge 5 8
-edge 6 7
-edge 7 10
-edge 8 9
-edge 8 11
-edge 10 12
-edge 11 14
-edge 12 13
-edge 12 15
-edge 13 14
-
-[profile]
-mean_cx_error 0.0127
-mean_meas_error 0.0186
-mean_t1_us 71.7
-mean_t2_us 85.5
-mean_1q_error 2.5e-4
-mean_cx_latency_ns 380
-min_cx_latency_ns 250
-max_cx_latency_ns 900
-crosstalk_base_rad_per_us 0.55
-crosstalk_decay_per_hop 0.18
-long_range_crosstalk_prob 0.02
-ou_sigma_rad_per_us 0.1
-ou_tau_us 3
-t2_white_us 400
-measure_latency_ns 700
-qubit_spread 0.35
-cycle_drift 0.25
-seed 16
-)";
-
-const char kHeavyHex27Edges[] = R"([topology]
-edge 0 1
-edge 1 2
-edge 1 4
-edge 2 3
-edge 3 5
-edge 4 7
-edge 5 8
-edge 6 7
-edge 7 10
-edge 8 9
-edge 8 11
-edge 10 12
-edge 11 14
-edge 12 13
-edge 12 15
-edge 13 14
-edge 14 16
-edge 15 18
-edge 16 19
-edge 17 18
-edge 18 21
-edge 19 20
-edge 19 22
-edge 21 23
-edge 22 25
-edge 23 24
-edge 24 25
-edge 25 26
-)";
-
-const char kRuncardParisHead[] =
-    R"(# ibmq_paris: 27 qubits, heavy-hex (Sec. 3.3)
-name ibmq_paris
-qubits 27
-
-)";
-
-const char kRuncardParisProfile[] = R"(
-[profile]
-mean_cx_error 0.0128
-mean_meas_error 0.0247
-mean_t1_us 80.8
-mean_t2_us 83.4
-mean_1q_error 3e-4
-mean_cx_latency_ns 440
-min_cx_latency_ns 250
-max_cx_latency_ns 900
-crosstalk_base_rad_per_us 0.55
-crosstalk_decay_per_hop 0.18
-long_range_crosstalk_prob 0.02
-ou_sigma_rad_per_us 0.1
-ou_tau_us 3
-t2_white_us 400
-measure_latency_ns 700
-qubit_spread 0.35
-cycle_drift 0.25
-seed 27
-)";
-
-const char kRuncardTorontoHead[] =
-    R"(# ibmq_toronto: 27 qubits, heavy-hex (Sec. 3.3)
-name ibmq_toronto
-qubits 27
-
-)";
-
-const char kRuncardTorontoProfile[] = R"(
-[profile]
-mean_cx_error 0.0152
-mean_meas_error 0.0442
-mean_t1_us 105
-mean_t2_us 114
-mean_1q_error 3e-4
-mean_cx_latency_ns 440
-min_cx_latency_ns 250
-max_cx_latency_ns 900
-crosstalk_base_rad_per_us 0.55
-crosstalk_decay_per_hop 0.18
-long_range_crosstalk_prob 0.02
-ou_sigma_rad_per_us 0.1
-ou_tau_us 3
-t2_white_us 400
-measure_latency_ns 700
-qubit_spread 0.35
-cycle_drift 0.25
-seed 272
-)";
-
-} // namespace
-
 std::vector<std::string>
 builtinRuncardNames()
 {
@@ -729,20 +524,18 @@ builtinRuncardNames()
 std::string
 builtinRuncardText(const std::string &name)
 {
+    // The cards are serialized from the Device factories, so there is
+    // one source for each machine's profile.
     if (name == "ibmq_rome")
-        return kRuncardRome;
+        return runcardText(Device::ibmqRome());
     if (name == "ibmq_london")
-        return kRuncardLondon;
+        return runcardText(Device::ibmqLondon());
     if (name == "ibmq_guadalupe")
-        return kRuncardGuadalupe;
-    if (name == "ibmq_paris") {
-        return std::string(kRuncardParisHead) + kHeavyHex27Edges +
-               kRuncardParisProfile;
-    }
-    if (name == "ibmq_toronto") {
-        return std::string(kRuncardTorontoHead) + kHeavyHex27Edges +
-               kRuncardTorontoProfile;
-    }
+        return runcardText(Device::ibmqGuadalupe());
+    if (name == "ibmq_paris")
+        return runcardText(Device::ibmqParis());
+    if (name == "ibmq_toronto")
+        return runcardText(Device::ibmqToronto());
     fatal("unknown builtin runcard '" + name + "'");
 }
 

@@ -9,7 +9,7 @@
  * control stacks ship (cf. qibolab's qw5q_gold.yml / tii5q.yml
  * runcards).  Any device a user can describe in a runcard becomes a
  * simulation target; the five IBM machines of the paper are bundled
- * as runcards that reproduce the legacy factories bit-for-bit.
+ * as runcards serialized from the Device factories.
  *
  * Format reference (lines; '#' starts a comment; blank lines
  * ignored):
@@ -75,7 +75,8 @@ std::string runcardText(const Device &device);
 /** Names of the bundled runcards (the five machines of Table 3). */
 std::vector<std::string> builtinRuncardNames();
 
-/** Text of a bundled runcard; UsageError for unknown names. */
+/** Text of a bundled runcard: runcardText of the named machine's
+ *  Device factory; UsageError for unknown names. */
 std::string builtinRuncardText(const std::string &name);
 
 /** Parse a bundled runcard into its Device. */

@@ -965,8 +965,7 @@ buildFrameSkeleton(const ExecutionPlan &plan, const NoiseFlags &flags)
 
 FrameProgram
 bindFrameProgram(const ExecutionPlan &plan, const FrameSkeleton &skel,
-                 const Calibration &cal, const NoiseFlags &flags,
-                 int branch_depth)
+                 const Calibration &cal, const NoiseFlags &flags)
 {
     require(plan.clifford,
             "frame program requires an all-Clifford executable");
@@ -982,7 +981,6 @@ bindFrameProgram(const ExecutionPlan &plan, const FrameSkeleton &skel,
     FrameProgram prog;
     prog.numQubits = static_cast<int>(plan.active.size());
     prog.numClbits = plan.maxClbit + 1;
-    prog.branchDepth = branch_depth;
 
     // Cursors into the recorded reference-walk traces, consumed in
     // lock-step with the structure-only guards the skeleton used.
@@ -1048,15 +1046,10 @@ bindFrameProgram(const ExecutionPlan &plan, const FrameSkeleton &skel,
                 // Superposed reference: the jump fires with the
                 // folded rate gamma * 1/2 and hands the lane to a
                 // compiled branch tail.
-                m.randT1Ordinal = prog.randomT1Count++;
+                prog.randomT1Count++;
                 m.t1 = makeFrameBernoulli(gamma * 0.5);
                 m.flip = recordFlipSupport(prog.flipQubits, trace.flipX,
                                            trace.flipZ);
-                // One site per random ordinal, even if the op below
-                // is elided (keeps the ordinal -> site indexing
-                // dense; an elided op has gamma 0 and never fires).
-                prog.siteOps.push_back(
-                    static_cast<uint32_t>(prog.ops.size()));
             } else {
                 m.t1 = makeFrameBernoulli(gamma);
             }
@@ -1220,45 +1213,38 @@ bindFrameProgram(const ExecutionPlan &plan, const FrameSkeleton &skel,
     return prog;
 }
 
-namespace
+FrameTail
+compileFrameTail(const FrameProgram &root, uint32_t site)
 {
+    require(site < root.ops.size() &&
+                root.ops[site].kind == FrameOpRef::Kind::Markov &&
+                root.markov[root.ops[site].idx].t1Ref == 2,
+            "compileFrameTail: op is not a superposed T1 checkpoint");
+    const int q = root.markov[root.ops[site].idx].q;
 
-/**
- * Advance reference @p ref, with its recorded clbits @p refCl,
- * through root.ops[from, to): the tableau actions of gates, the
- * reference's own collapse at random measures and resets (outcome 0),
- * and the conditional Paulis its bits select — exactly what the
- * skeleton walk did to the root reference.  With @p rec set, every
- * reference-dependent op is also classified into rec's overlays.
- */
-void
-walkTailReference(const FrameProgram &root, StabilizerState &ref,
-                  std::vector<uint8_t> &refCl, uint32_t from,
-                  uint32_t to, FrameTail *rec)
-{
+    // The jumped reference: the root reference advanced to the
+    // checkpoint, the excited branch postselected, and the decay jump
+    // landing it in |0>.
+    StabilizerState ref(root.numQubits);
+    std::vector<uint8_t> refCl(static_cast<size_t>(root.numClbits), 0);
+    walkFrameReference(root, ref, refCl, 0, site);
+    ref.applyDecayJump(q);
+
+    FrameTail tail(ref);
+    tail.refCl = refCl;
+    tail.start = site + 1;
+    // Classify each reference-dependent op against the jumped
+    // reference as it stands before the op, then advance past it.
     std::vector<QubitId> flip_x, flip_z;
-    for (uint32_t oi = from; oi < to; oi++) {
+    for (uint32_t oi = tail.start; oi < root.ops.size(); oi++) {
         const FrameOpRef op = root.ops[oi];
         switch (op.kind) {
-          case FrameOpRef::Kind::F1Q:
-            applyFrameOp(ref, root.f1q[op.idx]);
-            break;
-          case FrameOpRef::Kind::F2Q:
-            applyFrameOp(ref, root.f2q[op.idx]);
-            break;
-          case FrameOpRef::Kind::Err1Q:
-          case FrameOpRef::Kind::Err2Q:
-          case FrameOpRef::Kind::Twirl:
-            break; // reference-independent
           case FrameOpRef::Kind::Markov: {
-            if (rec == nullptr)
-                break;
             const FrameMarkovOp &m = root.markov[op.idx];
-            FrameTail::Markov &ov = rec->markov.emplace_back();
+            FrameTail::Markov &ov = tail.markov.emplace_back();
             if (m.gamma > 0.0) {
-                // Re-classify the T1 checkpoint against the jumped
-                // reference: a deterministic root checkpoint can turn
-                // superposed here and vice versa.
+                // A deterministic root checkpoint can turn superposed
+                // here and vice versa.
                 const double p1 = ref.populationOne(m.q);
                 ov.t1Ref = p1 == 0.5 ? 2 : p1 == 1.0 ? 1 : 0;
                 ov.t1Thresh = bernoulliThreshold(
@@ -1269,87 +1255,35 @@ walkTailReference(const FrameProgram &root, StabilizerState &ref,
                     ref.measureFlipSupport(m.q, flip_x, flip_z);
                 require(sup, "superposed T1 checkpoint with a "
                              "deterministic Z measurement");
-                ov.ordinal = static_cast<uint32_t>(rec->siteOps.size());
-                ov.flip = recordFlipSupport(rec->flipQubits, flip_x,
+                ov.flip = recordFlipSupport(tail.flipQubits, flip_x,
                                             flip_z);
-                rec->siteOps.push_back(oi);
             }
             break;
           }
           case FrameOpRef::Kind::Meas:
           case FrameOpRef::Kind::Reset: {
             const bool meas = op.kind == FrameOpRef::Kind::Meas;
-            const int q =
+            const int mq =
                 meas ? root.meas[op.idx].q : root.resets[op.idx].q;
-            FrameTail::Collapse ov;
-            ov.random = ref.measureFlipSupport(q, flip_x, flip_z);
-            if (ov.random) {
-                if (rec != nullptr)
-                    ov.flip = recordFlipSupport(rec->flipQubits, flip_x,
-                                                flip_z);
-                ref.postselect(q, false);
-            } else {
-                ov.refBit = ref.populationOne(q) == 1.0 ? 1 : 0;
-                if (!meas && ov.refBit != 0)
-                    ref.applyX(q); // the reset's correction
-            }
-            if (meas)
-                refCl[static_cast<size_t>(root.meas[op.idx].clbit)] =
-                    ov.refBit;
-            if (rec != nullptr)
-                (meas ? rec->meas : rec->resets).push_back(ov);
+            FrameTail::Collapse &ov =
+                (meas ? tail.meas : tail.resets).emplace_back();
+            ov.random = ref.measureFlipSupport(mq, flip_x, flip_z);
+            if (ov.random)
+                ov.flip = recordFlipSupport(tail.flipQubits, flip_x,
+                                            flip_z);
+            else
+                ov.refBit = ref.populationOne(mq) == 1.0 ? 1 : 0;
             break;
           }
-          case FrameOpRef::Kind::Cond: {
-            const FrameCondOp &c = root.cond[op.idx];
-            const uint8_t bit = refCl[static_cast<size_t>(c.condBit)];
-            if (bit != 0)
-                applyPauliCode(ref, c.pauli, c.q);
-            if (rec != nullptr)
-                rec->condRef.push_back(bit);
+          case FrameOpRef::Kind::Cond:
+            tail.condRef.push_back(refCl[static_cast<size_t>(
+                root.cond[op.idx].condBit)]);
             break;
-          }
+          default:
+            break; // reference-independent
         }
+        walkFrameReference(root, ref, refCl, oi, oi + 1);
     }
-}
-
-} // namespace
-
-FrameTail
-compileFrameTail(const FrameProgram &root, const FrameTail *parent,
-                 uint32_t ordinal)
-{
-    const std::vector<uint32_t> &sites =
-        parent != nullptr ? parent->siteOps : root.siteOps;
-    require(ordinal < sites.size(),
-            "compileFrameTail: checkpoint ordinal out of range");
-    const uint32_t site = sites[ordinal];
-    const int q = root.markov[root.ops[site].idx].q;
-
-    // The jumped reference: the parent's start reference advanced to
-    // the checkpoint, the excited branch postselected, and the decay
-    // jump landing it in |0>.
-    StabilizerState ref = parent != nullptr
-                              ? parent->ref
-                              : StabilizerState(root.numQubits);
-    std::vector<uint8_t> refCl =
-        parent != nullptr
-            ? parent->refCl
-            : std::vector<uint8_t>(static_cast<size_t>(root.numClbits), 0);
-    walkTailReference(root, ref, refCl,
-                      parent != nullptr ? parent->start : 0, site, nullptr);
-    ref.postselect(q, true);
-    ref.applyX(q);
-
-    FrameTail tail(ref);
-    tail.refCl = refCl;
-    tail.start = site + 1;
-    tail.branchDepth =
-        (parent != nullptr ? parent->branchDepth : root.branchDepth) - 1;
-    if (tail.branchDepth < 0)
-        return tail;
-    walkTailReference(root, ref, refCl, tail.start,
-                      static_cast<uint32_t>(root.ops.size()), &tail);
     // Each overlay covers the suffix of its root array that
     // root.ops[start ..) references.
     const auto base = [](const auto &all, const auto &overlay) {
@@ -1363,26 +1297,19 @@ compileFrameTail(const FrameProgram &root, const FrameTail *parent,
 }
 
 const FrameTail &
-FrameTailCache::tail(const FrameProgram &root, const FrameTail *parent,
-                     uint32_t ordinal)
+FrameTailCache::tail(const FrameProgram &root, uint32_t site)
 {
-    const std::pair<const void *, uint32_t> key{
-        parent != nullptr ? static_cast<const void *>(parent) : &root,
-        ordinal};
     {
         std::lock_guard<std::mutex> lock(mu_);
-        auto it = tails_.find(key);
+        auto it = tails_.find(site);
         if (it != tails_.end())
-            return *it->second;
+            return it->second;
     }
     // Compile outside the lock: deterministic output makes a racing
-    // double-compile benign, and try_emplace keeps the first copy
-    // (stable addresses for nested tail keys).
-    auto compiled = std::make_unique<FrameTail>(
-        compileFrameTail(root, parent, ordinal));
+    // double-compile benign, and try_emplace keeps the first copy.
+    FrameTail compiled = compileFrameTail(root, site);
     std::lock_guard<std::mutex> lock(mu_);
-    auto [it, inserted] = tails_.try_emplace(key, std::move(compiled));
-    return *it->second;
+    return tails_.try_emplace(site, std::move(compiled)).first->second;
 }
 
 size_t

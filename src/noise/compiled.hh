@@ -47,7 +47,6 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <utility>
@@ -565,59 +564,46 @@ FrameSkeleton buildFrameSkeleton(const ExecutionPlan &plan,
  * Bind phase of the frame compiler: replay the recorded reference
  * trace against a *bound* plan, evaluating FrameBernoullis from the
  * calibration.
- *
- * @param branch_depth Branch-tail recursion cap (the parsed
- *        ADAPT_FRAME_BRANCH_DEPTH; at 0 a fired lane finishes on the
- *        exact tableau from its checkpoint).
  */
 FrameProgram bindFrameProgram(const ExecutionPlan &plan,
                               const FrameSkeleton &skel,
                               const Calibration &cal,
-                              const NoiseFlags &flags,
-                              int branch_depth);
+                              const NoiseFlags &flags);
 
 /**
- * Compile the branch tail for superposed T1 checkpoint @p ordinal of
- * @p parent (nullptr: of @p root itself) — see FrameTail.  The jumped
- * reference is built here, once per tail: the parent's start
- * reference (|0...0> at op 0 for the root) advanced through root ops
- * [parent start, site), then X · postselect(ref, 1) on the decaying
+ * Compile the branch tail of the superposed T1 checkpoint at root op
+ * index @p site — see FrameTail.  The jumped reference is built here,
+ * once per tail: |0...0> advanced through root.ops[0, site)
+ * (walkFrameReference), then X · postselect(ref, 1) on the decaying
  * qubit.  A copy of it then walks root.ops[site + 1 ..) to re-derive
  * every reference-dependent field into the tail's overlays; gates,
- * errors and rates are never copied.  The tail's branchDepth is one
- * less than the parent's; a capped tail (branchDepth < 0) stops after
- * its reference, which is all the depth-cap fallback reads.
+ * errors and rates are never copied.
  *
- * @pre root.randomT1Count > 0, and ordinal indexes the parent's
- *      siteOps
+ * @pre root.ops[site] is a Markov op with t1Ref == 2
  */
-FrameTail compileFrameTail(const FrameProgram &root,
-                           const FrameTail *parent, uint32_t ordinal);
+FrameTail compileFrameTail(const FrameProgram &root, uint32_t site);
 
 /**
- * Lazy, thread-safe store of compiled branch tails, keyed by (parent
- * tail, or the root, plus ordinal) — tails of tails nest naturally
- * because the stored tails have stable addresses.  Shared by all the
- * shot chunks of a prepared job: a tail is compiled at most once per
- * job no matter how many lanes fire through it, and lives as long as
- * the job.  Compilation is deterministic, so the cache never changes
+ * Lazy, thread-safe store of a job's compiled branch tails, keyed by
+ * the root op index of their checkpoint.  Shared by all the shot
+ * chunks of a prepared job: a tail is compiled at most once per job
+ * no matter how many lanes fire through it, and lives as long as the
+ * job.  Compilation is deterministic, so the cache never changes
  * results — only cost.
  */
-class FrameTailCache final : public FrameTailSource
+class FrameTailCache
 {
   public:
-    const FrameTail &tail(const FrameProgram &root,
-                          const FrameTail *parent,
-                          uint32_t ordinal) override;
+    /** The tail of checkpoint @p site of @p root, compiled on first
+     *  use; safe to call from concurrent chunk workers. */
+    const FrameTail &tail(const FrameProgram &root, uint32_t site);
 
     /** Tails compiled so far. */
     size_t size() const;
 
   private:
     mutable std::mutex mu_;
-    std::map<std::pair<const void *, uint32_t>,
-             std::unique_ptr<FrameTail>>
-        tails_;
+    std::map<uint32_t, FrameTail> tails_;
 };
 
 // ------------------------------------------------------------------

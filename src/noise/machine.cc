@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/env.hh"
 #include "common/flat_accumulator.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
@@ -724,13 +723,8 @@ NoisyMachine::prepareImpl(const ScheduledCircuit &sched,
         job->program =
             bindShotProgram(job->plan, *skel->tables, cal_, flags_);
     } else if (skel->frame) {
-        // The one engine knob left, resolved here at the edge and
-        // stamped by the bind: how many nested superposed-T1 jumps a
-        // frame lane may take in-frame.
-        const auto branch_depth = static_cast<int>(
-            envInt("ADAPT_FRAME_BRANCH_DEPTH", 8, 0, 64));
-        job->frame = bindFrameProgram(job->plan, *skel->frame, cal_,
-                                      flags_, branch_depth);
+        job->frame =
+            bindFrameProgram(job->plan, *skel->frame, cal_, flags_);
         if (job->frame->randomT1Count > 0)
             job->tails = std::make_shared<FrameTailCache>();
     }

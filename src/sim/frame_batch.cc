@@ -206,11 +206,11 @@ FrameBatchBackend::drawMask(const FrameBernoulli &b, uint64_t *out)
 
 FrameTailShot
 FrameBatchBackend::snapshotLane(int w, int bit, int64_t shot,
-                                uint32_t ordinal) const
+                                uint32_t site) const
 {
     FrameTailShot ts;
     ts.shot = shot;
-    ts.ordinal = ordinal;
+    ts.site = site;
     ts.xf.resize(static_cast<size_t>(prog_.numQubits));
     ts.zf.resize(static_cast<size_t>(prog_.numQubits));
     for (int q = 0; q < prog_.numQubits; q++) {
@@ -269,7 +269,8 @@ FrameBatchBackend::runOps(int64_t block, int lanes,
         for (uint32_t i = 0; i < flip.zCnt; i++)
             xorWords(zPlane(prog_.flipQubits[flip.zOff + i]), coin);
     };
-    for (const FrameOpRef ref : prog_.ops) {
+    for (uint32_t oi = 0; oi < prog_.ops.size(); oi++) {
+        const FrameOpRef ref = prog_.ops[oi];
         switch (ref.kind) {
           case FrameOpRef::Kind::F1Q: {
             const Frame1QOp &op = prog_.f1q[ref.idx];
@@ -371,8 +372,8 @@ FrameBatchBackend::runOps(int64_t block, int lanes,
                                 continue;
                             const int64_t shot =
                                 block * kFrameLanes + w * 64 + lane;
-                            tails.push_back(snapshotLane(
-                                w, lane, shot, op.randT1Ordinal));
+                            tails.push_back(
+                                snapshotLane(w, lane, shot, oi));
                         }
                     } else {
                         // Deterministic reference: a candidate fires
@@ -555,19 +556,63 @@ applyPauliCode(StabilizerState &state, int code, int q)
     }
 }
 
+void
+walkFrameReference(const FrameProgram &root, StabilizerState &ref,
+                   std::vector<uint8_t> &refCl, uint32_t from,
+                   uint32_t to)
+{
+    for (uint32_t oi = from; oi < to; oi++) {
+        const FrameOpRef op = root.ops[oi];
+        switch (op.kind) {
+          case FrameOpRef::Kind::F1Q:
+            applyFrameOp(ref, root.f1q[op.idx]);
+            break;
+          case FrameOpRef::Kind::F2Q:
+            applyFrameOp(ref, root.f2q[op.idx]);
+            break;
+          case FrameOpRef::Kind::Err1Q:
+          case FrameOpRef::Kind::Err2Q:
+          case FrameOpRef::Kind::Markov:
+          case FrameOpRef::Kind::Twirl:
+            break; // noise never acts on the reference
+          case FrameOpRef::Kind::Meas:
+          case FrameOpRef::Kind::Reset: {
+            const bool meas = op.kind == FrameOpRef::Kind::Meas;
+            const int q =
+                meas ? root.meas[op.idx].q : root.resets[op.idx].q;
+            const double p1 = ref.populationOne(q);
+            if (p1 == 0.5)
+                ref.postselect(q, false);
+            else if (!meas && p1 == 1.0)
+                ref.applyX(q); // the reset's correction
+            if (meas)
+                refCl[static_cast<size_t>(root.meas[op.idx].clbit)] =
+                    p1 == 1.0 ? 1 : 0;
+            break;
+          }
+          case FrameOpRef::Kind::Cond: {
+            const FrameCondOp &c = root.cond[op.idx];
+            if (refCl[static_cast<size_t>(c.condBit)] != 0)
+                applyPauliCode(ref, c.pauli, c.q);
+            break;
+          }
+        }
+    }
+}
+
 namespace
 {
 
 /** "No checkpoint": the scalar walk completed without a fresh
  *  fire. */
-constexpr uint32_t kNoOrdinal = ~uint32_t{0};
+constexpr uint32_t kNoSite = ~uint32_t{0};
 
 /**
  * Live tableau walk of prog.ops[start ..): the exact per-shot
  * semantics every frame shortcut is measured against, run for lanes
- * past the branch-depth cap.  Every checkpoint evolves off the
- * tableau, and the walk reads only reference-independent fields, so
- * it runs any tail's continuation on the root stream.
+ * that fire a second time.  Every checkpoint evolves off the tableau,
+ * and the walk reads only reference-independent fields, so it runs a
+ * tail's continuation on the root stream.
  */
 void
 walkFrameTableau(const FrameProgram &prog, StabilizerState &state,
@@ -669,11 +714,11 @@ flipLane(const std::vector<int> &qubits, const FrameFlip &flip,
  * the per-byte mirror of runBlock's plane sweeps, with gates, errors
  * and rates read from the root and every reference-dependent field
  * from the tail's overlays, and the lane's own outcome record driving
- * conditional gates.  Returns the tail ordinal of a freshly fired
+ * conditional gates.  Returns the root op index of a freshly fired
  * superposed T1 checkpoint — frame and packer left exactly as of that
- * instant, deph of the firing op not yet drawn (the next tail draws
- * it first) — or kNoOrdinal when the walk completed and packer holds
- * the lane's outcomes.
+ * instant, deph of the firing op not yet drawn (the tableau
+ * continuation draws it first) — or kNoSite when the walk completed
+ * and packer holds the lane's outcomes.
  */
 uint32_t
 walkScalarFrame(const FrameProgram &root, const FrameTail &tail,
@@ -758,9 +803,9 @@ walkScalarFrame(const FrameProgram &root, const FrameTail &tail,
                 tail.markov[ref.idx - tail.markovBase];
             if (ov.t1Ref == 2) {
                 // Same folded gamma/2 law as the plane pass; a fire
-                // hands the lane to the next tail down.
+                // hands the lane to the exact tableau.
                 if (fires(rng, ov.t1Thresh))
-                    return ov.ordinal;
+                    return oi;
             } else if (fires(rng, ov.t1Thresh)) {
                 if ((ov.t1Ref ^ xf[static_cast<size_t>(op.q)]) & 1)
                     xf[static_cast<size_t>(op.q)] ^= 1;
@@ -811,7 +856,7 @@ walkScalarFrame(const FrameProgram &root, const FrameTail &tail,
           }
         }
     }
-    return kNoOrdinal;
+    return kNoSite;
 }
 
 } // namespace
@@ -819,11 +864,11 @@ walkScalarFrame(const FrameProgram &root, const FrameTail &tail,
 void
 drainTailShots(const FrameProgram &prog, const Rng &base,
                std::vector<FrameTailShot> &tails,
-               FrameTailSource &source, StabilizerState &state,
+               FrameTailCache &tails_cache, StabilizerState &state,
                OutcomePacker &packer, FlatAccumulator &hist,
                FrameBatchStats &stats)
 {
-    std::vector<uint8_t> xf, zf;
+    std::vector<uint8_t> xf, zf, refCl;
     for (const FrameTailShot &ts : tails) {
         Rng rng = base.fork(kFrameTailSalt +
                             static_cast<uint64_t>(ts.shot));
@@ -836,61 +881,46 @@ drainTailShots(const FrameProgram &prog, const Rng &base,
                 packer.set(c, true);
         }
 
-        const FrameTail *cur = nullptr; // fired in (nullptr: the root)
-        uint32_t ord = ts.ordinal;
-        int depth = 0;
-        for (;;) {
-            depth++;
-            const FrameTail &tail = source.tail(prog, cur, ord);
-            const uint32_t mi = prog.ops[tail.start - 1].idx;
+        // The jump maps the lane onto the jumped reference with frame
+        // F' = F * g^{x_F(q)}: when the lane's frame carries X on q,
+        // sigma- acting through it lands on the opposite collapse
+        // branch, and g (the branch-flip stabilizer the firing stream
+        // recorded) hops the frame across.
+        const FrameMarkovOp &first = prog.markov[prog.ops[ts.site].idx];
+        if (xf[static_cast<size_t>(first.q)] & 1)
+            flipLane(prog.flipQubits, first.flip, xf, zf);
+        const FrameTail &tail = tails_cache.tail(prog, ts.site);
+        const uint32_t site =
+            walkScalarFrame(prog, tail, xf, zf, packer, rng);
+        if (site == kNoSite) {
+            stats.tailShots++;
+            stats.maxTailDepth = std::max(stats.maxTailDepth, 1);
+        } else {
+            // A second fire: hop onto the jumped branch as above, then
+            // finish on the exact tableau from the reference jumped
+            // at this checkpoint, frame applied as Paulis, the
+            // checkpoint's residual dephasing drawn inline.
+            const uint32_t mi = prog.ops[site].idx;
             const FrameMarkovOp &mop = prog.markov[mi];
-
-            // The jump maps the lane onto the jumped reference with
-            // frame F' = F * g^{x_F(q)}: when the lane's frame
-            // carries X on q, sigma- acting through it lands on the
-            // opposite collapse branch, and g (the branch-flip
-            // stabilizer the firing stream recorded) hops the frame
-            // across.
-            if (xf[static_cast<size_t>(mop.q)] & 1) {
-                if (cur == nullptr) {
-                    flipLane(prog.flipQubits, mop.flip, xf, zf);
-                } else {
-                    flipLane(cur->flipQubits,
-                             cur->markov[mi - cur->markovBase].flip, xf,
-                             zf);
-                }
+            if (xf[static_cast<size_t>(mop.q)] & 1)
+                flipLane(tail.flipQubits,
+                         tail.markov[mi - tail.markovBase].flip, xf, zf);
+            state = tail.ref;
+            refCl = tail.refCl;
+            walkFrameReference(prog, state, refCl, tail.start, site);
+            state.applyDecayJump(mop.q);
+            for (int q = 0; q < prog.numQubits; q++) {
+                if (xf[static_cast<size_t>(q)])
+                    state.applyX(q);
+                if (zf[static_cast<size_t>(q)])
+                    state.applyZ(q);
             }
-
-            if (tail.branchDepth < 0) {
-                // Recursion budget exhausted: exact tableau
-                // continuation from the capped tail's jumped
-                // reference, frame applied as Paulis, the firing
-                // checkpoint's residual dephasing drawn inline.
-                stats.deferredShots++;
-                state = tail.ref;
-                for (int q = 0; q < prog.numQubits; q++) {
-                    if (xf[static_cast<size_t>(q)])
-                        state.applyX(q);
-                    if (zf[static_cast<size_t>(q)])
-                        state.applyZ(q);
-                }
-                if (fires(rng, mop.deph.thresh))
-                    state.applyZ(mop.q);
-                walkFrameTableau(prog, state, packer, rng, tail.start);
-                break;
-            }
-
-            const uint32_t fired =
-                walkScalarFrame(prog, tail, xf, zf, packer, rng);
-            if (fired == kNoOrdinal) {
-                stats.tailShots++;
-                break;
-            }
-            cur = &tail;
-            ord = fired;
+            if (fires(rng, mop.deph.thresh))
+                state.applyZ(mop.q);
+            walkFrameTableau(prog, state, packer, rng, site + 1);
+            stats.deferredShots++;
+            stats.maxTailDepth = 2;
         }
-        if (depth > stats.maxTailDepth)
-            stats.maxTailDepth = depth;
         hist.add(packer.key(), 1.0);
     }
     tails.clear();

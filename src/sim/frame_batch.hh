@@ -47,11 +47,11 @@
  * The plane pass samples them as masks; a lane that fires leaves the
  * pass as a FrameTailShot and finishes on the checkpoint's *branch
  * tail* (FrameTail): the rest of the op stream re-resolved against
- * the jumped reference, walked as a single-lane frame.  A nested jump
- * recurses one tail deeper; a jump past the branch-depth cap (at depth
- * 0, the first one) lands on a capped tail, and the lane finishes on
- * the exact tableau seeded from that tail's jumped reference.  Jumps
- * on reference-deterministic qubits — the dominant case in
+ * the jumped reference, walked as a single-lane frame.  Tails are one
+ * level deep: a lane that fires again at a superposed checkpoint of
+ * its tail finishes on the exact tableau, seeded from the tail's start
+ * reference walked to that checkpoint for the lane and jumped there.
+ * Jumps on reference-deterministic qubits — the dominant case in
  * characterization workloads — stay in-frame: the jump fires against
  * the shot's actual bit (ref XOR x_frame) and is exactly an X flip.
  * The per-shot backend (ExecMode::Interpreted) remains the reference
@@ -205,11 +205,6 @@ struct FrameMarkovOp
      *  value, 2 random (population 1/2). */
     uint8_t t1Ref = 0;
 
-    /** Ordinal of this checkpoint among the job's random-reference
-     *  T1 checkpoints (t1Ref == 2 only): its branch-tail site
-     *  index. */
-    uint32_t randT1Ordinal = 0;
-
     /** Candidate rate gamma for deterministic references (the jump
      *  then fires against the shot's actual bit); the folded
      *  gamma * 1/2 firing rate for random references (a firing lane
@@ -337,29 +332,20 @@ struct FrameProgram
     std::vector<FrameCondOp> cond;
 
     std::vector<int> flipQubits; //!< branch-flip Pauli supports
-
-    /** Branch-tail recursion budget: how many nested superposed-T1
-     *  jumps a lane may take in-frame (ADAPT_FRAME_BRANCH_DEPTH).  At
-     *  0 a fired lane finishes on the exact tableau from its
-     *  checkpoint. */
-    int branchDepth = 0;
-
-    /** Op index of each superposed T1 checkpoint, by randT1Ordinal. */
-    std::vector<uint32_t> siteOps;
 };
 
 /**
  * A branch tail: the root program's op stream after one superposed
- * T1 checkpoint fired, re-resolved against the jumped reference
- * X_q * postselect(ref, 1).  A tail is an overlay on the root: it
- * reads every gate, error, twirl and noise rate from the root's
- * arrays and stores only what the jump changes — T1 classes, measure
- * and reset reference bits, conditional reference bits and the
- * branch-flip supports.  Overlay entry i of a kind stands for root
- * array index base + i: the root's per-kind indices rise with op
+ * T1 checkpoint of the root fired, re-resolved against the jumped
+ * reference X_q * postselect(ref, 1).  A tail is an overlay on the
+ * root: it reads every gate, error, twirl and noise rate from the
+ * root's arrays and stores only what the jump changes — T1 classes,
+ * measure and reset reference bits, conditional reference bits and
+ * the branch-flip supports.  Overlay entry i of a kind stands for
+ * root array index base + i: the root's per-kind indices rise with op
  * position, so the ops in root.ops[start ..) map onto a dense suffix
- * of each array.  A tail of a tail is again an overlay on the root.
- * Compiled lazily by compileFrameTail (noise/compiled.hh).
+ * of each array.  Compiled lazily by compileFrameTail
+ * (noise/compiled.hh).
  */
 struct FrameTail
 {
@@ -370,17 +356,10 @@ struct FrameTail
      *  first draw of the tail walk. */
     uint32_t start = 0;
 
-    /** Remaining nested-jump budget: the parent's (or the root's)
-     *  minus one.  A capped tail (branchDepth < 0) carries only its
-     *  jumped reference, which seeds the exact tableau continuation
-     *  of a lane that fired past the cap. */
-    int branchDepth = 0;
-
     /** A Markov op under the jumped reference. */
     struct Markov
     {
         uint64_t t1Thresh = 0; //!< gamma / 2 superposed, else gamma
-        uint32_t ordinal = 0;  //!< superposed: index into siteOps
         uint8_t t1Ref = 0;     //!< 0 / 1 deterministic, 2 superposed
         FrameFlip flip;        //!< superposed only
     };
@@ -404,11 +383,9 @@ struct FrameTail
 
     std::vector<int> flipQubits; //!< the overlays' flip supports
 
-    /** Root op index of each superposed checkpoint, by ordinal. */
-    std::vector<uint32_t> siteOps;
-
-    /** The jumped reference at start and its recorded clbits: child
-     *  tails advance a copy of it to their own checkpoint. */
+    /** The jumped reference at start and its recorded clbits: a lane
+     *  that fires again inside the tail advances a copy of it to that
+     *  checkpoint (walkFrameReference). */
     StabilizerState ref;
     std::vector<uint8_t> refCl;
 };
@@ -424,8 +401,8 @@ constexpr uint64_t kFrameTailSalt = uint64_t{1} << 33;
  */
 struct FrameTailShot
 {
-    int64_t shot = 0;     //!< absolute shot index in the job
-    uint32_t ordinal = 0; //!< firing checkpoint's randT1Ordinal
+    int64_t shot = 0;  //!< absolute shot index in the job
+    uint32_t site = 0; //!< root op index of the firing checkpoint
 
     /** Pre-jump frame column of the lane, one byte (0 / 1) per
      *  qubit. */
@@ -439,15 +416,15 @@ struct FrameTailShot
 /** Counters of how a frame-batch run's lanes left the plane pass. */
 struct FrameBatchStats
 {
-    /** Lanes completed in-frame by branch-tail walks. */
+    /** Lanes that finished in-frame on their branch tail. */
     int64_t tailShots = 0;
 
-    /** Lanes finished on the exact tableau past the branch-depth
-     *  cap. */
+    /** Lanes that fired a second time inside their tail and finished
+     *  on the exact tableau. */
     int64_t deferredShots = 0;
 
-    /** Deepest nested-jump chain any lane took (0 = no lane ever
-     *  left the plane pass). */
+    /** Most superposed fires any one lane took: 0 when no lane left
+     *  the plane pass, at most 2. */
     int maxTailDepth = 0;
 
     /** Fold @p other into this (chunk aggregation). */
@@ -461,24 +438,7 @@ struct FrameBatchStats
     }
 };
 
-/**
- * Provider of branch tails: tail(root, parent, ordinal) returns the
- * tail that continues root's op stream after the superposed T1
- * checkpoint @p ordinal of @p parent (nullptr: of the root itself),
- * re-resolved against the jumped reference.  Implemented by
- * FrameTailCache (noise/compiled.hh), which compiles lazily and
- * memoizes; must be safe to call from concurrent chunk workers.
- * @pre root.randomT1Count > 0, parent (if any) is a tail of root
- *      with branchDepth >= 0, and ordinal is one of its sites.
- */
-class FrameTailSource
-{
-  public:
-    virtual ~FrameTailSource() = default;
-    virtual const FrameTail &tail(const FrameProgram &root,
-                                  const FrameTail *parent,
-                                  uint32_t ordinal) = 0;
-};
+class FrameTailCache; // noise/compiled.hh
 
 /**
  * Per-chunk worker that executes a FrameProgram in kFrameLanes-shot
@@ -545,26 +505,26 @@ class FrameBatchBackend
     void foldOutcomes(int lanes, FlatAccumulator &hist);
 
     /** Capture lane (@p w, @p bit)'s frame and classical columns at
-     *  the instant its T1 jump fired at checkpoint @p ordinal. */
+     *  the instant its T1 jump fired at the checkpoint at root op
+     *  index @p site. */
     FrameTailShot snapshotLane(int w, int bit, int64_t shot,
-                               uint32_t ordinal) const;
+                               uint32_t site) const;
 };
 
 /**
  * Finish every lane in @p tails (see FrameTailShot), counting the
  * outcomes into @p hist, and clear the list.  Each lane absorbs the
  * checkpoint's branch-flip Pauli iff its x bit of the decaying qubit
- * reads 1, then walks the checkpoint's tail (from @p source) as a
- * scalar frame over the root's op stream, reading the
- * reference-dependent fields from the tail's overlays.  A nested
- * superposed jump recurses one tail deeper; a jump past the
- * branchDepth cap (at depth 0, the first jump) falls back to an exact
- * tableau walk of the root stream, seeded from the capped tail's
- * jumped reference.  Each lane consumes the dedicated stream
- * base.fork(kFrameTailSalt + shot), so the fold stays chunking- and
- * wave-invariant: a chunk may drain after any group of blocks
- * without perturbing a single outcome.  @p stats accumulates how
- * lanes finished (never reset here).
+ * reads 1, then walks the checkpoint's tail (from @p tails_cache) as
+ * a scalar frame over the root's op stream, reading the
+ * reference-dependent fields from the tail's overlays.  A lane that
+ * fires again at a superposed checkpoint of the tail finishes on an
+ * exact tableau walk of the root stream, seeded from the tail's start
+ * reference walked to that checkpoint and jumped there.  Each lane
+ * consumes the dedicated stream base.fork(kFrameTailSalt + shot), so
+ * the fold stays chunking- and wave-invariant: a chunk may drain
+ * after any group of blocks without perturbing a single outcome.
+ * @p stats accumulates how lanes finished (never reset here).
  *
  * @param prog  The root program the snapshots were taken from.
  * @param state Scratch tableau of prog.numQubits qubits.
@@ -572,7 +532,7 @@ class FrameBatchBackend
  */
 void drainTailShots(const FrameProgram &prog, const Rng &base,
                     std::vector<FrameTailShot> &tails,
-                    FrameTailSource &source, StabilizerState &state,
+                    FrameTailCache &tails_cache, StabilizerState &state,
                     OutcomePacker &packer, FlatAccumulator &hist,
                     FrameBatchStats &stats);
 
@@ -586,6 +546,19 @@ void applyFrameOp(StabilizerState &state, const Frame1QOp &op);
 void applyFrameOp(StabilizerState &state, const Frame2QOp &op);
 void applyPauliCode(StabilizerState &state, int code, int q);
 /** @} */
+
+/**
+ * Advance reference @p ref, with its recorded clbits @p refCl,
+ * through root.ops[from, to): the tableau actions of gates, the
+ * reference's own collapse at random measures and resets (outcome 0),
+ * and the conditional Paulis its bits select — exactly what the
+ * skeleton walk did to the root reference.  A branch tail's compile
+ * and a lane's second fire both derive their jumped reference with
+ * it.
+ */
+void walkFrameReference(const FrameProgram &root, StabilizerState &ref,
+                        std::vector<uint8_t> &refCl, uint32_t from,
+                        uint32_t to);
 
 } // namespace adapt
 

@@ -18,12 +18,11 @@
  *    feedback at 63/64/65 clbits);
  *  - bit-identity of the frame engine against itself across thread
  *    counts and batch-vs-serial, tails included;
- *  - FrameBatchStats invariants: zero deferred lanes on DD-padded
- *    decoys at the default depth, bounded tail recursion under
- *    ADAPT_FRAME_BRANCH_DEPTH, and depth 0 finishing every fired lane
- *    on the exact tableau under the same law;
- *  - branch-tail memory: a 50-qubit tail-heavy job runs under a 2 GB
- *    address-space cap;
+ *  - FrameBatchStats invariants: second fires (lanes that leave
+ *    their branch tail for the exact tableau) stay rare on DD-padded
+ *    decoys, and on a heavy-fire chain they engage and keep the law;
+ *  - branch-tail memory: 50- and 100-qubit tail-heavy jobs peak under
+ *    64 MB of resident memory (and a 2 GB address-space cap);
  *  - dispatch: conditional non-Pauli gates keep the job off the
  *    frame engine but on the stabilizer backend (interpreted walk).
  *
@@ -131,7 +130,8 @@ constexpr int kShots = 60000;
 /**
  * frame_char_100q's tail job at @p n qubits: |+>, a 20 us XY4-padded
  * idle, X-basis readout.  T1 fires on superposed qubits, so most
- * lanes leave the plane pass and finish on nested branch tails.
+ * lanes leave the plane pass for a branch tail, and many fire again
+ * there and finish on the exact tableau.
  */
 ScheduledCircuit
 tailIdleExecutable(const Device &device, int n)
@@ -147,19 +147,6 @@ tailIdleExecutable(const Device &device, int n)
     return insertDDAll(schedule(decompose(c), device.topology(), cal,
                                 ScheduleMode::Asap),
                        cal, DDOptions{});
-}
-
-/** Prepare @p sched for the frame engine under
- *  ADAPT_FRAME_BRANCH_DEPTH=@p depth. */
-PreparedCircuit
-prepareAtDepth(const NoisyMachine &machine, const ScheduledCircuit &sched,
-               const char *depth)
-{
-    setenv("ADAPT_FRAME_BRANCH_DEPTH", depth, 1);
-    PreparedCircuit prepared =
-        machine.prepare(sched, BackendKind::Stabilizer);
-    unsetenv("ADAPT_FRAME_BRANCH_DEPTH");
-    return prepared;
 }
 
 } // namespace
@@ -444,49 +431,43 @@ TEST(DynamicDeterminism, BatchVsSerialBitIdentical)
     }
 }
 
-TEST(DynamicDeterminism, NestedTailsAtWidthBitIdentical)
+TEST(DynamicDeterminism, TailsAtWidthBitIdentical)
 {
-    // Hundreds of tails, nested several deep and cached by the
-    // address of their parent tail.  Every run prepares afresh, so
-    // the threaded and batched runs compile their tails concurrently.
+    // Tails of twenty qubits' checkpoints, and lanes that fire again
+    // inside them.  Every run prepares afresh, so the threaded and
+    // batched runs compile their tails concurrently.
     const Device device = Device::synthetic(Topology::grid(10, 10));
     const NoisyMachine machine(device, 0, NoiseFlags::pauliOnly());
     const ScheduledCircuit sched = tailIdleExecutable(device, 20);
+    const auto prepare = [&] {
+        return machine.prepare(sched, BackendKind::Stabilizer);
+    };
     const int shots = 5 * kFrameLanes + 17;
-    for (const char *depth : {"8", "2"}) {
-        const PreparedCircuit job = prepareAtDepth(machine, sched, depth);
-        ASSERT_TRUE(job.frameBatched());
-        const RunOutcome serial =
-            machine.runPartial(job, shots, 31, 1, RunControl{});
-        EXPECT_GT(serial.frameStats.maxTailDepth, 2) << "depth " << depth;
-        EXPECT_GT(job.compiledTails(), 0u);
+    const PreparedCircuit job = prepare();
+    ASSERT_TRUE(job.frameBatched());
+    const RunOutcome serial =
+        machine.runPartial(job, shots, 31, 1, RunControl{});
+    EXPECT_EQ(serial.frameStats.maxTailDepth, 2);
+    EXPECT_GT(job.compiledTails(), 0u);
 
-        const RunOutcome threaded = machine.runPartial(
-            prepareAtDepth(machine, sched, depth), shots, 31, 7,
-            RunControl{});
-        EXPECT_TRUE(distributionsIdentical(serial.dist, threaded.dist))
-            << "depth " << depth;
-        EXPECT_EQ(serial.frameStats.tailShots,
-                  threaded.frameStats.tailShots);
-        EXPECT_EQ(serial.frameStats.deferredShots,
-                  threaded.frameStats.deferredShots);
-        EXPECT_EQ(serial.frameStats.maxTailDepth,
-                  threaded.frameStats.maxTailDepth);
+    const RunOutcome threaded =
+        machine.runPartial(prepare(), shots, 31, 7, RunControl{});
+    EXPECT_TRUE(distributionsIdentical(serial.dist, threaded.dist));
+    EXPECT_EQ(serial.frameStats.tailShots, threaded.frameStats.tailShots);
+    EXPECT_EQ(serial.frameStats.deferredShots,
+              threaded.frameStats.deferredShots);
+    EXPECT_EQ(serial.frameStats.maxTailDepth,
+              threaded.frameStats.maxTailDepth);
 
-        const std::vector<PreparedCircuit> jobs = {
-            prepareAtDepth(machine, sched, depth),
-            prepareAtDepth(machine, sched, depth)};
-        const std::vector<uint64_t> seeds = {31, 32};
-        const std::vector<Distribution> batched = machine.runBatch(
-            std::span<const PreparedCircuit>(jobs), shots, seeds,
-            /*threads=*/5);
-        ASSERT_EQ(batched.size(), jobs.size());
-        EXPECT_TRUE(distributionsIdentical(batched[0], serial.dist))
-            << "depth " << depth;
-        EXPECT_TRUE(distributionsIdentical(
-            batched[1], machine.run(job, shots, 32, 1)))
-            << "depth " << depth;
-    }
+    const std::vector<PreparedCircuit> jobs = {prepare(), prepare()};
+    const std::vector<uint64_t> seeds = {31, 32};
+    const std::vector<Distribution> batched = machine.runBatch(
+        std::span<const PreparedCircuit>(jobs), shots, seeds,
+        /*threads=*/5);
+    ASSERT_EQ(batched.size(), jobs.size());
+    EXPECT_TRUE(distributionsIdentical(batched[0], serial.dist));
+    EXPECT_TRUE(distributionsIdentical(batched[1],
+                                       machine.run(job, shots, 32, 1)));
 }
 
 // ----------------------------------------------- branch-tail stats
@@ -495,7 +476,8 @@ namespace
 {
 
 /** A chain of re-superposed long idles: every T1 checkpoint sees a
- *  reference at population 1/2, so jump lanes fire often and nest. */
+ *  reference at population 1/2, so jump lanes fire often, and often
+ *  fire again inside their tails. */
 ScheduledCircuit
 heavyFireExecutable(const Device &device)
 {
@@ -510,13 +492,13 @@ heavyFireExecutable(const Device &device)
 
 } // namespace
 
-TEST(DynamicTailStats, DecoyCorpusNeverDefersWithTailsEnabled)
+TEST(DynamicTailStats, DecoyCorpusFiresTwiceRarely)
 {
-    // DD-padded decoys are the hot path of the ADAPT search: the PR's
-    // acceptance demands a deferred-lane fraction of exactly zero on
-    // them now that fired lanes finish in-frame.
+    // DD-padded decoys are the hot path of the ADAPT search: fired
+    // lanes finish in-frame on their branch tails, and the few that
+    // fire a second time (1.5-3.4% on these three) leave the tail for
+    // the exact tableau.
     uint64_t seed = 600;
-    int64_t fired_total = 0;
     for (const int w : {3, 4, 5}) {
         FuzzSpec spec;
         spec.width = w;
@@ -535,14 +517,15 @@ TEST(DynamicTailStats, DecoyCorpusNeverDefersWithTailsEnabled)
         const RunOutcome out = machine.runPartial(
             prepared, 20000, spec.seed, 0, RunControl{});
         EXPECT_FALSE(out.partial);
-        EXPECT_EQ(out.frameStats.deferredShots, 0)
-            << "width " << w << ": decoy lanes fell off the frame "
-                               "path";
-        fired_total += out.frameStats.tailShots;
+        const int64_t tails = out.frameStats.tailShots;
+        const int64_t twice = out.frameStats.deferredShots;
+        EXPECT_GT(tails, 0) << "width " << w << ": no lane rode a tail";
+        EXPECT_LE(twice * 20, tails + twice)
+            << "width " << w << ": over 5% of fired lanes fired twice";
     }
 
-    // And on a decoy shaped to fire constantly, tails must both
-    // engage and stay in-frame.
+    // And on a decoy shaped to fire constantly, tails and second
+    // fires must both engage.
     const Device device = Device::synthetic(Topology::linear(2), 74);
     NoiseFlags flags = NoiseFlags::none();
     flags.t1Damping = true;
@@ -553,10 +536,8 @@ TEST(DynamicTailStats, DecoyCorpusNeverDefersWithTailsEnabled)
     const RunOutcome out =
         machine.runPartial(prepared, kShots, 9, 0, RunControl{});
     EXPECT_GT(out.frameStats.tailShots, 0);
-    EXPECT_EQ(out.frameStats.deferredShots, 0);
-    EXPECT_LE(out.frameStats.maxTailDepth, 9); // default cap 8, +1
-    fired_total += out.frameStats.tailShots;
-    EXPECT_GT(fired_total, 0) << "stats plumbing reported no fires";
+    EXPECT_GT(out.frameStats.deferredShots, 0);
+    EXPECT_EQ(out.frameStats.maxTailDepth, 2);
 }
 
 TEST(DynamicTailStats, DepthCapBoundsRecursionAndStaysCorrect)
@@ -567,68 +548,23 @@ TEST(DynamicTailStats, DepthCapBoundsRecursionAndStaysCorrect)
     const NoisyMachine machine(device, 0, flags);
     const ScheduledCircuit sched = heavyFireExecutable(device);
 
-    // Oracle and reference law from the default configuration.
-    const PreparedCircuit deep =
+    const PreparedCircuit prepared =
         machine.prepare(sched, BackendKind::Stabilizer);
-    const Distribution oracle =
-        machine.run(deep, kShots, 11, 0, ExecMode::Interpreted);
-
-    setenv("ADAPT_FRAME_BRANCH_DEPTH", "1", 1);
-    const PreparedCircuit capped =
-        machine.prepare(sched, BackendKind::Stabilizer);
-    unsetenv("ADAPT_FRAME_BRANCH_DEPTH");
+    ASSERT_TRUE(prepared.frameBatched());
     const RunOutcome out =
-        machine.runPartial(capped, kShots, 11, 0, RunControl{});
-    // Nested fires exist at this rate, so the cap must actually
-    // engage — and bound the chain at cap + 1 hops.
+        machine.runPartial(prepared, kShots, 11, 0, RunControl{});
+    // Second fires exist at this rate, so the one-level cap must
+    // actually engage — and bound every lane at two fires.
     EXPECT_GT(out.frameStats.deferredShots, 0);
     EXPECT_LE(out.frameStats.maxTailDepth, 2);
-    EXPECT_LT(tvDistance(out.dist, oracle), 0.015);
-
-    // Capped runs keep the determinism contract too.
-    EXPECT_TRUE(distributionsIdentical(
-        machine.run(capped, 5 * kFrameLanes + 17, 11, 1),
-        machine.run(capped, 5 * kFrameLanes + 17, 11, 7)));
-}
-
-TEST(DynamicTailStats, DepthZeroFinishesFiredLanesOnTheTableau)
-{
-    // At depth 0 the first tail is already capped: every lane that
-    // fires at a superposed checkpoint finishes on the exact tableau
-    // from that checkpoint.
-    const Device device = Device::synthetic(Topology::linear(2), 76);
-    NoiseFlags flags = NoiseFlags::none();
-    flags.t1Damping = true;
-    const NoisyMachine machine(device, 0, flags);
-    const ScheduledCircuit sched = heavyFireExecutable(device);
-
-    const PreparedCircuit flat = prepareAtDepth(machine, sched, "0");
-    ASSERT_TRUE(flat.frameBatched());
-    const RunOutcome out =
-        machine.runPartial(flat, kShots, 13, 0, RunControl{});
-    EXPECT_EQ(out.frameStats.tailShots, 0);
-    EXPECT_GT(out.frameStats.deferredShots, 0);
-    EXPECT_EQ(out.frameStats.maxTailDepth, 1);
-
-    // The plane pass does not depend on the depth, so the same lanes
-    // fire at depth 8: each finishes there on a tail or past the cap.
-    const PreparedCircuit deep = prepareAtDepth(machine, sched, "8");
-    const RunOutcome dout =
-        machine.runPartial(deep, kShots, 13, 0, RunControl{});
-    EXPECT_GT(dout.frameStats.tailShots, 0);
-    EXPECT_EQ(out.frameStats.deferredShots,
-              dout.frameStats.tailShots + dout.frameStats.deferredShots);
-
-    // Different exact samplers of one law: depth 8 and the per-shot
-    // tableau oracle.
-    EXPECT_LT(tvDistance(out.dist, dout.dist), 0.015);
-    EXPECT_LT(tvDistance(out.dist, machine.run(flat, kShots, 14, 0,
+    EXPECT_LT(tvDistance(out.dist, machine.run(prepared, kShots, 11, 0,
                                                ExecMode::Interpreted)),
               0.015);
 
+    // Lanes that fire twice keep the determinism contract too.
     EXPECT_TRUE(distributionsIdentical(
-        machine.run(flat, 5 * kFrameLanes + 17, 13, 1),
-        machine.run(flat, 5 * kFrameLanes + 17, 13, 7)));
+        machine.run(prepared, 5 * kFrameLanes + 17, 11, 1),
+        machine.run(prepared, 5 * kFrameLanes + 17, 11, 7)));
 }
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -642,10 +578,12 @@ TEST(DynamicTailStats, DepthZeroFinishesFiredLanesOnTheTableau)
 namespace
 {
 
-/** Run the 50-qubit tail shape (1,024 shots, 2 threads) under a 2 GB
- *  address-space cap; exits 0 iff it completes with tail lanes. */
+/** Run the 50- and then the 100-qubit tail shape (1,024 shots, 2
+ *  threads each) under a 2 GB address-space cap; exits 0 iff both
+ *  complete with fired lanes and the process peak RSS stays at or
+ *  under 64 MB. */
 [[noreturn]] void
-runWideTailJobUnderCap()
+runWideTailJobsUnderCap()
 {
     const rlim_t cap = rlim_t{2} << 30;
     const rlimit limit{cap, cap};
@@ -653,30 +591,35 @@ runWideTailJobUnderCap()
         std::_Exit(2);
     const Device device = Device::synthetic(Topology::grid(10, 10));
     const NoisyMachine machine(device, 0, NoiseFlags::pauliOnly());
-    const PreparedCircuit prepared = machine.prepare(
-        tailIdleExecutable(device, 50), BackendKind::Stabilizer);
-    const RunOutcome out =
-        machine.runPartial(prepared, 1024, 7, 2, RunControl{});
-    std::_Exit(out.frameStats.tailShots > 0 &&
-                       out.dist.totalSamples() == 1024
-                   ? 0
-                   : 1);
+    for (const int n : {50, 100}) {
+        const PreparedCircuit prepared = machine.prepare(
+            tailIdleExecutable(device, n), BackendKind::Stabilizer);
+        const RunOutcome out =
+            machine.runPartial(prepared, 1024, 7, 2, RunControl{});
+        if (out.frameStats.tailShots + out.frameStats.deferredShots == 0 ||
+            out.dist.totalSamples() != 1024)
+            std::_Exit(1);
+    }
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    std::_Exit(usage.ru_maxrss <= 64 * 1024 ? 0 : 3); // KB on Linux
 }
 
 } // namespace
 
-TEST(DynamicTailMemory, FiftyQubitTailShapeFitsUnderTwoGigabytes)
+TEST(DynamicTailMemory, WideTailShapesPeakUnder64Megabytes)
 {
 #ifdef ADAPT_TEST_SANITIZED
     GTEST_SKIP() << "sanitizer shadow memory exceeds the address-space "
                     "cap";
 #endif
-    // Tails must stay overlays on the root: a tail that copies its
-    // parent's op suffix exhausts this cap on this job.  The capped
-    // child re-executes the test binary (threadsafe style), so it
-    // forks no live pool.
+    // Tails must stay overlays on the root, one level deep: a tail
+    // that copies its op suffix exhausts the address-space cap, and
+    // compiling tails of tails at 100 qubits (about 24k of them)
+    // passes the RSS bound.  The capped child re-executes the test
+    // binary (threadsafe style), so it forks no live pool.
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    EXPECT_EXIT(runWideTailJobUnderCap(), ::testing::ExitedWithCode(0),
+    EXPECT_EXIT(runWideTailJobsUnderCap(), ::testing::ExitedWithCode(0),
                 "");
 }
 

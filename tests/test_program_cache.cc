@@ -8,14 +8,12 @@
  * frame paths alike.  Plus the cache mechanics themselves: admission
  * once a structure recurs (first sightings are declined from the LRU
  * and held only in the admission window), clear() as a cold reset,
- * hit/miss/eviction counters, capacity clamping, the frame engine's
- * branch-tail depth re-binding a cached skeleton instead of keying a
- * new one, and exact-size skeletons.
+ * hit/miss/eviction counters, capacity clamping, the structural
+ * inputs that separate keys, and exact-size skeletons.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <latch>
 #include <set>
 #include <thread>
@@ -62,23 +60,6 @@ cliffordSchedule(const Device &device)
     c.delay(800.0, 2);
     c.s(1);
     c.cx(1, 2);
-    c.measureAll();
-    return transpile(c, device, device.calibration(0)).schedule;
-}
-
-/**
- * A chain of re-superposed long idles: every T1 checkpoint sees a
- * reference at population 1/2, so frame lanes leave the plane pass
- * often and nest.
- */
-ScheduledCircuit
-heavyFireSchedule(const Device &device)
-{
-    Circuit c(2, 2);
-    for (int k = 0; k < 6; k++) {
-        c.h(0);
-        c.delay(40000.0, 0);
-    }
     c.measureAll();
     return transpile(c, device, device.calibration(0)).schedule;
 }
@@ -253,73 +234,22 @@ TEST(ProgramCache, CapacityClampsToOne)
     EXPECT_EQ(ProgramCache(64).window(), 8u);
 }
 
-TEST(ProgramCache, FingerprintTracksFrameKnobs)
+TEST(ProgramCache, FingerprintSeparatesBackendAndFlags)
 {
-    // prepare() reads ADAPT_FRAME_BRANCH_DEPTH only when it binds a
-    // frame program, and the bind stamps it: toggling the knob
-    // between prepares re-binds the cached skeleton, and the re-bound
-    // job runs at the new depth.
+    // Besides the schedule, the requested backend and the noise flags
+    // are the structural inputs: each separates keys.
     const Device device = Device::ibmqRome();
     NoiseFlags flags = NoiseFlags::none();
     flags.t1Damping = true;
-    NoisyMachine machine(device, 0, flags);
-    const ScheduledCircuit sched = heavyFireSchedule(device);
-    ProgramCache cache(8);
-    machine.setProgramCache(&cache);
-
-    // Own the knob for the duration of the test (the ambient
-    // environment could carry any value).
-    ASSERT_EQ(unsetenv("ADAPT_FRAME_BRANCH_DEPTH"), 0);
-    const PreparedCircuit deep =
-        machine.prepare(sched, BackendKind::Stabilizer);
-    ASSERT_EQ(setenv("ADAPT_FRAME_BRANCH_DEPTH", "0", 1), 0);
-    const PreparedCircuit flat =
-        machine.prepare(sched, BackendKind::Stabilizer);
-    ASSERT_EQ(unsetenv("ADAPT_FRAME_BRANCH_DEPTH"), 0);
-    EXPECT_EQ(cache.stats().misses, 1u) << "a depth change re-binds";
-    EXPECT_EQ(cache.stats().hits, 1u);
-
-    ASSERT_TRUE(deep.frameBatched());
-    ASSERT_TRUE(flat.frameBatched());
-    const RunOutcome deep_out =
-        machine.runPartial(deep, 4096, 9, 0, RunControl{});
-    const RunOutcome flat_out =
-        machine.runPartial(flat, 4096, 9, 0, RunControl{});
-    EXPECT_GT(deep_out.frameStats.tailShots, 0);
-    EXPECT_EQ(flat_out.frameStats.tailShots, 0);
-    EXPECT_GT(flat_out.frameStats.deferredShots, 0);
-
-    // The other structural inputs separate keys.
+    const ScheduledCircuit sched = cliffordSchedule(device);
     const ProgramFingerprint base =
-        skeletonFingerprint(sched, machine.flags(), BackendKind::Auto);
-    EXPECT_TRUE(base == skeletonFingerprint(sched, machine.flags(),
-                                            BackendKind::Auto));
-    EXPECT_FALSE(base == skeletonFingerprint(sched, machine.flags(),
-                                             BackendKind::Dense));
+        skeletonFingerprint(sched, flags, BackendKind::Auto);
+    EXPECT_TRUE(base ==
+                skeletonFingerprint(sched, flags, BackendKind::Auto));
+    EXPECT_FALSE(base ==
+                 skeletonFingerprint(sched, flags, BackendKind::Dense));
     EXPECT_FALSE(base == skeletonFingerprint(sched, NoiseFlags::all(),
                                              BackendKind::Auto));
-}
-
-TEST(ProgramCache, ExplicitDefaultBranchDepthHitsCache)
-{
-    // Unset and an explicit ADAPT_FRAME_BRANCH_DEPTH=8 (the default)
-    // build the same skeleton, so they must share one cache key.
-    const Device device = Device::ibmqRome();
-    NoisyMachine machine(device, 0, NoiseFlags::pauliOnly());
-    const ScheduledCircuit sched = cliffordSchedule(device);
-    ProgramCache cache(8);
-    machine.setProgramCache(&cache);
-
-    ASSERT_EQ(unsetenv("ADAPT_FRAME_BRANCH_DEPTH"), 0);
-    const PreparedCircuit unset = machine.prepare(sched);
-    ASSERT_EQ(setenv("ADAPT_FRAME_BRANCH_DEPTH", "8", 1), 0);
-    const PreparedCircuit spelled = machine.prepare(sched);
-    ASSERT_EQ(unsetenv("ADAPT_FRAME_BRANCH_DEPTH"), 0);
-
-    EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_EQ(cache.stats().hits, 1u);
-    EXPECT_TRUE(distributionsIdentical(machine.run(unset, 512, 5),
-                                       machine.run(spelled, 512, 5)));
 }
 
 TEST(ProgramCache, InterpretedRunsBypassTheCache)
