@@ -1,6 +1,7 @@
 #include "serve/job_server.hh"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
@@ -47,6 +48,13 @@ ServerOptions::fromEnv()
 namespace
 {
 
+/** Dispatch lanes.  The compute lane's `workers` threads run jobs
+ *  in-process; the shard lane's one thread runs sharded jobs, which
+ *  spend their run waiting on worker processes. */
+constexpr size_t kComputeLane = 0;
+constexpr size_t kShardLane = 1;
+constexpr size_t kLanes = 2;
+
 /** One tracked job.  Fields split by writer: the spec/deadline block
  *  is immutable after admission; the atomics are live progress for
  *  concurrent readers; pendState/pendReason/outcome are written by
@@ -56,6 +64,7 @@ struct Job
 {
     JobId id = 0;
     int tenant = 0;
+    size_t lane = kComputeLane; //!< decided once, at admission
     JobSpec spec;
     int maxRetries = 0;
     bool hasDeadline = false;
@@ -79,8 +88,9 @@ struct Tenant
     std::string name;
     int index = 0;
     int weight = 1;
-    int64_t credit = 0;
-    std::deque<std::shared_ptr<Job>> queue;
+    /** Per lane: round-robin credit and queued jobs. */
+    std::array<int64_t, kLanes> credit{};
+    std::array<std::deque<std::shared_ptr<Job>>, kLanes> queue;
     TenantStats stats;
 };
 
@@ -99,8 +109,14 @@ struct JobServer::Impl
     const ServerOptions opts;
 
     mutable std::mutex mutex;
-    std::condition_variable cvWork; //!< workers: new job / shutdown
     std::condition_variable cvDone; //!< waiters: job finalized
+
+    /** Per lane: the count of queued jobs, and the condition
+     *  variable that wakes the lane's threads (new job / start /
+     *  shutdown).  With one shared condition variable, a submit's
+     *  notify_one could wake the other lane's thread instead. */
+    std::array<int, kLanes> queued{};
+    std::array<std::condition_variable, kLanes> cvWork;
 
     std::vector<std::unique_ptr<Tenant>> tenants; // creation order
     std::map<std::string, int> tenantIndex;
@@ -109,7 +125,6 @@ struct JobServer::Impl
     uint64_t submitSeq = 0;
     JobId nextId = 1;
     uint64_t finishSeq = 0;
-    int queued = 0;
     int running = 0;
     bool paused = false;
     bool accepting = true;
@@ -119,7 +134,7 @@ struct JobServer::Impl
     ServerStats stats;
     std::atomic<uint64_t> retried{0};
 
-    std::vector<std::thread> workers;
+    std::vector<std::thread> workers; //!< compute lane, then shard
 
     /** Multi-process sharding; nullptr when opts.shard.workers == 0
      *  (jobs run in-process exactly as before). */
@@ -134,6 +149,13 @@ struct JobServer::Impl
         }
     }
 
+    /** True when the shard lane runs: an executor with a resolved
+     *  worker binary. */
+    bool sharding() const
+    {
+        return sharder != nullptr && sharder->available();
+    }
+
     Tenant *findTenant(const std::string &name)
     {
         const auto it = tenantIndex.find(name);
@@ -142,28 +164,28 @@ struct JobServer::Impl
     }
 
     /** Smooth weighted round-robin over the tenants with pending
-     *  work: every candidate earns its weight in credit, the richest
-     *  (ties: creation order) pays the round's total and dispatches.
-     *  Idle tenants earn nothing, so a returning tenant gets its fair
-     *  share without a catch-up burst. */
-    std::shared_ptr<Job> popNextJobLocked()
+     *  work on @p lane: every candidate earns its weight in credit,
+     *  the richest (ties: creation order) pays the round's total and
+     *  dispatches.  Idle tenants earn nothing, so a returning tenant
+     *  gets its fair share without a catch-up burst. */
+    std::shared_ptr<Job> popNextJobLocked(size_t lane)
     {
         int64_t total = 0;
         Tenant *best = nullptr;
         for (const std::unique_ptr<Tenant> &t : tenants) {
-            if (t->queue.empty())
+            if (t->queue[lane].empty())
                 continue;
             total += t->weight;
-            t->credit += t->weight;
-            if (best == nullptr || t->credit > best->credit)
+            t->credit[lane] += t->weight;
+            if (best == nullptr || t->credit[lane] > best->credit[lane])
                 best = t.get();
         }
         if (best == nullptr)
             return nullptr;
-        best->credit -= total;
-        std::shared_ptr<Job> job = std::move(best->queue.front());
-        best->queue.pop_front();
-        --queued;
+        best->credit[lane] -= total;
+        std::shared_ptr<Job> job = std::move(best->queue[lane].front());
+        best->queue[lane].pop_front();
+        --queued[lane];
         return job;
     }
 
@@ -242,20 +264,14 @@ struct JobServer::Impl
                                         std::memory_order_relaxed);
                     faults.maybeStall(faultKey(job.id, wave++));
                 };
-                // Sharded dispatch needs the schedule (workers
-                // rebuild the job from it); the merged histogram is
-                // bit-identical to the in-process path either way.
-                const bool sharded = sharder != nullptr &&
-                                     sharder->available() &&
-                                     job.spec.sched != nullptr;
                 RunOutcome out =
-                    sharded ? sharder->runSharded(
-                                  job.spec.prepared, *job.spec.sched,
-                                  job.spec.shots, job.spec.seed, ctl)
-                            : machine.runPartial(
-                                  job.spec.prepared, job.spec.shots,
-                                  job.spec.seed, opts.threadsPerJob,
-                                  ctl);
+                    job.lane == kShardLane
+                        ? sharder->runSharded(
+                              job.spec.prepared, *job.spec.sched,
+                              job.spec.shots, job.spec.seed, ctl)
+                        : machine.runPartial(
+                              job.spec.prepared, job.spec.shots,
+                              job.spec.seed, opts.threadsPerJob, ctl);
                 job.outcome = std::move(out);
                 if (!job.outcome.partial) {
                     job.pendState = JobState::Done;
@@ -314,17 +330,17 @@ struct JobServer::Impl
         }
     }
 
-    void workerLoop()
+    void workerLoop(size_t lane)
     {
         std::unique_lock<std::mutex> lock(mutex);
         for (;;) {
-            cvWork.wait(lock, [&] {
+            cvWork[lane].wait(lock, [&] {
                 return stopFlag.load(std::memory_order_relaxed) ||
-                       (!paused && queued > 0);
+                       (!paused && queued[lane] > 0);
             });
             if (stopFlag.load(std::memory_order_relaxed))
                 return;
-            std::shared_ptr<Job> job = popNextJobLocked();
+            std::shared_ptr<Job> job = popNextJobLocked(lane);
             if (job == nullptr)
                 continue;
             job->state.store(JobState::Running,
@@ -347,9 +363,9 @@ JobServer::JobServer(const NoisyMachine &machine, ServerOptions opts)
     if (envPresent("ADAPT_FAULT_SEED"))
         FaultInjector::global().loadEnv();
     // Programmatic options bypass fromEnv()'s range checks; a zero or
-    // negative pool/queue would deadlock submitters or reject every
-    // job, so fall back to the documented defaults instead of
-    // silently reinterpreting the value.
+    // negative pool, queue or tenant limit would deadlock submitters
+    // or reject every job, so fall back to the documented defaults
+    // instead of silently reinterpreting the value.
     if (opts.workers <= 0) {
         warnOnce("server-workers-invalid",
                  "ServerOptions.workers=" +
@@ -366,11 +382,24 @@ JobServer::JobServer(const NoisyMachine &machine, ServerOptions opts)
                      std::to_string(ServerOptions{}.queueDepth));
         opts.queueDepth = ServerOptions{}.queueDepth;
     }
+    if (opts.maxTenants <= 0) {
+        warnOnce("server-max-tenants-invalid",
+                 "ServerOptions.maxTenants=" +
+                     std::to_string(opts.maxTenants) +
+                     " invalid (must be >= 1); using default " +
+                     std::to_string(ServerOptions{}.maxTenants));
+        opts.maxTenants = ServerOptions{}.maxTenants;
+    }
     impl_ = std::make_unique<Impl>(machine, std::move(opts));
     impl_->paused = impl_->opts.startPaused;
-    impl_->workers.reserve(static_cast<size_t>(impl_->opts.workers));
-    for (int i = 0; i < impl_->opts.workers; ++i)
-        impl_->workers.emplace_back([this] { impl_->workerLoop(); });
+    for (int i = 0; i < impl_->opts.workers; ++i) {
+        impl_->workers.emplace_back(
+            [this] { impl_->workerLoop(kComputeLane); });
+    }
+    if (impl_->sharding()) {
+        impl_->workers.emplace_back(
+            [this] { impl_->workerLoop(kShardLane); });
+    }
 }
 
 JobServer::~JobServer()
@@ -422,7 +451,8 @@ JobServer::submit(const std::string &tenant, JobSpec spec, int weight)
         ++t->stats.submitted;
     }
     t->weight = std::max(1, weight);
-    if (static_cast<int>(t->queue.size()) >= impl_->opts.queueDepth) {
+    if (t->queue[kComputeLane].size() + t->queue[kShardLane].size() >=
+        static_cast<size_t>(impl_->opts.queueDepth)) {
         return reject("queue full for tenant \"" + tenant +
                       "\" (depth " +
                       std::to_string(impl_->opts.queueDepth) + ")");
@@ -437,6 +467,12 @@ JobServer::submit(const std::string &tenant, JobSpec spec, int weight)
     job->id = impl_->nextId++;
     job->tenant = t->index;
     job->spec = std::move(spec);
+    // Sharded dispatch needs the schedule (workers rebuild the job
+    // from it); the merged histogram is bit-identical to the
+    // in-process path either way.
+    job->lane = impl_->sharding() && job->spec.sched != nullptr
+                    ? kShardLane
+                    : kComputeLane;
     job->maxRetries = job->spec.maxRetries >= 0
                           ? job->spec.maxRetries
                           : impl_->opts.maxRetries;
@@ -448,12 +484,13 @@ JobServer::submit(const std::string &tenant, JobSpec spec, int weight)
         job->deadline = std::chrono::steady_clock::now() + timeout;
     }
     const JobId id = job->id;
-    t->queue.push_back(job);
+    const size_t lane = job->lane;
+    t->queue[lane].push_back(job);
     impl_->jobs.emplace(id, std::move(job));
-    ++impl_->queued;
+    ++impl_->queued[lane];
     ++impl_->stats.accepted;
     ++t->stats.accepted;
-    impl_->cvWork.notify_one();
+    impl_->cvWork[lane].notify_one();
     return Admission{id, true, {}};
 }
 
@@ -470,13 +507,15 @@ JobServer::cancel(JobId id)
         return false;
     job.cancel.cancel();
     if (s == JobState::Queued) {
-        Tenant &t = *impl_->tenants[static_cast<size_t>(job.tenant)];
+        std::deque<std::shared_ptr<Job>> &queue =
+            impl_->tenants[static_cast<size_t>(job.tenant)]
+                ->queue[job.lane];
         const auto qit = std::find_if(
-            t.queue.begin(), t.queue.end(),
+            queue.begin(), queue.end(),
             [&](const std::shared_ptr<Job> &q) { return q->id == id; });
-        if (qit != t.queue.end()) {
-            t.queue.erase(qit);
-            --impl_->queued;
+        if (qit != queue.end()) {
+            queue.erase(qit);
+            --impl_->queued[job.lane];
         }
         job.pendState = JobState::Cancelled;
         job.pendReason = "cancelled while queued";
@@ -524,7 +563,8 @@ JobServer::start()
     if (!impl_->paused)
         return;
     impl_->paused = false;
-    impl_->cvWork.notify_all();
+    for (std::condition_variable &cv : impl_->cvWork)
+        cv.notify_all();
 }
 
 void
@@ -532,7 +572,9 @@ JobServer::drain()
 {
     std::unique_lock<std::mutex> lock(impl_->mutex);
     impl_->cvDone.wait(lock, [&] {
-        return impl_->queued == 0 && impl_->running == 0;
+        return impl_->running == 0 &&
+               impl_->queued[kComputeLane] == 0 &&
+               impl_->queued[kShardLane] == 0;
     });
 }
 
@@ -543,21 +585,25 @@ JobServer::shutdown()
         std::lock_guard<std::mutex> lock(impl_->mutex);
         impl_->accepting = false;
         for (const std::unique_ptr<Tenant> &t : impl_->tenants) {
-            for (const std::shared_ptr<Job> &job : t->queue) {
-                job->cancel.cancel();
-                job->pendState = JobState::Cancelled;
-                job->pendReason = "server shutdown";
-                impl_->finalizeLocked(*job);
+            for (size_t lane = 0; lane < kLanes; ++lane) {
+                for (const std::shared_ptr<Job> &job : t->queue[lane]) {
+                    job->cancel.cancel();
+                    job->pendState = JobState::Cancelled;
+                    job->pendReason = "server shutdown";
+                    impl_->finalizeLocked(*job);
+                }
+                impl_->queued[lane] -=
+                    static_cast<int>(t->queue[lane].size());
+                t->queue[lane].clear();
             }
-            impl_->queued -= static_cast<int>(t->queue.size());
-            t->queue.clear();
         }
         for (const auto &[id, job] : impl_->jobs) {
             if (!job->finalized)
                 job->cancel.cancel();
         }
         impl_->stopFlag.store(true, std::memory_order_release);
-        impl_->cvWork.notify_all();
+        for (std::condition_variable &cv : impl_->cvWork)
+            cv.notify_all();
     }
     if (!impl_->joined) {
         for (std::thread &worker : impl_->workers) {

@@ -26,10 +26,22 @@
  *    same seed, so a retried job's output is bit-identical to an
  *    untroubled one.
  *
- * Fairness: tenants own bounded FIFO queues and the dispatcher picks
- * the next job by smooth weighted round-robin across the tenants with
- * pending work, so a flooding tenant cannot starve the others —
- * completion interleaving is bounded by the weight ratio.
+ * Lanes: submit() puts each job on one of two lanes, once.  A job
+ * that will run sharded (the server has an available shard executor
+ * and the spec carries its schedule) goes to the shard lane, whose
+ * one thread waits on the worker processes; the executor runs one job
+ * at a time anyway.  Every other job goes to the compute lane, whose
+ * `workers` threads run it in-process, so a compute thread never
+ * sleeps through a sharded run.  In-process concurrency stays
+ * `workers × threadsPerJob`, plus one serial lease while the executor
+ * runs a quarantined or degraded lease on the shard-lane thread.
+ *
+ * Fairness: tenants own bounded FIFO queues, one per lane (the
+ * tenant's `queueDepth` counts both), and each lane picks its next
+ * job by smooth weighted round-robin across the tenants with pending
+ * work on that lane, so a flooding tenant cannot starve the others —
+ * completion interleaving within a lane is bounded by the weight
+ * ratio.
  *
  * Reproducibility: job outputs depend only on (prepared circuit,
  * shots, seed) — never on queueing order, worker count, retries, or
@@ -92,8 +104,10 @@ struct JobSpec
 
     /** The schedule @p prepared was prepared from.  Optional — but
      *  required for multi-process sharded execution (workers rebuild
-     *  the job from it; see serve/shard_executor.hh).  Jobs without
-     *  it always run in-process. */
+     *  the job from it; see serve/shard_executor.hh).  With it, a
+     *  server whose shard executor is available queues the job on
+     *  its shard lane; jobs without it always run in-process on the
+     *  compute workers. */
     std::shared_ptr<const ScheduledCircuit> sched;
 };
 
@@ -143,7 +157,9 @@ struct TenantStats
 /** Tuning; fromEnv() layers ADAPT_SERVER_* knobs over the defaults. */
 struct ServerOptions
 {
-    int workers = 2;          //!< dispatcher threads
+    /** Compute threads, which run in-process jobs only; sharded
+     *  jobs wait on one shard-lane thread of their own. */
+    int workers = 2;
     int queueDepth = 32;      //!< max queued jobs per tenant
     int maxTenants = 64;
     int threadsPerJob = 1;    //!< shot parallelism inside one job
@@ -188,8 +204,9 @@ struct ServerOptions
 class JobServer
 {
   public:
-    /** Spawns opts.workers dispatcher threads (paused if asked).
-     *  @p machine must outlive the server. */
+    /** Spawns opts.workers compute threads, plus the shard-lane
+     *  thread when the shard executor is available (paused if
+     *  asked).  @p machine must outlive the server. */
     explicit JobServer(const NoisyMachine &machine,
                        ServerOptions opts = ServerOptions::fromEnv());
 

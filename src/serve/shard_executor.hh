@@ -139,8 +139,8 @@ struct ShardStats
 /**
  * The supervisor.  One executor owns one worker pool; runSharded is
  * thread-safe but serializes internally (one sharded job in flight —
- * the JobServer's dispatcher threads contend here only when sharding
- * is enabled).  Workers are spawned on first
+ * the JobServer calls it from its one shard-lane thread, so its
+ * compute workers never wait here).  Workers are spawned on first
  * use and persist across jobs; the destructor shuts them down.
  */
 class ShardExecutor

@@ -699,11 +699,13 @@ TEST_F(ServeTest, InvalidProgrammaticOptionsFallBackToDefaults)
     const PreparedCircuit prepared = denseJob(machine, d);
 
     // Programmatic options bypass fromEnv()'s range checks; a zero or
-    // negative pool / queue depth must warn and fall back to the
-    // documented defaults (not deadlock, not reject everything).
+    // negative pool / queue depth / tenant limit must warn and fall
+    // back to the documented defaults (not deadlock, not reject
+    // everything).
     ServerOptions opts;
     opts.workers = 0;
     opts.queueDepth = -5;
+    opts.maxTenants = 0;
     JobServer server(machine, opts);
 
     JobSpec spec;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Shard-executor suite: the wire protocol, the shard-range execution
- * contract, and the supervised multi-process executor.
+ * contract, the supervised multi-process executor, and the
+ * JobServer's shard lane.
  *
  * The central lock, asserted over and over: the merged histogram of a
  * sharded run is bit-identical to the in-process run() oracle — at
@@ -15,8 +16,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -90,6 +95,28 @@ poolOf(int workers)
     opts.leaseBlocks = 2;
     opts.heartbeatMs = 2000; // generous: stalls opt in explicitly
     return opts;
+}
+
+/** A JobServer spec for @p job.  A @p sharded spec carries the
+ *  schedule, so a server with an available executor shards it. */
+JobSpec
+specOf(const JobUnderTest &job, int shots, uint64_t seed, bool sharded)
+{
+    JobSpec spec;
+    spec.prepared = job.prepared;
+    spec.shots = shots;
+    spec.seed = seed;
+    if (sharded)
+        spec.sched = std::make_shared<const ScheduledCircuit>(job.sched);
+    return spec;
+}
+
+/** Poll until a server thread has picked @p id up. */
+void
+waitWhileQueued(const JobServer &server, JobId id)
+{
+    while (server.state(id) == JobState::Queued)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
 }
 
 /** Disarm the fault harness around every test. */
@@ -657,6 +684,195 @@ TEST_F(ShardTest, JobServerWithoutSchedKeepsInProcessPath)
     EXPECT_TRUE(distributionsIdentical(
         result.dist, machine.run(job.prepared, kShots, 7)));
     EXPECT_EQ(server.sharder()->stats().jobsSharded, 0u);
+}
+
+TEST_F(ShardTest, ShardedJobDoesNotHoldAComputeWorker)
+{
+    const Device d = Device::ibmqRome();
+    const NoisyMachine machine(d);
+    const JobUnderTest job = denseJob(machine, d);
+    constexpr int kShots = 400;
+
+    // Lease 0's first attempt stalls inside the heartbeat, so the
+    // sharded job spends ~1.5 s waiting on its worker process.
+    FaultConfig cfg;
+    cfg.forceAt(FaultSite::LeaseStall, faultKey(0, 0));
+    cfg.stallMs = 1500;
+    FaultInjector::global().configure(cfg);
+
+    ServerOptions opts;
+    opts.workers = 1;
+    opts.shard = poolOf(1);
+    opts.shard.heartbeatMs = 10000;
+    JobServer server(machine, opts);
+    ASSERT_TRUE(server.sharder()->available());
+
+    const Admission sharded =
+        server.submit("bulk", specOf(job, kShots, 5, true));
+    ASSERT_TRUE(sharded.accepted) << sharded.reason;
+    waitWhileQueued(server, sharded.id);
+
+    // The one compute worker stays free: in-process jobs submitted
+    // while the sharded job runs all finish before it.
+    std::vector<JobId> inProcess;
+    for (int i = 0; i < 4; i++) {
+        const Admission a = server.submit(
+            "interactive",
+            specOf(job, 64, 100 + static_cast<uint64_t>(i), false));
+        ASSERT_TRUE(a.accepted) << a.reason;
+        inProcess.push_back(a.id);
+    }
+    const JobResult bulk = server.wait(sharded.id);
+    EXPECT_EQ(bulk.state, JobState::Done);
+    EXPECT_TRUE(distributionsIdentical(
+        bulk.dist, machine.run(job.prepared, kShots, 5)));
+    for (const JobId id : inProcess) {
+        const JobResult r = server.wait(id);
+        EXPECT_EQ(r.state, JobState::Done);
+        EXPECT_LT(r.finishSeq, bulk.finishSeq)
+            << "in-process job " << id << " queued behind the shard";
+    }
+}
+
+TEST_F(ShardTest, TenantQueueDepthCountsBothLanes)
+{
+    const Device d = Device::ibmqRome();
+    const NoisyMachine machine(d);
+    const JobUnderTest job = denseJob(machine, d);
+
+    ServerOptions opts;
+    opts.workers = 1;
+    opts.queueDepth = 2;
+    opts.startPaused = true;
+    opts.shard = poolOf(1);
+    JobServer server(machine, opts);
+
+    const Admission sharded = server.submit("t", specOf(job, 100, 1, true));
+    const Admission local = server.submit("t", specOf(job, 100, 2, false));
+    ASSERT_TRUE(sharded.accepted) << sharded.reason;
+    ASSERT_TRUE(local.accepted) << local.reason;
+    for (const bool third_sharded : {true, false}) {
+        const Admission third =
+            server.submit("t", specOf(job, 100, 3, third_sharded));
+        EXPECT_FALSE(third.accepted) << "sharded=" << third_sharded;
+        EXPECT_NE(third.reason.find("queue full"), std::string::npos);
+    }
+
+    server.start();
+    EXPECT_TRUE(distributionsIdentical(
+        server.wait(sharded.id).dist,
+        machine.run(job.prepared, 100, 1)));
+    EXPECT_TRUE(distributionsIdentical(server.wait(local.id).dist,
+                                       machine.run(job.prepared, 100, 2)));
+    EXPECT_EQ(server.sharder()->stats().jobsSharded, 1u);
+}
+
+TEST_F(ShardTest, CancelAndDrainReachTheShardLane)
+{
+    const Device d = Device::ibmqRome();
+    const NoisyMachine machine(d);
+    const JobUnderTest job = denseJob(machine, d);
+
+    ServerOptions opts;
+    opts.queueDepth = 1;
+    opts.startPaused = true;
+    opts.shard = poolOf(1);
+    JobServer server(machine, opts);
+
+    const Admission cancelled =
+        server.submit("t", specOf(job, 100, 1, true));
+    ASSERT_TRUE(cancelled.accepted) << cancelled.reason;
+    EXPECT_TRUE(server.cancel(cancelled.id));
+    EXPECT_EQ(server.state(cancelled.id), JobState::Cancelled);
+    const JobResult result = server.wait(cancelled.id);
+    EXPECT_EQ(result.shotsDone, 0);
+    EXPECT_NE(result.reason.find("queued"), std::string::npos);
+
+    // The cancelled job left its lane, so the tenant's one queue slot
+    // is free again.
+    const Admission queued = server.submit("t", specOf(job, 100, 2, true));
+    ASSERT_TRUE(queued.accepted) << queued.reason;
+
+    // drain() waits for the queued sharded job, then returns once it
+    // is done.
+    std::atomic<bool> drained{false};
+    std::thread drainer([&] {
+        server.drain();
+        drained = true;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_FALSE(drained) << "drain() returned with a sharded job queued";
+    server.start();
+    drainer.join();
+    EXPECT_EQ(server.state(queued.id), JobState::Done);
+    EXPECT_TRUE(distributionsIdentical(server.wait(queued.id).dist,
+                                       machine.run(job.prepared, 100, 2)));
+    EXPECT_EQ(server.stats().cancelled, 1u);
+    EXPECT_EQ(server.sharder()->stats().jobsSharded, 1u);
+}
+
+TEST_F(ShardTest, ShutdownCancelsQueuedJobsOnBothLanes)
+{
+    const Device d = Device::ibmqRome();
+    const NoisyMachine machine(d);
+    const JobUnderTest job = denseJob(machine, d);
+
+    ServerOptions opts;
+    opts.startPaused = true;
+    opts.shard = poolOf(1);
+    JobServer server(machine, opts);
+
+    std::vector<JobId> ids;
+    for (const bool sharded : {true, false}) {
+        const Admission a = server.submit("t", specOf(job, 100, 1, sharded));
+        ASSERT_TRUE(a.accepted) << a.reason;
+        ids.push_back(a.id);
+    }
+    server.shutdown();
+    for (const JobId id : ids) {
+        ASSERT_EQ(server.state(id), JobState::Cancelled);
+        EXPECT_EQ(server.wait(id).reason, "server shutdown");
+    }
+}
+
+TEST_F(ShardTest, ShardedJobQueuedBehindARunningOneReportsQueued)
+{
+    const Device d = Device::ibmqRome();
+    const NoisyMachine machine(d);
+    const JobUnderTest job = denseJob(machine, d);
+
+    FaultConfig cfg;
+    cfg.forceAt(FaultSite::LeaseStall, faultKey(0, 0));
+    cfg.stallMs = 600;
+    FaultInjector::global().configure(cfg);
+
+    // Two compute workers sit idle; the second sharded job must still
+    // wait in its lane rather than block one of them inside the
+    // executor.
+    ServerOptions opts;
+    opts.workers = 2;
+    opts.startPaused = true;
+    opts.shard = poolOf(1);
+    opts.shard.heartbeatMs = 10000;
+    JobServer server(machine, opts);
+
+    const Admission first = server.submit("t", specOf(job, 100, 1, true));
+    const Admission second = server.submit("t", specOf(job, 100, 2, true));
+    ASSERT_TRUE(first.accepted) << first.reason;
+    ASSERT_TRUE(second.accepted) << second.reason;
+    server.start();
+    waitWhileQueued(server, first.id);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    // Read the second job first: while the first still runs, the
+    // second cannot have been dispatched.
+    const JobState secondState = server.state(second.id);
+    ASSERT_EQ(server.state(first.id), JobState::Running);
+    EXPECT_EQ(secondState, JobState::Queued);
+
+    EXPECT_TRUE(distributionsIdentical(server.wait(first.id).dist,
+                                       machine.run(job.prepared, 100, 1)));
+    EXPECT_TRUE(distributionsIdentical(server.wait(second.id).dist,
+                                       machine.run(job.prepared, 100, 2)));
 }
 
 // --------------------------------------------------------- options
