@@ -752,9 +752,76 @@ recordFlipSupport(std::vector<int> &qubits,
     return flip;
 }
 
+/**
+ * The frame compiler's one reference walk: classify each
+ * reference-dependent op of prog.ops[from ..) against @p ref (with its
+ * recorded clbits @p refCl) as it stands before the op, then advance
+ * past the op (walkFrameReference).  T1 checkpoints are classified
+ * only when the job has a T1 channel (@p t1).  A program's own
+ * classes walk from |0...0>, a branch tail's from its jumped
+ * reference.
+ */
+FrameClasses
+classifyFrameOps(const FrameProgram &prog, uint32_t from, bool t1,
+                 StabilizerState ref, std::vector<uint8_t> refCl)
+{
+    FrameClasses cls;
+    std::vector<QubitId> flip_x, flip_z;
+    for (uint32_t oi = from; oi < prog.ops.size(); oi++) {
+        const FrameOpRef op = prog.ops[oi];
+        switch (op.kind) {
+          case FrameOpRef::Kind::Markov: {
+            FrameClasses::Markov &c = cls.markov.emplace_back();
+            if (!t1)
+                break;
+            const int q = prog.markov[op.idx].q;
+            const double p1 = ref.populationOne(q);
+            c.t1Ref = p1 == 0.5 ? 2 : p1 == 1.0 ? 1 : 0;
+            if (c.t1Ref == 2) {
+                const bool sup = ref.measureFlipSupport(q, flip_x, flip_z);
+                require(sup, "superposed T1 checkpoint with a "
+                             "deterministic Z measurement");
+                c.flip = recordFlipSupport(cls.flipQubits, flip_x, flip_z);
+            }
+            break;
+          }
+          case FrameOpRef::Kind::Meas:
+          case FrameOpRef::Kind::Reset: {
+            const bool meas = op.kind == FrameOpRef::Kind::Meas;
+            const int q = meas ? prog.meas[op.idx].q : prog.resets[op.idx].q;
+            FrameClasses::Collapse &c =
+                (meas ? cls.meas : cls.resets).emplace_back();
+            c.random = ref.measureFlipSupport(q, flip_x, flip_z);
+            if (c.random)
+                c.flip = recordFlipSupport(cls.flipQubits, flip_x, flip_z);
+            else
+                c.refBit = ref.populationOne(q) == 1.0 ? 1 : 0;
+            break;
+          }
+          case FrameOpRef::Kind::Cond:
+            cls.condRef.push_back(refCl[static_cast<size_t>(
+                prog.cond[op.idx].condBit)]);
+            break;
+          default:
+            break; // reference-independent
+        }
+        walkFrameReference(prog, ref, refCl, oi, oi + 1);
+    }
+    // Each kind's classes cover the suffix of its array that
+    // prog.ops[from ..) references.
+    const auto base = [](const auto &all, const auto &mine) {
+        return static_cast<uint32_t>(all.size() - mine.size());
+    };
+    cls.markovBase = base(prog.markov, cls.markov);
+    cls.measBase = base(prog.meas, cls.meas);
+    cls.resetBase = base(prog.resets, cls.resets);
+    cls.condBase = base(prog.cond, cls.condRef);
+    return cls;
+}
+
 } // namespace
 
-FrameSkeleton
+FrameProgram
 buildFrameSkeleton(const ExecutionPlan &plan, const NoiseFlags &flags)
 {
     require(plan.clifford,
@@ -768,99 +835,61 @@ buildFrameSkeleton(const ExecutionPlan &plan, const NoiseFlags &flags)
             "frame program requires conditional gates to act as "
             "Paulis");
 
-    FrameSkeleton skel;
+    FrameProgram prog;
+    prog.numQubits = static_cast<int>(plan.active.size());
+    prog.numClbits = plan.maxClbit + 1;
+    prog.pulseErr.resize(plan.active.size());
 
-    // The noiseless reference simulation: advanced through the plan
-    // in step order.  Everything it answers — measurement outcomes,
-    // branch-flip Paulis, T1-checkpoint populations — depends only on
-    // the circuit structure, never on calibration constants, so the
-    // walk runs once per skeleton and its answers are recorded as
-    // traces the bind phase replays against any device snapshot.
-    StabilizerState ref(static_cast<int>(plan.active.size()));
-
-    // The reference's recorded classical bits, updated at every
-    // measurement (readout errors never apply to the noiseless
-    // reference): conditional ops resolve against these, and the
-    // reference *takes* the conditional branch its own bits select,
-    // so later outcomes and populations see it.
-    std::vector<uint8_t> refCl(
-        static_cast<size_t>(plan.maxClbit + 1), 0);
-
-    std::vector<TimeNs> last_end(plan.active.size(), -1.0);
-    std::vector<QubitId> flip_x, flip_z;
-
-    // One trace per Markov window the bind phase will consider, in
-    // emission order: the gate conditions here are the exact
-    // structure-only guards bindFrameProgram re-evaluates, so the
-    // cursors stay in lock-step.
-    auto traceMarkov = [&](int dq, double dt_us) {
-        if (dt_us <= 0.0)
-            return;
-        if (!flags.t1Damping && !flags.whiteDephasing)
-            return;
-        FrameSkeleton::T1Trace trace;
-        if (flags.t1Damping) {
-            const double p1 = ref.populationOne(dq);
-            if (p1 == 0.5) {
-                trace.t1Ref = 2;
-                const bool sup =
-                    ref.measureFlipSupport(dq, flip_x, flip_z);
-                require(sup, "superposed T1 checkpoint with a "
-                             "deterministic Z measurement");
-                trace.flipX = flip_x;
-                trace.flipZ = flip_z;
-            } else {
-                trace.t1Ref = p1 == 1.0 ? 1 : 0;
-            }
-        }
-        skel.t1.push_back(std::move(trace));
+    // Append @p op to its payload pool and reference it from the
+    // stream.
+    auto pushOp = [&](FrameOpRef::Kind kind, auto &pool, const auto &op) {
+        pool.push_back(op);
+        prog.ops.push_back(
+            {kind, static_cast<uint32_t>(pool.size()) - 1});
     };
 
+    // Idle noise on @p dq up to the end of @p step, under the
+    // interpreter's conditions: the static crosstalk twirl over the
+    // gap since the qubit's last step (with OU excluded the phase is
+    // shot-invariant; the bind folds it), then Markovian noise over
+    // the wall-clock interval.
+    std::vector<TimeNs> last_end(plan.active.size(), -1.0);
     auto catchUp = [&](int dq, const PlanStep &step) {
-        const auto ai = static_cast<size_t>(dq);
-        if (last_end[ai] >= 0.0) {
-            // Coherent idle noise never queries the reference:
-            // nothing to trace for it.
-            traceMarkov(dq, (step.end - last_end[ai]) * kNsToUs);
-        } else {
-            traceMarkov(dq, (step.end - step.start) * kNsToUs);
+        TimeNs &last = last_end[static_cast<size_t>(dq)];
+        if (last >= 0.0 && flags.crosstalk && step.start - last > 1e-9) {
+            pushOp(FrameOpRef::Kind::Twirl, prog.twirl,
+                   FrameTwirlOp{.q = dq, .gapStart = last,
+                                .gapEnd = step.start});
         }
-        last_end[ai] = step.end;
+        const double dt_us =
+            (step.end - (last >= 0.0 ? last : step.start)) * kNsToUs;
+        if (dt_us > 0.0 && (flags.t1Damping || flags.whiteDephasing)) {
+            pushOp(FrameOpRef::Kind::Markov, prog.markov,
+                   FrameMarkovOp{.q = dq, .dtUs = dt_us});
+        }
+        last = step.end;
     };
 
     std::vector<FrameMat> suffix;
-
-    for (const PlanStep &step : plan.steps) {
+    for (size_t si = 0; si < plan.steps.size(); si++) {
+        const PlanStep &step = plan.steps[si];
+        catchUp(step.q, step);
         switch (step.kind) {
-          case PlanStep::Kind::Meas: {
-            catchUp(step.q, step);
-            FrameSkeleton::MeasTrace trace;
-            trace.random =
-                ref.measureFlipSupport(step.q, flip_x, flip_z);
-            if (trace.random) {
-                // Fix the reference on the outcome-0 branch; each
-                // shot re-randomizes with a fresh coin, so the choice
-                // is arbitrary (and keeps compilation seed-free).
-                trace.refBit = 0;
-                trace.flipX = flip_x;
-                trace.flipZ = flip_z;
-                ref.postselect(step.q, false);
-            } else {
-                trace.refBit =
-                    ref.populationOne(step.q) == 1.0 ? 1 : 0;
-            }
-            refCl[static_cast<size_t>(step.clbit)] = trace.refBit;
-            skel.meas.push_back(std::move(trace));
+          case PlanStep::Kind::Meas:
+            pushOp(FrameOpRef::Kind::Meas, prog.meas,
+                   FrameMeasOp{.q = step.q, .clbit = step.clbit});
             break;
-          }
-          case PlanStep::Kind::TwoQubit: {
-            catchUp(step.q, step);
+          case PlanStep::Kind::TwoQubit:
             catchUp(step.q2, step);
-            ref.applyGate(Gate(step.twoQubitType, {step.q, step.q2}));
+            pushOp(FrameOpRef::Kind::F2Q, prog.f2q,
+                   Frame2QOp{step.q, step.q2, step.twoQubitType});
+            if (flags.gateErrors) {
+                pushOp(FrameOpRef::Kind::Err2Q, prog.err2q,
+                       FrameErr2QOp{.a = step.q, .b = step.q2,
+                                    .step = static_cast<uint32_t>(si)});
+            }
             break;
-          }
           case PlanStep::Kind::Fused1Q: {
-            catchUp(step.q, step);
             const size_t k = step.pulses.size();
 
             // suffix[i] = frame action of pulses i+1 .. k-1: the
@@ -885,331 +914,137 @@ buildFrameSkeleton(const ExecutionPlan &plan, const NoiseFlags &flags)
             require(unitaryDistance(product, element.matrix) < 1e-6,
                     "fused Clifford train not found in group table");
 
-            FrameSkeleton::FusedTrace trace;
-            trace.kind = isFrameIdentity(full)
-                             ? Frame1QKind::Identity
-                             : classifyFrameMat(full);
+            Frame1QOp op;
+            op.q = step.q;
+            op.kind = isFrameIdentity(full) ? Frame1QKind::Identity
+                                            : classifyFrameMat(full);
             FrameMat check = kFrameIdentity;
             for (GateType g : element.gates) {
                 if (g == GateType::I)
                     continue;
-                require(trace.namedCount < trace.named.size(),
+                require(op.namedCount < op.named.size(),
                         "Clifford realization longer than the "
                         "Frame1QOp named-gate capacity");
-                trace.named[trace.namedCount++] = g;
+                op.named[op.namedCount++] = g;
                 check = composeFrame(frameMatOfNamed(g), check);
             }
             require(check.xx == full.xx && check.xz == full.xz &&
                         check.zx == full.zx && check.zz == full.zz,
                     "realization frame action diverged from the "
                     "fused train");
+            if (op.kind != Frame1QKind::Identity || op.namedCount != 0)
+                pushOp(FrameOpRef::Kind::F1Q, prog.f1q, op);
 
-            // Suffix-conjugated Pauli images for every pulse: the
-            // bind phase selects the error-carrying subset once the
-            // per-pulse error probabilities are known.
-            trace.mapped.resize(k);
+            // One Err1Q op for the train: the suffix images of every
+            // physical pulse (the pulses that carry the calibration's
+            // gate-error channel).
+            if (!flags.gateErrors)
+                break;
+            FrameErr1QOp e;
+            e.q = step.q;
+            e.errOff = static_cast<uint32_t>(prog.errMapped.size());
             for (size_t i = 0; i < k; i++) {
+                if (!step.pulses[i].physical)
+                    continue;
+                std::array<uint8_t, 3> &mapped =
+                    prog.errMapped.emplace_back();
                 for (int p = 1; p <= 3; p++) {
-                    trace.mapped[i][static_cast<size_t>(p - 1)] =
+                    mapped[static_cast<size_t>(p - 1)] =
                         mapPauliThrough(suffix[i], p);
                 }
             }
-            skel.fused.push_back(std::move(trace));
-            for (const Pulse &pulse : step.pulses)
-                ref.applyGate(pulse.gate);
+            e.errCnt =
+                static_cast<uint32_t>(prog.errMapped.size()) - e.errOff;
+            if (e.errCnt > 0)
+                pushOp(FrameOpRef::Kind::Err1Q, prog.err1q, e);
             break;
           }
-          case PlanStep::Kind::Reset: {
-            catchUp(step.q, step);
-            FrameSkeleton::ResetTrace trace;
-            trace.random =
-                ref.measureFlipSupport(step.q, flip_x, flip_z);
-            if (trace.random) {
-                // The measurement half branches; the conditional-X
-                // half rejoins both branches at |0>, so the
-                // reference is outcome-independent — postselect 0
-                // for free.
-                trace.flipX = flip_x;
-                trace.flipZ = flip_z;
-                ref.postselect(step.q, false);
-            } else if (ref.populationOne(step.q) == 1.0) {
-                ref.applyX(step.q);
-            }
-            skel.resets.push_back(std::move(trace));
+          case PlanStep::Kind::Reset:
+            pushOp(FrameOpRef::Kind::Reset, prog.resets,
+                   FrameResetOp{step.q});
             break;
-          }
           case PlanStep::Kind::Cond1Q: {
-            catchUp(step.q, step);
             const int code = condPauliCode(step.pulses[0].gate);
             require(code >= 0, "conditional non-Pauli gate reached "
                                "the frame compiler");
             if (code == 0)
                 break; // conditional identity: timing only
-            if (refCl[static_cast<size_t>(step.condBit)] != 0) {
-                // The reference takes its own branch: the Pauli's
-                // sign action feeds later outcomes and populations.
-                applyPauliCode(ref, code, step.q);
-            }
+            pushOp(FrameOpRef::Kind::Cond, prog.cond,
+                   FrameCondOp{step.q, step.condBit,
+                               static_cast<uint8_t>(code)});
             break;
           }
         }
     }
 
+    // The noiseless reference from |0...0>: everything it decides
+    // depends only on the circuit structure, never on calibration
+    // constants, so it is decided once per skeleton.
+    prog.classes = classifyFrameOps(
+        prog, 0, flags.t1Damping, StabilizerState(prog.numQubits),
+        std::vector<uint8_t>(static_cast<size_t>(prog.numClbits), 0));
+    for (const FrameClasses::Markov &c : prog.classes.markov)
+        prog.randomT1Count += c.t1Ref == 2 ? 1 : 0;
+
     // Exact size: the skeleton may live on in the program cache.
-    skel.fused.shrink_to_fit();
-    skel.t1.shrink_to_fit();
-    skel.meas.shrink_to_fit();
-    skel.resets.shrink_to_fit();
-    return skel;
+    const auto exact = [](auto &...v) { (v.shrink_to_fit(), ...); };
+    FrameClasses &cls = prog.classes;
+    exact(prog.ops, prog.f1q, prog.f2q, prog.err1q, prog.err2q,
+          prog.markov, prog.twirl, prog.meas, prog.resets, prog.cond,
+          prog.errMapped, cls.markov, cls.meas, cls.resets, cls.condRef,
+          cls.flipQubits);
+    return prog;
 }
 
 FrameProgram
-bindFrameProgram(const ExecutionPlan &plan, const FrameSkeleton &skel,
+bindFrameProgram(const ExecutionPlan &plan, const FrameProgram &skel,
                  const Calibration &cal, const NoiseFlags &flags)
 {
-    require(plan.clifford,
-            "frame program requires an all-Clifford executable");
-    require(flags.pauliExpressible(),
-            "frame program requires Pauli-expressible noise");
-    require(!flags.ouDephasing,
-            "frame program does not cover per-shot OU twirl draws; "
-            "keep OU jobs on the per-shot stabilizer backend");
-    require(!plan.condNonPauli,
-            "frame program requires conditional gates to act as "
-            "Paulis");
-
-    FrameProgram prog;
-    prog.numQubits = static_cast<int>(plan.active.size());
-    prog.numClbits = plan.maxClbit + 1;
-
-    // Cursors into the recorded reference-walk traces, consumed in
-    // lock-step with the structure-only guards the skeleton used.
-    size_t fused_cursor = 0;
-    size_t t1_cursor = 0;
-    size_t meas_cursor = 0;
-    size_t reset_cursor = 0;
-
-    // The reference's classical bits, replayed from the measurement
-    // traces so conditional ops resolve identically to the walk.
-    std::vector<uint8_t> refCl(
-        static_cast<size_t>(prog.numClbits), 0);
-    std::vector<TimeNs> last_end(plan.active.size(), -1.0);
-
-    // Coherent idle noise over [t0, t1): with OU excluded the phase
-    // is shot-invariant, so the only emission is its static Pauli
-    // twirl (same accumulation order as the interpreter).
-    auto emitCoherent = [&](int dq, TimeNs t0, TimeNs t1) {
-        if (t1 - t0 <= 1e-9)
-            return;
-        double phase = 0.0;
-        if (flags.crosstalk) {
-            for (const CrosstalkSource &src :
-                 plan.xtalk[static_cast<size_t>(dq)]) {
-                phase +=
-                    src.radPerUs * overlapUs(t0, t1, src.start, src.end);
-            }
-        }
-        if (phase == 0.0)
-            return;
-        require(flags.twirlCoherent,
-                "coherent phase reached the frame compiler without "
-                "twirlCoherent");
-        FrameTwirlOp t;
-        t.q = dq;
-        t.prob = makeFrameBernoulli(twirlZProbability(phase));
-        if (t.prob.mode == FrameBernoulli::Mode::Never)
-            return;
-        prog.twirl.push_back(t);
-        prog.ops.push_back(
-            {FrameOpRef::Kind::Twirl,
-             static_cast<uint32_t>(prog.twirl.size()) - 1});
-    };
-
-    auto emitMarkov = [&](int dq, double dt_us) {
-        if (dt_us <= 0.0)
-            return;
-        if (!flags.t1Damping && !flags.whiteDephasing)
-            return;
-        require(t1_cursor < skel.t1.size(),
-                "frame skeleton T1 traces out of sync with the plan");
-        const FrameSkeleton::T1Trace &trace = skel.t1[t1_cursor++];
-        const auto &qc = cal.qubits[static_cast<size_t>(
+    FrameProgram prog = skel;
+    const auto qubitCal = [&](int dq) -> const QubitCalibration & {
+        return cal.qubits[static_cast<size_t>(
             plan.active[static_cast<size_t>(dq)])];
-        FrameMarkovOp m;
-        m.q = dq;
+    };
+    for (size_t i = 0; i < prog.markov.size(); i++) {
+        FrameMarkovOp &m = prog.markov[i];
+        const QubitCalibration &qc = qubitCal(m.q);
         if (flags.t1Damping) {
-            const double gamma = t1JumpProbability(dt_us, qc.t1Us);
+            // A superposed reference fires with the folded rate
+            // gamma * 1/2 and hands the lane to a branch tail.
+            const double gamma = t1JumpProbability(m.dtUs, qc.t1Us);
             m.gammaThresh = bernoulliThreshold(gamma);
-            m.gamma = gamma;
-            m.t1Ref = trace.t1Ref;
-            if (trace.t1Ref == 2) {
-                // Superposed reference: the jump fires with the
-                // folded rate gamma * 1/2 and hands the lane to a
-                // compiled branch tail.
-                prog.randomT1Count++;
-                m.t1 = makeFrameBernoulli(gamma * 0.5);
-                m.flip = recordFlipSupport(prog.flipQubits, trace.flipX,
-                                           trace.flipZ);
-            } else {
-                m.t1 = makeFrameBernoulli(gamma);
-            }
+            m.halfGammaThresh = bernoulliThreshold(gamma * 0.5);
+            m.t1 = makeFrameBernoulli(
+                prog.classes.markov[i].t1Ref == 2 ? gamma * 0.5 : gamma);
         }
         if (flags.whiteDephasing) {
             m.deph = makeFrameBernoulli(
-                whiteDephasingFlipProbability(dt_us, qc.t2WhiteUs));
-        }
-        if (m.t1.mode == FrameBernoulli::Mode::Never &&
-            m.deph.mode == FrameBernoulli::Mode::Never)
-            return;
-        prog.markov.push_back(m);
-        prog.ops.push_back(
-            {FrameOpRef::Kind::Markov,
-             static_cast<uint32_t>(prog.markov.size()) - 1});
-    };
-
-    auto catchUp = [&](int dq, const PlanStep &step) {
-        const auto ai = static_cast<size_t>(dq);
-        if (last_end[ai] >= 0.0) {
-            emitCoherent(dq, last_end[ai], step.start);
-            emitMarkov(dq, (step.end - last_end[ai]) * kNsToUs);
-        } else {
-            emitMarkov(dq, (step.end - step.start) * kNsToUs);
-        }
-        last_end[ai] = step.end;
-    };
-
-    for (const PlanStep &step : plan.steps) {
-        switch (step.kind) {
-          case PlanStep::Kind::Meas: {
-            catchUp(step.q, step);
-            require(meas_cursor < skel.meas.size(),
-                    "frame skeleton measurement traces out of sync "
-                    "with the plan");
-            const FrameSkeleton::MeasTrace &trace =
-                skel.meas[meas_cursor++];
-            FrameMeasOp m;
-            m.q = step.q;
-            m.clbit = step.clbit;
-            m.random = trace.random;
-            m.refBit = trace.refBit;
-            if (m.random)
-                m.flip = recordFlipSupport(prog.flipQubits, trace.flipX,
-                                           trace.flipZ);
-            refCl[static_cast<size_t>(step.clbit)] = m.refBit;
-            if (flags.measurementErrors) {
-                m.err01 = makeFrameBernoulli(step.err01);
-                m.err10 = makeFrameBernoulli(step.err10);
-            }
-            prog.meas.push_back(m);
-            prog.ops.push_back(
-                {FrameOpRef::Kind::Meas,
-                 static_cast<uint32_t>(prog.meas.size()) - 1});
-            break;
-          }
-          case PlanStep::Kind::TwoQubit: {
-            catchUp(step.q, step);
-            catchUp(step.q2, step);
-            Frame2QOp g;
-            g.a = step.q;
-            g.b = step.q2;
-            g.type = step.twoQubitType;
-            prog.f2q.push_back(g);
-            prog.ops.push_back(
-                {FrameOpRef::Kind::F2Q,
-                 static_cast<uint32_t>(prog.f2q.size()) - 1});
-            if (flags.gateErrors && step.cxError > 0.0) {
-                FrameErr2QOp e;
-                e.a = step.q;
-                e.b = step.q2;
-                e.prob = makeFrameBernoulli(step.cxError);
-                prog.err2q.push_back(e);
-                prog.ops.push_back(
-                    {FrameOpRef::Kind::Err2Q,
-                     static_cast<uint32_t>(prog.err2q.size()) - 1});
-            }
-            break;
-          }
-          case PlanStep::Kind::Fused1Q: {
-            catchUp(step.q, step);
-            require(fused_cursor < skel.fused.size(),
-                    "frame skeleton fused traces out of sync with "
-                    "the plan");
-            const FrameSkeleton::FusedTrace &trace =
-                skel.fused[fused_cursor++];
-            Frame1QOp op;
-            op.q = step.q;
-            op.kind = trace.kind;
-            op.namedCount = trace.namedCount;
-            op.named = trace.named;
-            if (op.kind != Frame1QKind::Identity ||
-                op.namedCount != 0) {
-                prog.f1q.push_back(op);
-                prog.ops.push_back(
-                    {FrameOpRef::Kind::F1Q,
-                     static_cast<uint32_t>(prog.f1q.size()) - 1});
-            }
-            if (flags.gateErrors) {
-                for (size_t i = 0; i < step.pulses.size(); i++) {
-                    if (step.pulses[i].errorProb <= 0.0)
-                        continue;
-                    FrameErr1QOp e;
-                    e.q = step.q;
-                    e.prob = makeFrameBernoulli(step.pulses[i].errorProb);
-                    for (size_t p = 0; p < 3; p++)
-                        e.mapped[p] = trace.mapped[i][p];
-                    prog.err1q.push_back(e);
-                    prog.ops.push_back(
-                        {FrameOpRef::Kind::Err1Q,
-                         static_cast<uint32_t>(prog.err1q.size()) -
-                             1});
-                }
-            }
-            break;
-          }
-          case PlanStep::Kind::Reset: {
-            catchUp(step.q, step);
-            require(reset_cursor < skel.resets.size(),
-                    "frame skeleton reset traces out of sync with "
-                    "the plan");
-            const FrameSkeleton::ResetTrace &trace =
-                skel.resets[reset_cursor++];
-            FrameResetOp r;
-            r.q = step.q;
-            r.random = trace.random;
-            if (r.random)
-                r.flip = recordFlipSupport(prog.flipQubits, trace.flipX,
-                                           trace.flipZ);
-            prog.resets.push_back(r);
-            prog.ops.push_back(
-                {FrameOpRef::Kind::Reset,
-                 static_cast<uint32_t>(prog.resets.size()) - 1});
-            break;
-          }
-          case PlanStep::Kind::Cond1Q: {
-            catchUp(step.q, step);
-            const int code = condPauliCode(step.pulses[0].gate);
-            require(code >= 0, "conditional non-Pauli gate reached "
-                               "the frame compiler");
-            if (code == 0)
-                break; // conditional identity: timing only
-            FrameCondOp c;
-            c.q = step.q;
-            c.condBit = step.condBit;
-            c.pauli = static_cast<uint8_t>(code);
-            c.refCond = refCl[static_cast<size_t>(step.condBit)];
-            prog.cond.push_back(c);
-            prog.ops.push_back(
-                {FrameOpRef::Kind::Cond,
-                 static_cast<uint32_t>(prog.cond.size()) - 1});
-            break;
-          }
+                whiteDephasingFlipProbability(m.dtUs, qc.t2WhiteUs));
         }
     }
-    require(fused_cursor == skel.fused.size() &&
-                t1_cursor == skel.t1.size() &&
-                meas_cursor == skel.meas.size() &&
-                reset_cursor == skel.resets.size(),
-            "frame skeleton traces not fully consumed by the bind");
+    // The twirled crosstalk phase, in the interpreter's accumulation
+    // order (a zero phase binds Never).
+    for (FrameTwirlOp &t : prog.twirl) {
+        double phase = 0.0;
+        for (const CrosstalkSource &src :
+             plan.xtalk[static_cast<size_t>(t.q)]) {
+            phase += src.radPerUs *
+                     overlapUs(t.gapStart, t.gapEnd, src.start, src.end);
+        }
+        t.prob = makeFrameBernoulli(twirlZProbability(phase));
+    }
+    if (flags.measurementErrors) {
+        for (FrameMeasOp &m : prog.meas) {
+            m.err01 = makeFrameBernoulli(qubitCal(m.q).readoutError01);
+            m.err10 = makeFrameBernoulli(qubitCal(m.q).readoutError10);
+        }
+    }
+    for (FrameErr2QOp &e : prog.err2q)
+        e.prob = makeFrameBernoulli(plan.steps[e.step].cxError);
+    for (size_t dq = 0; dq < prog.pulseErr.size(); dq++) {
+        prog.pulseErr[dq] =
+            makeFrameBernoulli(qubitCal(static_cast<int>(dq)).gateError1Q);
+    }
     return prog;
 }
 
@@ -1218,7 +1053,7 @@ compileFrameTail(const FrameProgram &root, uint32_t site)
 {
     require(site < root.ops.size() &&
                 root.ops[site].kind == FrameOpRef::Kind::Markov &&
-                root.markov[root.ops[site].idx].t1Ref == 2,
+                root.classes.markov[root.ops[site].idx].t1Ref == 2,
             "compileFrameTail: op is not a superposed T1 checkpoint");
     const int q = root.markov[root.ops[site].idx].q;
 
@@ -1233,66 +1068,9 @@ compileFrameTail(const FrameProgram &root, uint32_t site)
     FrameTail tail(ref);
     tail.refCl = refCl;
     tail.start = site + 1;
-    // Classify each reference-dependent op against the jumped
-    // reference as it stands before the op, then advance past it.
-    std::vector<QubitId> flip_x, flip_z;
-    for (uint32_t oi = tail.start; oi < root.ops.size(); oi++) {
-        const FrameOpRef op = root.ops[oi];
-        switch (op.kind) {
-          case FrameOpRef::Kind::Markov: {
-            const FrameMarkovOp &m = root.markov[op.idx];
-            FrameTail::Markov &ov = tail.markov.emplace_back();
-            if (m.gamma > 0.0) {
-                // A deterministic root checkpoint can turn superposed
-                // here and vice versa.
-                const double p1 = ref.populationOne(m.q);
-                ov.t1Ref = p1 == 0.5 ? 2 : p1 == 1.0 ? 1 : 0;
-                ov.t1Thresh = bernoulliThreshold(
-                    ov.t1Ref == 2 ? m.gamma * 0.5 : m.gamma);
-            }
-            if (ov.t1Ref == 2) {
-                const bool sup =
-                    ref.measureFlipSupport(m.q, flip_x, flip_z);
-                require(sup, "superposed T1 checkpoint with a "
-                             "deterministic Z measurement");
-                ov.flip = recordFlipSupport(tail.flipQubits, flip_x,
-                                            flip_z);
-            }
-            break;
-          }
-          case FrameOpRef::Kind::Meas:
-          case FrameOpRef::Kind::Reset: {
-            const bool meas = op.kind == FrameOpRef::Kind::Meas;
-            const int mq =
-                meas ? root.meas[op.idx].q : root.resets[op.idx].q;
-            FrameTail::Collapse &ov =
-                (meas ? tail.meas : tail.resets).emplace_back();
-            ov.random = ref.measureFlipSupport(mq, flip_x, flip_z);
-            if (ov.random)
-                ov.flip = recordFlipSupport(tail.flipQubits, flip_x,
-                                            flip_z);
-            else
-                ov.refBit = ref.populationOne(mq) == 1.0 ? 1 : 0;
-            break;
-          }
-          case FrameOpRef::Kind::Cond:
-            tail.condRef.push_back(refCl[static_cast<size_t>(
-                root.cond[op.idx].condBit)]);
-            break;
-          default:
-            break; // reference-independent
-        }
-        walkFrameReference(root, ref, refCl, oi, oi + 1);
-    }
-    // Each overlay covers the suffix of its root array that
-    // root.ops[start ..) references.
-    const auto base = [](const auto &all, const auto &overlay) {
-        return static_cast<uint32_t>(all.size() - overlay.size());
-    };
-    tail.markovBase = base(root.markov, tail.markov);
-    tail.measBase = base(root.meas, tail.meas);
-    tail.resetBase = base(root.resets, tail.resets);
-    tail.condBase = base(root.cond, tail.condRef);
+    // A superposed T1 checkpoint exists only with a T1 channel.
+    tail.classes = classifyFrameOps(root, tail.start, /*t1=*/true,
+                                    std::move(ref), std::move(refCl));
     return tail;
 }
 

@@ -377,17 +377,17 @@ ShotProgram compileShotProgram(const ExecutionPlan &plan,
 // The skeleton captures everything that does not depend on the
 // calibration snapshot: the lowered step stream, link-activity
 // windows, the dense splice tables (every Matrix2 product), and the
-// frame path's entire reference-tableau walk (measurement outcomes,
-// branch-flip supports, T1 classifications, fused-train frame
-// transforms).  Binding stamps the remaining constants — T1 /
-// dephasing / readout / gate-error rates, OU terms, crosstalk
-// coefficients, fixed-point Bernoulli thresholds — and is orders of
-// magnitude cheaper than a cold compile.  Drift
+// frame path's unbound op stream (fused-train frame transforms, error
+// images, and the reference classes: measurement outcomes,
+// branch-flip supports, T1 classifications).  Binding stamps the
+// remaining constants — T1 / dephasing / readout / gate-error rates,
+// OU terms, crosstalk coefficients, fixed-point Bernoulli thresholds
+// — and is orders of magnitude cheaper than a cold compile.  Drift
 // sweeps and repeated JobServer submissions share skeletons through
 // the ProgramCache (noise/program_cache.hh) and only re-bind; the
-// structure phase leaves its step, pulse, matrix and trace vectors
-// at their exact size, since a cached skeleton outlives the prepare
-// that built it.
+// structure phase leaves its step, pulse, matrix and op vectors at
+// their exact size, since a cached skeleton outlives the prepare that
+// built it.
 //
 // Determinism: a bound program is field-for-field identical to a
 // cold compile of the same (schedule, calibration, flags) — the
@@ -429,59 +429,6 @@ struct ShotTables
 };
 
 /**
- * Frame-path structure trace: the complete record of the noiseless
- * reference-tableau walk buildFrameSkeleton performs.  Every
- * reference query (measurement randomness, flip supports, T1
- * population classes) and every fused-train Clifford resolution is
- * device-independent, so it is recorded once here and consumed in
- * plan-step order by bindFrameProgram — which then only evaluates
- * calibration-dependent probabilities.  It keeps no tableau: a branch
- * tail re-derives its jumped reference from the bound op stream when
- * it is first compiled (compileFrameTail).
- */
-struct FrameSkeleton
-{
-    /** One per Fused1Q step: the train's frame transform, its
-     *  named-gate realization, and each pulse's Pauli images through
-     *  the train suffix. */
-    struct FusedTrace
-    {
-        Frame1QKind kind = Frame1QKind::Identity;
-        uint8_t namedCount = 0;
-        std::array<GateType, 6> named{};
-        std::vector<std::array<uint8_t, 3>> mapped; //!< per pulse
-    };
-
-    /** One per Markov emission (dt > 0 and a Markov flag enabled):
-     *  the T1 checkpoint's reference class and branch-flip support. */
-    struct T1Trace
-    {
-        uint8_t t1Ref = 0; //!< 0 / 1 deterministic, 2 superposed
-        std::vector<QubitId> flipX, flipZ; //!< superposed only
-    };
-
-    /** One per Meas step. */
-    struct MeasTrace
-    {
-        bool random = false;
-        uint8_t refBit = 0;
-        std::vector<QubitId> flipX, flipZ;
-    };
-
-    /** One per Reset step. */
-    struct ResetTrace
-    {
-        bool random = false;
-        std::vector<QubitId> flipX, flipZ;
-    };
-
-    std::vector<FusedTrace> fused;
-    std::vector<T1Trace> t1;
-    std::vector<MeasTrace> meas;
-    std::vector<ResetTrace> resets;
-};
-
-/**
  * A compiled program with its device constants factored out: the
  * unit the ProgramCache shares across machines and drift cycles.
  * `plan` carries zeroed constants and empty crosstalk; `kind` is the
@@ -494,7 +441,7 @@ struct ProgramSkeleton
     ExecutionPlan plan;
     std::vector<LinkWindows> linkWindows;
     std::optional<ShotTables> tables;
-    std::optional<FrameSkeleton> frame;
+    std::optional<FrameProgram> frame; //!< unbound (buildFrameSkeleton)
     BackendKind kind = BackendKind::Auto;
 };
 
@@ -535,21 +482,23 @@ ShotProgram bindShotProgram(const ExecutionPlan &plan,
 /**
  * Structure phase of the frame compiler — the stabilizer-path
  * analogue of buildShotTables, for the bit-packed batch Pauli-frame
- * engine (sim/frame_batch.hh): run the noiseless reference tableau
- * once over @p plan, recording every reference query and fused-train
- * resolution.  Together with bindFrameProgram this bakes into the op
- * stream:
- *  - every measurement's reference outcome, plus the branch-flip
- *    Pauli for random-outcome measurements,
- *  - each T1 checkpoint's reference population (deterministic
- *    checkpoints take the exact jump path, superposed ones a branch
- *    tail),
- *  - every pulse train fused into one GL(2, F2) frame transform, with
- *    mid-train gate errors conjugated through the train suffix,
- *  - every noise probability resolved into a FrameBernoulli mask
- *    mode, with the exact closed forms of the interpreted path.
+ * engine (sim/frame_batch.hh): lower @p plan into the unbound
+ * FrameProgram, from its structure alone.
+ *  - Every pulse train is fused into one GL(2, F2) frame transform,
+ *    and its physical pulses' gate-error Paulis are conjugated through
+ *    the train suffix into one Err1Q op.
+ *  - Every rate is Never, and each rate-carrying op holds what its
+ *    rate is computed from: a Markov op its interval, an Err2Q op its
+ *    plan step, a Twirl op its idle gap.  An op whose bound rate is 0
+ *    stays in the stream and draws nothing.
+ *  - One reference walk from |0...0> (classifyFrameOps) fixes the
+ *    root classes: every measurement's reference outcome plus the
+ *    branch-flip Pauli of random ones, every reset's collapse, every
+ *    conditional's reference bit, and each T1 checkpoint's reference
+ *    population (deterministic checkpoints take the exact jump path,
+ *    superposed ones a branch tail).
  *
- * Noise-op emission mirrors the interpreted runShot order (coherent
+ * Op emission mirrors the interpreted runShot order (coherent
  * catch-up, then Markovian, then the step), so the two engines sample
  * the same law.
  *
@@ -557,16 +506,18 @@ ShotProgram bindShotProgram(const ExecutionPlan &plan,
  *      (flags.ouDephasing off) and no non-Pauli conditionals; the
  *      dispatcher keeps other stabilizer jobs on the per-shot backend.
  */
-FrameSkeleton buildFrameSkeleton(const ExecutionPlan &plan,
-                                 const NoiseFlags &flags);
+FrameProgram buildFrameSkeleton(const ExecutionPlan &plan,
+                                const NoiseFlags &flags);
 
 /**
- * Bind phase of the frame compiler: replay the recorded reference
- * trace against a *bound* plan, evaluating FrameBernoullis from the
- * calibration.
+ * Bind phase of the frame compiler: copy @p skel and stamp the rates
+ * of a *bound* plan into it — T1 and dephasing from each Markov op's
+ * interval, readout and two-qubit gate errors, the per-qubit pulse
+ * error, and each twirl's phase from plan.xtalk — with the exact
+ * closed forms of the interpreted path.
  */
 FrameProgram bindFrameProgram(const ExecutionPlan &plan,
-                              const FrameSkeleton &skel,
+                              const FrameProgram &skel,
                               const Calibration &cal,
                               const NoiseFlags &flags);
 
@@ -575,11 +526,11 @@ FrameProgram bindFrameProgram(const ExecutionPlan &plan,
  * index @p site — see FrameTail.  The jumped reference is built here,
  * once per tail: |0...0> advanced through root.ops[0, site)
  * (walkFrameReference), then X · postselect(ref, 1) on the decaying
- * qubit.  A copy of it then walks root.ops[site + 1 ..) to re-derive
- * every reference-dependent field into the tail's overlays; gates,
+ * qubit.  The walk that classified the root then classifies
+ * root.ops[site + 1 ..) against it into the tail's classes; gates,
  * errors and rates are never copied.
  *
- * @pre root.ops[site] is a Markov op with t1Ref == 2
+ * @pre root.ops[site] is a Markov op whose root class is superposed
  */
 FrameTail compileFrameTail(const FrameProgram &root, uint32_t site);
 

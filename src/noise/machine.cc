@@ -319,7 +319,7 @@ frameEligible(const ExecutionPlan &plan, const NoiseFlags &flags)
 /**
  * The structure phase of prepare(): everything device-independent —
  * plan lowering, backend resolution, dense splice tables or the frame
- * engine's reference-tableau walk.  A skeleton is a pure function of
+ * engine's unbound op stream.  A skeleton is a pure function of
  * (schedule, flags, requested backend), which is exactly what
  * skeletonFingerprint folds, so instances are safely shared across
  * machines, calibration cycles, and threads.

@@ -5,6 +5,7 @@
  * Splitting compilation into a structure phase (ProgramSkeleton) and
  * a bind phase (calibration constants) makes the expensive half —
  * plan lowering, splice-table matrix products, the frame engine's
+ * unbound op stream with the reference classes of its one
  * reference-tableau walk — a pure function of (scheduled circuit,
  * noise flags, backend request).  Drift sweeps and repeated
  * JobServer submissions re-run the same structures
@@ -69,9 +70,9 @@ struct ProgramFingerprint
 /**
  * Fingerprint of everything the structure phase reads: the scheduled
  * op stream (types, operands, parameter/time bit patterns, link
- * indices), the noise-flag set and the requested backend.  The frame
- * engine's branch-tail depth is not among them: the bind stamps it,
- * so a changed depth re-binds the cached skeleton.
+ * indices), the noise-flag set and the requested backend.
+ * Calibration constants are not among them: the bind stamps them, so
+ * a drifted calibration re-binds the cached skeleton.
  */
 ProgramFingerprint skeletonFingerprint(const ScheduledCircuit &sched,
                                        const NoiseFlags &flags,

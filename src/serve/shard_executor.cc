@@ -52,6 +52,37 @@ namespace
 using Clock = std::chrono::steady_clock;
 using Items = std::vector<std::pair<uint64_t, uint64_t>>;
 
+/**
+ * Programmatic options bypass fromEnv()'s range checks: a lease of
+ * no blocks never advances runSharded's lease loop, a negative restart
+ * budget wraps the unsigned spawn budget, a heartbeat under the knob's
+ * 10 ms floor kills busy workers as hung, and no attempts quarantines
+ * every lease.  Each such value warns once and takes the default, as
+ * ServerOptions do.
+ */
+ShardOptions
+checkedOptions(ShardOptions opts)
+{
+    const ShardOptions defaults;
+    const auto floorOr = [](auto &value, auto floor, auto fallback,
+                            const char *name) {
+        if (value >= floor)
+            return;
+        warnOnce(std::string("shard-") + name + "-invalid",
+                 std::string("ShardOptions.") + name + "=" +
+                     std::to_string(value) + " invalid (must be >= " +
+                     std::to_string(floor) + "); using default " +
+                     std::to_string(fallback));
+        value = fallback;
+    };
+    floorOr(opts.leaseBlocks, 1, defaults.leaseBlocks, "leaseBlocks");
+    floorOr(opts.heartbeatMs, 10, defaults.heartbeatMs, "heartbeatMs");
+    floorOr(opts.maxLeaseAttempts, 1, defaults.maxLeaseAttempts,
+            "maxLeaseAttempts");
+    floorOr(opts.maxRestarts, 0, defaults.maxRestarts, "maxRestarts");
+    return opts;
+}
+
 /** Resolve the worker binary: explicit option, then the env knob,
  *  then `adapt_shard_worker` next to (or up to two directories
  *  above) the running executable — which covers tests running from
@@ -669,7 +700,8 @@ struct ShardExecutor::Impl
 
 ShardExecutor::ShardExecutor(const NoisyMachine &machine,
                              ShardOptions opts)
-    : impl_(std::make_unique<Impl>(machine, std::move(opts)))
+    : impl_(std::make_unique<Impl>(machine,
+                                   checkedOptions(std::move(opts))))
 {
 }
 

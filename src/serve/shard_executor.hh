@@ -63,7 +63,9 @@
 namespace adapt::serve
 {
 
-/** Pool tuning; fromEnv() layers ADAPT_SHARD_* knobs on defaults. */
+/** Pool tuning; fromEnv() layers ADAPT_SHARD_* knobs on defaults.
+ *  ShardExecutor holds values set in code to the same floors: one
+ *  below its knob's floor warns once and takes the default. */
 struct ShardOptions
 {
     /** Worker processes; 0 disables the executor entirely (the

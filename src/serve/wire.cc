@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <unistd.h>
 
@@ -252,6 +253,44 @@ encodeScheduledCircuit(Writer &w, const ScheduledCircuit &sched)
     }
 }
 
+namespace
+{
+
+/** Reject an op that ScheduledCircuit would refuse or the structure
+ *  phase (buildPlanSkeleton) would index out of range. */
+void
+checkScheduledOp(const TimedOp &op, uint32_t nq, uint32_t nc)
+{
+    const Gate &g = op.gate;
+    const auto reject = [&g](const std::string &why) {
+        throw WireError("wire: " + gateName(g.type) + " op " + why);
+    };
+    const int arity = gateArity(g.type);
+    const auto operands = static_cast<int>(g.qubits.size());
+    if (arity >= 0 ? operands != arity : operands < 1)
+        reject("with " + std::to_string(operands) + " operand(s)");
+    if (static_cast<int>(g.params.size()) != gateParamCount(g.type))
+        reject("with " + std::to_string(g.params.size()) +
+               " parameter(s)");
+    for (const QubitId q : g.qubits) {
+        if (q < 0 || static_cast<uint32_t>(q) >= nq)
+            reject("on qubit " + std::to_string(q) + " of " +
+                   std::to_string(nq));
+    }
+    const auto validBit = [nc](int bit) {
+        return bit >= -1 && bit < static_cast<int>(nc);
+    };
+    if (!validBit(g.clbit) || !validBit(g.condBit))
+        reject("with a classical bit out of range");
+    if (!std::isfinite(op.start) || !std::isfinite(op.end) ||
+        op.end < op.start)
+        reject("with non-finite or reversed times");
+    if (op.linkIndex < -1)
+        reject("with link index " + std::to_string(op.linkIndex));
+}
+
+} // namespace
+
 ScheduledCircuit
 decodeScheduledCircuit(Reader &r)
 {
@@ -280,6 +319,7 @@ decodeScheduledCircuit(Reader &r)
         op.end = r.f64();
         op.linkIndex = r.i32();
         op.ddPulse = r.u8() != 0;
+        checkScheduledOp(op, nq, nc);
         sched.addOp(op);
     }
     // finalize()'s stable sort by start time reproduces the sender's

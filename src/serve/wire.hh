@@ -257,7 +257,11 @@ NoiseFlags unpackNoiseFlags(uint32_t bits);
 /** Exact ScheduledCircuit round trip: every op's gate, operands,
  *  parameters, classical links, timestamps (raw bits), link index,
  *  and DD marker; decode rebuilds via addOp + finalize(), whose
- *  stable sort reproduces the original op order. */
+ *  stable sort reproduces the original op order.  Decode throws
+ *  WireError on an op whose operand or parameter count does not fit
+ *  its gate, whose qubit, clbit or condBit is out of range, whose
+ *  times are non-finite or reversed, or whose link index is below
+ *  -1. */
 void encodeScheduledCircuit(Writer &w, const ScheduledCircuit &sched);
 ScheduledCircuit decodeScheduledCircuit(Reader &r);
 

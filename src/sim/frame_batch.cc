@@ -258,6 +258,7 @@ FrameBatchBackend::runOps(int64_t block, int lanes,
 {
     constexpr int words = kFrameLaneWords;
     uint64_t m[words];
+    const FrameClasses &cls = prog_.classes;
     // A random measure / reset: draw one branch coin per lane and XOR
     // the branch-flip Pauli into the planes of the lanes that read 1.
     const auto absorbCoinFlip = [&](const FrameFlip &flip) {
@@ -265,9 +266,9 @@ FrameBatchBackend::runOps(int64_t block, int lanes,
         for (int w = 0; w < words; w++)
             coin[w] = blockRng_.next();
         for (uint32_t i = 0; i < flip.xCnt; i++)
-            xorWords(xPlane(prog_.flipQubits[flip.xOff + i]), coin);
+            xorWords(xPlane(cls.flipQubits[flip.xOff + i]), coin);
         for (uint32_t i = 0; i < flip.zCnt; i++)
-            xorWords(zPlane(prog_.flipQubits[flip.zOff + i]), coin);
+            xorWords(zPlane(cls.flipQubits[flip.zOff + i]), coin);
     };
     for (uint32_t oi = 0; oi < prog_.ops.size(); oi++) {
         const FrameOpRef ref = prog_.ops[oi];
@@ -308,21 +309,27 @@ FrameBatchBackend::runOps(int64_t block, int lanes,
             break;
           }
           case FrameOpRef::Kind::Err1Q: {
+            // One mask per physical pulse, in pulse order.
             const FrameErr1QOp &op = prog_.err1q[ref.idx];
-            if (!drawMask(op.prob, m))
-                break;
+            const FrameBernoulli &prob =
+                prog_.pulseErr[static_cast<size_t>(op.q)];
             uint64_t *x = xPlane(op.q);
             uint64_t *z = zPlane(op.q);
-            for (int w = 0; w < words; w++) {
-                uint64_t mask = m[w];
-                while (mask != 0) {
-                    const int lane = std::countr_zero(mask);
-                    mask &= mask - 1;
-                    const auto pauli = static_cast<int>(
-                        op.mapped[blockRng_.uniformInt(3)]);
-                    const uint64_t bit = uint64_t{1} << lane;
-                    x[w] ^= bit * kPauliHasX[pauli];
-                    z[w] ^= bit * kPauliHasZ[pauli];
+            for (uint32_t i = 0; i < op.errCnt; i++) {
+                if (!drawMask(prob, m))
+                    continue;
+                const auto &mapped = prog_.errMapped[op.errOff + i];
+                for (int w = 0; w < words; w++) {
+                    uint64_t mask = m[w];
+                    while (mask != 0) {
+                        const int lane = std::countr_zero(mask);
+                        mask &= mask - 1;
+                        const auto pauli = static_cast<int>(
+                            mapped[blockRng_.uniformInt(3)]);
+                        const uint64_t bit = uint64_t{1} << lane;
+                        x[w] ^= bit * kPauliHasX[pauli];
+                        z[w] ^= bit * kPauliHasZ[pauli];
+                    }
                 }
             }
             break;
@@ -352,9 +359,10 @@ FrameBatchBackend::runOps(int64_t block, int lanes,
           case FrameOpRef::Kind::Markov: {
             const FrameMarkovOp &op = prog_.markov[ref.idx];
             if (drawMask(op.t1, m)) {
+                const uint8_t t1Ref = cls.markov[ref.idx].t1Ref;
                 uint64_t *x = xPlane(op.q);
                 for (int w = 0; w < words; w++) {
-                    if (op.t1Ref == 2) {
+                    if (t1Ref == 2) {
                         // Random reference: every live lane's
                         // population is exactly 1/2 (folded into the
                         // rate), so the firing events are independent
@@ -380,8 +388,7 @@ FrameBatchBackend::runOps(int64_t block, int lanes,
                         // only on lanes whose actual bit (ref XOR
                         // frame-x) is 1, and the jump is exactly an
                         // X flip.
-                        const uint64_t ones =
-                            op.t1Ref ? ~x[w] : x[w];
+                        const uint64_t ones = t1Ref ? ~x[w] : x[w];
                         x[w] ^= m[w] & ones;
                     }
                 }
@@ -404,12 +411,13 @@ FrameBatchBackend::runOps(int64_t block, int lanes,
           }
           case FrameOpRef::Kind::Meas: {
             const FrameMeasOp &op = prog_.meas[ref.idx];
+            const FrameClasses::Collapse &c = cls.meas[ref.idx];
             // Fresh uniform branch coin per lane; lanes with coin = 1
             // absorb the branch-flip Pauli, hopping the frame onto
             // the opposite reference branch (this also flips x(q),
             // which the outcome read below sees).
-            if (op.random)
-                absorbCoinFlip(op.flip);
+            if (c.random)
+                absorbCoinFlip(c.flip);
             uint64_t m01[words] = {};
             uint64_t m10[words] = {};
             drawMask(op.err01, m01);
@@ -418,7 +426,7 @@ FrameBatchBackend::runOps(int64_t block, int lanes,
             uint64_t *out = &bits_[static_cast<size_t>(op.clbit) *
                                    static_cast<size_t>(words)];
             for (int w = 0; w < words; w++) {
-                uint64_t bits = op.refBit ? ~x[w] : x[w];
+                uint64_t bits = c.refBit ? ~x[w] : x[w];
                 bits ^= (~bits & m01[w]) | (bits & m10[w]);
                 out[w] = bits;
             }
@@ -426,14 +434,15 @@ FrameBatchBackend::runOps(int64_t block, int lanes,
           }
           case FrameOpRef::Kind::Reset: {
             const FrameResetOp &op = prog_.resets[ref.idx];
+            const FrameClasses::Collapse &c = cls.resets[ref.idx];
             // Fresh collapse coin per lane, absorbing the branch-flip
             // Pauli exactly like a random measure: correlations with
             // other qubits land in their planes before q's own planes
             // clear.
-            if (op.random)
-                absorbCoinFlip(op.flip);
+            if (c.random)
+                absorbCoinFlip(c.flip);
             // Post-reset the reference holds q in |0> exactly (the
-            // compile walk postselected / corrected it) and so does
+            // reference walk postselected / corrected it) and so does
             // every lane, whatever it measured — its conditional X
             // correction restores q = |0>.  A trivial frame on q is
             // therefore the exact representation: clear x (lane
@@ -448,7 +457,7 @@ FrameBatchBackend::runOps(int64_t block, int lanes,
             break;
           }
           case FrameOpRef::Kind::Cond: {
-            // The reference applied the Pauli iff refCond; a lane's
+            // The reference applied the Pauli iff condRef; a lane's
             // frame absorbs it exactly where its own recorded bit
             // differs (the outcome planes hold absolute recorded
             // bits, readout flips included, matching the per-shot
@@ -457,8 +466,9 @@ FrameBatchBackend::runOps(int64_t block, int lanes,
             const uint64_t *cb =
                 &bits_[static_cast<size_t>(op.condBit) *
                        static_cast<size_t>(words)];
+            const uint8_t condRef = cls.condRef[ref.idx];
             for (int w = 0; w < words; w++)
-                m[w] = op.refCond ? ~cb[w] : cb[w];
+                m[w] = condRef ? ~cb[w] : cb[w];
             if (kPauliHasX[op.pauli] != 0)
                 xorWords(xPlane(op.q), m);
             if (kPauliHasZ[op.pauli] != 0)
@@ -629,11 +639,16 @@ walkFrameTableau(const FrameProgram &prog, StabilizerState &state,
             break;
           case FrameOpRef::Kind::Err1Q: {
             const FrameErr1QOp &op = prog.err1q[ref.idx];
-            if (fires(rng, op.prob.thresh)) {
-                applyPauliCode(
-                    state,
-                    static_cast<int>(op.mapped[rng.uniformInt(3)]),
-                    op.q);
+            const uint64_t thresh =
+                prog.pulseErr[static_cast<size_t>(op.q)].thresh;
+            for (uint32_t i = 0; i < op.errCnt; i++) {
+                if (fires(rng, thresh)) {
+                    applyPauliCode(state,
+                                   static_cast<int>(
+                                       prog.errMapped[op.errOff + i]
+                                                     [rng.uniformInt(3)]),
+                                   op.q);
+                }
             }
             break;
           }
@@ -685,7 +700,7 @@ walkFrameTableau(const FrameProgram &prog, StabilizerState &state,
           }
           case FrameOpRef::Kind::Cond: {
             // Absolute semantics on a live tableau: the Pauli fires
-            // iff the recorded bit reads 1 (refCond is a
+            // iff the recorded bit reads 1 (condRef is a
             // frame-relative compile artifact).
             const FrameCondOp &op = prog.cond[ref.idx];
             if (packer.get(op.condBit))
@@ -713,7 +728,7 @@ flipLane(const std::vector<int> &qubits, const FrameFlip &flip,
  * checkpoint's residual dephasing, then root.ops[tail.start ..) —
  * the per-byte mirror of runBlock's plane sweeps, with gates, errors
  * and rates read from the root and every reference-dependent field
- * from the tail's overlays, and the lane's own outcome record driving
+ * from the tail's classes, and the lane's own outcome record driving
  * conditional gates.  Returns the root op index of a freshly fired
  * superposed T1 checkpoint — frame and packer left exactly as of that
  * instant, deph of the firing op not yet drawn (the tableau
@@ -725,6 +740,7 @@ walkScalarFrame(const FrameProgram &root, const FrameTail &tail,
                 std::vector<uint8_t> &xf, std::vector<uint8_t> &zf,
                 OutcomePacker &packer, Rng &rng)
 {
+    const FrameClasses &cls = tail.classes;
     const FrameMarkovOp &fired =
         root.markov[root.ops[tail.start - 1].idx];
     if (fires(rng, fired.deph.thresh))
@@ -771,13 +787,15 @@ walkScalarFrame(const FrameProgram &root, const FrameTail &tail,
           }
           case FrameOpRef::Kind::Err1Q: {
             const FrameErr1QOp &op = root.err1q[ref.idx];
-            if (fires(rng, op.prob.thresh)) {
-                const auto pauli = static_cast<int>(
-                    op.mapped[rng.uniformInt(3)]);
-                xf[static_cast<size_t>(op.q)] ^=
-                    static_cast<uint8_t>(kPauliHasX[pauli]);
-                zf[static_cast<size_t>(op.q)] ^=
-                    static_cast<uint8_t>(kPauliHasZ[pauli]);
+            const auto q = static_cast<size_t>(op.q);
+            const uint64_t thresh = root.pulseErr[q].thresh;
+            for (uint32_t i = 0; i < op.errCnt; i++) {
+                if (fires(rng, thresh)) {
+                    const auto pauli = static_cast<int>(
+                        root.errMapped[op.errOff + i][rng.uniformInt(3)]);
+                    xf[q] ^= static_cast<uint8_t>(kPauliHasX[pauli]);
+                    zf[q] ^= static_cast<uint8_t>(kPauliHasZ[pauli]);
+                }
             }
             break;
           }
@@ -799,14 +817,14 @@ walkScalarFrame(const FrameProgram &root, const FrameTail &tail,
           }
           case FrameOpRef::Kind::Markov: {
             const FrameMarkovOp &op = root.markov[ref.idx];
-            const FrameTail::Markov &ov =
-                tail.markov[ref.idx - tail.markovBase];
+            const FrameClasses::Markov &ov =
+                cls.markov[ref.idx - cls.markovBase];
             if (ov.t1Ref == 2) {
                 // Same folded gamma/2 law as the plane pass; a fire
                 // hands the lane to the exact tableau.
-                if (fires(rng, ov.t1Thresh))
+                if (fires(rng, op.halfGammaThresh))
                     return oi;
-            } else if (fires(rng, ov.t1Thresh)) {
+            } else if (fires(rng, op.gammaThresh)) {
                 if ((ov.t1Ref ^ xf[static_cast<size_t>(op.q)]) & 1)
                     xf[static_cast<size_t>(op.q)] ^= 1;
             }
@@ -822,10 +840,10 @@ walkScalarFrame(const FrameProgram &root, const FrameTail &tail,
           }
           case FrameOpRef::Kind::Meas: {
             const FrameMeasOp &op = root.meas[ref.idx];
-            const FrameTail::Collapse &ov =
-                tail.meas[ref.idx - tail.measBase];
+            const FrameClasses::Collapse &ov =
+                cls.meas[ref.idx - cls.measBase];
             if (ov.random && rng.bernoulli(0.5))
-                flipLane(tail.flipQubits, ov.flip, xf, zf);
+                flipLane(cls.flipQubits, ov.flip, xf, zf);
             bool bit =
                 (ov.refBit ^ xf[static_cast<size_t>(op.q)]) & 1;
             if (fires(rng, bit ? op.err10.thresh : op.err01.thresh))
@@ -835,10 +853,10 @@ walkScalarFrame(const FrameProgram &root, const FrameTail &tail,
           }
           case FrameOpRef::Kind::Reset: {
             const FrameResetOp &op = root.resets[ref.idx];
-            const FrameTail::Collapse &ov =
-                tail.resets[ref.idx - tail.resetBase];
+            const FrameClasses::Collapse &ov =
+                cls.resets[ref.idx - cls.resetBase];
             if (ov.random && rng.bernoulli(0.5))
-                flipLane(tail.flipQubits, ov.flip, xf, zf);
+                flipLane(cls.flipQubits, ov.flip, xf, zf);
             xf[static_cast<size_t>(op.q)] = 0;
             zf[static_cast<size_t>(op.q)] = 0;
             break;
@@ -846,7 +864,7 @@ walkScalarFrame(const FrameProgram &root, const FrameTail &tail,
           case FrameOpRef::Kind::Cond: {
             const FrameCondOp &op = root.cond[ref.idx];
             if (packer.get(op.condBit) !=
-                (tail.condRef[ref.idx - tail.condBase] != 0)) {
+                (cls.condRef[ref.idx - cls.condBase] != 0)) {
                 xf[static_cast<size_t>(op.q)] ^=
                     static_cast<uint8_t>(kPauliHasX[op.pauli]);
                 zf[static_cast<size_t>(op.q)] ^=
@@ -886,9 +904,10 @@ drainTailShots(const FrameProgram &prog, const Rng &base,
         // sigma- acting through it lands on the opposite collapse
         // branch, and g (the branch-flip stabilizer the firing stream
         // recorded) hops the frame across.
-        const FrameMarkovOp &first = prog.markov[prog.ops[ts.site].idx];
-        if (xf[static_cast<size_t>(first.q)] & 1)
-            flipLane(prog.flipQubits, first.flip, xf, zf);
+        const uint32_t fi = prog.ops[ts.site].idx;
+        if (xf[static_cast<size_t>(prog.markov[fi].q)] & 1)
+            flipLane(prog.classes.flipQubits,
+                     prog.classes.markov[fi].flip, xf, zf);
         const FrameTail &tail = tails_cache.tail(prog, ts.site);
         const uint32_t site =
             walkScalarFrame(prog, tail, xf, zf, packer, rng);
@@ -902,9 +921,10 @@ drainTailShots(const FrameProgram &prog, const Rng &base,
             // checkpoint's residual dephasing drawn inline.
             const uint32_t mi = prog.ops[site].idx;
             const FrameMarkovOp &mop = prog.markov[mi];
+            const FrameClasses &cls = tail.classes;
             if (xf[static_cast<size_t>(mop.q)] & 1)
-                flipLane(tail.flipQubits,
-                         tail.markov[mi - tail.markovBase].flip, xf, zf);
+                flipLane(cls.flipQubits,
+                         cls.markov[mi - cls.markovBase].flip, xf, zf);
             state = tail.ref;
             refCl = tail.refCl;
             walkFrameReference(prog, state, refCl, tail.start, site);

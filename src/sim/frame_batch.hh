@@ -9,7 +9,8 @@
  * events fired.  This engine applies the standard Stim-style fix:
  *
  *  - The noiseless *reference* simulation runs ONCE per job (at
- *    compile time, in buildFrameSkeleton), fixing every
+ *    compile time, as buildFrameSkeleton classifies its op stream),
+ *    fixing every
  *    measurement's reference outcome and, for random-outcome
  *    measurements, the "branch-flip" Pauli that maps one outcome
  *    branch onto the other.
@@ -166,17 +167,19 @@ struct Frame2QOp
 };
 
 /**
- * One gate-error Bernoulli of a fused pulse train.  The error fires
- * *inside* the train (after pulse i), but the train was fused into
- * one transform, so the injected uniform Pauli is conjugated through
- * the train's suffix at compile time: mapped[p - 1] is the (x, z)
- * image of Pauli p in the engine packing (1 = X, 2 = Y, 3 = Z).
+ * The gate-error Bernoullis of one fused pulse train: one per physical
+ * pulse, drawn in pulse order at the qubit's rate
+ * FrameProgram::pulseErr[q].  Each error fires *inside* the train
+ * (after its pulse), but the train was fused into one transform, so
+ * the injected uniform Pauli is conjugated through the train's suffix
+ * at compile time: errMapped[errOff + i][p - 1] is the (x, z) image of
+ * Pauli p after the train's i-th physical pulse, in the engine packing
+ * (1 = X, 2 = Y, 3 = Z).
  */
 struct FrameErr1QOp
 {
     int q = -1;
-    FrameBernoulli prob;
-    uint8_t mapped[3] = {1, 2, 3};
+    uint32_t errOff = 0, errCnt = 0; //!< span of FrameProgram::errMapped
 };
 
 /** Two-qubit depolarizing error (uniform non-identity Pauli pair,
@@ -184,72 +187,63 @@ struct FrameErr1QOp
 struct FrameErr2QOp
 {
     int a = -1, b = -1;
-    FrameBernoulli prob;
+    uint32_t step = 0; //!< plan step: the bind reads its cxError
+    FrameBernoulli prob{};
 };
 
 /** Support of a branch-flip Pauli (sign omitted; frames ignore
  *  global phase): offset / count spans of its X- and Z-carrying
- *  qubits in the owning program's (or tail's) flipQubits. */
+ *  qubits in the owning FrameClasses' flipQubits. */
 struct FrameFlip
 {
     uint32_t xOff = 0, xCnt = 0;
     uint32_t zOff = 0, zCnt = 0;
 };
 
-/** Markovian (T1 + white dephasing) noise over one interval. */
+/** Markovian (T1 + white dephasing) noise over one interval; its
+ *  reference class is a FrameClasses::Markov. */
 struct FrameMarkovOp
 {
     int q = -1;
+    double dtUs = 0.0; //!< interval length: the bind's rates read it
 
-    /** Reference state of q at this checkpoint: 0 / 1 deterministic
-     *  value, 2 random (population 1/2). */
-    uint8_t t1Ref = 0;
-
-    /** Candidate rate gamma for deterministic references (the jump
-     *  then fires against the shot's actual bit); the folded
-     *  gamma * 1/2 firing rate for random references (a firing lane
+    /** The jump at the root class's rate: gamma for deterministic
+     *  references (the jump then fires against the shot's actual
+     *  bit); the folded gamma * 1/2 for superposed ones (a firing lane
      *  leaves the plane pass for a branch tail, see the file
      *  comment). */
-    FrameBernoulli t1;
+    FrameBernoulli t1{};
 
-    /** Raw (unfolded) gamma threshold, for the exact tableau
-     *  continuation's live checkpoints: fire = bernoulli(gamma) *
-     *  bernoulli(p1) with p1 read off the live tableau. */
+    /** Raw gamma threshold: the exact tableau continuation's live
+     *  checkpoints (fire = bernoulli(gamma) * bernoulli(p1), p1 read
+     *  off the live tableau) and a tail's deterministic ones. */
     uint64_t gammaThresh = 0;
 
-    /** Raw jump probability, kept for branch-tail recompilation: a
-     *  tail re-resolves this checkpoint against its own reference,
-     *  and the folded threshold is not invertible. */
-    double gamma = 0.0;
+    /** Folded gamma * 1/2 threshold: a tail's superposed checkpoints
+     *  (a tail may classify a checkpoint unlike the root). */
+    uint64_t halfGammaThresh = 0;
 
-    /** Branch-flip support g of a superposed checkpoint (t1Ref == 2):
-     *  a firing lane's frame absorbs g iff its x bit of q reads 1, and
-     *  then rides the checkpoint's branch tail. */
-    FrameFlip flip;
-
-    FrameBernoulli deph;
+    FrameBernoulli deph{};
 };
 
 /** Static Pauli-twirl of a shot-invariant coherent phase (crosstalk
- *  under NoiseFlags::twirlCoherent): Z with probability
- *  sin^2(phi / 2). */
+ *  under NoiseFlags::twirlCoherent) over one idle gap: Z with
+ *  probability sin^2(phi / 2), phi the crosstalk phase the bind folds
+ *  over [gapStart, gapEnd). */
 struct FrameTwirlOp
 {
     int q = -1;
-    FrameBernoulli prob;
+    double gapStart = 0.0, gapEnd = 0.0; //!< ns
+    FrameBernoulli prob{};
 };
 
-/** A measurement with its reference outcome and readout errors. */
+/** A measurement with its readout errors; its reference outcome is a
+ *  FrameClasses::Collapse. */
 struct FrameMeasOp
 {
     int q = -1;
     int clbit = 0;
-    uint8_t refBit = 0; //!< reference outcome (0 for random measures)
-    bool random = false;
-
-    FrameFlip flip; //!< branch-flip Pauli (random measures only)
-
-    FrameBernoulli err01, err10;
+    FrameBernoulli err01{}, err10{};
 };
 
 /**
@@ -257,29 +251,25 @@ struct FrameMeasOp
  * random reference draws a fresh coin per lane (absorbing the
  * branch-flip Pauli exactly like a random measurement), then both
  * the x and z planes of q clear — the post-reset reference has q in
- * |0> exactly (the compile walk postselects / corrects it), so a
+ * |0> exactly (the reference walk postselects / corrects it), so a
  * trivial frame on q is the exact representation of every lane.
  */
 struct FrameResetOp
 {
     int q = -1;
-    bool random = false;
-
-    FrameFlip flip; //!< branch-flip Pauli (random references only)
 };
 
 /**
- * Classically-controlled Pauli: the reference applied it iff the
- * reference's recorded bit (refCond) read 1 at compile time, so a
- * lane's frame absorbs the Pauli exactly where its own recorded bit
- * differs from refCond — one mask build plus up to two plane XORs.
+ * Classically-controlled Pauli: the reference applied it iff its own
+ * recorded bit (FrameClasses::condRef) read 1, so a lane's frame
+ * absorbs the Pauli exactly where its own recorded bit differs — one
+ * mask build plus up to two plane XORs.
  */
 struct FrameCondOp
 {
     int q = -1;
     int condBit = 0;
-    uint8_t pauli = 1;   //!< engine packing (1 = X, 2 = Y, 3 = Z)
-    uint8_t refCond = 0; //!< reference's recorded bit of condBit
+    uint8_t pauli = 1; //!< engine packing (1 = X, 2 = Y, 3 = Z)
 };
 
 /** One entry of the frame op stream. */
@@ -302,20 +292,66 @@ struct FrameOpRef
 };
 
 /**
- * A stabilizer job lowered into a frame op stream: the reference
- * simulation's outcomes baked in, every probability resolved into a
- * mask-generation mode, every pulse train fused into one of the six
- * GL(2, F2) transforms.  Built once per job by bindFrameProgram
- * (noise/compiled.hh) and shared read-only by all shot workers.  It is
- * the *root* of its job's branch tails: every FrameTail reads its
- * gate, error, twirl and noise-rate ops from these arrays.
+ * The reference classes of an op-stream suffix ops[from ..): what one
+ * noiseless reference decides about each reference-dependent op,
+ * filled by the one reference walk (classifyFrameOps in
+ * noise/compiled.cc).  A program's own classes start at op 0 from
+ * |0...0>; a branch tail's start right after its checkpoint, from the
+ * jumped reference.  Entry i of a kind stands for the program's array
+ * index base + i: per-kind indices rise with op position, so the ops
+ * of a suffix map onto a dense suffix of each array (every base is 0
+ * for the program's own classes).
+ */
+struct FrameClasses
+{
+    /** A T1 checkpoint: 0 / 1 deterministic reference value of q, 2
+     *  superposed (population 1/2) with its branch-flip support g — a
+     *  firing lane's frame absorbs g iff its x bit of q reads 1, and
+     *  then rides the checkpoint's branch tail.  Always 0 without a
+     *  T1 channel. */
+    struct Markov
+    {
+        uint8_t t1Ref = 0;
+        FrameFlip flip;
+    };
+
+    /** A measure or reset: a random collapse with its branch-flip
+     *  support (the reference takes outcome 0), or the deterministic
+     *  reference bit (read by measures only). */
+    struct Collapse
+    {
+        bool random = false;
+        uint8_t refBit = 0;
+        FrameFlip flip;
+    };
+
+    uint32_t markovBase = 0, measBase = 0, resetBase = 0, condBase = 0;
+
+    std::vector<Markov> markov;
+    std::vector<Collapse> meas, resets;
+    std::vector<uint8_t> condRef; //!< reference's recorded condBit
+    std::vector<int> flipQubits;  //!< the flip supports' qubits
+};
+
+/**
+ * A stabilizer job lowered into a frame op stream: every pulse train
+ * fused into one of the six GL(2, F2) transforms, the reference
+ * simulation's decisions baked in as `classes`, every probability
+ * resolved into a mask-generation mode.  buildFrameSkeleton
+ * (noise/compiled.hh) emits the unbound program from the plan's
+ * structure alone — every rate Never, each rate-carrying op holding
+ * what its rate is computed from — and the ProgramCache keeps that as
+ * the skeleton; bindFrameProgram copies it and stamps one
+ * calibration's rates.  Shared read-only by all shot workers, and the
+ * *root* of its job's branch tails: every FrameTail reads its gate,
+ * error, twirl and noise-rate ops from these arrays.
  */
 struct FrameProgram
 {
     int numQubits = 0;
     int numClbits = 1;
 
-    /** Random-reference T1 checkpoints in the stream (branch-tail
+    /** Superposed T1 checkpoints among the root classes (branch-tail
      *  sites); 0 means no lane can ever leave the plane pass. */
     uint32_t randomT1Count = 0;
 
@@ -331,21 +367,24 @@ struct FrameProgram
     std::vector<FrameResetOp> resets;
     std::vector<FrameCondOp> cond;
 
-    std::vector<int> flipQubits; //!< branch-flip Pauli supports
+    /** Suffix images of every Err1Q train's physical pulses (see
+     *  FrameErr1QOp). */
+    std::vector<std::array<uint8_t, 3>> errMapped;
+
+    /** Per dense qubit: the gate-error rate of each of its physical
+     *  pulses (bindPlan gives every one the qubit's gateError1Q). */
+    std::vector<FrameBernoulli> pulseErr;
+
+    FrameClasses classes; //!< ops[0 ..) against the |0...0> reference
 };
 
 /**
  * A branch tail: the root program's op stream after one superposed
- * T1 checkpoint of the root fired, re-resolved against the jumped
+ * T1 checkpoint of the root fired, re-classified against the jumped
  * reference X_q * postselect(ref, 1).  A tail is an overlay on the
  * root: it reads every gate, error, twirl and noise rate from the
- * root's arrays and stores only what the jump changes — T1 classes,
- * measure and reset reference bits, conditional reference bits and
- * the branch-flip supports.  Overlay entry i of a kind stands for
- * root array index base + i: the root's per-kind indices rise with op
- * position, so the ops in root.ops[start ..) map onto a dense suffix
- * of each array.  Compiled lazily by compileFrameTail
- * (noise/compiled.hh).
+ * root's arrays and stores only its own reference classes.  Compiled
+ * lazily by compileFrameTail (noise/compiled.hh).
  */
 struct FrameTail
 {
@@ -356,32 +395,7 @@ struct FrameTail
      *  first draw of the tail walk. */
     uint32_t start = 0;
 
-    /** A Markov op under the jumped reference. */
-    struct Markov
-    {
-        uint64_t t1Thresh = 0; //!< gamma / 2 superposed, else gamma
-        uint8_t t1Ref = 0;     //!< 0 / 1 deterministic, 2 superposed
-        FrameFlip flip;        //!< superposed only
-    };
-
-    /** A measure or reset under the jumped reference: a random
-     *  collapse with its branch-flip support, or the deterministic
-     *  reference bit (read by measures only). */
-    struct Collapse
-    {
-        bool random = false;
-        uint8_t refBit = 0;
-        FrameFlip flip; //!< random only
-    };
-
-    /** Root array index of each overlay's entry 0. */
-    uint32_t markovBase = 0, measBase = 0, resetBase = 0, condBase = 0;
-
-    std::vector<Markov> markov;
-    std::vector<Collapse> meas, resets;
-    std::vector<uint8_t> condRef; //!< reference's recorded condBit
-
-    std::vector<int> flipQubits; //!< the overlays' flip supports
+    FrameClasses classes; //!< root.ops[start ..) against the jump
 
     /** The jumped reference at start and its recorded clbits: a lane
      *  that fires again inside the tail advances a copy of it to that
@@ -517,7 +531,7 @@ class FrameBatchBackend
  * checkpoint's branch-flip Pauli iff its x bit of the decaying qubit
  * reads 1, then walks the checkpoint's tail (from @p tails_cache) as
  * a scalar frame over the root's op stream, reading the
- * reference-dependent fields from the tail's overlays.  A lane that
+ * reference-dependent fields from the tail's classes.  A lane that
  * fires again at a superposed checkpoint of the tail finishes on an
  * exact tableau walk of the root stream, seeded from the tail's start
  * reference walked to that checkpoint and jumped there.  Each lane
@@ -551,10 +565,10 @@ void applyPauliCode(StabilizerState &state, int code, int q);
  * Advance reference @p ref, with its recorded clbits @p refCl,
  * through root.ops[from, to): the tableau actions of gates, the
  * reference's own collapse at random measures and resets (outcome 0),
- * and the conditional Paulis its bits select — exactly what the
- * skeleton walk did to the root reference.  A branch tail's compile
- * and a lane's second fire both derive their jumped reference with
- * it.
+ * and the conditional Paulis its bits select.  The one reference
+ * walk that classifies a program and each of its branch tails
+ * advances with it op by op, and a lane's second fire derives its
+ * jumped reference with it.
  */
 void walkFrameReference(const FrameProgram &root, StabilizerState &ref,
                         std::vector<uint8_t> &refCl, uint32_t from,

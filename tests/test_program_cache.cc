@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <latch>
 #include <set>
 #include <thread>
@@ -191,6 +192,131 @@ TEST(ProgramCache, RebindAcrossDriftedCalibrations)
     EXPECT_EQ(cache.stats().hits, 3u);
     EXPECT_EQ(cache.stats().declined, 1u);
     EXPECT_EQ(cache.stats().entries, 1u);
+}
+
+TEST(ProgramCache, FrameRebindToZeroRatesMatchesColdCompile)
+{
+    // A frame skeleton cached on one device, re-bound to a device that
+    // pins a pulsed qubit's gate error, a measured qubit's readout
+    // error and a used link's CX error to zero: the ops those rates
+    // feed stay in the stream and bind Never.  The re-bound job equals
+    // the pinned device's cold compile bit for bit and samples the
+    // per-shot oracle's law.
+    const Device device = Device::ibmqRome();
+    const NoiseFlags flags = NoiseFlags::pauliOnly();
+    const ScheduledCircuit sched = insertDDAll(
+        cliffordSchedule(device), device.calibration(0), DDOptions{});
+    QubitId pulsed = -1, measured = -1;
+    int link = -1;
+    for (const TimedOp &op : sched.ops()) {
+        if (pulsed < 0 && op.ddPulse)
+            pulsed = op.gate.qubit();
+        if (measured < 0 && op.gate.type == GateType::Measure)
+            measured = op.gate.qubit();
+        if (link < 0 && op.gate.type == GateType::CX)
+            link = op.linkIndex;
+    }
+    ASSERT_GE(pulsed, 0);
+    ASSERT_GE(measured, 0);
+    ASSERT_GE(link, 0);
+    DeviceOverrides pins = device.overrides();
+    pins.qubits[pulsed].gateError1Q = 0.0;
+    pins.qubits[measured].readoutError10 = 0.0;
+    pins.links[link].cxError = 0.0;
+    const Device pinned(device.topology(), device.profile(), pins);
+
+    // Both calibrations bind one unbound program into streams of the
+    // same shape; the pinned rates bind Never.
+    const ProgramSkeleton skel = buildPlanSkeleton(sched, flags);
+    const FrameProgram unbound = buildFrameSkeleton(skel.plan, flags);
+    const auto bind = [&](const Calibration &cal) {
+        return bindFrameProgram(bindPlan(skel, cal, flags), unbound, cal,
+                                flags);
+    };
+    const FrameProgram live = bind(device.calibration(0));
+    const FrameProgram zeroed = bind(pinned.calibration(0));
+    EXPECT_EQ(zeroed.ops.size(), live.ops.size());
+    EXPECT_EQ(zeroed.err2q.size(), live.err2q.size());
+    const auto never = [](const FrameBernoulli &b) {
+        return b.mode == FrameBernoulli::Mode::Never;
+    };
+    const auto dense = [&](QubitId q) {
+        return static_cast<size_t>(std::find(skel.plan.active.begin(),
+                                             skel.plan.active.end(), q) -
+                                   skel.plan.active.begin());
+    };
+    EXPECT_FALSE(never(live.pulseErr[dense(pulsed)]));
+    EXPECT_TRUE(never(zeroed.pulseErr[dense(pulsed)]));
+    EXPECT_EQ(std::count_if(zeroed.meas.begin(), zeroed.meas.end(),
+                            [&](const FrameMeasOp &m) {
+                                return never(m.err10);
+                            }),
+              1);
+    EXPECT_GE(std::count_if(zeroed.err2q.begin(), zeroed.err2q.end(),
+                            [&](const FrameErr2QOp &e) {
+                                return never(e.prob);
+                            }),
+              1);
+
+    ProgramCache cache(8);
+    NoisyMachine first(device, 0, flags);
+    first.setProgramCache(&cache);
+    (void)first.prepare(sched, BackendKind::Stabilizer);
+    NoisyMachine machine(pinned, 0, flags);
+    machine.setProgramCache(&cache);
+    const PreparedCircuit rebound =
+        machine.prepare(sched, BackendKind::Stabilizer);
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(cache.stats().hits, 1u);
+    ASSERT_TRUE(rebound.frameBatched());
+
+    machine.setProgramCache(nullptr);
+    const PreparedCircuit cold =
+        machine.prepare(sched, BackendKind::Stabilizer);
+    constexpr int kShots = 8000;
+    const Distribution batch = machine.run(rebound, kShots, 31);
+    for (int threads : {1, 4}) {
+        EXPECT_TRUE(distributionsIdentical(
+            batch, machine.run(cold, kShots, 31, threads)))
+            << "threads=" << threads;
+    }
+    // The corpus tests' bound against the per-shot oracle.
+    const Distribution oracle =
+        machine.run(rebound, kShots, 31, 0, ExecMode::Interpreted);
+    const Distribution control =
+        machine.run(rebound, kShots, 31 + 77777, 0, ExecMode::Interpreted);
+    EXPECT_LT(tvDistance(batch, oracle),
+              1.6 * tvDistance(control, oracle) + 0.05);
+}
+
+TEST(ProgramCache, FrameTwirlsBindTheDenseCompilesPhases)
+{
+    // A twirl op carries only its idle gap; the bind folds the gap's
+    // crosstalk phase.  Gap for gap, its Z threshold must be the one
+    // the dense compile stamps on the same plan (which drops a zero
+    // phase where the frame bind keeps a Never op).
+    const Device device = Device::ibmqRome();
+    NoiseFlags flags = NoiseFlags::pauliOnly();
+    flags.crosstalk = true;
+    flags.twirlCoherent = true;
+    const Calibration cal = device.calibration(0);
+    const ScheduledCircuit sched =
+        insertDDAll(cliffordSchedule(device), cal, DDOptions{});
+    const ProgramSkeleton skel = buildPlanSkeleton(sched, flags);
+    const ExecutionPlan plan = bindPlan(skel, cal, flags);
+    const FrameProgram frame = bindFrameProgram(
+        plan, buildFrameSkeleton(skel.plan, flags), cal, flags);
+    const ShotProgram dense = compileShotProgram(plan, cal, flags);
+
+    std::vector<uint64_t> frame_twirls, dense_twirls;
+    for (const FrameTwirlOp &t : frame.twirl) {
+        if (t.prob.mode != FrameBernoulli::Mode::Never)
+            frame_twirls.push_back(t.prob.thresh);
+    }
+    for (const CoherentOp &c : dense.coherent)
+        dense_twirls.push_back(c.twirlThresh);
+    ASSERT_FALSE(dense_twirls.empty());
+    EXPECT_EQ(frame_twirls, dense_twirls);
 }
 
 TEST(ProgramCache, DistinctStructuresMissAndEvict)
@@ -473,16 +599,17 @@ TEST(ProgramCache, StructurePhaseLeavesExactSizes)
         expectExactSize(skel.plan.steps, "plan.steps");
         for (const PlanStep &step : skel.plan.steps)
             expectExactSize(step.pulses, "pulses");
-        const FrameSkeleton frame =
-            buildFrameSkeleton(skel.plan, flags);
-        ASSERT_FALSE(frame.fused.empty());
-        ASSERT_FALSE(frame.t1.empty());
-        expectExactSize(frame.fused, "fused");
-        expectExactSize(frame.t1, "t1");
+        const FrameProgram frame = buildFrameSkeleton(skel.plan, flags);
+        ASSERT_FALSE(frame.err1q.empty());
+        ASSERT_FALSE(frame.markov.empty());
+        ASSERT_FALSE(frame.classes.flipQubits.empty());
+        expectExactSize(frame.ops, "ops");
+        expectExactSize(frame.f1q, "f1q");
+        expectExactSize(frame.err1q, "err1q");
+        expectExactSize(frame.errMapped, "errMapped");
+        expectExactSize(frame.markov, "markov");
         expectExactSize(frame.meas, "meas");
-        expectExactSize(frame.resets, "resets");
-        for (const FrameSkeleton::FusedTrace &t : frame.fused)
-            expectExactSize(t.mapped, "fused.mapped");
+        expectExactSize(frame.classes.flipQubits, "flipQubits");
     }
 }
 

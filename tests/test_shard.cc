@@ -16,9 +16,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -268,6 +270,73 @@ TEST_F(ShardTest, MessageCodecsRoundTrip)
     submit.backend = 3;
     EXPECT_THROW(wire::decodeSubmit(wire::encodeSubmit(submit)),
                  wire::WireError);
+
+    // A schedule op the worker's structure phase would index out of
+    // range (or ScheduledCircuit would refuse) is a typed WireError,
+    // not an out-of-bounds read or a std::out_of_range.  Crafted on a
+    // 3-qubit, 2-clbit schedule; addOp keeps whatever it is given.
+    const auto submitOf = [](const TimedOp &op) {
+        wire::SubmitMsg msg;
+        msg.sched = ScheduledCircuit(3, 2);
+        msg.sched.addOp(op);
+        return wire::encodeSubmit(msg);
+    };
+    const auto timed = [](GateType type, std::vector<QubitId> qubits,
+                          std::vector<double> params = {}) {
+        TimedOp op;
+        op.gate.type = type;
+        op.gate.qubits = std::move(qubits);
+        op.gate.params = std::move(params);
+        op.start = 100.0;
+        op.end = 135.5;
+        return op;
+    };
+    TimedOp measure = timed(GateType::Measure, {2});
+    measure.gate.clbit = 1;
+    TimedOp cond = timed(GateType::X, {0});
+    cond.gate.condBit = 1;
+    for (const TimedOp &ok :
+         {timed(GateType::CX, {0, 1}), timed(GateType::Barrier, {0}),
+          timed(GateType::RZ, {2}, {0.5}), measure, cond}) {
+        EXPECT_NO_THROW(wire::decodeSubmit(submitOf(ok)))
+            << ok.gate.toString();
+    }
+    std::vector<std::pair<std::string, TimedOp>> bad = {
+        {"cx with one operand", timed(GateType::CX, {0})},
+        {"barrier without operands", timed(GateType::Barrier, {})},
+        {"rz without its angle", timed(GateType::RZ, {0})},
+        {"x with an angle", timed(GateType::X, {0}, {0.5})},
+        {"qubit past the register", timed(GateType::X, {3})},
+        {"negative qubit", timed(GateType::CX, {-1, 0})},
+    };
+    bad.emplace_back("clbit past the register", measure);
+    bad.back().second.gate.clbit = 2;
+    bad.emplace_back("clbit below -1", measure);
+    bad.back().second.gate.clbit = -2;
+    bad.emplace_back("condBit past the register", cond);
+    bad.back().second.gate.condBit = 2;
+    bad.emplace_back("condBit below -1", cond);
+    bad.back().second.gate.condBit = -2;
+    bad.emplace_back("infinite end", timed(GateType::X, {0}));
+    bad.back().second.end = std::numeric_limits<double>::infinity();
+    bad.emplace_back("link index below -1", timed(GateType::CX, {0, 1}));
+    bad.back().second.linkIndex = -2;
+    for (const auto &[what, op] : bad) {
+        EXPECT_THROW(wire::decodeSubmit(submitOf(op)), wire::WireError)
+            << what;
+    }
+    // addOp refuses end < start and NaN times, so swap the two
+    // timestamps on the wire instead.
+    std::vector<uint8_t> reversed = submitOf(timed(GateType::X, {0}));
+    wire::Writer times;
+    times.f64(100.0);
+    times.f64(135.5);
+    const auto at = std::search(reversed.begin(), reversed.end(),
+                                times.bytes().begin(),
+                                times.bytes().end());
+    ASSERT_NE(at, reversed.end());
+    std::rotate(at, at + 8, at + 16);
+    EXPECT_THROW(wire::decodeSubmit(reversed), wire::WireError);
 }
 
 TEST_F(ShardTest, SubmitMsgRoundTripsTheJobExactly)
@@ -890,6 +959,39 @@ TEST_F(ShardTest, ShardOptionsFromEnvRejectsGarbage)
     EXPECT_EQ(opts.workers, defaults.workers);
     EXPECT_EQ(opts.leaseBlocks, defaults.leaseBlocks);
     EXPECT_EQ(opts.heartbeatMs, defaults.heartbeatMs);
+}
+
+TEST_F(ShardTest, InvalidProgrammaticShardOptionsFallBackToDefaults)
+{
+    // Each value below its knob's floor takes the default (4-block
+    // leases, a 1 s heartbeat, 3 attempts, 16 restarts).  Unchecked,
+    // a zero lease size never advances the lease loop, a zero
+    // heartbeat kills every busy worker as hung, zero attempts
+    // quarantine every lease, and a negative restart budget wraps the
+    // spawn budget below the pool size.
+    const Device d = Device::ibmqRome();
+    const NoisyMachine machine(d);
+    const JobUnderTest job = denseJob(machine, d);
+    constexpr int kShots = 700;
+    ShardOptions opts;
+    opts.workers = 2;
+    opts.leaseBlocks = 0;
+    opts.heartbeatMs = 0;
+    opts.maxLeaseAttempts = 0;
+    opts.maxRestarts = -1;
+    ShardExecutor exec(machine, opts);
+    ASSERT_TRUE(exec.available());
+    const RunOutcome out =
+        exec.runSharded(job.prepared, job.sched, kShots, 5);
+    EXPECT_FALSE(out.partial);
+    EXPECT_TRUE(distributionsIdentical(
+        out.dist, machine.run(job.prepared, kShots, 5)));
+    const int64_t blocks = machine.shardBlockCount(job.prepared, kShots);
+    const ShardStats s = exec.stats();
+    EXPECT_EQ(s.leasesGranted, static_cast<uint64_t>((blocks + 3) / 4));
+    EXPECT_EQ(s.workersStalled, 0u);
+    EXPECT_EQ(s.leasesQuarantined, 0u);
+    EXPECT_EQ(s.workersSpawned, 2u);
 }
 
 TEST_F(ShardTest, ShardOptionsFromEnvAcceptsValidKnobs)
